@@ -80,7 +80,8 @@ def parse_config(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         if key in cfg:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        cfg[key] = _coerce(value)
+        # a branch such as 00 is a bit string, not the integer 0
+        cfg[key] = value if key == "force_branch" else _coerce(value)
     if "scenario" not in cfg:
         raise ConfigError("config must set scenario=<name>")
     scenario = cfg["scenario"]
@@ -118,6 +119,30 @@ def _as_complex(cfg: dict, key: str) -> complex:
         return complex(str(v).replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {v!r}")
+
+
+def _teleport_input(cfg: dict) -> dict:
+    """The validated input qubit and forced branch of a teleport scenario."""
+    alpha, beta = _as_complex(cfg, "alpha"), _as_complex(cfg, "beta")
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > 1e-9:
+        raise ConfigError(f"alpha and beta must be normalized, got "
+                          f"|alpha|^2 + |beta|^2 = {norm:.12g}")
+    branch = cfg.get("force_branch")
+    if branch is not None and branch not in ("00", "01", "10", "11"):
+        raise ConfigError(f"force_branch must be one of 00, 01, 10, 11, got {branch!r}")
+    return {"alpha": alpha, "beta": beta, "force_branch": branch}
+
+
+def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
+    """An optional rate or probability, 0 when absent, rejected outside [0, upper]."""
+    try:
+        v = float(cfg.get(key, 0.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a real number, got {cfg[key]!r}")
+    if not 0.0 <= v <= upper:
+        raise ConfigError(f"{key} must lie in [0, {upper:g}], got {v!r}")
+    return v
 
 
 def _truncation(overrides: dict, name: str, default: int) -> int:
@@ -161,9 +186,8 @@ def _run_superpose(cfg, seed, trunc, jobs):
 
 def _run_teleport_motional(cfg, seed, trunc, jobs):
     report = protocols.teleport_motional(
-        _as_complex(cfg, "alpha"), _as_complex(cfg, "beta"), seed=seed,
-        force_branch=str(cfg["force_branch"]) if "force_branch" in cfg else None,
-        resource_damping=float(cfg.get("resource_damping", 0.0)),
+        **_teleport_input(cfg), seed=seed,
+        resource_damping=_bounded(cfg, "resource_damping", 1.0),
     )
     return report.to_json_dict(), report
 
@@ -197,18 +221,7 @@ def _parallel_esr(spin, params, values, kwargs, jobs):
         futures = [pool.submit(_esr_chunk, spin, params, chunk, kwargs)
                    for chunk in chunks if len(chunk)]
         parts = [f.result() for f in futures]
-    response = np.concatenate([np.asarray(p) for p in parts])
-    # recompute peaks over the stitched response
-    from scipy.signal import find_peaks
-
-    span = response.max() - response.min()
-    peaks = ()
-    if span > 0:
-        idx, _ = find_peaks(response, prominence=0.1 * span)
-        peaks = tuple(float(values[i]) for i in idx)
-    resolution = float(np.max(np.diff(values))) if len(values) > 1 else 0.0
-    return protocols.EsrSpectrum(sweep=kwargs["sweep"], values=np.asarray(values),
-                                 response=response, peaks=peaks, resolution=resolution)
+    return protocols._esr_spectrum(kwargs["sweep"], values, np.concatenate(parts))
 
 
 def _esr_chunk(spin, params, chunk, kwargs):
@@ -218,11 +231,10 @@ def _esr_chunk(spin, params, chunk, kwargs):
 
 def _run_teleport_spin(cfg, seed, trunc, jobs):
     report = protocols.teleport_spin(
-        _as_complex(cfg, "alpha"), _as_complex(cfg, "beta"), seed=seed,
-        force_branch=str(cfg["force_branch"]) if "force_branch" in cfg else None,
+        **_teleport_input(cfg), seed=seed,
         phonon_dim=_truncation(trunc, "a_m", int(cfg.get("phonon_dim", 3))),
         lambda_rate=float(cfg["lambda_rate"]),
-        gamma_prime=float(cfg.get("gamma_prime", 0.0)),
+        gamma_prime=_bounded(cfg, "gamma_prime"),
         n_bar_prime=float(cfg.get("n_bar_prime", 0.0)),
         n_bar_gamma=float(cfg["n_bar_gamma"]) if "n_bar_gamma" in cfg else None,
     )

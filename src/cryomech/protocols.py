@@ -2,11 +2,12 @@
 preparation, motional-qubit teleportation, ESR scanning, spin-phonon swaps
 and end-to-end spin-state teleportation.
 
-Each protocol exists at two fidelity levels: an ideal qubit-level circuit and
-a physical-level realization built from the Hamiltonians in
-:mod:`cryomech.model` (with optional dissipation).  Measurement randomness is
-always an injected seedable source; a forced-branch replay mode covers every
-outcome deterministically.
+Gates, swaps and transfers are built from the Hamiltonians in
+:mod:`cryomech.model`, with optional dissipation.  Each teleportation runs as
+one channel at every noise level: the ideal run is the zero-damping case of
+the noisy one, not a separate circuit.  Measurement randomness is always an
+injected seedable source; a forced-branch replay mode covers every outcome
+deterministically.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .fockspace import (
     partial_trace,
     thermal_state,
 )
-from .gates import CorrectionTable, HADAMARD, PAULI_GATES, qubit_subspace_gate
+from .gates import CorrectionTable, HADAMARD, phases_equal, qubit_subspace_gate
 from .lindblad import (
     Dissipator,
     LindbladModel,
@@ -388,24 +389,28 @@ def hadamard(layout: SpaceLayout, target: str) -> GateSegment:
                        support_limit={target: 1e-9})
 
 
-def _mode_leakage(state: StateVector, label: str) -> float:
-    layout = state.layout
+def _mode_leakage(amps: np.ndarray, layout: SpaceLayout, label: str) -> float:
+    """Population above |1> of one mode, for a state vector or for a factor V
+    (one column per pure component) of rho = V V^dag."""
     idx = layout.index(label)
-    dims = layout.dims
-    t = np.abs(state.amplitudes.reshape(dims)) ** 2
-    pops = t.sum(axis=tuple(i for i in range(len(dims)) if i != idx))
+    t = np.abs(amps.reshape(layout.dims + (-1,))) ** 2
+    pops = t.sum(axis=tuple(i for i in range(t.ndim) if i != idx))
     return float(pops[2:].sum())
 
 
+def _apply(segment: GateSegment, layout: SpaceLayout, amps: np.ndarray) -> np.ndarray:
+    """Apply a segment to a state vector or to the columns of a factor."""
+    for label, limit in (segment.support_limit or {}).items():
+        leak = _mode_leakage(amps, layout, label)
+        if leak > limit:
+            raise PreconditionError(
+                f"segment {segment.label!r} needs {label!r} confined to the "
+                f"qubit subspace; leakage {leak:.3g} exceeds {limit:.3g}")
+    return segment.unitary.matrix @ amps
+
+
 def apply_segment(state: StateVector, segment: GateSegment) -> StateVector:
-    if segment.support_limit:
-        for label, limit in segment.support_limit.items():
-            leak = _mode_leakage(state, label)
-            if leak > limit:
-                raise PreconditionError(
-                    f"segment {segment.label!r} needs {label!r} confined to the "
-                    f"qubit subspace; leakage {leak:.3g} exceeds {limit:.3g}")
-    return StateVector(state.layout, segment.unitary.matrix @ state.amplitudes)
+    return StateVector(state.layout, _apply(segment, state.layout, state.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +428,31 @@ def bell_measure(state: StateVector, pair: tuple[str, str],
     zero-probability request.  Returns (bits, collapsed state on the
     remaining layout with the measured modes projected out).
     """
-    layout = state.layout
-    cp = _ideal_cphase_segment(layout, pair)
-    psi = apply_segment(state, cp)
-    psi = apply_segment(psi, hadamard(layout, pair[0]))
-    psi = apply_segment(psi, hadamard(layout, pair[1]))
+    bits, kept, collapsed = _bell_measure(state.layout, state.amplitudes[:, None],
+                                          pair, rng, force)
+    return bits, StateVector(kept, collapsed[:, 0])
 
-    dims = layout.dims
+
+def _bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str],
+                  rng: Optional[np.random.Generator], force: Optional[str]
+                  ) -> tuple[str, SpaceLayout, np.ndarray]:
+    """:func:`bell_measure` on rho = V V^dag given as its factor V, one column
+    per pure component.  Every column collapses on the same outcome, so the
+    Born probability of a branch is the squared norm of its whole block.
+    Returns (bits, remaining layout, normalized collapsed factor)."""
+    for segment in (_ideal_cphase_segment(layout, pair),
+                    hadamard(layout, pair[0]), hadamard(layout, pair[1])):
+        factor = _apply(segment, layout, factor)
+
     i0, i1 = layout.index(pair[0]), layout.index(pair[1])
-    t = psi.amplitudes.reshape(dims)
+    t = factor.reshape(layout.dims + (-1,))
     probs = {}
     branches = {}
     for b0 in range(2):
         for b1 in range(2):
-            sl = [slice(None)] * len(dims)
+            sl = [slice(None)] * t.ndim
             sl[i0], sl[i1] = b0, b1
-            branch = t[tuple(sl)]
+            branch = t[tuple(sl)].reshape(-1, t.shape[-1])
             probs[f"{b0}{b1}"] = float(np.linalg.norm(branch) ** 2)
             branches[f"{b0}{b1}"] = branch
     total = sum(probs.values())
@@ -464,9 +478,8 @@ def bell_measure(state: StateVector, pair: tuple[str, str],
                 break
 
     kept = tuple(s for k, s in enumerate(layout.subsystems) if k not in (i0, i1))
-    amp = branches[bits].reshape(-1)
-    amp = amp / np.linalg.norm(amp)
-    return bits, StateVector(SpaceLayout(kept), amp)
+    collapsed = branches[bits]
+    return bits, SpaceLayout(kept), collapsed / np.linalg.norm(collapsed)
 
 
 def _ideal_cphase_segment(layout: SpaceLayout, pair: tuple[str, str]) -> GateSegment:
@@ -514,57 +527,49 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
     ``resource_damping`` optionally applies single-quantum amplitude damping
     (probability per resource mode) to the shared entangled pair before the
     protocol runs, modeling imperfect resource distribution.
+
+    The circuit acts on a factor V of the three-mode state, rho = V V^dag.
+    Each Kraus term of the damped resource adds columns to V; the ideal
+    resource keeps one, whose corrected amplitudes are reported.
     """
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"input amplitudes must be normalized, got |a|^2+|b|^2 = {norm}")
+    if not 0.0 <= resource_damping <= 1.0:
+        raise ValueError(f"resource_damping must lie in [0, 1], got {resource_damping}")
     rng = np.random.default_rng(seed)
     table = correction_table()
 
     layout = SpaceLayout.of(("a_m1", 2), ("a1", 2), ("a_m2", 2))
-    src = StateVector(SpaceLayout.single("a_m1", 2), np.array([alpha, beta], complex))
-    resource = prepare_entangled_lc(("a1", "a_m2"))
-
-    if resource_damping > 0.0:
-        rho_out, fid, bits, corr = _teleport_density(src, resource, resource_damping,
-                                                     rng, force_branch, table)
-        return ProtocolReport(
-            scenario="teleport-motional",
-            segments=_teleport_segments(),
-            final_fidelity=fid,
-            measurement_record=tuple(int(b) for b in bits),
-            correction_applied=table.name(bits),
-            seed=seed,
-            details={"resource_damping": resource_damping},
-        )
-
-    psi = kron_states(src, resource)
-    # checkpoint: state after the conditional phase, before the Hadamards
-    # (bell_measure applies the full CPHASE + Hadamard circuit itself)
-    psi_mid = apply_segment(psi, _ideal_cphase_segment(layout, ("a_m1", "a1")))
-    ref = checkpoint_state(alpha, beta)
-    checkpoint_fid = float(abs(np.vdot(ref.amplitudes, psi_mid.amplitudes)) ** 2)
-
-    bits, collapsed = bell_measure(psi, ("a_m1", "a1"), rng=rng, force=force_branch)
-    corrected = table.gate(bits) @ collapsed.amplitudes
-    out = StateVector(SpaceLayout.single("a_m2", 2), corrected)
+    pair = ("a_m1", "a1")
     target = np.array([alpha, beta], dtype=complex)
-    fid = float(abs(np.vdot(target, out.amplitudes)) ** 2)
+    resource = prepare_entangled_lc(("a1", "a_m2")).amplitudes
+    kraus = _amplitude_damping_kraus(resource_damping)
+    factor = np.kron(target[:, None],
+                     np.column_stack([np.kron(k1, k2) @ resource for k1 in kraus for k2 in kraus]))
 
-    from .gates import phases_equal
-
+    bits, _, collapsed = _bell_measure(layout, factor, pair, rng, force_branch)
+    out = table.gate(bits) @ collapsed
+    if resource_damping > 0.0:
+        details = {"resource_damping": resource_damping}
+    else:
+        # checkpoint: state after the conditional phase, before the Hadamards
+        # (_bell_measure applies the full CPHASE + Hadamard circuit itself)
+        mid = _ideal_cphase_segment(layout, pair).unitary.matrix @ factor
+        ref = checkpoint_state(alpha, beta).amplitudes
+        details = {
+            "checkpoint_fidelity": float(np.linalg.norm(ref.conj() @ mid) ** 2),
+            "output_amplitudes": [out[0, 0], out[1, 0]],
+            "amplitude_exact": bool(phases_equal(target, out[:, 0], tol=1e-9)),
+        }
     return ProtocolReport(
         scenario="teleport-motional",
         segments=_teleport_segments(),
-        final_fidelity=fid,
+        final_fidelity=float(np.linalg.norm(target.conj() @ out) ** 2),
         measurement_record=tuple(int(b) for b in bits),
         correction_applied=table.name(bits),
         seed=seed,
-        details={
-            "checkpoint_fidelity": checkpoint_fid,
-            "output_amplitudes": [out.amplitudes[0], out.amplitudes[1]],
-            "amplitude_exact": bool(phases_equal(target, out.amplitudes, tol=1e-9)),
-        },
+        details=details,
     )
 
 
@@ -578,53 +583,11 @@ def _teleport_segments() -> tuple[dict, ...]:
 
 
 def _amplitude_damping_kraus(p: float) -> list[np.ndarray]:
+    """Kraus terms of single-quantum amplitude damping; at p = 0 the
+    vanishing jump term is dropped, leaving the identity alone."""
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return [k0, k1]
-
-
-def _teleport_density(src: StateVector, resource: StateVector, damping: float,
-                      rng, force_branch, table) -> tuple[np.ndarray, float, str, str]:
-    """Density-matrix teleportation path used when the resource is noisy."""
-    res = np.outer(resource.amplitudes, resource.amplitudes.conj())
-    for qubit in (0, 1):
-        new = np.zeros_like(res)
-        for k in _amplitude_damping_kraus(damping):
-            op = np.kron(k, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), k)
-            new += op @ res @ op.conj().T
-        res = new
-    rho = np.kron(np.outer(src.amplitudes, src.amplitudes.conj()), res)
-
-    cp = np.kron(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex), np.eye(2))
-    hh = np.kron(np.kron(HADAMARD, HADAMARD), np.eye(2))
-    rho = hh @ cp @ rho @ cp.conj().T @ hh.conj().T
-
-    t = rho.reshape(2, 2, 2, 2, 2, 2)
-    probs, branches = {}, {}
-    for b0 in range(2):
-        for b1 in range(2):
-            blk = t[b0, b1, :, b0, b1, :]
-            probs[f"{b0}{b1}"] = float(np.trace(blk).real)
-            branches[f"{b0}{b1}"] = blk
-    if force_branch is not None:
-        bits = force_branch
-        if probs[bits] < 1e-12:
-            raise ValueError(f"branch {bits} has probability {probs[bits]:.3g}")
-    else:
-        r = rng.random()
-        acc = 0.0
-        bits = "11"
-        for key in sorted(probs):
-            acc += probs[key]
-            if r <= acc:
-                bits = key
-                break
-    blk = branches[bits] / probs[bits]
-    gate = table.gate(bits)
-    out = gate @ blk @ gate.conj().T
-    target = src.amplitudes
-    fid = float(np.real(np.vdot(target, out @ target)))
-    return out, fid, bits, table.name(bits)
+    return [k for k in (k0, k1) if k.any()]
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +607,23 @@ class EsrSpectrum:
                 "response": [float(v) for v in self.response],
                 "peaks": [float(p) for p in self.peaks],
                 "resolution": float(self.resolution)}
+
+
+def _esr_spectrum(sweep: str, values: Sequence[float],
+                 response: Sequence[float]) -> EsrSpectrum:
+    """Assemble a swept response into a spectrum: the resolution is the largest
+    abscissa step, and peaks need a prominence of 10 % of the response span."""
+    values = np.asarray(values, dtype=float)
+    response = np.asarray(response)
+    resolution = float(np.max(np.diff(values))) if len(values) > 1 else 0.0
+    span = response.max() - response.min()
+    if span > 0:
+        idx, _ = find_peaks(response, prominence=0.1 * span)
+        peaks = tuple(float(values[i]) for i in idx)
+    else:
+        peaks = ()
+    return EsrSpectrum(sweep=sweep, values=values, response=response,
+                       peaks=peaks, resolution=resolution)
 
 
 def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
@@ -683,35 +663,23 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
                    layout, "spin")
     sz = embed(pauli("z"), layout, "spin")
 
+    diss = thermal_dissipators(b, gamma_p, n_th)
+    if decay > 0:
+        diss = diss + (Dissipator(sminus, decay),)
+    if dephase > 0:
+        diss = diss + (Dissipator(sz, dephase),)
+
     response = []
     for v in values:
-        sv = s
         if sweep == "Delta_e":
             sv = SpinParams(g_s=s.g_s, lam=s.lam, Delta_e=float(v),
                             Omega_d_prime=s.Omega_d_prime)
         else:
             sv = SpinParams(g_s=s.g_s, lam=s.lam, Delta_e=s.Delta_e or 0.0,
                             Omega_d_prime=float(v))
-        h = build_spin_mech(p, sv, layout)
-        diss = thermal_dissipators(b, gamma_p, n_th)
-        if decay > 0:
-            diss = diss + (Dissipator(sminus, decay),)
-        if dephase > 0:
-            diss = diss + (Dissipator(sz, dephase),)
-        ss = steady_state(LindbladModel(h, diss))
+        ss = steady_state(LindbladModel(build_spin_mech(p, sv, layout), diss))
         response.append(gamma_p * float(np.real(np.trace(n_op.matrix @ ss.matrix))))
-
-    values = np.asarray(values, dtype=float)
-    response = np.asarray(response)
-    resolution = float(np.max(np.diff(values))) if len(values) > 1 else 0.0
-    span = response.max() - response.min()
-    if span > 0:
-        idx, _ = find_peaks(response, prominence=0.1 * span)
-        peaks = tuple(float(values[i]) for i in idx)
-    else:
-        peaks = ()
-    return EsrSpectrum(sweep=sweep, values=values, response=response,
-                       peaks=peaks, resolution=resolution)
+    return _esr_spectrum(sweep, values, response)
 
 
 # ---------------------------------------------------------------------------
@@ -820,20 +788,20 @@ def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
     if input_amplitudes is None:
         input_amplitudes = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
     alpha, beta = input_amplitudes
-    if direction == "spin->mech":
-        psi_in = _spin_qubit_state(alpha, beta, phonon_dim)
-        out = segment.unitary.matrix @ psi_in.amplitudes
-        rho_m = _reduced_mech(out, phonon_dim)
-        fid = _qubit_fidelity_up_to_phase(rho_m, alpha, beta)
-    else:
-        psi_in = _mech_qubit_state(alpha, beta, phonon_dim)
-        out = segment.unitary.matrix @ psi_in.amplitudes
-        rho_s = _reduced_spin(out, phonon_dim)
-        # express in the dressed basis before comparing
-        basis = np.column_stack([DRESSED_GROUND, DRESSED_EXCITED])
-        rho_d = basis.conj().T @ rho_s @ basis
-        fid = _qubit_fidelity_up_to_phase(rho_d, alpha, beta)
+    prepare = _spin_qubit_state if direction == "spin->mech" else _mech_qubit_state
+    psi_in = prepare(alpha, beta, phonon_dim)
+    out = StateVector(psi_in.layout, segment.unitary.matrix @ psi_in.amplitudes)
+    fid = _qubit_fidelity_up_to_phase(_received_qubit(DensityMatrix.from_state(out), direction),
+                                      alpha, beta)
     return SwapResult(segment=segment, fidelity=fid, time=t_swap, strong_coupling=strong)
+
+
+def _received_qubit(rho: DensityMatrix, direction: str) -> np.ndarray:
+    """Reduced state of the side a swap writes to; the spin in the dressed basis."""
+    if direction == "spin->mech":
+        return partial_trace(rho, {"a_m"}).matrix
+    basis = np.column_stack([DRESSED_GROUND, DRESSED_EXCITED])
+    return basis.conj().T @ partial_trace(rho, {"spin"}).matrix @ basis
 
 
 def _spin_qubit_state(alpha, beta, phonon_dim) -> StateVector:
@@ -850,33 +818,23 @@ def _mech_qubit_state(alpha, beta, phonon_dim) -> StateVector:
                                          DRESSED_GROUND))
 
 
-def _reduced_mech(amps: np.ndarray, phonon_dim: int) -> np.ndarray:
-    t = amps.reshape(phonon_dim, 2)
-    return t @ t.conj().T
-
-
-def _reduced_spin(amps: np.ndarray, phonon_dim: int) -> np.ndarray:
-    t = amps.reshape(phonon_dim, 2)
-    return t.T @ t.conj()
-
-
-def _dissipative_swap_channel(lambda_rate: float, gamma_prime: float, n_bar_prime: float,
-                              phonon_dim: int, rho_in: np.ndarray,
-                              direction: str) -> np.ndarray:
+def _swap_channel(rho: DensityMatrix, direction: str, lambda_rate: float,
+                  gamma_prime: float, n_bar_prime: float) -> DensityMatrix:
     """Apply the swap as a Lindblad evolution with mechanical damping, followed
-    by the same deterministic phase correction as the unitary segment."""
+    by the same deterministic phase correction as the unitary segment.  At
+    ``gamma_prime = 0`` this is the unitary segment."""
     from .fockspace import annihilation
 
-    layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
+    layout = rho.layout
+    phonon_dim = layout.subsystem("a_m").dim
     h = build_jc(lambda_rate, layout, "+")
     b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
     model = LindbladModel(h, thermal_dissipators(b, gamma_prime, n_bar_prime))
     _, t_swap, c_fwd, c_bwd = _swap_pieces(lambda_rate, phonon_dim)
-    rho0 = DensityMatrix(layout, rho_in, trace_tol=1e-7, herm_tol=1e-7, pos_tol=1e-7)
-    final = evolve(model, rho0, t_swap, num_samples=2, truncation_threshold=1.0,
-                   trace_tol=1e-6, herm_tol=1e-6, pos_tol=1e-6).final()
+    tols = dict(trace_tol=1e-6, herm_tol=1e-6, pos_tol=1e-6)
+    final = evolve(model, rho, t_swap, num_samples=2, truncation_threshold=1.0, **tols).final()
     c = c_fwd if direction == "spin->mech" else c_bwd
-    return c @ final.matrix @ c.conj().T
+    return DensityMatrix(layout, c @ final.matrix @ c.conj().T, **tols)
 
 
 def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
@@ -888,8 +846,12 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
     system 1 onto its mechanical mode, teleport the motional qubit to system 2,
     swap it back onto the remote spin.
 
-    With ``gamma_prime > 0`` both swap legs run as dissipative evolutions and
-    the reported fidelity degrades accordingly.
+    A density matrix runs through both swap legs as Lindblad evolutions under
+    mechanical damping ``gamma_prime``, and the ideal motional teleportation
+    between them is the identity channel.  With ``gamma_prime > 0`` the
+    reported fidelity degrades accordingly; at ``gamma_prime = 0`` the legs
+    are the unitary swaps, and the motional hop is run through
+    :func:`teleport_motional` for its measurement record.
     """
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-9:
@@ -897,85 +859,41 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
 
     swap_in = spin_mech_swap("spin->mech", lambda_rate, phonon_dim,
                              input_amplitudes=(alpha, beta), n_bar_gamma=n_bar_gamma)
-    segments = [swap_in.segment.summary()]
-
-    if gamma_prime <= 0.0:
-        psi1 = _spin_qubit_state(alpha, beta, phonon_dim)
-        mech1 = swap_in.segment.unitary.matrix @ psi1.amplitudes
-        rho_m1 = _reduced_mech(mech1, phonon_dim)
-        a1, b1 = _extract_qubit_amplitudes(mech1, phonon_dim)
-        tele = teleport_motional(a1, b1, seed=seed, force_branch=force_branch)
-        segments += list(tele.segments)
-        a2, b2 = tele.details["output_amplitudes"]
-        psi2 = _mech_qubit_state(a2, b2, phonon_dim)
-        back = spin_mech_swap("mech->spin", lambda_rate, phonon_dim)
-        out = back.segment.unitary.matrix @ psi2.amplitudes
-        rho_s = _reduced_spin(out, phonon_dim)
-        basis = np.column_stack([DRESSED_GROUND, DRESSED_EXCITED])
-        rho_d = basis.conj().T @ rho_s @ basis
-        target = np.array([alpha, beta], dtype=complex)
-        fid = float(np.real(np.vdot(target, rho_d @ target)))
-        segments.append(back.segment.summary())
-        return ProtocolReport(
-            scenario="teleport-spin",
-            segments=tuple(segments),
-            final_fidelity=min(max(fid, 0.0), 1.0),
-            measurement_record=tele.measurement_record,
-            correction_applied=tele.correction_applied,
-            seed=seed,
-            details={"strong_coupling": swap_in.strong_coupling,
-                     "motional_checkpoint_fidelity": tele.details.get("checkpoint_fidelity")},
-        )
-
-    # dissipative path: push a density matrix through both swap legs, with the
-    # (ideal) motional teleportation acting as the identity channel in between
-    psi1 = _spin_qubit_state(alpha, beta, phonon_dim)
-    rho1 = np.outer(psi1.amplitudes, psi1.amplitudes.conj())
-    rho1 = _dissipative_swap_channel(lambda_rate, gamma_prime, n_bar_prime,
-                                     phonon_dim, rho1, "spin->mech")
-    _, t_swap, _, _ = _swap_pieces(lambda_rate, phonon_dim)
-    rho_m = _partial_trace_spin(rho1, phonon_dim)
+    rho0 = DensityMatrix.from_state(_spin_qubit_state(alpha, beta, phonon_dim))
+    rho1 = _swap_channel(rho0, "spin->mech", lambda_rate, gamma_prime, n_bar_prime)
+    rho_m = _received_qubit(rho1, "spin->mech")
     spin_ground = np.outer(DRESSED_GROUND, DRESSED_GROUND.conj())
-    rho2 = _dissipative_swap_channel(lambda_rate, gamma_prime, n_bar_prime,
-                                     phonon_dim, np.kron(rho_m, spin_ground),
-                                     "mech->spin")
-    rho_s = _partial_trace_mech(rho2, phonon_dim)
-    basis = np.column_stack([DRESSED_GROUND, DRESSED_EXCITED])
-    rho_d = basis.conj().T @ rho_s @ basis
+    rho2 = DensityMatrix(rho1.layout, np.kron(rho_m, spin_ground),
+                         trace_tol=1e-7, herm_tol=1e-7, pos_tol=1e-7)
+    rho_d = _received_qubit(_swap_channel(rho2, "mech->spin", lambda_rate, gamma_prime,
+                                          n_bar_prime), "mech->spin")
     target = np.array([alpha, beta], dtype=complex)
     fid = float(np.real(np.vdot(target, rho_d @ target)))
-    segments += [{"label": "ideal motional teleport", "duration": 0.0},
-                 {"label": "jc-swap[mech->spin]", "duration": t_swap}]
+
+    if gamma_prime > 0.0:
+        middle = ({"label": "ideal motional teleport", "duration": 0.0},)
+        record, correction = (), None
+        details = {"gamma_prime": gamma_prime, "lambda": lambda_rate,
+                   "strong_coupling": swap_in.strong_coupling}
+    else:
+        # the swap left a pure qubit on the mechanical mode: its leading
+        # eigenvector, whose global phase the Bell statistics ignore
+        mech = np.linalg.eigh(rho_m)[1][:, -1]
+        if np.linalg.norm(mech[2:]) > 1e-9:
+            raise RuntimeError("mechanical state leaked above the qubit subspace")
+        tele = teleport_motional(complex(mech[0]), complex(mech[1]), seed=seed,
+                                 force_branch=force_branch)
+        middle = tele.segments
+        record, correction = tele.measurement_record, tele.correction_applied
+        details = {"strong_coupling": swap_in.strong_coupling,
+                   "motional_checkpoint_fidelity": tele.details["checkpoint_fidelity"]}
     return ProtocolReport(
         scenario="teleport-spin",
-        segments=tuple(segments),
+        segments=(swap_in.segment.summary(), *middle,
+                  {"label": "jc-swap[mech->spin]", "duration": swap_in.time}),
         final_fidelity=min(max(fid, 0.0), 1.0),
+        measurement_record=record,
+        correction_applied=correction,
         seed=seed,
-        details={"gamma_prime": gamma_prime, "lambda": lambda_rate,
-                 "strong_coupling": swap_in.strong_coupling},
+        details=details,
     )
-
-
-def _extract_qubit_amplitudes(amps: np.ndarray, phonon_dim: int) -> tuple[complex, complex]:
-    """Read the mechanical-qubit amplitudes out of a (mech x spin) pure state
-    whose spin factor is the dressed ground state."""
-    t = amps.reshape(phonon_dim, 2)
-    mech = t @ DRESSED_GROUND.conj()
-    if np.linalg.norm(mech) < 1.0 - 1e-6:
-        raise RuntimeError("swap left residual spin excitation; cannot extract a pure qubit")
-    mech = mech / np.linalg.norm(mech)
-    if np.linalg.norm(mech[2:]) > 1e-9:
-        raise RuntimeError("mechanical state leaked above the qubit subspace")
-    return complex(mech[0]), complex(mech[1])
-
-
-def _partial_trace_spin(rho: np.ndarray, phonon_dim: int) -> np.ndarray:
-    t = rho.reshape(phonon_dim, 2, phonon_dim, 2)
-    return np.einsum("isjs->ij", t)
-
-
-def _partial_trace_mech(rho: np.ndarray, phonon_dim: int) -> np.ndarray:
-    t = rho.reshape(phonon_dim, 2, phonon_dim, 2)
-    return np.einsum("isit->st", t)
-
-

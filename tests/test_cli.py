@@ -108,6 +108,35 @@ points = 3
         assert "final fidelity" in out
 
 
+class TestTeleportConfig:
+    def test_forced_branch_00(self, tmp_path):
+        path = write_cfg(tmp_path, TELEPORT_CFG + "force_branch = 00\n")
+        assert parse_config(path)["force_branch"] == "00"
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out_dir)]) == 0
+        doc = json.loads((out_dir / "teleport-motional.json").read_text())
+        assert doc["measurement_record"] == [0, 0]
+
+    @pytest.mark.parametrize("extra", [
+        "force_branch = 22\n",
+        "force_branch = ab\nresource_damping = 0.05\n",
+        "resource_damping = -0.1\n",
+    ])
+    def test_invalid_motional_input_exit_2(self, tmp_path, capsys, extra):
+        path = write_cfg(tmp_path, TELEPORT_CFG + extra)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unnormalized_amplitudes_exit_2(self, tmp_path):
+        path = write_cfg(tmp_path, "scenario = teleport-motional\nalpha = 1\nbeta = 1\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_negative_spin_damping_exit_2(self, tmp_path):
+        path = write_cfg(tmp_path, "scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\n"
+                                   "lambda_rate = 1\ngamma_prime = -0.01\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+
+
 class TestOutputs:
     def test_json_report_written(self, tmp_path):
         path = write_cfg(tmp_path, TELEPORT_CFG)

@@ -243,6 +243,20 @@ class TestTeleportMotional:
         assert noisy.final_fidelity < clean.final_fidelity
         assert noisy.final_fidelity > 0.8
 
+    def test_vanishing_damping_matches_ideal(self):
+        # the ideal resource is the zero-damping case of the damped channel
+        for seed in range(10):
+            ideal = P.teleport_motional(0.6, 0.8j, seed=seed)
+            tiny = P.teleport_motional(0.6, 0.8j, seed=seed, resource_damping=1e-12)
+            assert tiny.measurement_record == ideal.measurement_record
+            assert tiny.correction_applied == ideal.correction_applied
+            assert tiny.final_fidelity == pytest.approx(ideal.final_fidelity, abs=1e-9)
+
+    def test_damping_outside_unit_interval_rejected(self):
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                P.teleport_motional(0.6, 0.8, resource_damping=p)
+
 
 class TestEsrScan:
     PARAMS = SystemParams(omega_m=1.0, gamma_m=0.01, n_bar=0.0)
@@ -323,6 +337,13 @@ class TestTeleportSpin:
             fids.append(rep.final_fidelity)
         assert all(f2 < f1 + 1e-12 for f1, f2 in zip(fids, fids[1:]))
         assert fids[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_vanishing_damping_matches_ideal(self):
+        for branch in ("00", "11"):
+            ideal = P.teleport_spin(0.6, 0.8j, force_branch=branch)
+            tiny = P.teleport_spin(0.6, 0.8j, force_branch=branch, gamma_prime=1e-12,
+                                   n_bar_prime=0.1)
+            assert tiny.final_fidelity == pytest.approx(ideal.final_fidelity, abs=1e-9)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
