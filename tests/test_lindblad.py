@@ -46,6 +46,45 @@ def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
     return LindbladModel(h, thermal_dissipators(a, kappa, n_bar))
 
 
+def _random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (m + m.conj().T)
+
+
+def _random_h_mode(gamma, dim=4, seed=7):
+    """A mode with a random Hamiltonian and zero-temperature damping gamma."""
+    a = annihilation(dim, "m")
+    h = FockOperator(a.layout, _random_hermitian(np.random.default_rng(seed), dim))
+    return LindbladModel(h, (Dissipator(a, gamma),))
+
+
+def _uniqueness_model(build):
+    """Models whose generator has more than one (near-)null direction."""
+    rng = np.random.default_rng(3)
+    if build == "closed_diagonal":
+        lay = SpaceLayout.single("m", 4)
+        return LindbladModel(FockOperator(lay, np.diag([0.0, 0.7, 1.3, 2.9]).astype(complex)))
+    if build == "closed_random":
+        lay = SpaceLayout.single("m", 4)
+        return LindbladModel(FockOperator(lay, _random_hermitian(rng, 4)))
+    if build == "pure_dephasing_spin":
+        lay = SpaceLayout.single("spin", 2, "spin-half")
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        return LindbladModel(FockOperator(lay, 0.5 * sz),
+                             (Dissipator(FockOperator(lay, sz), 0.1),))
+    if build.startswith("damped_beside_undamped"):
+        lay = SpaceLayout.of(("m", 3), ("u", 3))
+        b = embed(annihilation(3, "m"), lay, "m")
+        if build.endswith("diagonal"):
+            h = (embed(number(3, "m"), lay, "m").matrix
+                 + 1.7 * embed(number(3, "u"), lay, "u").matrix)
+        else:
+            h = np.kron(np.eye(3), _random_hermitian(rng, 3))
+        return LindbladModel(FockOperator(lay, h.astype(complex)),
+                             thermal_dissipators(b, 0.5, 0.2))
+    return _random_h_mode(1e-10)
+
+
 class TestModelValidation:
     def test_nonhermitian_hamiltonian_rejected(self):
         lay = SpaceLayout.single("m", 2)
@@ -142,6 +181,19 @@ class TestSteadyState:
         h = FockOperator(lay, np.diag([0.0, 1.0, 2.0]).astype(complex))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(LindbladModel(h))
+
+    @pytest.mark.parametrize("build", [
+        "closed_diagonal", "closed_random", "pure_dephasing_spin",
+        "damped_beside_undamped_diagonal", "damped_beside_undamped_random",
+        "weakly_damped_1e-10"])
+    def test_degenerate_null_space_rejected(self, build):
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(_uniqueness_model(build))
+
+    @pytest.mark.parametrize("gamma", [1e-6, 0.4])
+    def test_weak_but_finite_damping_is_unique(self, gamma):
+        ss = steady_state(_random_h_mode(gamma))
+        assert np.trace(ss.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_long_time_evolution(self):
         model = damped_mode(dim=5, kappa=0.6, n_bar=0.2)
