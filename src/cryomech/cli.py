@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle, protocols
 from .errors import ConfigError, PreconditionError, VerificationError
-from .lindblad import trajectory_to_csv
+from .lindblad import _METHODS, trajectory_to_csv
 from .model import (
     SpinParams,
     SystemParams,
@@ -134,19 +134,45 @@ def _teleport_input(cfg: dict) -> dict:
     return {"alpha": alpha, "beta": beta, "force_branch": branch}
 
 
+def _real(cfg: dict, key: str, default: Optional[float] = None) -> Optional[float]:
+    """A finite real value, ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    v = cfg[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise ConfigError(f"{key} must be a finite real number, got {v!r}")
+    return float(v)
+
+
+def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
+    """An integer value of at least ``minimum``, ``default`` when absent."""
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    if v < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
+    return v
+
+
+def _choice(cfg: dict, key: str, choices: tuple, default: Optional[str] = None) -> str:
+    """One of ``choices``, ``default`` when the key is absent."""
+    v = cfg.get(key, default)
+    if v not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {v!r}")
+    return v
+
+
 def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
     """An optional rate or probability, 0 when absent, rejected outside [0, upper]."""
-    try:
-        v = float(cfg.get(key, 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a real number, got {cfg[key]!r}")
+    v = _real(cfg, key, 0.0)
     if not 0.0 <= v <= upper:
         raise ConfigError(f"{key} must lie in [0, {upper:g}], got {v!r}")
     return v
 
 
-def _truncation(overrides: dict, name: str, default: int) -> int:
-    return int(overrides.get(name, default))
+def _dim(cfg: dict, overrides: dict, key: str, name: str, default: int) -> int:
+    """A truncation from the config (at least 2), unless --truncation overrides it."""
+    return int(overrides.get(name, _integer(cfg, key, default, minimum=2)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +181,28 @@ def _truncation(overrides: dict, name: str, default: int) -> int:
 
 def _run_cool(cfg, seed, trunc, jobs):
     params = SystemParams(
-        g=float(cfg["g"]), kappa=float(cfg["kappa"]), gamma_m=float(cfg["gamma_m"]),
-        n_bar=float(cfg["n_bar"]), omega_m=float(cfg["omega_m"]) if "omega_m" in cfg else None,
+        g=_real(cfg, "g"), kappa=_real(cfg, "kappa"), gamma_m=_real(cfg, "gamma_m"),
+        n_bar=_real(cfg, "n_bar"), omega_m=_real(cfg, "omega_m"),
     ).derived()
     report = protocols.sideband_cool(
-        params, n_init=float(cfg["n_init"]),
-        duration=float(cfg["duration"]) if "duration" in cfg else None,
-        dims=(_truncation(trunc, "a", int(cfg.get("dim_a", 4))),
-              _truncation(trunc, "a_m", int(cfg.get("dim_m", 12)))),
+        params, n_init=_real(cfg, "n_init"),
+        duration=_real(cfg, "duration"),
+        dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 12)),
         eliminated=bool(cfg.get("eliminated", False)),
-        num_samples=int(cfg.get("num_samples", 60)),
-        method=str(cfg.get("method", "auto")),
+        num_samples=_integer(cfg, "num_samples", 60, minimum=2),
+        method=_choice(cfg, "method", _METHODS, "auto"),
     )
     return report.to_json_dict(), report
 
 
 def _run_superpose(cfg, seed, trunc, jobs):
     params = SystemParams(
-        g=float(cfg["g"]), kappa=float(cfg["kappa"]), gamma_m=float(cfg["gamma_m"]),
-        n_bar=float(cfg["n_bar"]),
+        g=_real(cfg, "g"), kappa=_real(cfg, "kappa"), gamma_m=_real(cfg, "gamma_m"),
+        n_bar=_real(cfg, "n_bar"),
     ).derived()
     report = protocols.prepare_motional_superposition(
         params,
-        dims=(_truncation(trunc, "a", int(cfg.get("dim_a", 4))),
-              _truncation(trunc, "a_m", int(cfg.get("dim_m", 4)))),
+        dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 4)),
         dissipation=bool(cfg.get("dissipation", True)),
     )
     return report.to_json_dict(), report
@@ -193,17 +217,18 @@ def _run_teleport_motional(cfg, seed, trunc, jobs):
 
 
 def _run_esr(cfg, seed, trunc, jobs):
-    params = SystemParams(omega_m=float(cfg["omega_m"]), gamma_m=float(cfg["gamma_m"]),
-                          n_bar=float(cfg.get("n_bar", 0.0)))
-    spin = SpinParams(lam=float(cfg["lam"]),
-                      Delta_e=float(cfg.get("Delta_e", 0.0)),
-                      Omega_d_prime=float(cfg.get("Omega_d_prime", 0.0)))
-    values = np.linspace(float(cfg["start"]), float(cfg["stop"]), int(cfg["points"]))
+    params = SystemParams(omega_m=_real(cfg, "omega_m"), gamma_m=_real(cfg, "gamma_m"),
+                          n_bar=_real(cfg, "n_bar", 0.0))
+    spin = SpinParams(lam=_real(cfg, "lam"),
+                      Delta_e=_real(cfg, "Delta_e", 0.0),
+                      Omega_d_prime=_real(cfg, "Omega_d_prime", 0.0))
+    values = np.linspace(_real(cfg, "start"), _real(cfg, "stop"),
+                         _integer(cfg, "points", None, minimum=1))
     kwargs = dict(
-        sweep=str(cfg["sweep"]),
-        mech_dim=_truncation(trunc, "a_m", int(cfg.get("mech_dim", 8))),
-        spin_decay=float(cfg["spin_decay"]) if "spin_decay" in cfg else None,
-        spin_dephasing=float(cfg["spin_dephasing"]) if "spin_dephasing" in cfg else None,
+        sweep=_choice(cfg, "sweep", ("Delta_e", "Omega_d_prime")),
+        mech_dim=_dim(cfg, trunc, "mech_dim", "a_m", 8),
+        spin_decay=_real(cfg, "spin_decay"),
+        spin_dephasing=_real(cfg, "spin_dephasing"),
     )
     if jobs > 1 and len(values) > 1:
         spectrum = _parallel_esr(spin, params, values, kwargs, jobs)
@@ -232,18 +257,18 @@ def _esr_chunk(spin, params, chunk, kwargs):
 def _run_teleport_spin(cfg, seed, trunc, jobs):
     report = protocols.teleport_spin(
         **_teleport_input(cfg), seed=seed,
-        phonon_dim=_truncation(trunc, "a_m", int(cfg.get("phonon_dim", 3))),
-        lambda_rate=float(cfg["lambda_rate"]),
+        phonon_dim=_dim(cfg, trunc, "phonon_dim", "a_m", 3),
+        lambda_rate=_real(cfg, "lambda_rate"),
         gamma_prime=_bounded(cfg, "gamma_prime"),
-        n_bar_prime=float(cfg.get("n_bar_prime", 0.0)),
-        n_bar_gamma=float(cfg["n_bar_gamma"]) if "n_bar_gamma" in cfg else None,
+        n_bar_prime=_real(cfg, "n_bar_prime", 0.0),
+        n_bar_gamma=_real(cfg, "n_bar_gamma"),
     )
     return report.to_json_dict(), report
 
 
 def _run_verify_all(cfg, seed, trunc, jobs):
     reports = oracle.verify_all(seed=seed if seed is not None else 0,
-                                instances=int(cfg.get("instances", 20)))
+                                instances=_integer(cfg, "instances", 20, minimum=0))
     doc = {"scenario": "verify-all",
            "reports": [r.to_json_dict() for r in reports],
            "all_passed": all(r.passed for r in reports)}
@@ -254,9 +279,9 @@ def _run_verify_all(cfg, seed, trunc, jobs):
 
 
 def _run_params(cfg, seed, trunc, jobs):
-    omega_m = float(cfg["omega_m"])
-    M = float(cfg["M_mem"])
-    T = float(cfg["T"])
+    omega_m = _real(cfg, "omega_m")
+    M = _real(cfg, "M_mem")
+    T = _real(cfg, "T")
     x0 = zero_point_fluctuation(M, omega_m)
     out = {
         "scenario": "params",
@@ -264,14 +289,10 @@ def _run_params(cfg, seed, trunc, jobs):
         "x0": x0,
         "n_bar": thermal_occupation(omega_m, T),
     }
-    kappa = float(cfg["kappa"]) if "kappa" in cfg else None
-    gamma_m = float(cfg["gamma_m"]) if "gamma_m" in cfg else None
     p = SystemParams(
-        omega_m=omega_m, M_mem=M, T=T, kappa=kappa, gamma_m=gamma_m,
-        Omega_d=float(cfg["Omega_d"]) if "Omega_d" in cfg else None,
-        Delta=float(cfg["Delta"]) if "Delta" in cfg else None,
-        G_pull=float(cfg["G_pull"]) if "G_pull" in cfg else None,
-        g0=float(cfg["g0"]) if "g0" in cfg else None,
+        omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa"),
+        gamma_m=_real(cfg, "gamma_m"), Omega_d=_real(cfg, "Omega_d"),
+        Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull"), g0=_real(cfg, "g0"),
         x0=x0,
     ).derived()
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
@@ -279,19 +300,19 @@ def _run_params(cfg, seed, trunc, jobs):
         if v is not None:
             out[name] = [v.real, v.imag] if isinstance(v, complex) else v
     if "m_bio" in cfg:
-        m_bio = float(cfg["m_bio"])
+        m_bio = _real(cfg, "m_bio")
         out["mass_ratio"] = m_bio / M
         out["frequency_shift"] = frequency_shift(omega_m, m_bio, M)
         # a particle riding the membrane antinode moves with twice the
         # membrane's zero-point amplitude
         out["x0_prime"] = 2.0 * x0
         if "G_m" in cfg:
-            lam = spin_phonon_coupling(2.0, float(cfg["G_m"]), out["x0_prime"])
+            lam = spin_phonon_coupling(2.0, _real(cfg, "G_m"), out["x0_prime"])
             out["lam_rad_per_s"] = lam
             out["lam_hz_equivalent"] = lam / (2.0 * np.pi)
     if "Delta_e" in cfg and "Omega_d_prime" in cfg:
-        out["omega_eff"] = dressed_splitting(float(cfg["Delta_e"]),
-                                             float(cfg["Omega_d_prime"]))
+        out["omega_eff"] = dressed_splitting(_real(cfg, "Delta_e"),
+                                             _real(cfg, "Omega_d_prime"))
     return out, None
 
 

@@ -1,11 +1,19 @@
-"""Open-system engine: Lindblad generators, time evolution, steady states,
-and adiabatic elimination of the fast microwave mode.
+"""Open-system engine: sparse Lindblad generators, time evolution, steady
+states, and adiabatic elimination of the fast microwave mode.
 
 Rate convention: the dissipator is ``D_x rho = 2 x rho x^dag - x^dag x rho
 - rho x^dag x`` (note the factor 2), so a rate ``kappa`` attached to a mode's
 lowering operator is an *amplitude* decay rate and energy decays at
 ``2 kappa``.  A thermal bath at occupation ``n_bar`` contributes
 ``(1 + n_bar) gamma D_a + n_bar gamma D_a^dag``.
+
+The generator is a ``scipy.sparse`` CSR matrix acting on column-stacked
+density matrices, and no routine here forms it densely.  Evolution applies
+its exponential to the initial state over the whole sample grid at once
+(``expm_multiply``, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011));
+the steady state is one sparse LU solve of the generator with one row
+replaced by the trace functional.  The dense reference for both lives in
+:mod:`cryomech.oracle`.
 
 Trace is never renormalized during integration; trace drift is a measured
 error signal checked against the trajectory invariants.
@@ -16,12 +24,15 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator, expm_multiply, onenormest, splu
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .errors import DegenerateSteadyStateError, PreconditionError, TruncationError
 from .fockspace import (
@@ -33,14 +44,12 @@ from .fockspace import (
 )
 from .model import SystemParams, build_beamsplitter
 
-#: Total Hilbert dimension up to which ``evolve`` defaults to stepping with a
-#: dense matrix exponential of the vectorized generator.  The superoperator is
-#: dim^2 x dim^2, which bounds how far the exact route can go in memory.
-EXPM_AUTO_DIM = 32
-
-#: Relative threshold on the second-smallest singular value used to declare the
-#: Liouvillian null space one-dimensional.
+#: Threshold on the reciprocal 1-norm condition number of the trace-bordered
+#: generator (see :func:`steady_state`) used to declare the Liouvillian null
+#: space one-dimensional.
 NULLSPACE_UNIQUE_TOL = 1e-8
+
+_METHODS = ("auto", "expm", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -97,18 +106,38 @@ def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
-    """Column-stacking vectorization of the generator: vec(drho) = L vec(rho)."""
+def _kron_nonzeros(a: np.ndarray, b: np.ndarray):
+    """Row indices, column indices and values of the nonzeros of kron(a, b)."""
+    ia, ja = np.nonzero(a)
+    ib, jb = np.nonzero(b)
+    nb = b.shape[0]
+    rows = (ia[:, None] * nb + ib).ravel()
+    cols = (ja[:, None] * nb + jb).ravel()
+    return rows, cols, np.multiply.outer(a[ia, ja], b[ib, jb]).ravel()
+
+
+def liouvillian_matrix(model: LindbladModel) -> sp.csr_array:
+    """Column-stacking vectorization of the generator, vec(drho) = L vec(rho),
+    as a sparse CSR matrix.
+
+    With vec(A rho B) = kron(B^T, A) vec(rho) and S = sum_k rate_k x_k^dag x_k,
+    L = kron(1, -iH - S) + kron((iH - S)^T, 1) + sum_k 2 rate_k kron(conj(x_k), x_k).
+    The nonzeros of every term are collected first and summed in one conversion.
+    """
     n = model.layout.dim
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n)
     h = model.hamiltonian.matrix
-    L = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    s = np.zeros((n, n), dtype=complex)
     for d in model.dissipators:
         x = d.operator.matrix
-        xd = x.conj().T
-        xdx = xd @ x
-        L += d.rate * (2.0 * np.kron(x.conj(), x) - np.kron(eye, xdx) - np.kron(xdx.T, eye))
-    return L
+        s += d.rate * (x.conj().T @ x)
+    terms = [_kron_nonzeros(eye, -1j * h - s), _kron_nonzeros((1j * h - s).T, eye)]
+    for d in model.dissipators:
+        if d.rate > 0:
+            x = d.operator.matrix
+            terms.append(_kron_nonzeros(2.0 * d.rate * x.conj(), x))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    return sp.csr_array((vals, (rows, cols)), shape=(n * n, n * n), dtype=complex)
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -128,6 +157,23 @@ def _check_truncation(rho: DensityMatrix, threshold: float):
             )
 
 
+@contextmanager
+def _pinned_global_rng():
+    """Seed NumPy's legacy global generator for the duration of a block and
+    restore the caller's stream afterwards.
+
+    ``onenormest`` starts from random sign vectors drawn from that generator;
+    ``expm_multiply`` picks its Taylor degree and step count from such
+    estimates.  Pinning them makes identical inputs give bit-identical output.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
+
+
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
            num_samples: int = 51, method: str = "auto",
            observables: Optional[Mapping[str, FockOperator]] = None,
@@ -135,42 +181,41 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
            truncation_threshold: float = 1e-6,
            trace_tol: float = 1e-8, herm_tol: float = 1e-9,
            pos_tol: float = 1e-7) -> EvolutionResult:
-    """Integrate the master equation and sample the trajectory.
+    """Integrate the master equation and sample the trajectory at
+    ``num_samples`` (at least 2) evenly spaced times from 0 to ``duration``.
 
-    ``method`` is ``"adaptive"`` (RK45 on the vectorized state), ``"expm"``
-    (repeated exact exponential of the generator over one sample interval), or
-    ``"auto"`` which picks ``"expm"`` for total dimension <= EXPM_AUTO_DIM.
-    State invariants (trace, hermiticity, positivity, truncation headroom) are
-    enforced on every sample; violations raise instead of being repaired.
+    ``method`` is ``"expm"`` (the action of the exponential of the sparse
+    generator on the initial state, over the whole sample grid in one
+    ``expm_multiply`` call), ``"adaptive"`` (RK45 on the vectorized state with
+    right-hand side ``L @ y`` and tolerances ``rtol``/``atol``), or ``"auto"``,
+    which is ``"expm"`` at every size.  State invariants (trace, hermiticity,
+    positivity, truncation headroom) are enforced on every sample; violations
+    raise instead of being repaired.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if num_samples < 2:
+        raise ValueError(f"num_samples must be at least 2, got {num_samples}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if rho0.layout != model.layout:
         raise ValueError("initial state layout does not match the model")
     n = model.layout.dim
     times = np.linspace(0.0, duration, num_samples)
-    if method == "auto":
-        method = "expm" if n <= EXPM_AUTO_DIM else "adaptive"
+    L = liouvillian_matrix(model)
+    v0 = _vec(rho0.matrix).astype(complex)
 
-    raw_states = [rho0.matrix]
-    if method == "expm":
-        L = liouvillian_matrix(model)
-        step = expm(L * (times[1] - times[0]))
-        v = _vec(rho0.matrix)
-        for _ in times[1:]:
-            v = step @ v
-            raw_states.append(_unvec(v, n))
-    elif method == "adaptive":
-        def rhs(t, y):
-            return lindblad_rhs(model, y.reshape(n, n)).reshape(-1)
-
-        sol = solve_ivp(rhs, (0.0, duration), rho0.matrix.reshape(-1).astype(complex),
+    if method == "adaptive":
+        sol = solve_ivp(lambda t, y: L @ y, (0.0, duration), v0,
                         t_eval=times, method="RK45", rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
-        raw_states = [sol.y[:, k].reshape(n, n) for k in range(sol.y.shape[1])]
+        samples = sol.y.T
     else:
-        raise ValueError(f"unknown method {method!r}")
+        with _pinned_global_rng():
+            samples = expm_multiply(L, v0, start=0.0, stop=duration,
+                                    num=num_samples, endpoint=True)
+    raw_states = [_unvec(v, n) for v in samples]
 
     states = []
     for m in raw_states:
@@ -195,22 +240,49 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
 def steady_state(model: LindbladModel) -> DensityMatrix:
     """Unique null vector of the vectorized generator, normalized to trace 1.
 
-    Raises DegenerateSteadyStateError when the null space is empty or has
-    dimension greater than one (e.g. a closed system).
+    Every generator preserves trace, vec(1)^T L = 0, so the row of L that
+    gives d(rho_00)/dt is a combination of the other population rows.  That
+    row is replaced by the trace functional (scaled by the largest column
+    2-norm of L, a lower bound on ||L||_2) and the bordered system is solved
+    with a sparse LU factorization.  The bordered matrix is nonsingular
+    exactly when the null space of L is one-dimensional.
+
+    Raises DegenerateSteadyStateError when the factor is exactly singular,
+    when the 1-norm condition estimate of the bordered matrix exceeds
+    ``1 / NULLSPACE_UNIQUE_TOL`` (e.g. a closed system), or when the residual
+    ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).
     """
-    L = liouvillian_matrix(model)
-    _, s, vh = np.linalg.svd(L)
-    smax = s[0] if s[0] > 0 else 1.0
-    if s[-1] > NULLSPACE_UNIQUE_TOL * smax:
-        raise DegenerateSteadyStateError("generator has no null vector")
-    if s[-2] <= NULLSPACE_UNIQUE_TOL * smax:
-        raise DegenerateSteadyStateError("steady state is not unique (degenerate null space)")
     n = model.layout.dim
-    rho = _unvec(vh[-1].conj(), n)
+    L = liouvillian_matrix(model)
+    scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
+                                      minlength=n * n).max()))
+    if scale == 0.0:
+        raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
+    trace_row = sp.csr_array((np.full(n, scale, dtype=complex),
+                              (np.zeros(n, dtype=int), np.arange(n) * (n + 1))),
+                             shape=(1, n * n))
+    bordered = sp.vstack([trace_row, L[1:]], format="csc")
+    try:
+        lu = splu(bordered)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            f"steady state is not unique (trace-bordered generator is singular: {exc})"
+        ) from exc
+    inverse = LinearOperator(bordered.shape, matvec=lu.solve, dtype=complex,
+                             rmatvec=lambda y: lu.solve(y, trans="H"))
+    with _pinned_global_rng():
+        cond = sparse_norm(bordered, 1) * onenormest(inverse)
+    if not cond * NULLSPACE_UNIQUE_TOL < 1.0:
+        raise DegenerateSteadyStateError(
+            f"steady state is not unique (trace-bordered generator has 1-norm "
+            f"condition estimate {cond:.3g})")
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = scale
+    rho = _unvec(lu.solve(rhs), n)
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(L @ _vec(rho))
-    if residual > 1e-10 * max(smax, 1.0):
+    if residual > 1e-10 * max(scale, 1.0):
         raise DegenerateSteadyStateError(f"null-space residual {residual:.3g} too large")
     return DensityMatrix(model.layout, rho, pos_tol=1e-7)
 

@@ -255,36 +255,53 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
     psi0 = kron_states(state_on_a_relabel(state_on_a, "a"),
                        fock_state(SpaceLayout.single("a_m", nm), {}))
 
-    def mech_state_at(t: float) -> np.ndarray:
-        if not dissipative:
-            u = expm(-1j * h.matrix * t)
-            rho = DensityMatrix.from_state(StateVector(layout, u @ psi0.amplitudes))
-        else:
-            from .fockspace import annihilation
+    if dissipative:
+        from .fockspace import annihilation
 
-            a_op = embed(annihilation(na, "a"), layout, "a")
-            b_op = embed(annihilation(nm, "a_m"), layout, "a_m")
-            diss = (Dissipator(a_op, kappa),) + thermal_dissipators(b_op, gamma_m, n_bar)
-            model = LindbladModel(h, diss)
-            rho = evolve(model, DensityMatrix.from_state(psi0), t, num_samples=2,
-                         truncation_threshold=1.0).final()
+        a_op = embed(annihilation(na, "a"), layout, "a")
+        b_op = embed(annihilation(nm, "a_m"), layout, "a_m")
+        diss = (Dissipator(a_op, kappa),) + thermal_dissipators(b_op, gamma_m, n_bar)
+        model = LindbladModel(h, diss)
+        rho0 = DensityMatrix.from_state(psi0)
+
+        def trajectory(t: float, num_samples: int) -> tuple[DensityMatrix, ...]:
+            return evolve(model, rho0, t, num_samples=num_samples,
+                          truncation_threshold=1.0).states
+
+        def state_at(t: float) -> DensityMatrix:
+            return trajectory(t, 2)[-1]
+    else:
+        def state_at(t: float) -> DensityMatrix:
+            u = expm(-1j * h.matrix * t)
+            return DensityMatrix.from_state(StateVector(layout, u @ psi0.amplitudes))
+
+    def mech_state(rho: DensityMatrix) -> np.ndarray:
         return partial_trace(rho, {"a_m"}).matrix
 
+    def fid_of(rho: DensityMatrix) -> float:
+        return _qubit_fidelity_up_to_phase(mech_state(rho), alpha, beta)
+
     def fid(t: float) -> float:
-        return _qubit_fidelity_up_to_phase(mech_state_at(t), alpha, beta)
+        return fid_of(state_at(t))
 
     if t_opt is None:
+        # coarse search over one exchange period: a dissipative run samples
+        # the grid from a single trajectory
         period = 2.0 * np.pi / g
-        grid = np.linspace(period / 64.0, period, 64)
-        coarse = max(grid, key=fid)
+        grid = np.linspace(0.0, period, 65)
+        if dissipative:
+            coarse_fids = [fid_of(rho) for rho in trajectory(period, len(grid))[1:]]
+        else:
+            coarse_fids = [fid(t) for t in grid[1:]]
+        coarse = grid[1 + int(np.argmax(coarse_fids))]
         span = period / 64.0
         res = minimize_scalar(lambda t: -fid(t),
                               bounds=(max(coarse - span, 1e-12), coarse + span),
                               method="bounded", options={"xatol": period * 1e-8})
         t_opt = float(res.x)
-    best = fid(t_opt)
+    rho_m = mech_state(state_at(t_opt))
+    best = _qubit_fidelity_up_to_phase(rho_m, alpha, beta)
     candidates = {"pi/(2g)": fid(np.pi / (2.0 * g)), "pi/g": fid(np.pi / g)}
-    rho_m = mech_state_at(t_opt)
     return TransferResult(
         state=DensityMatrix(SpaceLayout.single("a_m", nm), rho_m, pos_tol=1e-7),
         fidelity=best, time=t_opt, candidates=candidates)

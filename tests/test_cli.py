@@ -137,6 +137,45 @@ class TestTeleportConfig:
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+COOL_CFG = """\
+scenario = cool
+g = 1.0
+kappa = 20
+gamma_m = 0.05
+n_bar = 1.0
+n_init = 1.0
+eliminated = true
+"""
+
+ESR_SCAN_CFG = """\
+scenario = esr-scan
+omega_m = 1.0
+lam = 0.05
+gamma_m = 0.01
+start = -1.0
+stop = 1.0
+"""
+
+
+class TestMalformedValues:
+    """A value of the wrong type or range is a configuration error (exit 2),
+    never a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        "scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\nlambda_rate = abc\n",
+        "scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\nlambda_rate = 1\n"
+        "phonon_dim = 1\n",
+        ESR_SCAN_CFG + "sweep = Delta_e\npoints = x\n",
+        ESR_SCAN_CFG + "sweep = bogus\npoints = 3\n",
+        COOL_CFG + "method = bogus\n",
+        COOL_CFG + "num_samples = 1\n",
+    ], ids=["real", "dim-minimum", "integer", "sweep", "method", "num-samples"])
+    def test_exit_2(self, tmp_path, capsys, text):
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestOutputs:
     def test_json_report_written(self, tmp_path):
         path = write_cfg(tmp_path, TELEPORT_CFG)

@@ -148,6 +148,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(model, rho0, 0.0)
 
+    def test_too_few_samples(self):
+        model = damped_mode()
+        rho0 = thermal_state(6, 0.1, "m")
+        with pytest.raises(ValueError, match="num_samples"):
+            evolve(model, rho0, 1.0, num_samples=1)
+
     def test_truncation_leak_detected(self):
         # driving the top of a tiny ladder must raise, not silently truncate
         dim = 3

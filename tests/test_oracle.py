@@ -13,9 +13,20 @@ from cryomech.fockspace import (
     fock_state,
     number,
 )
+from cryomech.fockspace import embed, pauli
 from cryomech.gates import CPHASE, HADAMARD
-from cryomech.lindblad import Dissipator, LindbladModel, evolve, thermal_dissipators
+from cryomech.lindblad import (
+    Dissipator,
+    LindbladModel,
+    cooling_model,
+    evolve,
+    liouvillian_matrix,
+    steady_state,
+    thermal_dissipators,
+)
+from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech.oracle import (
+    _build_liouvillian,
     exact_liouville_evolve,
     exact_unitary_evolve,
     fidelity_metrics,
@@ -56,6 +67,58 @@ class TestExactEvolution:
         e0 = np.trace(h.matrix @ rho0.matrix)
         e1 = np.trace(h.matrix @ out.matrix)
         assert np.isclose(e0, e1, atol=1e-9)
+
+
+def _two_mode_cooling():
+    """Sideband cooling on a (3, 4) layout, fast enough to relax by t = 100."""
+    return cooling_model(1.0, 2.0, 0.5, 0.3, SpaceLayout.of(("a", 3), ("a_m", 4)))
+
+
+def _mode_spin():
+    """Spin-mechanics model with thermal, spin-decay and dephasing dissipators.
+    The sigma_y drive and sigma_y dephasing make H and one jump operator
+    complex, so a conjugation or transposition slip in the generator shows."""
+    layout = SpaceLayout.of(("a_m", 4), ("spin", 2, "spin-half"))
+    b = embed(annihilation(4, "a_m"), layout, "a_m")
+    sminus = embed(FockOperator(SpaceLayout.single("spin", 2, "spin-half"),
+                                np.array([[0, 0], [1, 0]], dtype=complex)), layout, "spin")
+    sy = embed(pauli("y"), layout, "spin")
+    h = build_spin_mech(SystemParams(omega_m=1.0),
+                        SpinParams(lam=0.05, Delta_e=0.3, Omega_d_prime=0.6), layout)
+    h = FockOperator(layout, h.matrix + 0.2 * sy.matrix)
+    diss = thermal_dissipators(b, 0.2, 0.4) + (
+        Dissipator(sminus, 0.05), Dissipator(embed(pauli("z"), layout, "spin"), 0.02),
+        Dissipator(sy, 0.01))
+    return LindbladModel(h, diss)
+
+
+class TestSparseEngineAgainstOracle:
+    """The engine's sparse generator, propagators and steady state against
+    the oracle's dense generator and Taylor exponential."""
+
+    @pytest.mark.parametrize("build", [_two_mode_cooling, _mode_spin])
+    def test_generator_matches_dense(self, build):
+        model = build()
+        dense = _build_liouvillian(model)
+        sparse = liouvillian_matrix(model).toarray()
+        assert np.linalg.norm(sparse - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("method", ["expm", "adaptive"])
+    def test_evolve_matches_exact(self, method):
+        model = _two_mode_cooling()
+        lay = model.layout
+        rho0 = DensityMatrix(lay, np.kron(np.diag([1.0, 0, 0]),
+                                          np.diag([0.1, 0.6, 0.3, 0.0])).astype(complex))
+        exact = exact_liouville_evolve(model, rho0, 1.7)
+        num = evolve(model, rho0, 1.7, num_samples=4, method=method,
+                     truncation_threshold=1.0).final()
+        assert trace_distance(exact.matrix, num.matrix) < 1e-8
+
+    def test_steady_state_matches_long_time_limit(self):
+        model = _two_mode_cooling()
+        rho0 = DensityMatrix.from_state(fock_state(model.layout, {"a_m": 2}))
+        limit = exact_liouville_evolve(model, rho0, 100.0)
+        assert trace_distance(steady_state(model).matrix, limit.matrix) < 1e-8
 
 
 class TestMetrics:

@@ -72,6 +72,20 @@ class TestTransfer:
         assert lossy.fidelity < clean.fidelity
         assert lossy.fidelity > 0.9
 
+    def test_dissipative_search_finds_the_maximum(self):
+        # the coarse grid is read from one trajectory; the refined time must
+        # reproduce its fidelity when replayed and beat its neighbours
+        phi = StateVector(SpaceLayout.single("a", 4),
+                          np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2))
+        rates = dict(mech_dim=4, kappa=0.05, gamma_m=0.01, n_bar=0.1)
+        res = P.transfer_state(phi, 1.0, **rates)
+        assert res.time == pytest.approx(np.pi / 2.0, rel=0.05)
+        replay = P.transfer_state(phi, 1.0, t_opt=res.time, **rates)
+        assert replay.fidelity == pytest.approx(res.fidelity, abs=1e-12)
+        for dt in (-1e-3, 1e-3):
+            near = P.transfer_state(phi, 1.0, t_opt=res.time + dt, **rates)
+            assert near.fidelity <= res.fidelity + 1e-12
+
     def test_high_fock_support_warns(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[2] = 1 / np.sqrt(2)
