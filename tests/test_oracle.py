@@ -10,10 +10,11 @@ from cryomech.fockspace import (
     SpaceLayout,
     StateVector,
     annihilation,
+    embed,
     fock_state,
     number,
+    pauli,
 )
-from cryomech.fockspace import embed, pauli
 from cryomech.gates import CPHASE, HADAMARD
 from cryomech.lindblad import (
     Dissipator,
