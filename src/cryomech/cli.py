@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle, protocols
 from .errors import ConfigError, PreconditionError, VerificationError
-from .lindblad import _METHODS, trajectory_to_csv
+from .lindblad import _METHODS
 from .model import (
     SpinParams,
     SystemParams,
@@ -134,13 +134,17 @@ def _teleport_input(cfg: dict) -> dict:
     return {"alpha": alpha, "beta": beta, "force_branch": branch}
 
 
-def _real(cfg: dict, key: str, default: Optional[float] = None) -> Optional[float]:
-    """A finite real value, ``default`` when the key is absent."""
+def _real(cfg: dict, key: str, default: Optional[float] = None,
+          minimum: float = -np.inf, strict: bool = False) -> Optional[float]:
+    """A finite real value of at least ``minimum`` (above it when ``strict``),
+    ``default`` when the key is absent."""
     if key not in cfg:
         return default
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
         raise ConfigError(f"{key} must be a finite real number, got {v!r}")
+    if v < minimum or (strict and v == minimum):
+        raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum:g}, got {v!r}")
     return float(v)
 
 
@@ -164,8 +168,8 @@ def _choice(cfg: dict, key: str, choices: tuple, default: Optional[str] = None) 
 
 def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
     """An optional rate or probability, 0 when absent, rejected outside [0, upper]."""
-    v = _real(cfg, key, 0.0)
-    if not 0.0 <= v <= upper:
+    v = _real(cfg, key, 0.0, minimum=0.0)
+    if v > upper:
         raise ConfigError(f"{key} must lie in [0, {upper:g}], got {v!r}")
     return v
 
@@ -181,12 +185,13 @@ def _dim(cfg: dict, overrides: dict, key: str, name: str, default: int) -> int:
 
 def _run_cool(cfg, seed, trunc, jobs):
     params = SystemParams(
-        g=_real(cfg, "g"), kappa=_real(cfg, "kappa"), gamma_m=_real(cfg, "gamma_m"),
-        n_bar=_real(cfg, "n_bar"), omega_m=_real(cfg, "omega_m"),
+        g=_real(cfg, "g", minimum=0.0), kappa=_real(cfg, "kappa", minimum=0.0),
+        gamma_m=_real(cfg, "gamma_m", minimum=0.0), n_bar=_real(cfg, "n_bar", minimum=0.0),
+        omega_m=_real(cfg, "omega_m", minimum=0.0),
     ).derived()
     report = protocols.sideband_cool(
-        params, n_init=_real(cfg, "n_init"),
-        duration=_real(cfg, "duration"),
+        params, n_init=_real(cfg, "n_init", minimum=0.0),
+        duration=_real(cfg, "duration", minimum=0.0, strict=True),
         dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 12)),
         eliminated=bool(cfg.get("eliminated", False)),
         num_samples=_integer(cfg, "num_samples", 60, minimum=2),
@@ -197,8 +202,8 @@ def _run_cool(cfg, seed, trunc, jobs):
 
 def _run_superpose(cfg, seed, trunc, jobs):
     params = SystemParams(
-        g=_real(cfg, "g"), kappa=_real(cfg, "kappa"), gamma_m=_real(cfg, "gamma_m"),
-        n_bar=_real(cfg, "n_bar"),
+        g=_real(cfg, "g", minimum=0.0, strict=True), kappa=_real(cfg, "kappa", minimum=0.0),
+        gamma_m=_real(cfg, "gamma_m", minimum=0.0), n_bar=_real(cfg, "n_bar", minimum=0.0),
     ).derived()
     report = protocols.prepare_motional_superposition(
         params,
@@ -217,9 +222,10 @@ def _run_teleport_motional(cfg, seed, trunc, jobs):
 
 
 def _run_esr(cfg, seed, trunc, jobs):
-    params = SystemParams(omega_m=_real(cfg, "omega_m"), gamma_m=_real(cfg, "gamma_m"),
-                          n_bar=_real(cfg, "n_bar", 0.0))
-    spin = SpinParams(lam=_real(cfg, "lam"),
+    params = SystemParams(omega_m=_real(cfg, "omega_m", minimum=0.0),
+                          gamma_m=_real(cfg, "gamma_m", minimum=0.0, strict=True),
+                          n_bar=_real(cfg, "n_bar", 0.0, minimum=0.0))
+    spin = SpinParams(lam=_real(cfg, "lam", minimum=0.0),
                       Delta_e=_real(cfg, "Delta_e", 0.0),
                       Omega_d_prime=_real(cfg, "Omega_d_prime", 0.0))
     values = np.linspace(_real(cfg, "start"), _real(cfg, "stop"),
@@ -227,8 +233,8 @@ def _run_esr(cfg, seed, trunc, jobs):
     kwargs = dict(
         sweep=_choice(cfg, "sweep", ("Delta_e", "Omega_d_prime")),
         mech_dim=_dim(cfg, trunc, "mech_dim", "a_m", 8),
-        spin_decay=_real(cfg, "spin_decay"),
-        spin_dephasing=_real(cfg, "spin_dephasing"),
+        spin_decay=_real(cfg, "spin_decay", minimum=0.0),
+        spin_dephasing=_real(cfg, "spin_dephasing", minimum=0.0),
     )
     if jobs > 1 and len(values) > 1:
         spectrum = _parallel_esr(spin, params, values, kwargs, jobs)
@@ -258,10 +264,10 @@ def _run_teleport_spin(cfg, seed, trunc, jobs):
     report = protocols.teleport_spin(
         **_teleport_input(cfg), seed=seed,
         phonon_dim=_dim(cfg, trunc, "phonon_dim", "a_m", 3),
-        lambda_rate=_real(cfg, "lambda_rate"),
+        lambda_rate=_real(cfg, "lambda_rate", minimum=0.0, strict=True),
         gamma_prime=_bounded(cfg, "gamma_prime"),
-        n_bar_prime=_real(cfg, "n_bar_prime", 0.0),
-        n_bar_gamma=_real(cfg, "n_bar_gamma"),
+        n_bar_prime=_real(cfg, "n_bar_prime", 0.0, minimum=0.0),
+        n_bar_gamma=_real(cfg, "n_bar_gamma", minimum=0.0),
     )
     return report.to_json_dict(), report
 
@@ -279,9 +285,9 @@ def _run_verify_all(cfg, seed, trunc, jobs):
 
 
 def _run_params(cfg, seed, trunc, jobs):
-    omega_m = _real(cfg, "omega_m")
-    M = _real(cfg, "M_mem")
-    T = _real(cfg, "T")
+    omega_m = _real(cfg, "omega_m", minimum=0.0, strict=True)
+    M = _real(cfg, "M_mem", minimum=0.0, strict=True)
+    T = _real(cfg, "T", minimum=0.0)
     x0 = zero_point_fluctuation(M, omega_m)
     out = {
         "scenario": "params",
@@ -290,9 +296,10 @@ def _run_params(cfg, seed, trunc, jobs):
         "n_bar": thermal_occupation(omega_m, T),
     }
     p = SystemParams(
-        omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa"),
-        gamma_m=_real(cfg, "gamma_m"), Omega_d=_real(cfg, "Omega_d"),
-        Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull"), g0=_real(cfg, "g0"),
+        omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa", minimum=0.0),
+        gamma_m=_real(cfg, "gamma_m", minimum=0.0), Omega_d=_real(cfg, "Omega_d", minimum=0.0),
+        Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull", minimum=0.0),
+        g0=_real(cfg, "g0", minimum=0.0),
         x0=x0,
     ).derived()
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
@@ -300,14 +307,14 @@ def _run_params(cfg, seed, trunc, jobs):
         if v is not None:
             out[name] = [v.real, v.imag] if isinstance(v, complex) else v
     if "m_bio" in cfg:
-        m_bio = _real(cfg, "m_bio")
+        m_bio = _real(cfg, "m_bio", minimum=0.0)
         out["mass_ratio"] = m_bio / M
         out["frequency_shift"] = frequency_shift(omega_m, m_bio, M)
         # a particle riding the membrane antinode moves with twice the
         # membrane's zero-point amplitude
         out["x0_prime"] = 2.0 * x0
         if "G_m" in cfg:
-            lam = spin_phonon_coupling(2.0, _real(cfg, "G_m"), out["x0_prime"])
+            lam = spin_phonon_coupling(2.0, _real(cfg, "G_m", minimum=0.0), out["x0_prime"])
             out["lam_rad_per_s"] = lam
             out["lam_hz_equivalent"] = lam / (2.0 * np.pi)
     if "Delta_e" in cfg and "Omega_d_prime" in cfg:

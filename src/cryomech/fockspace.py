@@ -8,7 +8,6 @@ ordering is unambiguous.  All values are immutable after construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Mapping, Sequence
@@ -98,7 +97,7 @@ class SpaceLayout:
         return self.subsystems[self.index(label)]
 
 
-def _frozen_array(value, shape_check=None) -> np.ndarray:
+def _frozen_array(value) -> np.ndarray:
     arr = np.array(value, dtype=complex)
     arr.setflags(write=False)
     return arr
@@ -193,13 +192,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes / self.norm)
-
-    def overlap(self, other: "StateVector") -> complex:
-        _require_same_layout(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -467,13 +459,3 @@ def from_json_dict(doc: dict):
     if kind == "state":
         return StateVector(layout, data)
     raise ValueError(f"unknown value type {kind!r}")
-
-
-def dump_json(value, path):
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(value), fh, sort_keys=True)
-
-
-def load_json(path):
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))

@@ -40,6 +40,7 @@ from .fockspace import (
     FockOperator,
     SpaceLayout,
     annihilation,
+    embed,
     top_level_population,
 )
 from .model import SystemParams, build_beamsplitter
@@ -48,6 +49,10 @@ from .model import SystemParams, build_beamsplitter
 #: generator (see :func:`steady_state`) used to declare the Liouvillian null
 #: space one-dimensional.
 NULLSPACE_UNIQUE_TOL = 1e-8
+
+#: Relative and absolute tolerances of the ``adaptive`` (RK45) method.
+ADAPTIVE_RTOL = 1e-9
+ADAPTIVE_ATOL = 1e-11
 
 _METHODS = ("auto", "expm", "adaptive")
 
@@ -177,7 +182,6 @@ def _pinned_global_rng():
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
            num_samples: int = 51, method: str = "auto",
            observables: Optional[Mapping[str, FockOperator]] = None,
-           rtol: float = 1e-9, atol: float = 1e-11,
            truncation_threshold: float = 1e-6,
            trace_tol: float = 1e-8, herm_tol: float = 1e-9,
            pos_tol: float = 1e-7) -> EvolutionResult:
@@ -187,10 +191,10 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     ``method`` is ``"expm"`` (the action of the exponential of the sparse
     generator on the initial state, over the whole sample grid in one
     ``expm_multiply`` call), ``"adaptive"`` (RK45 on the vectorized state with
-    right-hand side ``L @ y`` and tolerances ``rtol``/``atol``), or ``"auto"``,
-    which is ``"expm"`` at every size.  State invariants (trace, hermiticity,
-    positivity, truncation headroom) are enforced on every sample; violations
-    raise instead of being repaired.
+    right-hand side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``),
+    or ``"auto"``, which is ``"expm"`` at every size.  State invariants (trace,
+    hermiticity, positivity, truncation headroom) are enforced on every
+    sample; violations raise instead of being repaired.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -207,7 +211,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
 
     if method == "adaptive":
         sol = solve_ivp(lambda t, y: L @ y, (0.0, duration), v0,
-                        t_eval=times, method="RK45", rtol=rtol, atol=atol)
+                        t_eval=times, method="RK45", rtol=ADAPTIVE_RTOL,
+                        atol=ADAPTIVE_ATOL)
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
         samples = sol.y.T
@@ -303,8 +308,6 @@ def cooling_model(g: float, kappa: float, gamma_m: float, n_bar: float,
                   layout: SpaceLayout, cavity: str = "a", mech: str = "a_m") -> LindbladModel:
     """Two-mode sideband-cooling master equation: beamsplitter coupling,
     microwave loss on the cavity mode, thermal bath on the mechanical mode."""
-    from .fockspace import embed  # local to keep module imports light
-
     h = build_beamsplitter(g, layout, cavity, mech)
     a = embed(annihilation(layout.subsystem(cavity).dim, cavity), layout, cavity)
     b = embed(annihilation(layout.subsystem(mech).dim, mech), layout, mech)

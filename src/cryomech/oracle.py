@@ -369,7 +369,3 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
     tele_report, _ = verify_teleportation()
     reports.append(tele_report)
     return reports
-
-
-def reports_to_json(reports: list[OracleReport]) -> list[dict]:
-    return [r.to_json_dict() for r in reports]

@@ -25,7 +25,6 @@ from scipy.signal import find_peaks
 from . import oracle
 from .errors import PreconditionError, VerificationError
 from .fockspace import (
-    BOSONIC,
     DensityMatrix,
     FockOperator,
     SpaceLayout,
@@ -52,7 +51,6 @@ from .model import (
     JC_LADDER_SCALE,
     SpinParams,
     SystemParams,
-    build_beamsplitter,
     build_detuned,
     build_dispersive,
     build_jc,
@@ -233,10 +231,19 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
                    gamma_m: float = 0.0, n_bar: float = 0.0) -> TransferResult:
     """Swap a microwave-mode qubit state onto the mechanical mode.
 
-    The mechanical mode starts in its ground state.  Without ``t_opt`` the
-    interaction time is the numerical argmax of the transfer fidelity over
-    one full exchange period; the closed-form candidates pi/(2g) and pi/g are
-    reported alongside for comparison.
+    The mechanical mode starts in its ground state, and the pair evolves
+    under :func:`cooling_model`: beamsplitter exchange at rate ``g``,
+    microwave loss ``kappa`` and a thermal mechanical bath ``gamma_m``,
+    ``n_bar``.  Zero rates give the closed exchange; there is one path for
+    every rate.
+
+    One trajectory over half an exchange period, [0, pi/g], samples the
+    transfer fidelity every pi/(32 g) and gives the closed-form candidates
+    pi/(2g) and pi/g, which are reported alongside.  Without ``t_opt`` the
+    interaction time is the argmax over that half period, refined by a
+    bounded search around the best sample.  The half period holds one
+    maximum: a closed exchange reaches an equal one again at 3 pi/(2g),
+    and damping only lowers it.
     """
     if g <= 0:
         raise ValueError("transfer needs g > 0")
@@ -249,68 +256,38 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
     na = state_on_a.layout.dim
     nm = mech_dim or na
     layout = SpaceLayout.of(("a", na), ("a_m", nm))
-    h = build_beamsplitter(g, layout)
-    dissipative = kappa > 0 or gamma_m > 0
+    model = cooling_model(g, kappa, gamma_m, n_bar, layout)
+    vacuum = np.zeros(nm, dtype=complex)
+    vacuum[0] = 1.0
+    psi0 = np.kron(src, vacuum)
+    rho0 = DensityMatrix(layout, np.outer(psi0, psi0.conj()))
 
-    psi0 = kron_states(state_on_a_relabel(state_on_a, "a"),
-                       fock_state(SpaceLayout.single("a_m", nm), {}))
-
-    if dissipative:
-        from .fockspace import annihilation
-
-        a_op = embed(annihilation(na, "a"), layout, "a")
-        b_op = embed(annihilation(nm, "a_m"), layout, "a_m")
-        diss = (Dissipator(a_op, kappa),) + thermal_dissipators(b_op, gamma_m, n_bar)
-        model = LindbladModel(h, diss)
-        rho0 = DensityMatrix.from_state(psi0)
-
-        def trajectory(t: float, num_samples: int) -> tuple[DensityMatrix, ...]:
-            return evolve(model, rho0, t, num_samples=num_samples,
-                          truncation_threshold=1.0).states
-
-        def state_at(t: float) -> DensityMatrix:
-            return trajectory(t, 2)[-1]
-    else:
-        def state_at(t: float) -> DensityMatrix:
-            u = expm(-1j * h.matrix * t)
-            return DensityMatrix.from_state(StateVector(layout, u @ psi0.amplitudes))
+    def run(t: float, num_samples: int = 2):
+        return evolve(model, rho0, t, num_samples=num_samples, truncation_threshold=1.0)
 
     def mech_state(rho: DensityMatrix) -> np.ndarray:
         return partial_trace(rho, {"a_m"}).matrix
 
-    def fid_of(rho: DensityMatrix) -> float:
+    def fid(rho: DensityMatrix) -> float:
         return _qubit_fidelity_up_to_phase(mech_state(rho), alpha, beta)
 
-    def fid(t: float) -> float:
-        return fid_of(state_at(t))
-
+    # 33 samples over [0, pi/g]: samples 16 and 32 are the candidate times
+    period = 2.0 * np.pi / g
+    sweep = run(period / 2.0, 33)
+    fids = [fid(rho) for rho in sweep.states]
+    candidates = {"pi/(2g)": fids[16], "pi/g": fids[32]}
     if t_opt is None:
-        # coarse search over one exchange period: a dissipative run samples
-        # the grid from a single trajectory
-        period = 2.0 * np.pi / g
-        grid = np.linspace(0.0, period, 65)
-        if dissipative:
-            coarse_fids = [fid_of(rho) for rho in trajectory(period, len(grid))[1:]]
-        else:
-            coarse_fids = [fid(t) for t in grid[1:]]
-        coarse = grid[1 + int(np.argmax(coarse_fids))]
+        coarse = sweep.times[1 + int(np.argmax(fids[1:]))]
         span = period / 64.0
-        res = minimize_scalar(lambda t: -fid(t),
+        res = minimize_scalar(lambda t: -fid(run(t).final()),
                               bounds=(max(coarse - span, 1e-12), coarse + span),
                               method="bounded", options={"xatol": period * 1e-8})
         t_opt = float(res.x)
-    rho_m = mech_state(state_at(t_opt))
-    best = _qubit_fidelity_up_to_phase(rho_m, alpha, beta)
-    candidates = {"pi/(2g)": fid(np.pi / (2.0 * g)), "pi/g": fid(np.pi / g)}
+    rho_m = mech_state(run(t_opt).final())
     return TransferResult(
         state=DensityMatrix(SpaceLayout.single("a_m", nm), rho_m, pos_tol=1e-7),
-        fidelity=best, time=t_opt, candidates=candidates)
-
-
-def state_on_a_relabel(state: StateVector, label: str) -> StateVector:
-    """Rebind a single-subsystem state to a new label (same dimension/kind)."""
-    sub = state.layout.subsystems[0]
-    return StateVector(SpaceLayout.single(label, sub.dim, sub.kind), state.amplitudes)
+        fidelity=_qubit_fidelity_up_to_phase(rho_m, alpha, beta), time=t_opt,
+        candidates=candidates)
 
 
 def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] = (4, 4),
@@ -716,7 +693,12 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int
                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Raw half-Rabi swap unitary plus per-direction phase corrections.
 
-    The swap time is located numerically around pi / (2 * JC_LADDER_SCALE * lam).
+    The swap time is exactly pi / (2 * JC_LADDER_SCALE * lam): the pair
+    |e,0>, |g,1> is closed under the exchange Hamiltonian at every phonon
+    truncation, where the exchange couples it at JC_LADDER_SCALE * lam, so
+    the half-Rabi swap needs no search.  The phase corrections are read from
+    the unitary at that time.
+
     The forward correction (a phase on the mechanical Fock ladder) makes
     excited-spin x vacuum -> ground-spin x single-phonon exact; the backward
     correction (a phase on the dressed spin states) does the same for
@@ -738,14 +720,7 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int
     psi_g1 = basis(1, DRESSED_GROUND)
     psi_g0 = basis(0, DRESSED_GROUND)
 
-    def transfer(t):
-        u = expm(-1j * h.matrix * t)
-        return abs(np.vdot(psi_g1, u @ psi_e0)) ** 2
-
-    guess = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
-    res = minimize_scalar(lambda t: -transfer(t), bounds=(0.5 * guess, 1.5 * guess),
-                          method="bounded", options={"xatol": guess * 1e-10})
-    t_swap = float(res.x)
+    t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
     u = expm(-1j * h.matrix * t_swap)
 
     def unit_phase(z):
@@ -790,6 +765,8 @@ def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
     """
     if direction not in ("spin->mech", "mech->spin"):
         raise ValueError("direction must be 'spin->mech' or 'mech->spin'")
+    if not lambda_rate > 0:
+        raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
     if Delta_e != 0.0:
         raise PreconditionError("swap requires the spin drive tuned to resonance (Delta_e = 0)")
     if Omega_d_prime is not None and omega_m is not None:
@@ -873,6 +850,8 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("input amplitudes must be normalized")
+    if n_bar_prime < 0:
+        raise ValueError(f"n_bar_prime must be nonnegative, got {n_bar_prime}")
 
     swap_in = spin_mech_swap("spin->mech", lambda_rate, phonon_dim,
                              input_amplitudes=(alpha, beta), n_bar_gamma=n_bar_gamma)

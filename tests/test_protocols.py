@@ -86,6 +86,16 @@ class TestTransfer:
             near = P.transfer_state(phi, 1.0, t_opt=res.time + dt, **rates)
             assert near.fidelity <= res.fidelity + 1e-12
 
+    def test_vanishing_rates_match_closed_transfer(self):
+        # one path for every rate: rates of 1e-12 perturb the closed result
+        # only at their own order
+        phi = StateVector(SpaceLayout.single("a", 4),
+                          np.array([0.6, 0.8, 0, 0], dtype=complex))
+        closed = P.transfer_state(phi, 1.0, mech_dim=4)
+        open_ = P.transfer_state(phi, 1.0, mech_dim=4, kappa=1e-12, gamma_m=1e-12)
+        assert open_.fidelity == pytest.approx(closed.fidelity, abs=1e-9)
+        assert open_.time == pytest.approx(closed.time, rel=1e-6)
+
     def test_high_fock_support_warns(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[2] = 1 / np.sqrt(2)
@@ -103,6 +113,9 @@ class TestSuperposition:
     def test_ideal_preparation(self):
         rep = P.prepare_motional_superposition(COLD, dims=(4, 4), dissipation=False)
         assert rep.final_fidelity == pytest.approx(1.0, abs=1e-9)
+        # a closed exchange peaks equally at pi/(2g) and 3pi/(2g): the
+        # earlier one is reported
+        assert rep.details["transfer_time"] == pytest.approx(np.pi / 2.0, rel=1e-6)
 
     def test_dissipative_preparation_close(self):
         rep = P.prepare_motional_superposition(COLD, dims=(4, 4))
@@ -358,6 +371,15 @@ class TestTeleportSpin:
             tiny = P.teleport_spin(0.6, 0.8j, force_branch=branch, gamma_prime=1e-12,
                                    n_bar_prime=0.1)
             assert tiny.final_fidelity == pytest.approx(ideal.final_fidelity, abs=1e-9)
+
+    def test_nonpositive_rate_rejected(self):
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="lambda_rate"):
+                P.spin_mech_swap("spin->mech", rate)
+            with pytest.raises(ValueError, match="lambda_rate"):
+                P.teleport_spin(0.6, 0.8, seed=0, lambda_rate=rate)
+        with pytest.raises(ValueError, match="n_bar_prime"):
+            P.teleport_spin(0.6, 0.8, seed=0, n_bar_prime=-0.1)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
