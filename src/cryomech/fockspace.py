@@ -2,8 +2,7 @@
 
 Every state and operator carries a :class:`SpaceLayout` describing the ordered
 tensor factors it lives on.  Subsystem ordering in tensor products is the
-declaration order of the layout; serialized values record the layout so the
-ordering is unambiguous.  All values are immutable after construction.
+declaration order of the layout.  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import numpy as np
 
 BOSONIC = "bosonic"
 SPIN_HALF = "spin-half"
-
-SCHEMA_VERSION = "cryomech-v1"
 
 # Default numerical tolerances for the value invariants.
 HERMITIAN_OP_TOL = 1e-12
@@ -305,10 +302,6 @@ def embed(op: FockOperator, layout: SpaceLayout, target: str) -> FockOperator:
     return FockOperator(layout, m)
 
 
-def commutator(a: FockOperator, b: FockOperator) -> FockOperator:
-    return a @ b - b @ a
-
-
 # ---------------------------------------------------------------------------
 # State constructors
 # ---------------------------------------------------------------------------
@@ -407,55 +400,3 @@ def top_level_population(rho: DensityMatrix, levels: int = 2) -> dict[str, float
         pops = np.real(np.diag(reduced.matrix))
         out[sub.label] = float(pops[-levels:].sum())
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization (schema documented in docs/schemas.md)
-# ---------------------------------------------------------------------------
-
-def _layout_to_json(layout: SpaceLayout) -> list:
-    return [{"label": s.label, "dim": s.dim, "kind": s.kind} for s in layout.subsystems]
-
-
-def _layout_from_json(data: list) -> SpaceLayout:
-    return SpaceLayout(tuple(Subsystem(d["label"], d["dim"], d["kind"]) for d in data))
-
-
-def _complex_pairs(arr: np.ndarray) -> list:
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-
-
-def _from_pairs(data: list) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def to_json_dict(value) -> dict:
-    """Serialize an operator or state to a plain JSON-compatible dict."""
-    if isinstance(value, FockOperator):
-        kind, data = "operator", _complex_pairs(value.matrix)
-    elif isinstance(value, DensityMatrix):
-        kind, data = "density", _complex_pairs(value.matrix)
-    elif isinstance(value, StateVector):
-        kind, data = "state", _complex_pairs(value.amplitudes)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-    return {"schema": SCHEMA_VERSION, "type": kind,
-            "layout": _layout_to_json(value.layout), "data": data}
-
-
-def from_json_dict(doc: dict):
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    layout = _layout_from_json(doc["layout"])
-    data = _from_pairs(doc["data"])
-    kind = doc["type"]
-    if kind == "operator":
-        return FockOperator(layout, data)
-    if kind == "density":
-        return DensityMatrix(layout, data)
-    if kind == "state":
-        return StateVector(layout, data)
-    raise ValueError(f"unknown value type {kind!r}")

@@ -21,12 +21,10 @@ error signal checked against the trajectory invariants.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,20 +93,6 @@ class EvolutionResult:
 
     def final(self) -> DensityMatrix:
         return self.states[-1]
-
-
-def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Time derivative -i[H, rho] + sum_k rate_k D_{x_k} rho."""
-    h = model.hamiltonian.matrix
-    if rho.shape != h.shape:
-        raise ValueError(f"state shape {rho.shape} does not match model dim {h.shape[0]}")
-    out = -1j * (h @ rho - rho @ h)
-    for d in model.dissipators:
-        x = d.operator.matrix
-        xd = x.conj().T
-        xdx = xd @ x
-        out += d.rate * (2.0 * (x @ rho @ xd) - xdx @ rho - rho @ xdx)
-    return out
 
 
 def _kron_nonzeros(a: np.ndarray, b: np.ndarray):
@@ -357,31 +341,3 @@ def adiabatic_eliminate(model: LindbladModel, params: SystemParams,
                          n_bar_prime=n_bar_prime)
     dim = model.layout.subsystem(mech).dim
     return eliminated_model(gamma_prime, n_bar_prime, dim, mech), new_params
-
-
-# ---------------------------------------------------------------------------
-# Trajectory export
-# ---------------------------------------------------------------------------
-
-def trajectory_to_csv(result: EvolutionResult, path):
-    """Write (time, named observables) rows as CSV."""
-    names = sorted(result.observables)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + names)
-        for k, t in enumerate(result.times):
-            writer.writerow([repr(float(t))] + [repr(float(result.observables[n][k]))
-                                                for n in names])
-
-
-def trajectory_to_json(result: EvolutionResult, path, include_states: bool = False):
-    from .fockspace import to_json_dict
-
-    doc = {
-        "times": [float(t) for t in result.times],
-        "observables": {k: [float(x) for x in v] for k, v in result.observables.items()},
-    }
-    if include_states:
-        doc["states"] = [to_json_dict(s) for s in result.states]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)

@@ -20,7 +20,6 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
@@ -35,8 +34,6 @@ from .fockspace import (
     SpaceLayout,
     annihilation,
     embed,
-    identity,
-    number,
     pauli,
     sigma_pm,
 )
@@ -391,7 +388,6 @@ def build_jc(lambda_rate: float, layout: SpaceLayout, sign: str = "+",
         raise ValueError("sign must be '+' (exchange) or '-' (squeezing form)")
     b, bd = _mode_ops(layout, mech)
     sp = embed(sigma_pm("+", spin_label), layout, spin_label)
-    sm = embed(sigma_pm("-", spin_label), layout, spin_label)
     partner = b if sign == "+" else bd
     h = lambda_rate * (sp @ partner)
     return h + h.dagger()

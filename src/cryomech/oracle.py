@@ -3,8 +3,10 @@
 Everything here is deliberately naive and shares only the operator algebra
 with the engine: unitary evolution goes through a dense eigendecomposition,
 open-system evolution through a hand-rolled scaling-and-squaring exponential
-of the vectorized generator, and the teleportation circuit is checked by
-exhaustive enumeration of outcome branches and basis inputs.
+of a dense generator built column by column from the operator-form master
+equation (no Kronecker formula, so a vectorization slip in the engine's
+sparse generator cannot recur here), and the teleportation circuit is
+checked by exhaustive enumeration of outcome branches and basis inputs.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import VerificationError
-from .fockspace import DensityMatrix, FockOperator, SpaceLayout, StateVector
-from .gates import (
-    CPHASE,
-    HADAMARD,
-    OUTCOMES,
-    CORRECTION_GATES,
-    CorrectionTable,
-    phases_equal,
-)
-from .lindblad import LindbladModel
+from .fockspace import DensityMatrix, FockOperator, SpaceLayout, StateVector, annihilation
+from .gates import CPHASE, HADAMARD, CORRECTION_GATES, CorrectionTable, phases_equal
+from .lindblad import Dissipator, LindbladModel, evolve, steady_state, thermal_dissipators
 
 UNITARY_DIM_CAP = 4096
 #: Practical cap for the dense superoperator exponential (the generator is
@@ -124,19 +119,27 @@ def exact_liouville_evolve(model: LindbladModel, rho0: DensityMatrix, t: float) 
     return DensityMatrix(model.layout, rho, trace_tol=1e-8, herm_tol=1e-8, pos_tol=1e-7)
 
 
-def _build_liouvillian(model: LindbladModel) -> np.ndarray:
-    # Deliberately duplicated from the engine (common-mode bug avoidance).
-    n = model.layout.dim
-    eye = np.eye(n, dtype=complex)
+def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
+    """Time derivative -i[H, rho] + sum_k rate_k D_{x_k} rho of one density
+    matrix or of a stack of them (leading axes are batch axes)."""
     h = model.hamiltonian.matrix
-    L = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    if rho.shape[-2:] != h.shape:
+        raise ValueError(f"state shape {rho.shape} does not match model dim {h.shape[0]}")
+    out = -1j * (h @ rho - rho @ h)
     for d in model.dissipators:
         x = d.operator.matrix
         xd = x.conj().T
         xdx = xd @ x
-        L = L + d.rate * (2.0 * np.kron(x.conj(), x)
-                          - np.kron(eye, xdx) - np.kron(xdx.T, eye))
-    return L
+        out += d.rate * (2.0 * (x @ rho @ xd) - xdx @ rho - rho @ xdx)
+    return out
+
+
+def _build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Dense column-stacking generator: column k is vec(lindblad_rhs(E_k)) for
+    the k-th column-stacked basis matrix E_k (vec(E_k) is the k-th unit vector)."""
+    n = model.layout.dim
+    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
+    return lindblad_rhs(model, basis).transpose(0, 2, 1).reshape(n * n, n * n).T
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,6 @@ def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
         raise ValueError("bell_circuit must be 4x4 (input qubit x resource qubit 1)")
 
     mapping = {}
-    worst = 0.0
     consistent = True
     for branch, (b0, b1) in enumerate(product((0, 1), repeat=2)):
         outcome = f"{b0}{b1}"
@@ -269,14 +271,8 @@ def _random_model(rng: np.random.Generator, layout: SpaceLayout,
     for _ in range(n_diss):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         x /= np.linalg.norm(x)
-        diss.append(_mk_dissipator(layout, x, float(rng.uniform(0.05, rate_scale))))
+        diss.append(Dissipator(FockOperator(layout, x), float(rng.uniform(0.05, rate_scale))))
     return LindbladModel(h, tuple(diss))
-
-
-def _mk_dissipator(layout, matrix, rate):
-    from .lindblad import Dissipator
-
-    return Dissipator(FockOperator(layout, matrix), rate)
 
 
 def _random_density(rng: np.random.Generator, layout: SpaceLayout) -> DensityMatrix:
@@ -294,8 +290,6 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
     the two oracle propagators, metric inequalities, and the teleportation
     table.  Any report failing its tolerance means the build is broken.
     """
-    from . import lindblad as engine
-
     rng = np.random.default_rng(seed)
     reports: list[OracleReport] = []
 
@@ -306,8 +300,8 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
         rho0 = _random_density(rng, layout)
         t = float(rng.uniform(0.2, 2.0))
         method = "adaptive" if k % 2 else "expm"
-        final = engine.evolve(model, rho0, t, num_samples=5, method=method,
-                              truncation_threshold=1.1).final()
+        final = evolve(model, rho0, t, num_samples=5, method=method,
+                       truncation_threshold=1.1).final()
         ref = exact_liouville_evolve(model, rho0, t)
         reports.append(OracleReport(
             quantity=f"evolve[{method}] vs exact exponential #{k}",
@@ -320,13 +314,10 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
         layout = SpaceLayout.single("m", 4)
         nbar = float(rng.uniform(0.0, 1.0))
         gamma = float(rng.uniform(0.3, 1.0))
-        from .fockspace import annihilation
-        from .lindblad import LindbladModel as LM, thermal_dissipators
-
         a = annihilation(4, "m")
         h = FockOperator(a.layout, np.diag(rng.uniform(0, 1, 4)).astype(complex))
-        model = LM(h, thermal_dissipators(a, gamma, nbar))
-        ss = engine.steady_state(model)
+        model = LindbladModel(h, thermal_dissipators(a, gamma, nbar))
+        ss = steady_state(model)
         ref = exact_liouville_evolve(model, _random_density(rng, layout), 60.0 / gamma)
         reports.append(OracleReport(
             quantity=f"steady state vs long-time limit #{k}",
@@ -338,7 +329,8 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
     for k in range(5):
         layout = SpaceLayout.single("m", 3)
         model = _random_model(rng, layout, n_diss=0)
-        psi = _random_density(rng, layout)
+        # unused draw: keeps the seeded stream that the verify-all reference pins
+        _random_density(rng, layout)
         # use a pure state for the unitary reference
         vec = rng.normal(size=3) + 1j * rng.normal(size=3)
         psi0 = StateVector(layout, vec / np.linalg.norm(vec))

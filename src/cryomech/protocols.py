@@ -29,12 +29,16 @@ from .fockspace import (
     FockOperator,
     SpaceLayout,
     StateVector,
+    annihilation,
     embed,
     fidelity,
     fock_state,
     kron_states,
+    number,
     partial_trace,
+    pauli,
     thermal_state,
+    top_level_population,
 )
 from .gates import CorrectionTable, HADAMARD, phases_equal, qubit_subspace_gate
 from .lindblad import (
@@ -51,7 +55,6 @@ from .model import (
     JC_LADDER_SCALE,
     SpinParams,
     SystemParams,
-    build_detuned,
     build_dispersive,
     build_jc,
     build_spin_mech,
@@ -175,7 +178,6 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
         vac = np.zeros((na, na), dtype=complex)
         vac[0, 0] = 1.0
         rho0 = DensityMatrix(two_mode_layout, np.kron(vac, mech_thermal.matrix))
-    from .fockspace import number, top_level_population
 
     # cooling only moves population down the ladder, so the leak detector is
     # calibrated against the initial thermal tail rather than the bare default
@@ -343,32 +345,23 @@ def prepare_entangled_lc(labels: tuple[str, str] = ("a1", "m2")) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def cphase(g: float, delta_disp: float, dims: tuple[int, int] = (2, 2),
-           exact: bool = False, labels: tuple[str, str] = ("a1", "a_m1")) -> GateSegment:
+           labels: tuple[str, str] = ("a1", "a_m1")) -> GateSegment:
     """Conditional-phase segment between a microwave mode and a mechanical mode.
 
-    ``exact=False`` evolves the number-number coupling (g^2/delta) n1 nm for
-    t = pi delta / g^2, which imparts exactly -1 on |11>.  ``exact=True``
-    evolves the detuned exchange Hamiltonian for the same time instead.  At
-    the default ``dims=(2, 2)`` that route imparts no conditional phase: the
-    exchange is quadratic and its evolution Gaussian.  With ``dims[0] == 2``
-    and ``dims[1] >= 3`` the microwave mode acts as a two-level element, the
-    second-order shift of |11> is 2 g^2/delta, and CPHASE falls at half the
-    stated time, pi delta / (2 g^2).
+    Evolves the number-number coupling (g^2/delta) n1 nm, the dispersive limit
+    of the detuned exchange, for t = pi delta / g^2, which imparts exactly -1
+    on |11>.  The detuned exchange itself is no substitute: it is quadratic,
+    so its evolution is Gaussian and imparts no conditional phase.  A
+    nonlinear element is needed; with a two-level microwave element the shift
+    of |11> doubles to 2 g^2/delta (acceptance criterion 4 checks both).
     """
     if delta_disp == 0:
         raise ValueError("cphase undefined at delta = 0")
-    if exact and abs(delta_disp) / g < 10:
-        raise PreconditionError(
-            f"exact-evolution cphase requires delta/g >= 10, got {abs(delta_disp) / g:.2f}")
     layout = SpaceLayout.of((labels[0], dims[0]), (labels[1], dims[1]))
     t = np.pi * delta_disp / g ** 2
-    if exact:
-        h = build_detuned(delta_disp, g, layout, cavity=labels[0], mech=labels[1])
-    else:
-        h = build_dispersive(g, delta_disp, layout, cavity=labels[0], mech=labels[1])
+    h = build_dispersive(g, delta_disp, layout, cavity=labels[0], mech=labels[1])
     u = expm(-1j * h.matrix * t)
-    return GateSegment(label="cphase" + ("-exact" if exact else ""),
-                       unitary=FockOperator(layout, u), duration=abs(t))
+    return GateSegment(label="cphase", unitary=FockOperator(layout, u), duration=abs(t))
 
 
 def hadamard(layout: SpaceLayout, target: str) -> GateSegment:
@@ -647,8 +640,6 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     decay = DEFAULT_SPIN_RATE if spin_decay is None else spin_decay
     dephase = DEFAULT_SPIN_RATE if spin_dephasing is None else spin_dephasing
 
-    from .fockspace import annihilation, number, pauli
-
     layout = SpaceLayout.of(("a_m", mech_dim), ("spin", 2, "spin-half"))
     b = embed(annihilation(mech_dim, "a_m"), layout, "a_m")
     n_op = embed(number(mech_dim, "a_m"), layout, "a_m")
@@ -817,8 +808,6 @@ def _swap_channel(rho: DensityMatrix, direction: str, lambda_rate: float,
     """Apply the swap as a Lindblad evolution with mechanical damping, followed
     by the same deterministic phase correction as the unitary segment.  At
     ``gamma_prime = 0`` this is the unitary segment."""
-    from .fockspace import annihilation
-
     layout = rho.layout
     phonon_dim = layout.subsystem("a_m").dim
     h = build_jc(lambda_rate, layout, "+")

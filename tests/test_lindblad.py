@@ -1,7 +1,5 @@
 """Tests for the master-equation engine: generators, evolution, steady
-states, adiabatic elimination, and trajectory export."""
-
-import json
+states and adiabatic elimination."""
 
 import numpy as np
 import pytest
@@ -30,12 +28,9 @@ from cryomech.lindblad import (
     cooling_model,
     eliminated_model,
     evolve,
-    lindblad_rhs,
     liouvillian_matrix,
     steady_state,
     thermal_dissipators,
-    trajectory_to_csv,
-    trajectory_to_json,
 )
 from cryomech.model import SystemParams
 
@@ -113,16 +108,6 @@ class TestGenerator:
                      observables={"n": n}, truncation_threshold=1.0)
         expected = np.exp(-2.0 * kappa * res.times)
         assert np.allclose(res.observables["n"], expected, atol=1e-8)
-
-    def test_rhs_matches_vectorized_generator(self):
-        rng = np.random.default_rng(4)
-        model = damped_mode(dim=4, kappa=0.7, n_bar=0.4)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m + m.conj().T
-        direct = lindblad_rhs(model, rho)
-        L = liouvillian_matrix(model)
-        via_l = (L @ rho.T.reshape(-1)).reshape(4, 4).T
-        assert np.allclose(direct, via_l)
 
     def test_trace_annihilated(self):
         # columns of the generator conserve trace: Tr(L rho) = 0 for any rho
@@ -266,30 +251,32 @@ class TestCoolingModels:
         assert n_mean == pytest.approx(expected, rel=0.1)
 
 
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        model = damped_mode(dim=4, kappa=0.5)
-        rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 1}))
-        res = evolve(model, rho0, 1.0, num_samples=4,
-                     observables={"n": number(4, "m")}, truncation_threshold=1.0)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time,n"
-        assert len(lines) == 5
-        # repr round-trip: values parse back exactly
-        t0, n0 = lines[1].split(",")
-        assert float(t0) == res.times[0]
-        assert float(n0) == res.observables["n"][0]
+class TestGlobalGeneratorPinning:
+    """``expm_multiply`` and the steady-state condition estimate draw random
+    start vectors from NumPy's global generator; unpinned, this model's state
+    at t = 20 differs at the 1e-14 level between global seeds."""
 
-    def test_json_deterministic(self, tmp_path):
-        model = damped_mode(dim=4, kappa=0.5)
-        rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 1}))
-        res = evolve(model, rho0, 1.0, num_samples=4,
-                     observables={"n": number(4, "m")}, truncation_threshold=1.0)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        trajectory_to_json(res, p1)
-        trajectory_to_json(res, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        doc = json.loads(p1.read_text())
-        assert set(doc) == {"times", "observables"}
+    @staticmethod
+    def _cooling():
+        lay = SpaceLayout.of(("a", 2), ("a_m", 6))
+        rho0 = np.kron(np.diag([1.0, 0.0]), thermal_state(6, 1.0, "a_m").matrix)
+        return cooling_model(1.0, 20.0, 0.05, 3.0, lay), DensityMatrix(lay, rho0)
+
+    def test_evolve_independent_of_global_seed(self):
+        model, rho0 = self._cooling()
+        finals = set()
+        for seed in range(8):
+            np.random.seed(seed)
+            res = evolve(model, rho0, 20.0, num_samples=2, truncation_threshold=1.0)
+            finals.add(res.final().matrix.tobytes())
+        assert len(finals) == 1
+
+    def test_global_generator_state_untouched(self):
+        model, rho0 = self._cooling()
+        np.random.seed(11)
+        before = np.random.get_state()
+        evolve(model, rho0, 20.0, num_samples=2, truncation_threshold=1.0)
+        steady_state(model)
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1])
+        assert before[:1] + before[2:] == after[:1] + after[2:]

@@ -31,6 +31,7 @@ from cryomech.oracle import (
     exact_liouville_evolve,
     exact_unitary_evolve,
     fidelity_metrics,
+    lindblad_rhs,
     state_fidelity,
     trace_distance,
     verify_all,
@@ -103,6 +104,18 @@ class TestSparseEngineAgainstOracle:
         dense = _build_liouvillian(model)
         sparse = liouvillian_matrix(model).toarray()
         assert np.linalg.norm(sparse - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    def test_rhs_matches_vectorized_generator(self):
+        rng = np.random.default_rng(4)
+        a = annihilation(4, "m")
+        model = LindbladModel(FockOperator(a.layout, np.zeros((4, 4), dtype=complex)),
+                              thermal_dissipators(a, 0.7, 0.4))
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = m + m.conj().T
+        direct = lindblad_rhs(model, rho)
+        L = liouvillian_matrix(model)
+        via_l = (L @ rho.T.reshape(-1)).reshape(4, 4).T
+        assert np.allclose(direct, via_l)
 
     @pytest.mark.parametrize("method", ["expm", "adaptive"])
     def test_evolve_matches_exact(self, method):

@@ -153,19 +153,6 @@ class TestCphase:
         with pytest.raises(ValueError):
             P.cphase(1.0, 0.0)
 
-    def test_exact_route_requires_dispersive_regime(self):
-        with pytest.raises(PreconditionError):
-            P.cphase(1.0, 5.0, exact=True)
-
-    def test_exact_route_populations_return(self):
-        # at t = pi delta / g^2 the exchange dynamics has come back to the
-        # initial populations (many exchange cycles fit in the gate time)
-        seg = P.cphase(1.0, 20.0, dims=(3, 3), exact=True)
-        u = seg.unitary.matrix
-        assert np.allclose(u @ u.conj().T, np.eye(9), atol=1e-9)
-        for k in range(3):
-            assert abs(u[k, k]) > 0.98  # single-excitation blocks nearly diagonal
-
 
 class TestHadamardSegment:
     def test_action_on_qubit_subspace(self):
