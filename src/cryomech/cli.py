@@ -166,6 +166,14 @@ def _choice(cfg: dict, key: str, choices: tuple, default: Optional[str] = None) 
     return v
 
 
+def _flag(cfg: dict, key: str, default: bool) -> bool:
+    """A boolean written ``true`` or ``false``, ``default`` when absent."""
+    v = cfg.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{key} must be true or false, got {v!r}")
+    return v
+
+
 def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
     """An optional rate or probability, 0 when absent, rejected outside [0, upper]."""
     v = _real(cfg, key, 0.0, minimum=0.0)
@@ -193,11 +201,11 @@ def _run_cool(cfg, seed, trunc, jobs):
         params, n_init=_real(cfg, "n_init", minimum=0.0),
         duration=_real(cfg, "duration", minimum=0.0, strict=True),
         dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 12)),
-        eliminated=bool(cfg.get("eliminated", False)),
+        eliminated=_flag(cfg, "eliminated", False),
         num_samples=_integer(cfg, "num_samples", 60, minimum=2),
         method=_choice(cfg, "method", _METHODS, "auto"),
     )
-    return report.to_json_dict(), report
+    return report.to_json_dict()
 
 
 def _run_superpose(cfg, seed, trunc, jobs):
@@ -208,9 +216,9 @@ def _run_superpose(cfg, seed, trunc, jobs):
     report = protocols.prepare_motional_superposition(
         params,
         dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 4)),
-        dissipation=bool(cfg.get("dissipation", True)),
+        dissipation=_flag(cfg, "dissipation", True),
     )
-    return report.to_json_dict(), report
+    return report.to_json_dict()
 
 
 def _run_teleport_motional(cfg, seed, trunc, jobs):
@@ -218,7 +226,7 @@ def _run_teleport_motional(cfg, seed, trunc, jobs):
         **_teleport_input(cfg), seed=seed,
         resource_damping=_bounded(cfg, "resource_damping", 1.0),
     )
-    return report.to_json_dict(), report
+    return report.to_json_dict()
 
 
 def _run_esr(cfg, seed, trunc, jobs):
@@ -240,7 +248,7 @@ def _run_esr(cfg, seed, trunc, jobs):
         spectrum = _parallel_esr(spin, params, values, kwargs, jobs)
     else:
         spectrum = protocols.esr_scan(spin, params, values=values, **kwargs)
-    return spectrum.to_json_dict(), spectrum
+    return spectrum.to_json_dict()
 
 
 def _parallel_esr(spin, params, values, kwargs, jobs):
@@ -269,7 +277,7 @@ def _run_teleport_spin(cfg, seed, trunc, jobs):
         n_bar_prime=_real(cfg, "n_bar_prime", 0.0, minimum=0.0),
         n_bar_gamma=_real(cfg, "n_bar_gamma", minimum=0.0),
     )
-    return report.to_json_dict(), report
+    return report.to_json_dict()
 
 
 def _run_verify_all(cfg, seed, trunc, jobs):
@@ -281,7 +289,7 @@ def _run_verify_all(cfg, seed, trunc, jobs):
     if not doc["all_passed"]:
         failing = [r.quantity for r in reports if not r.passed]
         raise VerificationError(f"oracle cross-checks failed: {failing}")
-    return doc, None
+    return doc
 
 
 def _run_params(cfg, seed, trunc, jobs):
@@ -320,7 +328,7 @@ def _run_params(cfg, seed, trunc, jobs):
     if "Delta_e" in cfg and "Omega_d_prime" in cfg:
         out["omega_eff"] = dressed_splitting(_real(cfg, "Delta_e"),
                                              _real(cfg, "Omega_d_prime"))
-    return out, None
+    return out
 
 
 _RUNNERS = {
@@ -386,7 +394,7 @@ def main(argv: Optional[list] = None) -> int:
 
     scenario = cfg["scenario"]
     try:
-        doc, obj = _RUNNERS[scenario](cfg, args.seed, trunc, args.jobs)
+        doc = _RUNNERS[scenario](cfg, args.seed, trunc, args.jobs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,9 @@ NULLSPACE_UNIQUE_TOL = 1e-8
 ADAPTIVE_RTOL = 1e-9
 ADAPTIVE_ATOL = 1e-11
 
+#: Trace, hermiticity and positivity tolerances of every state :func:`evolve` samples.
+SAMPLE_TOLS = {"trace_tol": 1e-8, "herm_tol": 1e-9, "pos_tol": 1e-7}
+
 _METHODS = ("auto", "expm", "adaptive")
 
 
@@ -166,9 +169,7 @@ def _pinned_global_rng():
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
            num_samples: int = 51, method: str = "auto",
            observables: Optional[Mapping[str, FockOperator]] = None,
-           truncation_threshold: float = 1e-6,
-           trace_tol: float = 1e-8, herm_tol: float = 1e-9,
-           pos_tol: float = 1e-7) -> EvolutionResult:
+           truncation_threshold: float = 1e-6) -> EvolutionResult:
     """Integrate the master equation and sample the trajectory at
     ``num_samples`` (at least 2) evenly spaced times from 0 to ``duration``.
 
@@ -177,8 +178,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     ``expm_multiply`` call), ``"adaptive"`` (RK45 on the vectorized state with
     right-hand side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``),
     or ``"auto"``, which is ``"expm"`` at every size.  State invariants (trace,
-    hermiticity, positivity, truncation headroom) are enforced on every
-    sample; violations raise instead of being repaired.
+    hermiticity, positivity within ``SAMPLE_TOLS``, truncation headroom) are
+    enforced on every sample; violations raise instead of being repaired.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -208,14 +209,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
 
     states = []
     for m in raw_states:
-        rho = DensityMatrix(model.layout, 0.5 * (m + m.conj().T),
-                            trace_tol=trace_tol, herm_tol=herm_tol, pos_tol=pos_tol)
+        rho = DensityMatrix(model.layout, 0.5 * (m + m.conj().T), **SAMPLE_TOLS)
         # hermitization above is cosmetic only; verify the raw drift first
         tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > rho.trace_tol:
             raise RuntimeError(f"trace drifted to {tr} during integration")
         scale = max(np.linalg.norm(m), 1e-300)
-        if np.linalg.norm(m - m.conj().T) > herm_tol * scale:
+        if np.linalg.norm(m - m.conj().T) > rho.herm_tol * scale:
             raise RuntimeError("hermiticity lost during integration")
         _check_truncation(rho, truncation_threshold)
         states.append(rho)

@@ -80,9 +80,6 @@ class GateSegment:
     duration: float = 0.0
     support_limit: Optional[Mapping[str, float]] = None  # label -> max leakage
 
-    def summary(self) -> dict:
-        return {"label": self.label, "duration": float(self.duration)}
-
 
 @dataclass(frozen=True)
 class ProtocolReport:
@@ -149,6 +146,7 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
 
     Runs either the full two-mode master equation (microwave loss + thermal
     mechanical bath) or the adiabatically eliminated single-mode model.
+    Without ``duration`` it runs for 5 / gamma', so the model must be damped.
     """
     p = params.derived()
     for name in ("g", "kappa", "gamma_m", "n_bar"):
@@ -167,7 +165,7 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     if duration is None:
         slow = p.gamma_prime if p.gamma_prime else p.gamma_m
         if slow <= 0:
-            raise ValueError("cannot choose a duration for an undamped model")
+            raise PreconditionError("cannot choose a duration for an undamped model")
         duration = 5.0 / slow
 
     mech_thermal = thermal_state(nm, n_init, "a_m")
@@ -673,73 +671,36 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
 
 @dataclass(frozen=True)
 class SwapResult:
-    segment: GateSegment
     fidelity: float
     time: float
     strong_coupling: Optional[bool] = None
 
 
-@lru_cache(maxsize=16)
 def _swap_pieces(lambda_rate: float, phonon_dim: int
-                 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Raw half-Rabi swap unitary plus per-direction phase corrections.
+                 ) -> tuple[FockOperator, float, np.ndarray, np.ndarray]:
+    """Exchange Hamiltonian, half-Rabi swap time and per-direction phase
+    corrections, in closed form; rejects lam <= 0.
 
-    The swap time is exactly pi / (2 * JC_LADDER_SCALE * lam): the pair
-    |e,0>, |g,1> is closed under the exchange Hamiltonian at every phonon
-    truncation, where the exchange couples it at JC_LADDER_SCALE * lam, so
-    the half-Rabi swap needs no search.  The phase corrections are read from
-    the unitary at that time.
+    In the dressed basis sigma_z + i sigma_y = 2|e><g|, so the exchange
+    H = 2 lam (|e><g| a_m + h.c.) couples |g,n> to |e,n-1> at 2 lam sqrt(n)
+    and leaves |g,0> alone.  At t_swap = pi / (2 * JC_LADDER_SCALE * lam),
+    at every phonon truncation, the pair |e,0>, |g,1> swaps with a phase -i
+    in each direction.  The forward correction i^n on the mechanical Fock
+    ladder makes |e,0> -> |g,1> exact; the backward correction i on the
+    dressed excited spin state does the same for |g,1> -> |e,0>.  Both are
+    diagonal phase gates applied after the (possibly dissipative) evolution.
 
-    The forward correction (a phase on the mechanical Fock ladder) makes
-    excited-spin x vacuum -> ground-spin x single-phonon exact; the backward
-    correction (a phase on the dressed spin states) does the same for
-    single-phonon x ground-spin -> vacuum x excited-spin.  Both are diagonal
-    phase gates, so they commute with mechanical damping diagnostics and can
-    sandwich a dissipative evolution.
-
-    Returns (u_raw, t_swap, c_forward, c_backward).
+    Returns (h, t_swap, c_forward, c_backward).
     """
+    if not lambda_rate > 0:
+        raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
     layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
     h = build_jc(lambda_rate, layout, "+")
-
-    def basis(n, spin_vec):
-        amps = np.zeros(phonon_dim, dtype=complex)
-        amps[n] = 1.0
-        return np.kron(amps, spin_vec)
-
-    psi_e0 = basis(0, DRESSED_EXCITED)
-    psi_g1 = basis(1, DRESSED_GROUND)
-    psi_g0 = basis(0, DRESSED_GROUND)
-
     t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
-    u = expm(-1j * h.matrix * t_swap)
-
-    def unit_phase(z):
-        return z / abs(z)
-
-    phi_g0 = unit_phase(np.vdot(psi_g0, u @ psi_g0))      # vacuum branch phase
-    phi_fwd = unit_phase(np.vdot(psi_g1, u @ psi_e0))     # |e,0> -> |g,1>
-    phi_bwd = unit_phase(np.vdot(psi_e0, u @ psi_g1))     # |g,1> -> |e,0>
-
-    # forward: phases on the mechanical Fock ladder
-    corr = np.diag([(np.conj(phi_fwd / phi_g0)) ** k for k in range(phonon_dim)])
-    c_fwd = np.conj(phi_g0) * np.kron(corr, np.eye(2, dtype=complex))
-
-    # backward: phase on the dressed excited spin state
+    c_fwd = np.kron(np.diag(1j ** np.arange(phonon_dim)), np.eye(2, dtype=complex))
     p_e = np.outer(DRESSED_EXCITED, DRESSED_EXCITED.conj())
-    p_g = np.eye(2, dtype=complex) - p_e
-    spin_corr = np.conj(phi_g0) * p_g + np.conj(phi_bwd) * p_e
-    c_bwd = np.kron(np.eye(phonon_dim, dtype=complex), spin_corr)
-    return u, t_swap, c_fwd, c_bwd
-
-
-def _jc_swap_unitary(lambda_rate: float, phonon_dim: int,
-                     direction: str = "spin->mech") -> tuple[FockOperator, float]:
-    """Phase-corrected half-Rabi swap as a single unitary segment."""
-    u, t_swap, c_fwd, c_bwd = _swap_pieces(lambda_rate, phonon_dim)
-    c = c_fwd if direction == "spin->mech" else c_bwd
-    layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
-    return FockOperator(layout, c @ u), t_swap
+    c_bwd = np.kron(np.eye(phonon_dim, dtype=complex), np.eye(2) + (1j - 1) * p_e)
+    return h, t_swap, c_fwd, c_bwd
 
 
 def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
@@ -750,35 +711,29 @@ def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
                    Delta_e: float = 0.0) -> SwapResult:
     """Swap a qubit between the dressed electron spin and the mechanical mode.
 
-    Preconditions follow the dispersive derivation: the spin drive detuning
-    must be zero and, when given, |Omega_d'| must equal omega_m.  The strong
-    coupling predicate lambda > n_bar gamma' is logged when the rate is given.
+    The input runs through the undamped :func:`_swap_channel`.  Preconditions
+    follow the dispersive derivation: the spin drive detuning must be zero
+    and, when given, |Omega_d'| must equal omega_m.  The strong coupling
+    predicate lambda > n_bar gamma' is logged when the rate is given.
     """
     if direction not in ("spin->mech", "mech->spin"):
         raise ValueError("direction must be 'spin->mech' or 'mech->spin'")
-    if not lambda_rate > 0:
-        raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
+    t_swap = _swap_pieces(lambda_rate, phonon_dim)[1]
     if Delta_e != 0.0:
         raise PreconditionError("swap requires the spin drive tuned to resonance (Delta_e = 0)")
     if Omega_d_prime is not None and omega_m is not None:
         if not np.isclose(abs(Omega_d_prime), omega_m):
             raise PreconditionError("swap requires |Omega_d'| = omega_m")
-    strong = None
-    if n_bar_gamma is not None:
-        strong = bool(lambda_rate > n_bar_gamma)
-
-    u, t_swap = _jc_swap_unitary(lambda_rate, phonon_dim, direction)
-    segment = GateSegment(label=f"jc-swap[{direction}]", unitary=u, duration=t_swap)
+    strong = None if n_bar_gamma is None else bool(lambda_rate > n_bar_gamma)
 
     if input_amplitudes is None:
         input_amplitudes = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
     alpha, beta = input_amplitudes
     prepare = _spin_qubit_state if direction == "spin->mech" else _mech_qubit_state
-    psi_in = prepare(alpha, beta, phonon_dim)
-    out = StateVector(psi_in.layout, segment.unitary.matrix @ psi_in.amplitudes)
-    fid = _qubit_fidelity_up_to_phase(_received_qubit(DensityMatrix.from_state(out), direction),
-                                      alpha, beta)
-    return SwapResult(segment=segment, fidelity=fid, time=t_swap, strong_coupling=strong)
+    rho = DensityMatrix.from_state(prepare(alpha, beta, phonon_dim))
+    out = _swap_channel(rho, direction, lambda_rate, 0.0, 0.0)
+    fid = _qubit_fidelity_up_to_phase(_received_qubit(out, direction), alpha, beta)
+    return SwapResult(fidelity=fid, time=t_swap, strong_coupling=strong)
 
 
 def _received_qubit(rho: DensityMatrix, direction: str) -> np.ndarray:
@@ -805,19 +760,17 @@ def _mech_qubit_state(alpha, beta, phonon_dim) -> StateVector:
 
 def _swap_channel(rho: DensityMatrix, direction: str, lambda_rate: float,
                   gamma_prime: float, n_bar_prime: float) -> DensityMatrix:
-    """Apply the swap as a Lindblad evolution with mechanical damping, followed
-    by the same deterministic phase correction as the unitary segment.  At
-    ``gamma_prime = 0`` this is the unitary segment."""
+    """The one spin-phonon swap: :func:`_swap_pieces`' exchange evolved for
+    t_swap under a thermal mechanical bath, then the phase correction of
+    ``direction``.  At ``gamma_prime = 0`` it is the exact closed swap."""
     layout = rho.layout
     phonon_dim = layout.subsystem("a_m").dim
-    h = build_jc(lambda_rate, layout, "+")
+    h, t_swap, c_fwd, c_bwd = _swap_pieces(lambda_rate, phonon_dim)
     b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
     model = LindbladModel(h, thermal_dissipators(b, gamma_prime, n_bar_prime))
-    _, t_swap, c_fwd, c_bwd = _swap_pieces(lambda_rate, phonon_dim)
-    tols = dict(trace_tol=1e-6, herm_tol=1e-6, pos_tol=1e-6)
-    final = evolve(model, rho, t_swap, num_samples=2, truncation_threshold=1.0, **tols).final()
+    final = evolve(model, rho, t_swap, num_samples=2, truncation_threshold=1.0).final()
     c = c_fwd if direction == "spin->mech" else c_bwd
-    return DensityMatrix(layout, c @ final.matrix @ c.conj().T, **tols)
+    return DensityMatrix(layout, c @ final.matrix @ c.conj().T)
 
 
 def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
@@ -830,26 +783,25 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
     swap it back onto the remote spin.
 
     A density matrix runs through both swap legs as Lindblad evolutions under
-    mechanical damping ``gamma_prime``, and the ideal motional teleportation
-    between them is the identity channel.  With ``gamma_prime > 0`` the
-    reported fidelity degrades accordingly; at ``gamma_prime = 0`` the legs
-    are the unitary swaps, and the motional hop is run through
-    :func:`teleport_motional` for its measurement record.
+    mechanical damping ``gamma_prime`` (:func:`_swap_channel`), and the ideal
+    motional teleportation between them is the identity channel.  With
+    ``gamma_prime > 0`` the reported fidelity degrades accordingly; at
+    ``gamma_prime = 0`` the legs are exact swaps, and the motional hop is run
+    through :func:`teleport_motional` for its measurement record.
     """
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("input amplitudes must be normalized")
     if n_bar_prime < 0:
         raise ValueError(f"n_bar_prime must be nonnegative, got {n_bar_prime}")
+    t_swap = _swap_pieces(lambda_rate, phonon_dim)[1]
+    strong = None if n_bar_gamma is None else bool(lambda_rate > n_bar_gamma)
 
-    swap_in = spin_mech_swap("spin->mech", lambda_rate, phonon_dim,
-                             input_amplitudes=(alpha, beta), n_bar_gamma=n_bar_gamma)
     rho0 = DensityMatrix.from_state(_spin_qubit_state(alpha, beta, phonon_dim))
     rho1 = _swap_channel(rho0, "spin->mech", lambda_rate, gamma_prime, n_bar_prime)
     rho_m = _received_qubit(rho1, "spin->mech")
     spin_ground = np.outer(DRESSED_GROUND, DRESSED_GROUND.conj())
-    rho2 = DensityMatrix(rho1.layout, np.kron(rho_m, spin_ground),
-                         trace_tol=1e-7, herm_tol=1e-7, pos_tol=1e-7)
+    rho2 = DensityMatrix(rho1.layout, np.kron(rho_m, spin_ground))
     rho_d = _received_qubit(_swap_channel(rho2, "mech->spin", lambda_rate, gamma_prime,
                                           n_bar_prime), "mech->spin")
     target = np.array([alpha, beta], dtype=complex)
@@ -859,7 +811,7 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
         middle = ({"label": "ideal motional teleport", "duration": 0.0},)
         record, correction = (), None
         details = {"gamma_prime": gamma_prime, "lambda": lambda_rate,
-                   "strong_coupling": swap_in.strong_coupling}
+                   "strong_coupling": strong}
     else:
         # the swap left a pure qubit on the mechanical mode: its leading
         # eigenvector, whose global phase the Bell statistics ignore
@@ -870,12 +822,12 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
                                  force_branch=force_branch)
         middle = tele.segments
         record, correction = tele.measurement_record, tele.correction_applied
-        details = {"strong_coupling": swap_in.strong_coupling,
+        details = {"strong_coupling": strong,
                    "motional_checkpoint_fidelity": tele.details["checkpoint_fidelity"]}
     return ProtocolReport(
         scenario="teleport-spin",
-        segments=(swap_in.segment.summary(), *middle,
-                  {"label": "jc-swap[mech->spin]", "duration": swap_in.time}),
+        segments=({"label": "jc-swap[spin->mech]", "duration": t_swap}, *middle,
+                  {"label": "jc-swap[mech->spin]", "duration": t_swap}),
         final_fidelity=min(max(fid, 0.0), 1.0),
         measurement_record=record,
         correction_applied=correction,

@@ -9,7 +9,6 @@ hook, so they show up in any pytest run.
 import time
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 

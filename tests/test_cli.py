@@ -101,6 +101,13 @@ points = 3
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         assert "precondition" in capsys.readouterr().err
 
+    def test_undamped_cool_exit_3(self, tmp_path, capsys):
+        # no damping to set a default duration from
+        path = write_cfg(tmp_path, COOL_CFG.replace("g = 1.0", "g = 0")
+                         .replace("gamma_m = 0.05", "gamma_m = 0"))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "undamped" in capsys.readouterr().err
+
     def test_success_exit_0(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TELEPORT_CFG)
         assert main(["--config", str(path), "--out", str(tmp_path),
@@ -196,10 +203,13 @@ class TestMalformedValues:
         TELEPORT_SPIN_CFG.replace("lambda_rate = 1", "lambda_rate = -1"),
         TELEPORT_SPIN_CFG.replace("lambda_rate = 1", "lambda_rate = 0"),
         TELEPORT_SPIN_CFG + "n_bar_prime = -0.1\n",
+        COOL_CFG.replace("eliminated = true", "eliminated = no"),
+        SUPERPOSE_CFG + "dissipation = off\n",
     ], ids=["real", "dim-minimum", "integer", "sweep", "method", "num-samples",
             "superpose-g-negative", "superpose-g-zero", "cool-gamma_m", "cool-n_init",
             "cool-duration", "esr-gamma_m", "esr-n_bar", "spin-lambda-negative",
-            "spin-lambda-zero", "spin-n_bar_prime"])
+            "spin-lambda-zero", "spin-n_bar_prime", "cool-eliminated-no",
+            "superpose-dissipation-off"])
     def test_exit_2(self, tmp_path, capsys, text):
         path = write_cfg(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2

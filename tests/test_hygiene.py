@@ -1,9 +1,11 @@
-"""Static checks on the package source."""
+"""Static checks on the package and test source."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cryomech"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cryomech"
+TESTS = ROOT / "tests"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -21,7 +23,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_module_imports_are_used():
-    # __init__.py only re-exports, so its imports are its public names
-    unused = {p.name: names for p in sorted(SRC.glob("*.py"))
-              if p.name != "__init__.py" and (names := _unused_imports(p))}
+    # the package's __init__.py only re-exports, so its imports are its public names
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    unused = {str(p.relative_to(ROOT)): names for p in paths + sorted(TESTS.glob("*.py"))
+              if (names := _unused_imports(p))}
     assert not unused, f"unused module-level imports: {unused}"

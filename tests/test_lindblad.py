@@ -13,12 +13,10 @@ from cryomech.fockspace import (
     DensityMatrix,
     FockOperator,
     SpaceLayout,
-    StateVector,
     annihilation,
     embed,
     fock_state,
     number,
-    partial_trace,
     thermal_state,
 )
 from cryomech.lindblad import (

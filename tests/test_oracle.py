@@ -15,7 +15,7 @@ from cryomech.fockspace import (
     number,
     pauli,
 )
-from cryomech.gates import CPHASE, HADAMARD
+from cryomech.gates import HADAMARD
 from cryomech.lindblad import (
     Dissipator,
     LindbladModel,
@@ -25,7 +25,7 @@ from cryomech.lindblad import (
     steady_state,
     thermal_dissipators,
 )
-from cryomech.model import SpinParams, SystemParams, build_spin_mech
+from cryomech.model import SpinParams, SystemParams, build_jc, build_spin_mech
 from cryomech.oracle import (
     _build_liouvillian,
     exact_liouville_evolve,
@@ -37,6 +37,7 @@ from cryomech.oracle import (
     verify_all,
     verify_teleportation,
 )
+from cryomech.protocols import _swap_channel
 
 
 class TestExactEvolution:
@@ -133,6 +134,68 @@ class TestSparseEngineAgainstOracle:
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"a_m": 2}))
         limit = exact_liouville_evolve(model, rho0, 100.0)
         assert trace_distance(steady_state(model).matrix, limit.matrix) < 1e-8
+
+
+def _swap_reference(d, lam):
+    """Layout, exchange Hamiltonian, swap time pi/(4 lam) and the closed-form
+    phase corrections of the spin-phonon swap, written out independently of
+    :mod:`cryomech.protocols`: i^n on the phonon ladder forward, i on the
+    dressed excited spin (the -x eigenstate) backward."""
+    layout = SpaceLayout.of(("a_m", d), ("spin", 2, "spin-half"))
+    excited = np.array([1.0, -1.0]) / np.sqrt(2)
+    corrections = {
+        "spin->mech": np.kron(np.diag(1j ** np.arange(d)), np.eye(2)),
+        "mech->spin": np.kron(np.eye(d), np.eye(2) + (1j - 1) * np.outer(excited, excited)),
+    }
+    return layout, build_jc(lam, layout, "+"), np.pi / (4.0 * lam), corrections
+
+
+class TestSwapChannelAgainstOracle:
+    """The swap channel, with its closed-form time and phase corrections,
+    against the oracle's eigendecomposition and Taylor exponential."""
+
+    LAM = 1.3
+
+    @pytest.mark.parametrize("direction", ["spin->mech", "mech->spin"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_undamped_is_corrected_unitary(self, d, direction):
+        layout, h, t, corrections = _swap_reference(d, self.LAM)
+        c = corrections[direction]
+
+        def swap(psi):
+            return c @ exact_unitary_evolve(h, StateVector(layout, psi), t).amplitudes
+
+        # the corrections make the swap exact: |e,0> <-> |g,1>, |g,0> fixed
+        e0, g1, g0 = (np.kron(np.eye(d)[n], np.array([1.0, s]) / np.sqrt(2))
+                      for n, s in ((0, -1.0), (1, 1.0), (0, 1.0)))
+        src, dst = (e0, g1) if direction == "spin->mech" else (g1, e0)
+        assert np.allclose(swap(src), dst, atol=1e-12)
+        assert np.allclose(swap(g0), g0, atol=1e-12)
+
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            psi = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
+            psi /= np.linalg.norm(psi)
+            out = _swap_channel(DensityMatrix(layout, np.outer(psi, psi.conj())),
+                                direction, self.LAM, 0.0, 0.0)
+            ref = swap(psi)
+            assert np.abs(out.matrix - np.outer(ref, ref.conj())).max() < 1e-12
+
+    @pytest.mark.parametrize("direction", ["spin->mech", "mech->spin"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_damped_is_corrected_liouville(self, d, direction):
+        gamma, n_bar = 0.1, 0.2
+        layout, h, t, corrections = _swap_reference(d, self.LAM)
+        c = corrections[direction]
+        b = embed(annihilation(d, "a_m"), layout, "a_m")
+        model = LindbladModel(h, thermal_dissipators(b, gamma, n_bar))
+        rng = np.random.default_rng(10 + d)
+        for _ in range(3):
+            m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
+            rho = DensityMatrix(layout, m @ m.conj().T / np.trace(m @ m.conj().T))
+            out = _swap_channel(rho, direction, self.LAM, gamma, n_bar)
+            ref = c @ exact_liouville_evolve(model, rho, t).matrix @ c.conj().T
+            assert trace_distance(out.matrix, ref) < 1e-10
 
 
 class TestMetrics:
