@@ -76,7 +76,6 @@ from .oracle import (
 )
 from .protocols import (
     EsrSpectrum,
-    GateSegment,
     ProtocolReport,
     SwapResult,
     TransferResult,
@@ -84,7 +83,6 @@ from .protocols import (
     correction_table,
     cphase,
     esr_scan,
-    hadamard,
     prepare_entangled_lc,
     prepare_motional_superposition,
     sideband_cool,

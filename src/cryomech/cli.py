@@ -255,10 +255,10 @@ def _parallel_esr(spin, params, values, kwargs, jobs):
     """Split the sweep across processes and stitch the chunks back together."""
     from concurrent.futures import ProcessPoolExecutor
 
+    # one process per chunk: the fork start method starts every worker at once
     chunks = np.array_split(values, min(jobs, len(values)))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_esr_chunk, spin, params, chunk, kwargs)
-                   for chunk in chunks if len(chunk)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(_esr_chunk, spin, params, chunk, kwargs) for chunk in chunks]
         parts = [f.result() for f in futures]
     return protocols._esr_spectrum(kwargs["sweep"], values, np.concatenate(parts))
 

@@ -1,8 +1,12 @@
-"""Ideal qubit-level gates and the Bell-outcome correction table.
+"""Ideal qubit-level gates, the Bell-measurement circuit and the
+Bell-outcome correction table.
 
 These are the abstract circuit primitives used by the teleportation
-protocols; the physical realizations (number-number phase gate, spin-phonon
-swaps) live in :mod:`cryomech.protocols`.
+protocols: :data:`BELL_CIRCUIT` is the one definition of the measurement
+circuit, applied by :func:`cryomech.protocols.bell_measure` and enumerated by
+:func:`cryomech.oracle.verify_teleportation`.  The physical realizations
+(number-number phase gate, spin-phonon swaps) live in
+:mod:`cryomech.protocols`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 XZ = X @ Z
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CPHASE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+#: The Bell measurement's basis change: CPHASE, then a Hadamard on each qubit.
+#: It acts on (first measured qubit) x (second measured qubit), the first
+#: being the more significant bit of the outcome.
+BELL_CIRCUIT = np.kron(HADAMARD, HADAMARD) @ CPHASE
 
 PAULI_GATES: Mapping[str, np.ndarray] = {"I": I2, "X": X, "Z": Z, "XZ": XZ}
 
@@ -56,13 +65,6 @@ class CorrectionTable:
 
     def to_json_dict(self) -> dict:
         return dict(self.mapping)
-
-
-def qubit_subspace_gate(gate2: np.ndarray, dim: int) -> np.ndarray:
-    """Extend a 2x2 gate to a dim-level mode: gate on {|0>,|1>}, identity above."""
-    m = np.eye(dim, dtype=complex)
-    m[:2, :2] = gate2
-    return m
 
 
 def phases_equal(psi: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> bool:

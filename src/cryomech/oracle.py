@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .fockspace import DensityMatrix, FockOperator, SpaceLayout, StateVector, annihilation
-from .gates import CPHASE, HADAMARD, CORRECTION_GATES, CorrectionTable, phases_equal
+from .gates import BELL_CIRCUIT, CORRECTION_GATES, CorrectionTable, phases_equal
 from .lindblad import Dissipator, LindbladModel, evolve, steady_state, thermal_dissipators
 
 UNITARY_DIM_CAP = 4096
@@ -196,24 +196,20 @@ _BASIS_INPUTS = {
 DEFAULT_RESOURCE = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
 
 
-def default_bell_circuit() -> np.ndarray:
-    """Hadamards on both qubits after a controlled-phase: the measurement-basis
-    change used by the protocol (acts on the input qubit tensor resource qubit 1)."""
-    return np.kron(HADAMARD, HADAMARD) @ CPHASE
-
-
 def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
                          resource: Optional[np.ndarray] = None
                          ) -> tuple[OracleReport, Optional[CorrectionTable]]:
     """Exhaustively check the qubit-level teleportation circuit.
 
-    Enumerates the 4 measurement branches for the inputs |0>, |1>, |+>, |+i>
-    and searches for the unique local correction (a Pauli, possibly composed with a
-    Hadamard) that
-    restores the input on every branch.  Returns the report and the table
-    (None when no consistent table exists).
+    ``bell_circuit`` defaults to :data:`cryomech.gates.BELL_CIRCUIT`, the
+    circuit :func:`cryomech.protocols.bell_measure` applies; another 4x4
+    matrix tests a corrupted or alternative circuit.  Enumerates the 4
+    measurement branches for the inputs |0>, |1>, |+>, |+i> and searches for
+    the unique local correction (a Pauli, possibly composed with a Hadamard)
+    that restores the input on every branch.  Returns the report and the
+    table (None when no consistent table exists).
     """
-    circuit = default_bell_circuit() if bell_circuit is None else np.asarray(bell_circuit, complex)
+    circuit = BELL_CIRCUIT if bell_circuit is None else np.asarray(bell_circuit, complex)
     res = DEFAULT_RESOURCE if resource is None else np.asarray(resource, complex)
     if circuit.shape != (4, 4):
         raise ValueError("bell_circuit must be 4x4 (input qubit x resource qubit 1)")

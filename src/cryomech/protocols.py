@@ -2,10 +2,12 @@
 preparation, motional-qubit teleportation, ESR scanning, spin-phonon swaps
 and end-to-end spin-state teleportation.
 
-Gates, swaps and transfers are built from the Hamiltonians in
-:mod:`cryomech.model`, with optional dissipation.  Each teleportation runs as
-one channel at every noise level: the ideal run is the zero-damping case of
-the noisy one, not a separate circuit.  Measurement randomness is always an
+The physical CPHASE, swaps and transfers are built from the Hamiltonians in
+:mod:`cryomech.model`, with optional dissipation.  The Bell measurement
+applies the qubit-level :data:`cryomech.gates.BELL_CIRCUIT` to the measured
+pair's qubit block as one contraction.  Each teleportation runs as one
+channel at every noise level: the ideal run is the zero-damping case of the
+noisy one, not a separate circuit.  Measurement randomness is always an
 injected seedable source; a forced-branch replay mode covers every outcome
 deterministically.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -40,7 +42,7 @@ from .fockspace import (
     thermal_state,
     top_level_population,
 )
-from .gates import CorrectionTable, HADAMARD, phases_equal, qubit_subspace_gate
+from .gates import BELL_CIRCUIT, CPHASE, I2, CorrectionTable, phases_equal
 from .lindblad import (
     Dissipator,
     LindbladModel,
@@ -69,16 +71,6 @@ DRESSED_EXCITED = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 #: Default spin decay / dephasing rates (rad/s): sub-kilohertz electron-spin
 #: decoherence expressed as an even kilohertz-scale bound.
 DEFAULT_SPIN_RATE = 2.0 * np.pi * 1e3
-
-
-@dataclass(frozen=True)
-class GateSegment:
-    """A named unitary applied as one protocol step."""
-
-    label: str
-    unitary: FockOperator
-    duration: float = 0.0
-    support_limit: Optional[Mapping[str, float]] = None  # label -> max leakage
 
 
 @dataclass(frozen=True)
@@ -343,8 +335,8 @@ def prepare_entangled_lc(labels: tuple[str, str] = ("a1", "m2")) -> StateVector:
 # ---------------------------------------------------------------------------
 
 def cphase(g: float, delta_disp: float, dims: tuple[int, int] = (2, 2),
-           labels: tuple[str, str] = ("a1", "a_m1")) -> GateSegment:
-    """Conditional-phase segment between a microwave mode and a mechanical mode.
+           labels: tuple[str, str] = ("a1", "a_m1")) -> FockOperator:
+    """Conditional-phase unitary between a microwave mode and a mechanical mode.
 
     Evolves the number-number coupling (g^2/delta) n1 nm, the dispersive limit
     of the detuned exchange, for t = pi delta / g^2, which imparts exactly -1
@@ -358,44 +350,7 @@ def cphase(g: float, delta_disp: float, dims: tuple[int, int] = (2, 2),
     layout = SpaceLayout.of((labels[0], dims[0]), (labels[1], dims[1]))
     t = np.pi * delta_disp / g ** 2
     h = build_dispersive(g, delta_disp, layout, cavity=labels[0], mech=labels[1])
-    u = expm(-1j * h.matrix * t)
-    return GateSegment(label="cphase", unitary=FockOperator(layout, u), duration=abs(t))
-
-
-def hadamard(layout: SpaceLayout, target: str) -> GateSegment:
-    """Qubit-subspace Hadamard on one mode, identity on higher Fock levels.
-
-    Applying it to a state with more than 1e-9 population above the qubit
-    subspace of the target is rejected (see :func:`apply_segment`)."""
-    dim = layout.subsystem(target).dim
-    gate = embed(FockOperator(SpaceLayout.single(target, dim),
-                              qubit_subspace_gate(HADAMARD, dim)), layout, target)
-    return GateSegment(label=f"hadamard[{target}]", unitary=gate,
-                       support_limit={target: 1e-9})
-
-
-def _mode_leakage(amps: np.ndarray, layout: SpaceLayout, label: str) -> float:
-    """Population above |1> of one mode, for a state vector or for a factor V
-    (one column per pure component) of rho = V V^dag."""
-    idx = layout.index(label)
-    t = np.abs(amps.reshape(layout.dims + (-1,))) ** 2
-    pops = t.sum(axis=tuple(i for i in range(t.ndim) if i != idx))
-    return float(pops[2:].sum())
-
-
-def _apply(segment: GateSegment, layout: SpaceLayout, amps: np.ndarray) -> np.ndarray:
-    """Apply a segment to a state vector or to the columns of a factor."""
-    for label, limit in (segment.support_limit or {}).items():
-        leak = _mode_leakage(amps, layout, label)
-        if leak > limit:
-            raise PreconditionError(
-                f"segment {segment.label!r} needs {label!r} confined to the "
-                f"qubit subspace; leakage {leak:.3g} exceeds {limit:.3g}")
-    return segment.unitary.matrix @ amps
-
-
-def apply_segment(state: StateVector, segment: GateSegment) -> StateVector:
-    return StateVector(state.layout, _apply(segment, state.layout, state.amplitudes))
+    return FockOperator(layout, expm(-1j * h.matrix * t))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +360,13 @@ def apply_segment(state: StateVector, segment: GateSegment) -> StateVector:
 def bell_measure(state: StateVector, pair: tuple[str, str],
                  rng: Optional[np.random.Generator] = None,
                  force: Optional[str] = None) -> tuple[str, StateVector]:
-    """CPHASE + Hadamards on the pair, then a projective computational-basis
-    measurement of both modes.
+    """:data:`~cryomech.gates.BELL_CIRCUIT` (CPHASE, then a Hadamard on each
+    mode) on the qubit block of the pair, then a projective
+    computational-basis measurement of both modes.
 
-    The outcome is sampled from the Born probabilities with the supplied
+    Both modes must hold the state in their {|0>, |1>} qubit block: more than
+    1e-9 of the population above it raises :class:`PreconditionError`.  The
+    outcome is sampled from the Born probabilities with the supplied
     generator; ``force`` replays a chosen branch and raises on a
     zero-probability request.  Returns (bits, collapsed state on the
     remaining layout with the measured modes projected out).
@@ -425,24 +383,19 @@ def _bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str]
     per pure component.  Every column collapses on the same outcome, so the
     Born probability of a branch is the squared norm of its whole block.
     Returns (bits, remaining layout, normalized collapsed factor)."""
-    for segment in (_ideal_cphase_segment(layout, pair),
-                    hadamard(layout, pair[0]), hadamard(layout, pair[1])):
-        factor = _apply(segment, layout, factor)
-
     i0, i1 = layout.index(pair[0]), layout.index(pair[1])
-    t = factor.reshape(layout.dims + (-1,))
-    probs = {}
-    branches = {}
-    for b0 in range(2):
-        for b1 in range(2):
-            sl = [slice(None)] * t.ndim
-            sl[i0], sl[i1] = b0, b1
-            branch = t[tuple(sl)].reshape(-1, t.shape[-1])
-            probs[f"{b0}{b1}"] = float(np.linalg.norm(branch) ** 2)
-            branches[f"{b0}{b1}"] = branch
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"measured modes leaked outside the qubit subspace (sum p = {total})")
+    t = np.moveaxis(factor.reshape(layout.dims + (-1,)), (i0, i1), (0, 1))
+    block = t[:2, :2]
+    leak = float(np.linalg.norm(t) ** 2 - np.linalg.norm(block) ** 2)
+    if leak > 1e-9:
+        raise PreconditionError(
+            f"bell measurement needs {pair[0]!r} and {pair[1]!r} confined to their "
+            f"qubit subspace; leakage {leak:.3g} exceeds 1e-9")
+    # row 2 b0 + b1 of the circuit's output is branch b0 b1, one column per
+    # component of the remaining modes
+    rows = BELL_CIRCUIT @ block.reshape(4, -1)
+    branches = {f"{r >> 1}{r & 1}": rows[r].reshape(-1, t.shape[-1]) for r in range(4)}
+    probs = {key: float(np.linalg.norm(branch) ** 2) for key, branch in branches.items()}
 
     if force is not None:
         if force not in probs:
@@ -465,26 +418,6 @@ def _bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str]
     kept = tuple(s for k, s in enumerate(layout.subsystems) if k not in (i0, i1))
     collapsed = branches[bits]
     return bits, SpaceLayout(kept), collapsed / np.linalg.norm(collapsed)
-
-
-def _ideal_cphase_segment(layout: SpaceLayout, pair: tuple[str, str]) -> GateSegment:
-    """Qubit-level conditional phase embedded into the full layout: -1 whenever
-    both target modes hold exactly one excitation."""
-    proj = _single_excitation_projector(layout, pair)
-    u = np.eye(layout.dim, dtype=complex) - 2.0 * proj
-    return GateSegment(label=f"cphase[{pair[0]},{pair[1]}]",
-                       unitary=FockOperator(layout, u),
-                       support_limit={pair[0]: 1e-9, pair[1]: 1e-9})
-
-
-def _single_excitation_projector(layout: SpaceLayout, pair: tuple[str, str]) -> np.ndarray:
-    def one_proj(label):
-        dim = layout.subsystem(label).dim
-        p = np.zeros((dim, dim), dtype=complex)
-        p[1, 1] = 1.0
-        return embed(FockOperator(SpaceLayout.single(label, dim), p), layout, label).matrix
-
-    return one_proj(pair[0]) @ one_proj(pair[1])
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +473,7 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
     else:
         # checkpoint: state after the conditional phase, before the Hadamards
         # (_bell_measure applies the full CPHASE + Hadamard circuit itself)
-        mid = _ideal_cphase_segment(layout, pair).unitary.matrix @ factor
+        mid = np.kron(CPHASE, I2) @ factor
         ref = checkpoint_state(alpha, beta).amplitudes
         details = {
             "checkpoint_fidelity": float(np.linalg.norm(ref.conj() @ mid) ** 2),
@@ -676,12 +609,15 @@ class SwapResult:
     strong_coupling: Optional[bool] = None
 
 
-def _swap_pieces(lambda_rate: float, phonon_dim: int
-                 ) -> tuple[FockOperator, float, np.ndarray, np.ndarray]:
-    """Exchange Hamiltonian, half-Rabi swap time and per-direction phase
+def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
+                 n_bar_prime: float = 0.0
+                 ) -> tuple[LindbladModel, float, dict[str, np.ndarray]]:
+    """Exchange model, half-Rabi swap time and per-direction phase
     corrections, in closed form; rejects lam <= 0.
 
-    In the dressed basis sigma_z + i sigma_y = 2|e><g|, so the exchange
+    The model is the exchange Hamiltonian under a thermal mechanical bath
+    (``gamma_prime``, ``n_bar_prime``).  In the dressed basis
+    sigma_z + i sigma_y = 2|e><g|, so the exchange
     H = 2 lam (|e><g| a_m + h.c.) couples |g,n> to |e,n-1> at 2 lam sqrt(n)
     and leaves |g,0> alone.  At t_swap = pi / (2 * JC_LADDER_SCALE * lam),
     at every phonon truncation, the pair |e,0>, |g,1> swaps with a phase -i
@@ -690,17 +626,20 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int
     dressed excited spin state does the same for |g,1> -> |e,0>.  Both are
     diagonal phase gates applied after the (possibly dissipative) evolution.
 
-    Returns (h, t_swap, c_forward, c_backward).
+    Returns (model, t_swap, {direction: correction}), the argument
+    :func:`_swap_channel` takes; one build serves every swap of a run.
     """
     if not lambda_rate > 0:
         raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
     layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
-    h = build_jc(lambda_rate, layout, "+")
+    b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
+    model = LindbladModel(build_jc(lambda_rate, layout, "+"),
+                          thermal_dissipators(b, gamma_prime, n_bar_prime))
     t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
     c_fwd = np.kron(np.diag(1j ** np.arange(phonon_dim)), np.eye(2, dtype=complex))
     p_e = np.outer(DRESSED_EXCITED, DRESSED_EXCITED.conj())
     c_bwd = np.kron(np.eye(phonon_dim, dtype=complex), np.eye(2) + (1j - 1) * p_e)
-    return h, t_swap, c_fwd, c_bwd
+    return model, t_swap, {"spin->mech": c_fwd, "mech->spin": c_bwd}
 
 
 def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
@@ -718,7 +657,7 @@ def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
     """
     if direction not in ("spin->mech", "mech->spin"):
         raise ValueError("direction must be 'spin->mech' or 'mech->spin'")
-    t_swap = _swap_pieces(lambda_rate, phonon_dim)[1]
+    swap = _swap_pieces(lambda_rate, phonon_dim)
     if Delta_e != 0.0:
         raise PreconditionError("swap requires the spin drive tuned to resonance (Delta_e = 0)")
     if Omega_d_prime is not None and omega_m is not None:
@@ -731,9 +670,9 @@ def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
     alpha, beta = input_amplitudes
     prepare = _spin_qubit_state if direction == "spin->mech" else _mech_qubit_state
     rho = DensityMatrix.from_state(prepare(alpha, beta, phonon_dim))
-    out = _swap_channel(rho, direction, lambda_rate, 0.0, 0.0)
+    out = _swap_channel(rho, direction, swap)
     fid = _qubit_fidelity_up_to_phase(_received_qubit(out, direction), alpha, beta)
-    return SwapResult(fidelity=fid, time=t_swap, strong_coupling=strong)
+    return SwapResult(fidelity=fid, time=swap[1], strong_coupling=strong)
 
 
 def _received_qubit(rho: DensityMatrix, direction: str) -> np.ndarray:
@@ -758,19 +697,15 @@ def _mech_qubit_state(alpha, beta, phonon_dim) -> StateVector:
                                          DRESSED_GROUND))
 
 
-def _swap_channel(rho: DensityMatrix, direction: str, lambda_rate: float,
-                  gamma_prime: float, n_bar_prime: float) -> DensityMatrix:
-    """The one spin-phonon swap: :func:`_swap_pieces`' exchange evolved for
-    t_swap under a thermal mechanical bath, then the phase correction of
-    ``direction``.  At ``gamma_prime = 0`` it is the exact closed swap."""
-    layout = rho.layout
-    phonon_dim = layout.subsystem("a_m").dim
-    h, t_swap, c_fwd, c_bwd = _swap_pieces(lambda_rate, phonon_dim)
-    b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
-    model = LindbladModel(h, thermal_dissipators(b, gamma_prime, n_bar_prime))
+def _swap_channel(rho: DensityMatrix, direction: str,
+                  swap: tuple[LindbladModel, float, dict[str, np.ndarray]]) -> DensityMatrix:
+    """The one spin-phonon swap: the exchange model of ``swap`` (as built by
+    :func:`_swap_pieces`) evolved for t_swap, then the phase correction of
+    ``direction``.  With an undamped model it is the exact closed swap."""
+    model, t_swap, corrections = swap
     final = evolve(model, rho, t_swap, num_samples=2, truncation_threshold=1.0).final()
-    c = c_fwd if direction == "spin->mech" else c_bwd
-    return DensityMatrix(layout, c @ final.matrix @ c.conj().T)
+    c = corrections[direction]
+    return DensityMatrix(rho.layout, c @ final.matrix @ c.conj().T)
 
 
 def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
@@ -794,16 +729,16 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
         raise ValueError("input amplitudes must be normalized")
     if n_bar_prime < 0:
         raise ValueError(f"n_bar_prime must be nonnegative, got {n_bar_prime}")
-    t_swap = _swap_pieces(lambda_rate, phonon_dim)[1]
+    swap = _swap_pieces(lambda_rate, phonon_dim, gamma_prime, n_bar_prime)
+    t_swap = swap[1]
     strong = None if n_bar_gamma is None else bool(lambda_rate > n_bar_gamma)
 
     rho0 = DensityMatrix.from_state(_spin_qubit_state(alpha, beta, phonon_dim))
-    rho1 = _swap_channel(rho0, "spin->mech", lambda_rate, gamma_prime, n_bar_prime)
+    rho1 = _swap_channel(rho0, "spin->mech", swap)
     rho_m = _received_qubit(rho1, "spin->mech")
     spin_ground = np.outer(DRESSED_GROUND, DRESSED_GROUND.conj())
     rho2 = DensityMatrix(rho1.layout, np.kron(rho_m, spin_ground))
-    rho_d = _received_qubit(_swap_channel(rho2, "mech->spin", lambda_rate, gamma_prime,
-                                          n_bar_prime), "mech->spin")
+    rho_d = _received_qubit(_swap_channel(rho2, "mech->spin", swap), "mech->spin")
     target = np.array([alpha, beta], dtype=complex)
     fid = float(np.real(np.vdot(target, rho_d @ target)))
 

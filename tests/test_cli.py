@@ -348,3 +348,33 @@ mech_dim = 6
         doc2 = json.loads((d2 / "esr-scan.json").read_text())
         assert doc1["response"] == pytest.approx(doc2["response"], abs=1e-12)
         assert doc1["peaks"] == pytest.approx(doc2["peaks"])
+
+    def test_pool_bounded_by_points(self, tmp_path, monkeypatch):
+        # an in-process stand-in for the pool: it records the requested size
+        # and starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        path = write_cfg(tmp_path, self.ESR_CFG.replace("points = 25", "points = 3"))
+        d1, d2 = tmp_path / "serial", tmp_path / "par"
+        assert main(["--config", str(path), "--out", str(d1)]) == 0
+        assert main(["--config", str(path), "--out", str(d2), "--jobs", "50"]) == 0
+        assert sizes and max(sizes) <= 3
+        assert (d1 / "esr-scan.json").read_text() == (d2 / "esr-scan.json").read_text()

@@ -11,7 +11,6 @@ from cryomech.gates import (
     OUTCOMES,
     PAULI_GATES,
     phases_equal,
-    qubit_subspace_gate,
 )
 
 
@@ -37,14 +36,6 @@ class TestGateAlgebra:
                 prod = CORRECTION_GATES[a].conj().T @ CORRECTION_GATES[b]
                 off = prod - np.trace(prod) / 2 * np.eye(2)
                 assert np.linalg.norm(off) > 1e-9 or abs(abs(np.trace(prod)) - 2) > 1e-9
-
-
-class TestQubitSubspaceGate:
-    def test_hadamard_extension(self):
-        m = qubit_subspace_gate(HADAMARD, 5)
-        assert np.allclose(m[:2, :2], HADAMARD)
-        assert np.allclose(m[2:, 2:], np.eye(3))
-        assert np.allclose(m @ m.conj().T, np.eye(5))
 
 
 class TestCorrectionTable:

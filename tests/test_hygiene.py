@@ -28,3 +28,44 @@ def test_module_imports_are_used():
     unused = {str(p.relative_to(ROOT)): names for p in paths + sorted(TESTS.glob("*.py"))
               if (names := _unused_imports(p))}
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private functions, classes and constants, by name."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs.update({n: node for n in names if n.startswith("_") and not n.startswith("__")})
+    return defs
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a node reads: bare names, attributes and import-from names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def test_private_definitions_are_read():
+    # a private helper is read by a top-level statement other than its own
+    # definition, so a recursive helper that lost its callers still counts
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    statements = [node for tree in trees.values() for node in tree.body]
+    reads = {id(node): _reads(node) for node in statements}
+    unread = {str(p.relative_to(ROOT)): names for p, tree in trees.items()
+              if (names := [name for name, own in _private_definitions(tree).items()
+                            if not any(name in reads[id(node)]
+                                       for node in statements if node is not own)])}
+    assert not unread, f"private module-level definitions that nothing reads: {unread}"

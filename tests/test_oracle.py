@@ -37,7 +37,7 @@ from cryomech.oracle import (
     verify_all,
     verify_teleportation,
 )
-from cryomech.protocols import _swap_channel
+from cryomech.protocols import _swap_channel, _swap_pieces
 
 
 class TestExactEvolution:
@@ -177,7 +177,7 @@ class TestSwapChannelAgainstOracle:
             psi = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
             psi /= np.linalg.norm(psi)
             out = _swap_channel(DensityMatrix(layout, np.outer(psi, psi.conj())),
-                                direction, self.LAM, 0.0, 0.0)
+                                direction, _swap_pieces(self.LAM, d))
             ref = swap(psi)
             assert np.abs(out.matrix - np.outer(ref, ref.conj())).max() < 1e-12
 
@@ -193,7 +193,7 @@ class TestSwapChannelAgainstOracle:
         for _ in range(3):
             m = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
             rho = DensityMatrix(layout, m @ m.conj().T / np.trace(m @ m.conj().T))
-            out = _swap_channel(rho, direction, self.LAM, gamma, n_bar)
+            out = _swap_channel(rho, direction, _swap_pieces(self.LAM, d, gamma, n_bar))
             ref = c @ exact_liouville_evolve(model, rho, t).matrix @ c.conj().T
             assert trace_distance(out.matrix, ref) < 1e-10
 

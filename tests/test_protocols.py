@@ -1,11 +1,11 @@
-"""Tests for the protocol layer: cooling runs, state transfer, gate segments,
+"""Tests for the protocol layer: cooling runs, state transfer, the CPHASE gate,
 Bell measurement, teleportation (motional and spin), ESR scanning."""
 
 import numpy as np
 import pytest
 
 from cryomech.errors import PreconditionError
-from cryomech.fockspace import SpaceLayout, StateVector, fock_state, kron_states
+from cryomech.fockspace import SpaceLayout, StateVector, kron_states
 from cryomech.model import SpinParams, SystemParams
 from cryomech import protocols as P
 
@@ -146,29 +146,12 @@ class TestResource:
 
 class TestCphase:
     def test_dispersive_route_is_exact(self):
-        seg = P.cphase(1.0, 15.0)
-        assert np.allclose(np.diag(seg.unitary.matrix), [1, 1, 1, -1], atol=1e-12)
+        u = P.cphase(1.0, 15.0)
+        assert np.allclose(np.diag(u.matrix), [1, 1, 1, -1], atol=1e-12)
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError):
             P.cphase(1.0, 0.0)
-
-
-class TestHadamardSegment:
-    def test_action_on_qubit_subspace(self):
-        lay = SpaceLayout.single("m", 4)
-        seg = P.hadamard(lay, "m")
-        psi = fock_state(lay, {})
-        out = P.apply_segment(psi, seg)
-        assert np.isclose(abs(out.amplitudes[0]) ** 2, 0.5)
-        assert np.isclose(abs(out.amplitudes[1]) ** 2, 0.5)
-
-    def test_leaked_state_rejected(self):
-        lay = SpaceLayout.single("m", 4)
-        seg = P.hadamard(lay, "m")
-        psi = fock_state(lay, {"m": 2})
-        with pytest.raises(PreconditionError):
-            P.apply_segment(psi, seg)
 
 
 class TestBellMeasure:
@@ -222,6 +205,38 @@ class TestBellMeasure:
         psi = self.three_qubit_state(0.6, 0.8)
         with pytest.raises(ValueError):
             P.bell_measure(psi, ("a_m1", "a1"))
+
+    def test_reordered_pair_matches_dense_reference(self):
+        # pair (q1, q0) on layout (q0, spec, q1): q1 is the first measured bit
+        layout = SpaceLayout.of(("q0", 2), ("spec", 3), ("q1", 2))
+        rng = np.random.default_rng(4)
+        amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+        amps /= np.linalg.norm(amps)
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        circuit = np.kron(h, h) @ np.diag([1, 1, 1, -1]).astype(complex)
+        front = amps.reshape(2, 3, 2).transpose(2, 0, 1).reshape(4, 3)
+        out = circuit @ front
+        for k, bits in enumerate(("00", "01", "10", "11")):
+            got, post = P.bell_measure(StateVector(layout, amps), ("q1", "q0"), force=bits)
+            assert got == bits
+            assert post.layout.labels == ("spec",)
+            assert np.allclose(post.amplitudes, out[k] / np.linalg.norm(out[k]), atol=1e-12)
+        probs = np.linalg.norm(out, axis=1) ** 2
+        for seed in range(8):
+            u = np.random.default_rng(seed).random()
+            expect = ("00", "01", "10", "11")[int(np.searchsorted(np.cumsum(probs), u))]
+            got, _ = P.bell_measure(StateVector(layout, amps), ("q1", "q0"),
+                                    rng=np.random.default_rng(seed))
+            assert got == expect
+
+    def test_leaked_pair_rejected(self):
+        # a 3-level pair mode holding 1e-6 of the population in |2>
+        layout = SpaceLayout.of(("q0", 3), ("q1", 2))
+        amps = np.zeros(6, dtype=complex)
+        amps[0] = np.sqrt(1.0 - 1e-6)
+        amps[4] = np.sqrt(1e-6)  # |2>|0>
+        with pytest.raises(PreconditionError):
+            P.bell_measure(StateVector(layout, amps), ("q0", "q1"), force="00")
 
 
 class TestTeleportMotional:
