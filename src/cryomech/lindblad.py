@@ -8,11 +8,16 @@ lowering operator is an *amplitude* decay rate and energy decays at
 ``(1 + n_bar) gamma D_a + n_bar gamma D_a^dag``.
 
 The generator is a ``scipy.sparse`` CSR matrix acting on column-stacked
-density matrices, and no routine here forms it densely.  Evolution applies
-its exponential to the initial state over the whole sample grid at once
-(``expm_multiply``, Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011));
-the steady state is one sparse LU solve of the generator with one row
-replaced by the trace functional.  The dense reference for both lives in
+density matrices, built once per model (:attr:`LindbladModel.generator`),
+and no routine here forms it densely.  Evolution propagates only the block
+of the generator reachable from the initial state's support, a block the
+generator leaves invariant (the excitation-number symmetry of the cooling
+and exchange models keeps it small), with a truncated Taylor series of
+fixed degree and substep count (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)) from one sample to the next.  The steady state is one sparse LU
+solve of the generator with one row replaced by the trace functional; its
+uniqueness test uses Hager's 1-norm estimate of the inverse.  Neither draws
+random numbers.  The dense reference for both lives in
 :mod:`cryomech.oracle`.
 
 Trace is never renormalized during integration; trace drift is a measured
@@ -22,15 +27,15 @@ error signal checked against the trajectory invariants.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import LinearOperator, expm_multiply, onenormest, splu
-from scipy.sparse.linalg import norm as sparse_norm
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import splu
 
 from .errors import DegenerateSteadyStateError, PreconditionError, TruncationError
 from .fockspace import (
@@ -56,6 +61,19 @@ ADAPTIVE_ATOL = 1e-11
 SAMPLE_TOLS = {"trace_tol": 1e-8, "herm_tol": 1e-9, "pos_tol": 1e-7}
 
 _METHODS = ("auto", "expm", "adaptive")
+
+#: Largest ||A||_1 for which the degree-m Taylor polynomial of exp(A) meets
+#: double-precision backward error, theta_m of Al-Mohy & Higham, SIAM J. Sci.
+#: Comput. 33, 488 (2011), Table A.3 (m <= 30) and Table 3.1 (m >= 35).
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,11 @@ class LindbladModel:
     @property
     def layout(self) -> SpaceLayout:
         return self.hamiltonian.layout
+
+    @cached_property
+    def generator(self) -> sp.csr_array:
+        """:func:`liouvillian_matrix` of this model, built on first use."""
+        return liouvillian_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -149,21 +172,67 @@ def _check_truncation(rho: DensityMatrix, threshold: float):
             )
 
 
-@contextmanager
-def _pinned_global_rng():
-    """Seed NumPy's legacy global generator for the duration of a block and
-    restore the caller's stream afterwards.
+def _norm1(A: sp.csr_array) -> float:
+    """Exact 1-norm (largest absolute column sum) of a CSR matrix."""
+    return float(np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[1]).max())
 
-    ``onenormest`` starts from random sign vectors drawn from that generator;
-    ``expm_multiply`` picks its Taylor degree and step count from such
-    estimates.  Pinning them makes identical inputs give bit-identical output.
+
+def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from ``support`` along the sparsity graph of
+    ``L``, which has an edge i -> j wherever L[j, i] is stored.  The span of
+    their unit vectors is invariant under L."""
+    n = L.shape[0]
+    if support.size == n:
+        return support
+    # the CSC arrays of L are the CSR arrays of its transpose; an extra node n
+    # points at the whole support, so one search covers every start
+    csc = L.tocsc()
+    indptr = np.append(csc.indptr, csc.indptr[-1] + support.size)
+    indices = np.concatenate([csc.indices, support])
+    graph = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1))
+    order = breadth_first_order(graph, n, directed=True, return_predecessors=False)
+    return np.sort(order[1:])
+
+
+def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """Rows exp(k h A) v0 for k = 0 .. steps.
+
+    A is shifted by mu = tr(A) / dim.  The Taylor degree m and the substep
+    count s are chosen once, minimising m s subject to
+    ||(A - mu) h||_1 / s <= ``TAYLOR_THETA[m]`` with the exact 1-norm, and each
+    substep's series stops once its last two terms fall below the unit
+    roundoff relative to the partial sum (Al-Mohy & Higham, Algorithm 3.2).
     """
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
+    dim = A.shape[0]
+    mu = A.trace() / dim
+    step = A - mu * sp.eye_array(dim, format="csr")
+    norm1 = h * _norm1(step)
+    m, s = (0, 1) if norm1 == 0.0 else min(
+        ((deg, int(np.ceil(norm1 / theta))) for deg, theta in TAYLOR_THETA.items()),
+        key=lambda ms: ms[0] * ms[1])
+    step.data *= h / s
+    eta = np.exp(mu * h / s)
+    tol = 2.0 ** -53
+    out = np.empty((steps + 1, dim), dtype=complex)
+    out[0] = f = v0.copy()
+    for k in range(1, steps + 1):
+        for _ in range(s):
+            b = f
+            c1 = bound = np.abs(f).max()
+            for j in range(1, m + 1):
+                b = step @ b
+                b *= 1.0 / j
+                c2 = np.abs(b).max()
+                f += b
+                # bound >= ||f||_inf up to rounding, so the exact norm is
+                # only taken when the stopping test can pass
+                bound += c2
+                if c1 + c2 <= tol * bound and c1 + c2 <= tol * np.abs(f).max():
+                    break
+                c1 = c2
+            f = eta * f
+        out[k] = f
+    return out
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
@@ -173,13 +242,16 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     """Integrate the master equation and sample the trajectory at
     ``num_samples`` (at least 2) evenly spaced times from 0 to ``duration``.
 
-    ``method`` is ``"expm"`` (the action of the exponential of the sparse
-    generator on the initial state, over the whole sample grid in one
-    ``expm_multiply`` call), ``"adaptive"`` (RK45 on the vectorized state with
-    right-hand side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``),
-    or ``"auto"``, which is ``"expm"`` at every size.  State invariants (trace,
-    hermiticity, positivity within ``SAMPLE_TOLS``, truncation headroom) are
-    enforced on every sample; violations raise instead of being repaired.
+    ``method`` is ``"expm"``, ``"adaptive"`` or ``"auto"``, which is
+    ``"expm"`` at every size.  ``"expm"`` restricts the generator to the
+    indices reachable from the support of vec(rho0) along its sparsity graph,
+    an invariant block, and steps that block from one sample to the next with
+    a fixed-schedule truncated Taylor series; every other entry stays exactly
+    0.  ``"adaptive"`` is RK45 on the full vectorized state with right-hand
+    side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.  State
+    invariants (trace, hermiticity, positivity within ``SAMPLE_TOLS``,
+    truncation headroom) are enforced on every full sample; violations raise
+    instead of being repaired.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -191,7 +263,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
         raise ValueError("initial state layout does not match the model")
     n = model.layout.dim
     times = np.linspace(0.0, duration, num_samples)
-    L = liouvillian_matrix(model)
+    L = model.generator
     v0 = _vec(rho0.matrix).astype(complex)
 
     if method == "adaptive":
@@ -202,9 +274,11 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
         samples = sol.y.T
     else:
-        with _pinned_global_rng():
-            samples = expm_multiply(L, v0, start=0.0, stop=duration,
-                                    num=num_samples, endpoint=True)
+        block = _reachable(L, np.flatnonzero(v0))
+        samples = np.zeros((num_samples, n * n), dtype=complex)
+        samples[:, block] = _taylor_samples(
+            L if block.size == n * n else L[block[:, None], block], v0[block],
+            duration / (num_samples - 1), num_samples - 1)
     raw_states = [_unvec(v, n) for v in samples]
 
     states = []
@@ -226,6 +300,57 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     return EvolutionResult(times=times, states=tuple(states), observables=obs)
 
 
+def _trace_bordered(L: sp.csr_array, n: int) -> tuple[sp.csr_array, float]:
+    """The generator of an ``n``-level model with its first row replaced by
+    the trace functional, scaled by the largest column 2-norm of L (a lower
+    bound on ||L||_2), and that scale."""
+    scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
+                                      minlength=n * n).max()))
+    # CSR arrays of the trace row (entries at the vec positions of rho_ii)
+    # followed by rows 1.. of L
+    rest = L.indptr[1]
+    indptr = np.concatenate([[0], L.indptr[1:] - rest + n])
+    indices = np.concatenate([np.arange(n) * (n + 1), L.indices[rest:]])
+    data = np.concatenate([np.full(n, scale, dtype=complex), L.data[rest:]])
+    return sp.csr_array((data, indices, indptr), shape=L.shape), scale
+
+
+def _inverse_norm1(lu, dim: int) -> float:
+    """Hager's estimate of ||B^-1||_1 from a sparse LU factorization of B,
+    following LAPACK's ZLACN2 (Hager, SIAM J. Sci. Stat. Comput. 5, 311
+    (1984); Higham, ACM TOMS 14, 381 (1988)).
+
+    Each candidate is ||B^-1 x||_1 / ||x||_1 for an explicit x, so the
+    estimate never exceeds the true norm; it uses solves with B and B^H only
+    and draws no random numbers.
+    """
+    tiny = np.finfo(float).tiny
+
+    def sign(y):
+        a = np.abs(y)
+        return np.where(a > tiny, y / np.maximum(a, tiny), 1.0)
+
+    y = lu.solve(np.full(dim, 1.0 / dim, dtype=complex))
+    if dim == 1:
+        return float(abs(y[0]))
+    est = np.abs(y).sum()
+    j = int(np.argmax(np.abs(lu.solve(sign(y), trans="H"))))
+    for iteration in range(2, 6):
+        unit = np.zeros(dim, dtype=complex)
+        unit[j] = 1.0
+        y = lu.solve(unit)
+        est_old, est = est, np.abs(y).sum()
+        if est <= est_old:
+            break
+        z = np.abs(lu.solve(sign(y), trans="H"))
+        j_last, j = j, int(np.argmax(z))
+        if z[j_last] == z[j] or iteration == 5:
+            break
+    alternating = (1.0 + np.arange(dim) / (dim - 1)) * (-1.0) ** np.arange(dim)
+    probe = 2.0 * np.abs(lu.solve(alternating.astype(complex))).sum() / (3 * dim)
+    return float(max(est, probe))
+
+
 def steady_state(model: LindbladModel) -> DensityMatrix:
     """Unique null vector of the vectorized generator, normalized to trace 1.
 
@@ -237,30 +362,23 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     exactly when the null space of L is one-dimensional.
 
     Raises DegenerateSteadyStateError when the factor is exactly singular,
-    when the 1-norm condition estimate of the bordered matrix exceeds
+    when the 1-norm condition estimate of the bordered matrix (its exact
+    1-norm times Hager's deterministic estimate of the inverse's) exceeds
     ``1 / NULLSPACE_UNIQUE_TOL`` (e.g. a closed system), or when the residual
     ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).
     """
     n = model.layout.dim
-    L = liouvillian_matrix(model)
-    scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
-                                      minlength=n * n).max()))
+    L = model.generator
+    bordered, scale = _trace_bordered(L, n)
     if scale == 0.0:
         raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
-    trace_row = sp.csr_array((np.full(n, scale, dtype=complex),
-                              (np.zeros(n, dtype=int), np.arange(n) * (n + 1))),
-                             shape=(1, n * n))
-    bordered = sp.vstack([trace_row, L[1:]], format="csc")
     try:
-        lu = splu(bordered)
+        lu = splu(bordered.tocsc())
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"steady state is not unique (trace-bordered generator is singular: {exc})"
         ) from exc
-    inverse = LinearOperator(bordered.shape, matvec=lu.solve, dtype=complex,
-                             rmatvec=lambda y: lu.solve(y, trans="H"))
-    with _pinned_global_rng():
-        cond = sparse_norm(bordered, 1) * onenormest(inverse)
+    cond = _norm1(bordered) * _inverse_norm1(lu, n * n)
     if not cond * NULLSPACE_UNIQUE_TOL < 1.0:
         raise DegenerateSteadyStateError(
             f"steady state is not unique (trace-bordered generator has 1-norm "

@@ -244,7 +244,7 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
         warnings.warn("source state has support above the {|0>,|1>} subspace; "
                       "transfer of higher Fock content is truncation-sensitive",
                       stacklevel=2)
-    alpha, beta = complex(src[0]), complex(src[1]) if len(src) > 1 else 0.0
+    alpha, beta = complex(src[0]), complex(src[1])
     na = state_on_a.layout.dim
     nm = mech_dim or na
     layout = SpaceLayout.of(("a", na), ("a_m", nm))

@@ -69,3 +69,31 @@ def test_private_definitions_are_read():
                             if not any(name in reads[id(node)]
                                        for node in statements if node is not own)])}
     assert not unread, f"private module-level definitions that nothing reads: {unread}"
+
+
+#: NumPy's explicit-generator API; everything else under ``numpy.random`` is
+#: the legacy global generator (``seed``, ``get_state``, ``set_state``,
+#: ``rand``, ``normal``, ``RandomState``, ...).
+_SEEDED_RANDOM = {"default_rng", "Generator"}
+
+
+def _legacy_random_uses(tree: ast.Module) -> list[str]:
+    """``np.random.<name>``/``numpy.random.<name>`` reads and
+    ``from numpy.random import <name>`` outside the explicit-generator API."""
+    out = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+                and n.value.attr == "random" and isinstance(n.value.value, ast.Name)
+                and n.value.value.id in ("np", "numpy") and n.attr not in _SEEDED_RANDOM):
+            out.append(f"np.random.{n.attr}")
+        elif isinstance(n, ast.ImportFrom) and n.module == "numpy.random":
+            out += [f"numpy.random.{a.name}" for a in n.names if a.name not in _SEEDED_RANDOM]
+    return out
+
+
+def test_no_legacy_global_generator():
+    # identical (config, seed) must give identical reports, so the package
+    # draws only from generators it seeds itself
+    uses = {str(p.relative_to(ROOT)): names for p in sorted(SRC.glob("*.py"))
+            if (names := _legacy_random_uses(ast.parse(p.read_text(), filename=str(p))))}
+    assert not uses, f"calls into NumPy's legacy global generator: {uses}"

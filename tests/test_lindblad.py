@@ -3,6 +3,7 @@ states and adiabatic elimination."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from cryomech.errors import (
     DegenerateSteadyStateError,
@@ -22,6 +23,8 @@ from cryomech.fockspace import (
 from cryomech.lindblad import (
     Dissipator,
     LindbladModel,
+    _inverse_norm1,
+    _trace_bordered,
     adiabatic_eliminate,
     cooling_model,
     eliminated_model,
@@ -31,6 +34,7 @@ from cryomech.lindblad import (
     thermal_dissipators,
 )
 from cryomech.model import SystemParams
+from cryomech.oracle import _random_model
 
 
 def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
@@ -193,6 +197,22 @@ class TestSteadyState:
         assert np.allclose(ss.matrix, final.matrix, atol=1e-8)
 
 
+class TestInverseNormEstimate:
+    """Hager's estimate of ||B^-1||_1 on trace-bordered generators."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lower_bound_on_dense_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 5))
+        model = _random_model(rng, SpaceLayout.single("m", dim),
+                              n_diss=int(rng.integers(1, 3)))
+        bordered, _ = _trace_bordered(liouvillian_matrix(model), dim)
+        estimate = _inverse_norm1(splu(bordered.tocsc()), dim * dim)
+        exact = np.linalg.norm(np.linalg.inv(bordered.toarray()), 1)
+        assert estimate <= exact * (1.0 + 1e-12)
+        assert estimate >= 0.5 * exact
+
+
 class TestCoolingModels:
     def test_cooling_model_structure(self):
         lay = SpaceLayout.of(("a", 3), ("a_m", 4))
@@ -250,9 +270,10 @@ class TestCoolingModels:
 
 
 class TestGlobalGeneratorPinning:
-    """``expm_multiply`` and the steady-state condition estimate draw random
-    start vectors from NumPy's global generator; unpinned, this model's state
-    at t = 20 differs at the 1e-14 level between global seeds."""
+    """Neither ``evolve`` nor ``steady_state`` may read NumPy's global
+    generator: a propagator or condition estimate that drew random start
+    vectors from it made this model's state at t = 20 differ at the 1e-14
+    level between global seeds."""
 
     @staticmethod
     def _cooling():

@@ -14,6 +14,7 @@ from cryomech.fockspace import (
     fock_state,
     number,
     pauli,
+    thermal_state,
 )
 from cryomech.gates import HADAMARD
 from cryomech.lindblad import (
@@ -28,6 +29,7 @@ from cryomech.lindblad import (
 from cryomech.model import SpinParams, SystemParams, build_jc, build_spin_mech
 from cryomech.oracle import (
     _build_liouvillian,
+    _random_density,
     exact_liouville_evolve,
     exact_unitary_evolve,
     fidelity_metrics,
@@ -134,6 +136,69 @@ class TestSparseEngineAgainstOracle:
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"a_m": 2}))
         limit = exact_liouville_evolve(model, rho0, 100.0)
         assert trace_distance(steady_state(model).matrix, limit.matrix) < 1e-8
+
+
+def _jc_mode_spin():
+    """Damped Jaynes-Cummings exchange in the sigma_z basis: every term keeps
+    or shifts the excitation number n + (spin up), so the generator splits
+    into blocks by the excitation difference of bra and ket."""
+    layout = SpaceLayout.of(("a_m", 4), ("spin", 2, "spin-half"))
+    b = embed(annihilation(4, "a_m"), layout, "a_m")
+    sminus = embed(FockOperator(SpaceLayout.single("spin", 2, "spin-half"),
+                                np.array([[0, 0], [1, 0]], dtype=complex)), layout, "spin")
+    sz = embed(pauli("z"), layout, "spin")
+    exchange = b.matrix @ sminus.matrix.conj().T
+    h = FockOperator(layout, 1.1 * b.matrix.conj().T @ b.matrix + 0.45 * sz.matrix
+                     + 0.3 * (exchange + exchange.conj().T))
+    diss = thermal_dissipators(b, 0.2, 0.4) + (Dissipator(sminus, 0.05), Dissipator(sz, 0.02))
+    return LindbladModel(h, diss)
+
+
+def _reachable_mask(model, rho0):
+    """Entries of vec(rho) that the oracle's dense generator can reach from the
+    support of vec(rho0), by repeated application of its nonzero pattern."""
+    pattern = (_build_liouvillian(model) != 0).astype(int)
+    reach = rho0.matrix.T.reshape(-1) != 0
+    while not np.array_equal(grown := reach | (pattern @ reach > 0), reach):
+        reach = grown
+    return reach
+
+
+class TestReachableBlock:
+    """``evolve(method="expm")`` propagates only the block of the generator
+    reachable from the initial support.  ``verify_all`` starts from
+    full-support states, so only these starts exercise the restriction."""
+
+    @staticmethod
+    def _check_samples(model, rho0, duration=2.5, num_samples=6):
+        res = evolve(model, rho0, duration, num_samples=num_samples, method="expm",
+                     truncation_threshold=1.0)
+        reach = _reachable_mask(model, rho0)
+        for t, rho in zip(res.times, res.states):
+            ref = exact_liouville_evolve(model, rho0, t).matrix
+            assert np.abs(rho.matrix - ref).max() <= 1e-12
+            assert not rho.matrix.T.reshape(-1)[~reach].any()
+        return reach
+
+    def test_fock_diagonal_cooling_start(self):
+        model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
+        rho0 = DensityMatrix(model.layout, np.kron(np.diag([1.0, 0.0]),
+                                                   thermal_state(6, 0.8, "a_m").matrix))
+        reach = self._check_samples(model, rho0)
+        assert reach.sum() < reach.size // 4
+
+    def test_single_coherence_mode_spin_start(self):
+        model = _jc_mode_spin()
+        rho = np.diag(np.linspace(1.0, 2.0, 8)).astype(complex)
+        rho[2, 4] = 0.1 + 0.2j  # |1, up><2, up|: excitation difference 1
+        rho[4, 2] = np.conj(rho[2, 4])
+        reach = self._check_samples(model, DensityMatrix(model.layout, rho / np.trace(rho)))
+        assert 0 < reach.sum() < reach.size
+
+    def test_full_support_start(self):
+        model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
+        rho0 = _random_density(np.random.default_rng(8), model.layout)
+        assert self._check_samples(model, rho0).all()
 
 
 def _swap_reference(d, lam):
