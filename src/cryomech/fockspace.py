@@ -391,12 +391,13 @@ def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
 
 
 def top_level_population(rho: DensityMatrix, levels: int = 2) -> dict[str, float]:
-    """Population of the highest ``levels`` Fock levels of each bosonic subsystem."""
+    """Population of the highest ``levels`` Fock levels of each bosonic
+    subsystem, summed from the diagonal of ``rho`` (the diagonal of each
+    reduced state is a marginal of it)."""
+    pops = np.real(np.diag(rho.matrix)).reshape(rho.layout.dims)
     out = {}
-    for sub in rho.layout.subsystems:
+    for i, sub in enumerate(rho.layout.subsystems):
         if sub.kind != BOSONIC or sub.dim <= levels:
             continue
-        reduced = partial_trace(rho, {sub.label}) if len(rho.layout.subsystems) > 1 else rho
-        pops = np.real(np.diag(reduced.matrix))
-        out[sub.label] = float(pops[-levels:].sum())
+        out[sub.label] = float(np.moveaxis(pops, i, 0)[-levels:].sum())
     return out

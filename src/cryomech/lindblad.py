@@ -12,13 +12,17 @@ density matrices, built once per model (:attr:`LindbladModel.generator`),
 and no routine here forms it densely.  Evolution propagates only the block
 of the generator reachable from the initial state's support, a block the
 generator leaves invariant (the excitation-number symmetry of the cooling
-and exchange models keeps it small), with a truncated Taylor series of
-fixed degree and substep count (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)) from one sample to the next.  The steady state is one sparse LU
-solve of the generator with one row replaced by the trace functional; its
-uniqueness test uses Hager's 1-norm estimate of the inverse.  Neither draws
-random numbers.  The dense reference for both lives in
-:mod:`cryomech.oracle`.
+and exchange models keeps it small), with a truncated Taylor series of fixed
+degree m and substep count s (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)) from one sample to the next.  (m, s) minimise m s, the matvecs
+per sample step, under a bound on the step's exact 1-norm; above their
+eq. (3.13) threshold (about 63.4) the bound may use the smaller
+alpha_p = max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p) from exact sparse powers
+of the step, which halves m s on the stiff full-model cooling step.  The
+steady state is one sparse LU solve of the generator with one row replaced
+by the trace functional; its uniqueness test uses Hager's 1-norm estimate of
+the inverse.  Neither draws random numbers.  The dense reference for both
+lives in :mod:`cryomech.oracle`.
 
 Trace is never renormalized during integration; trace drift is a measured
 error signal checked against the trajectory invariants.
@@ -74,6 +78,15 @@ TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
+
+#: Largest p in the refinement alpha_p = max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p).
+_TAYLOR_P_MAX = 8
+
+#: Largest ||A||_1 for which :func:`_taylor_schedule` keeps the plain 1-norm
+#: schedule: 2 ell theta_{m_max} p_max (p_max + 3) / m_max with ell = 2, Al-Mohy
+#: & Higham eq. (3.13) for one column (about 63.4).
+_TAYLOR_REFINE_NORM = (4.0 * TAYLOR_THETA[max(TAYLOR_THETA)] * _TAYLOR_P_MAX
+                       * (_TAYLOR_P_MAX + 3) / max(TAYLOR_THETA))
 
 
 @dataclass(frozen=True)
@@ -194,22 +207,51 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return np.sort(order[1:])
 
 
+def _taylor_schedule(step: sp.csr_array, h: float) -> tuple[int, int]:
+    """Taylor degree m and substep count s for exp(h step), minimising m s
+    (Al-Mohy & Higham, Code Fragment 3.1).
+
+    The plain candidates are m ceil(||h step||_1 / theta_m) for every m in
+    ``TAYLOR_THETA``.  Above ``_TAYLOR_REFINE_NORM`` the candidates
+    m ceil(alpha_p / theta_m) join them for p = 2 .. ``_TAYLOR_P_MAX`` and
+    m >= p (p - 1) - 1, with alpha_p = max(d_p, d_{p+1}) and
+    d_p = ||(h step)^p||_1^(1/p) computed exactly from sparse powers.
+    alpha_p <= ||h step||_1, and it is far smaller when step is stiff and
+    non-normal, so m s never grows.  Among equal products the smallest m wins.
+    """
+    norm1 = h * _norm1(step)
+    if norm1 == 0.0:
+        return 0, 1
+    candidates = [(m, int(np.ceil(norm1 / theta))) for m, theta in TAYLOR_THETA.items()]
+    if norm1 > _TAYLOR_REFINE_NORM:
+        d, power = {}, step
+        for p in range(2, _TAYLOR_P_MAX + 2):
+            power = power @ step
+            d[p] = h * _norm1(power) ** (1.0 / p)
+        for p in range(2, _TAYLOR_P_MAX + 1):
+            alpha = max(d[p], d[p + 1])
+            candidates += [(m, max(1, int(np.ceil(alpha / theta))))
+                           for m, theta in TAYLOR_THETA.items() if m >= p * (p - 1) - 1]
+    return min(candidates, key=lambda ms: (ms[0] * ms[1], ms[0]))
+
+
 def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float, steps: int) -> np.ndarray:
     """Rows exp(k h A) v0 for k = 0 .. steps.
 
     A is shifted by mu = tr(A) / dim.  The Taylor degree m and the substep
-    count s are chosen once, minimising m s subject to
-    ||(A - mu) h||_1 / s <= ``TAYLOR_THETA[m]`` with the exact 1-norm, and each
-    substep's series stops once its last two terms fall below the unit
-    roundoff relative to the partial sum (Al-Mohy & Higham, Algorithm 3.2).
+    count s are chosen once by :func:`_taylor_schedule`: the smallest m s with
+    (A - mu) h / s inside the degree-m bound ``TAYLOR_THETA``, measured by the
+    exact 1-norm of (A - mu) h, or, when that norm exceeds
+    ``_TAYLOR_REFINE_NORM`` (about 63.4), by the smaller
+    alpha_p = max(d_p, d_{p+1}), d_p = ||((A - mu) h)^p||_1^(1/p), for
+    p = 2 .. 8.  Each substep's series stops once its last two terms fall
+    below the unit roundoff relative to the partial sum (Al-Mohy & Higham,
+    Algorithm 3.2).
     """
     dim = A.shape[0]
     mu = A.trace() / dim
     step = A - mu * sp.eye_array(dim, format="csr")
-    norm1 = h * _norm1(step)
-    m, s = (0, 1) if norm1 == 0.0 else min(
-        ((deg, int(np.ceil(norm1 / theta))) for deg, theta in TAYLOR_THETA.items()),
-        key=lambda ms: ms[0] * ms[1])
+    m, s = _taylor_schedule(step, h)
     step.data *= h / s
     eta = np.exp(mu * h / s)
     tol = 2.0 ** -53

@@ -223,3 +223,14 @@ class TestTopLevelPopulation:
         lay = SpaceLayout.single("a", 4)
         rho = DensityMatrix.from_state(fock_state(lay, {"a": 3}))
         assert np.isclose(top_level_population(rho)["a"], 1.0)
+
+    def test_marginals_of_mode_spin_mode_state(self):
+        lay = SpaceLayout.of(("a", 4), ("spin", 2, "spin-half"), ("b", 5))
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        rho = DensityMatrix(lay, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        pops = top_level_population(rho)
+        assert set(pops) == {"a", "b"}
+        for label, pop in pops.items():
+            diag = np.real(np.diag(partial_trace(rho, {label}).matrix))
+            assert abs(pop - diag[-2:].sum()) <= 1e-15

@@ -3,8 +3,10 @@ states and adiabatic elimination."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from cryomech import lindblad
 from cryomech.errors import (
     DegenerateSteadyStateError,
     PreconditionError,
@@ -35,6 +37,7 @@ from cryomech.lindblad import (
 )
 from cryomech.model import SystemParams
 from cryomech.oracle import _random_model
+from cryomech.protocols import prepare_motional_superposition, sideband_cool
 
 
 def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
@@ -211,6 +214,48 @@ class TestInverseNormEstimate:
         exact = np.linalg.norm(np.linalg.inv(bordered.toarray()), 1)
         assert estimate <= exact * (1.0 + 1e-12)
         assert estimate >= 0.5 * exact
+
+
+class TestTaylorSchedule:
+    """The (m, s) the stepper uses on the blocks of the benchmark's cooling
+    and transfer configs.  Only the stiff full-model cooling step is above
+    ``_TAYLOR_REFINE_NORM``, where the alpha_p refinement halves m s."""
+
+    COOLING = SystemParams(g=1.0, kappa=20.0, gamma_m=0.05, n_bar=3.0, omega_m=50.0)
+
+    @staticmethod
+    def _schedules(monkeypatch, run):
+        """(refined, plain) schedule of every Taylor block that ``run`` steps."""
+        blocks = []
+        propagate = lindblad._taylor_samples
+
+        def spy(A, v0, h, steps):
+            dim = A.shape[0]
+            blocks.append((A - A.trace() / dim * sp.eye_array(dim, format="csr"), h))
+            return propagate(A, v0, h, steps)
+
+        monkeypatch.setattr(lindblad, "_taylor_samples", spy)
+        run()
+        refined = [lindblad._taylor_schedule(step, h) for step, h in blocks]
+        monkeypatch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
+        return refined, [lindblad._taylor_schedule(step, h) for step, h in blocks]
+
+    def test_stiff_cooling_block_halves_matvecs(self, monkeypatch):
+        (refined,), (plain,) = self._schedules(
+            monkeypatch, lambda: sideband_cool(self.COOLING.derived(), 3.0, dims=(4, 12)))
+        assert plain == (55, 18)
+        assert refined[0] * refined[1] == 495
+
+    @pytest.mark.parametrize("scenario", ["superpose", "cool-eliminated"])
+    def test_nonstiff_blocks_keep_plain_schedule(self, monkeypatch, scenario):
+        run = {
+            "superpose": lambda: prepare_motional_superposition(SystemParams(
+                g=1.0, kappa=0.01, gamma_m=0.001, n_bar=0.01).derived()),
+            "cool-eliminated": lambda: sideband_cool(
+                self.COOLING.derived(), 3.0, dims=(4, 12), eliminated=True),
+        }[scenario]
+        refined, plain = self._schedules(monkeypatch, run)
+        assert refined and refined == plain
 
 
 class TestCoolingModels:

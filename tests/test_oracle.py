@@ -3,7 +3,9 @@ batch."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from cryomech import lindblad
 from cryomech.fockspace import (
     DensityMatrix,
     FockOperator,
@@ -199,6 +201,19 @@ class TestReachableBlock:
         model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
         rho0 = _random_density(np.random.default_rng(8), model.layout)
         assert self._check_samples(model, rho0).all()
+
+    def test_stiff_cooling_start(self, monkeypatch):
+        """A sample step with ||h L_R||_1 ~ 344, where the schedule comes from
+        alpha_p rather than the 1-norm."""
+        model = cooling_model(1.0, 20.0, 0.05, 3.0, SpaceLayout.of(("a", 2), ("a_m", 6)))
+        rho0 = DensityMatrix(model.layout, np.kron(np.diag([1.0, 0.0]),
+                                                   thermal_state(6, 3.0, "a_m").matrix))
+        block = np.flatnonzero(self._check_samples(model, rho0, duration=10.0, num_samples=3))
+        block, dim = model.generator[block[:, None], block], block.size
+        step = block - block.trace() / dim * sp.eye_array(dim, format="csr")
+        _, s = lindblad._taylor_schedule(step, 5.0)
+        monkeypatch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
+        assert s < lindblad._taylor_schedule(step, 5.0)[1]
 
 
 def _swap_reference(d, lam):
