@@ -12,13 +12,21 @@ density matrices, built once per model (:attr:`LindbladModel.generator`),
 and no routine here forms it densely.  Evolution propagates only the block
 of the generator reachable from the initial state's support, a block the
 generator leaves invariant (the excitation-number symmetry of the cooling
-and exchange models keeps it small), with a truncated Taylor series of fixed
-degree m and substep count s (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)) from one sample to the next.  (m, s) minimise m s, the matvecs
-per sample step, under a bound on the step's exact 1-norm; above their
-eq. (3.13) threshold (about 63.4) the bound may use the smaller
-alpha_p = max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p) from exact sparse powers
-of the step, which halves m s on the stiff full-model cooling step.  The
+and exchange models keeps it small), cached on the model per support.  One
+truncated Taylor series core of fixed degree m and substep count s (Al-Mohy
+& Higham, SIAM J. Sci. Comput. 33, 488 (2011)) serves two paths.  The
+stepper applies it to the sample vector at every sample step.  The
+propagator applies it once to the identity columns at h / 2^k, squares the
+result k times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) and
+multiplies each sample by that P = exp(h L_R).  A count of stored-entry
+products and sparse calls on (block size, nnz, steps, m s) picks the path
+and k: long runs of small blocks take the propagator, single steps of
+large blocks the stepper.  Every product is a scipy sparse kernel, never
+dense BLAS, so the bits do not depend on the BLAS thread count.  (m, s)
+minimise m s under a bound on the step's exact 1-norm; above Al-Mohy &
+Higham's eq. (3.13) threshold (about 63.4) the bound may use the smaller
+alpha_p = max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p) from exact powers of
+the step, which halves m s on the stiff full-model cooling step.  The
 steady state is one sparse LU solve of the generator with one row replaced
 by the trace functional; its uniqueness test uses Hager's 1-norm estimate of
 the inverse.  Neither draws random numbers.  The dense reference for both
@@ -88,6 +96,12 @@ _TAYLOR_P_MAX = 8
 _TAYLOR_REFINE_NORM = (4.0 * TAYLOR_THETA[max(TAYLOR_THETA)] * _TAYLOR_P_MAX
                        * (_TAYLOR_P_MAX + 3) / max(TAYLOR_THETA))
 
+#: Fixed Python cost of one sparse call (scipy's dispatch and the series
+#: bookkeeping around it) in stored-entry products, the unit in which
+#: :func:`_taylor_path` prices its two paths: about 8 us against about 1 ns
+#: per stored entry on a 2-vCPU x86 VM at one BLAS thread.
+_CALL_COST = 8000
+
 
 @dataclass(frozen=True)
 class Dissipator:
@@ -123,12 +137,32 @@ class LindbladModel:
         """:func:`liouvillian_matrix` of this model, built on first use."""
         return liouvillian_matrix(self)
 
+    @cached_property
+    def _blocks(self) -> dict[bytes, tuple[np.ndarray, sp.csr_array]]:
+        return {}
+
+    def reachable_block(self, support: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
+        """The sorted indices of vec(rho) reachable from ``support`` along the
+        generator's sparsity graph (:func:`_reachable`), and the generator
+        restricted to them; computed once per support."""
+        key = support.tobytes()
+        if key not in self._blocks:
+            L = self.generator
+            block = _reachable(L, support)
+            self._blocks[key] = (block, L if block.size == L.shape[0]
+                                 else L[block[:, None], block])
+        return self._blocks[key]
+
 
 @dataclass(frozen=True)
 class EvolutionResult:
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
     observables: Mapping[str, np.ndarray]
+    #: ``"stepper"``, ``"propagator"`` or ``"adaptive"``: the path that ran
+    path: str
+    #: Taylor degree m, substeps s and squarings k of that path; None for adaptive
+    schedule: Optional[tuple[int, int, int]]
 
     def final(self) -> DensityMatrix:
         return self.states[-1]
@@ -207,74 +241,154 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return np.sort(order[1:])
 
 
-def _taylor_schedule(step: sp.csr_array, h: float) -> tuple[int, int]:
-    """Taylor degree m and substep count s for exp(h step), minimising m s
-    (Al-Mohy & Higham, Code Fragment 3.1).
+class _TaylorBlock:
+    """One block A of the generator, shifted to A - mu I with mu = tr(A) / dim,
+    and the exact 1-norms from which its Taylor schedules are chosen (Al-Mohy
+    & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
 
-    The plain candidates are m ceil(||h step||_1 / theta_m) for every m in
-    ``TAYLOR_THETA``.  Above ``_TAYLOR_REFINE_NORM`` the candidates
-    m ceil(alpha_p / theta_m) join them for p = 2 .. ``_TAYLOR_P_MAX`` and
-    m >= p (p - 1) - 1, with alpha_p = max(d_p, d_{p+1}) and
-    d_p = ||(h step)^p||_1^(1/p) computed exactly from sparse powers.
-    alpha_p <= ||h step||_1, and it is far smaller when step is stiff and
-    non-normal, so m s never grows.  Among equal products the smallest m wins.
-    """
-    norm1 = h * _norm1(step)
-    if norm1 == 0.0:
-        return 0, 1
-    candidates = [(m, int(np.ceil(norm1 / theta))) for m, theta in TAYLOR_THETA.items()]
-    if norm1 > _TAYLOR_REFINE_NORM:
-        d, power = {}, step
+    def __init__(self, A: sp.csr_array):
+        self.dim = A.shape[0]
+        self.mu = A.trace() / self.dim
+        self.step = A - self.mu * sp.eye_array(self.dim, format="csr")
+        self.norm1 = _norm1(self.step)
+
+    @cached_property
+    def roots(self) -> dict[int, float]:
+        """||step^p||_1^(1/p) for p = 2 .. ``_TAYLOR_P_MAX`` + 1, exact, each
+        power one sparse-times-dense product from the last; computed once,
+        since d_p at step size h is h times it."""
+        roots, power = {}, self.step.toarray()
         for p in range(2, _TAYLOR_P_MAX + 2):
-            power = power @ step
-            d[p] = h * _norm1(power) ** (1.0 / p)
-        for p in range(2, _TAYLOR_P_MAX + 1):
-            alpha = max(d[p], d[p + 1])
-            candidates += [(m, max(1, int(np.ceil(alpha / theta))))
-                           for m, theta in TAYLOR_THETA.items() if m >= p * (p - 1) - 1]
-    return min(candidates, key=lambda ms: (ms[0] * ms[1], ms[0]))
+            power = self.step @ power
+            roots[p] = np.abs(power).sum(axis=0).max() ** (1.0 / p)
+        return roots
+
+    def schedule(self, h: float) -> tuple[int, int]:
+        """Taylor degree m and substep count s for exp(h step), minimising m s
+        (Al-Mohy & Higham, Code Fragment 3.1).
+
+        The plain candidates are m ceil(||h step||_1 / theta_m) for every m in
+        ``TAYLOR_THETA``.  Above ``_TAYLOR_REFINE_NORM`` the candidates
+        m ceil(alpha_p / theta_m) join them for p = 2 .. ``_TAYLOR_P_MAX`` and
+        m >= p (p - 1) - 1, with alpha_p = max(d_p, d_{p+1}) and
+        d_p = ||(h step)^p||_1^(1/p).  alpha_p <= ||h step||_1, and it is far
+        smaller when step is stiff and non-normal, so m s never grows.  Among
+        equal products the smallest m wins.
+        """
+        norm1 = h * self.norm1
+        if norm1 == 0.0:
+            return 0, 1
+        candidates = [(m, int(np.ceil(norm1 / theta))) for m, theta in TAYLOR_THETA.items()]
+        if norm1 > _TAYLOR_REFINE_NORM:
+            d = {p: h * root for p, root in self.roots.items()}
+            for p in range(2, _TAYLOR_P_MAX + 1):
+                alpha = max(d[p], d[p + 1])
+                candidates += [(m, max(1, int(np.ceil(alpha / theta))))
+                               for m, theta in TAYLOR_THETA.items() if m >= p * (p - 1) - 1]
+        return min(candidates, key=lambda ms: (ms[0] * ms[1], ms[0]))
 
 
-def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """Rows exp(k h A) v0 for k = 0 .. steps.
+def _taylor_series(block: _TaylorBlock, h: float, m: int, s: int, X: np.ndarray) -> np.ndarray:
+    """exp(h A) X for the block's A and a vector or a dense block of columns X.
 
-    A is shifted by mu = tr(A) / dim.  The Taylor degree m and the substep
-    count s are chosen once by :func:`_taylor_schedule`: the smallest m s with
-    (A - mu) h / s inside the degree-m bound ``TAYLOR_THETA``, measured by the
-    exact 1-norm of (A - mu) h, or, when that norm exceeds
-    ``_TAYLOR_REFINE_NORM`` (about 63.4), by the smaller
-    alpha_p = max(d_p, d_{p+1}), d_p = ||((A - mu) h)^p||_1^(1/p), for
-    p = 2 .. 8.  Each substep's series stops once its last two terms fall
+    s substeps, each the degree-m Taylor series of (A - mu) h / s times
+    exp(mu h / s).  Each substep's series stops once its last two terms fall
     below the unit roundoff relative to the partial sum (Al-Mohy & Higham,
-    Algorithm 3.2).
+    Algorithm 3.2), both measured by the largest entry.  ``step @ b`` is
+    scipy's sparse kernel for either shape, so no product here depends on
+    the BLAS thread count.
     """
-    dim = A.shape[0]
-    mu = A.trace() / dim
-    step = A - mu * sp.eye_array(dim, format="csr")
-    m, s = _taylor_schedule(step, h)
-    step.data *= h / s
-    eta = np.exp(mu * h / s)
+    step = block.step * (h / s)
+    eta = np.exp(block.mu * h / s)
     tol = 2.0 ** -53
-    out = np.empty((steps + 1, dim), dtype=complex)
-    out[0] = f = v0.copy()
-    for k in range(1, steps + 1):
-        for _ in range(s):
-            b = f
-            c1 = bound = np.abs(f).max()
-            for j in range(1, m + 1):
-                b = step @ b
-                b *= 1.0 / j
-                c2 = np.abs(b).max()
-                f += b
-                # bound >= ||f||_inf up to rounding, so the exact norm is
-                # only taken when the stopping test can pass
-                bound += c2
-                if c1 + c2 <= tol * bound and c1 + c2 <= tol * np.abs(f).max():
-                    break
-                c1 = c2
-            f = eta * f
-        out[k] = f
-    return out
+    f = X.copy()
+    for _ in range(s):
+        b = f
+        c1 = bound = np.abs(f).max()
+        for j in range(1, m + 1):
+            b = step @ b
+            b *= 1.0 / j
+            c2 = np.abs(b).max()
+            f += b
+            # bound >= ||f||_inf up to rounding, so the exact norm is
+            # only taken when the stopping test can pass
+            bound += c2
+            if c1 + c2 <= tol * bound and c1 + c2 <= tol * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+    return f
+
+
+def _taylor_path(block: _TaylorBlock, h: float, steps: int) -> tuple[str, tuple[int, int, int]]:
+    """The cheaper way to make ``steps`` sample steps of exp(h A), and its
+    Taylor degree m, substeps s and squarings k.
+
+    The ``"stepper"`` runs :func:`_taylor_series` on the sample vector at h,
+    every step.  The ``"propagator"`` runs it once on the identity columns at
+    h / 2^k, squares the result k times and applies it to each sample.  Both
+    are priced from (dim, nnz, steps, m s) in stored-entry products plus
+    ``_CALL_COST`` per sparse call, a CSR conversion counting as three
+    calls.  A series term costs one call, nnz per column and four passes
+    over the columns; a squaring costs a conversion, a call and dim^3; the
+    propagator's final conversion three calls; a sample product one call
+    and dim^2.  Every k is priced until its squarings and sample products
+    alone cost more than the best price so far; the cheapest path and k win,
+    the stepper and the smaller k on ties.  The rule counts; it never times.
+    """
+    dim, nnz = block.dim, block.step.nnz
+    m, s = block.schedule(h)
+    best = (steps * m * s * (_CALL_COST + nnz + 4 * dim), "stepper", (m, s, 0))
+    k = 0
+    while (fixed := k * (4 * _CALL_COST + dim ** 3)
+           + (steps + 3) * _CALL_COST + steps * dim ** 2) < best[0]:
+        m, s = block.schedule(h / 2 ** k)
+        price = fixed + m * s * (_CALL_COST + dim * (nnz + 4 * dim))
+        if price < best[0]:
+            best = (price, "propagator", (m, s, k))
+        k += 1
+    return best[1:]
+
+
+def _dense_csr(P: np.ndarray) -> sp.csr_array:
+    """A square dense array as a CSR array that stores every entry, built from
+    its index arrays: ``sp.csr_array(P)`` scans P for zeros first, which
+    costs more than a squaring's product at small dim and about a fifth of
+    it at dim 172."""
+    n = P.shape[0]
+    return sp.csr_array((P.reshape(-1), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
+                        shape=P.shape)
+
+
+def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float,
+                    steps: int) -> tuple[np.ndarray, str, tuple[int, int, int]]:
+    """Rows exp(j h A) v0 for j = 0 .. steps, with the path of
+    :func:`_taylor_path` that made them and its (m, s, k).
+
+    The propagator is P = exp(h A) from the series at h / 2^k and k squarings
+    P <- P P, each a sparse-times-dense product with P held as CSR (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); no dense BLAS product is
+    involved, so its bits, like the stepper's, do not depend on the BLAS
+    thread count.
+    """
+    block = _TaylorBlock(A)
+    path, (m, s, k) = _taylor_path(block, h, steps)
+    if path == "stepper":
+        def advance(f):
+            return _taylor_series(block, h, m, s, f)
+    else:
+        P = _taylor_series(block, h / 2 ** k, m, s, np.eye(block.dim, dtype=complex))
+        for _ in range(k):
+            P = _dense_csr(P) @ P
+        P = _dense_csr(P)
+
+        def advance(f):
+            return P @ f
+    out = np.empty((steps + 1, block.dim), dtype=complex)
+    out[0] = f = v0
+    for j in range(1, steps + 1):
+        out[j] = f = advance(f)
+    return out, path, (m, s, k)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
@@ -287,9 +401,15 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     ``method`` is ``"expm"``, ``"adaptive"`` or ``"auto"``, which is
     ``"expm"`` at every size.  ``"expm"`` restricts the generator to the
     indices reachable from the support of vec(rho0) along its sparsity graph,
-    an invariant block, and steps that block from one sample to the next with
-    a fixed-schedule truncated Taylor series; every other entry stays exactly
-    0.  ``"adaptive"`` is RK45 on the full vectorized state with right-hand
+    an invariant block (:meth:`LindbladModel.reachable_block`); every other
+    entry stays exactly 0.  It propagates the block from one sample to the
+    next with a fixed-schedule truncated Taylor series, on one of two paths
+    that :func:`_taylor_path` picks by counting products on (block size,
+    nnz, sample steps, m s): the stepper runs the series on the sample
+    vector at every step; the propagator builds P = exp(h L_R) once, from
+    the series on the identity columns at h / 2^k and k squarings, and
+    multiplies each sample by it.  The result records the path and its
+    (m, s, k).  ``"adaptive"`` is RK45 on the full vectorized state with right-hand
     side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.  State
     invariants (trace, hermiticity, positivity within ``SAMPLE_TOLS``,
     truncation headroom) are enforced on every full sample; violations raise
@@ -314,13 +434,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
                         atol=ADAPTIVE_ATOL)
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
-        samples = sol.y.T
+        samples, path, schedule = sol.y.T, method, None
     else:
-        block = _reachable(L, np.flatnonzero(v0))
+        block, A = model.reachable_block(np.flatnonzero(v0))
         samples = np.zeros((num_samples, n * n), dtype=complex)
-        samples[:, block] = _taylor_samples(
-            L if block.size == n * n else L[block[:, None], block], v0[block],
-            duration / (num_samples - 1), num_samples - 1)
+        samples[:, block], path, schedule = _taylor_samples(
+            A, v0[block], duration / (num_samples - 1), num_samples - 1)
     raw_states = [_unvec(v, n) for v in samples]
 
     states = []
@@ -339,7 +458,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     obs = {}
     for name, op in (observables or {}).items():
         obs[name] = np.array([np.real(np.trace(op.matrix @ s.matrix)) for s in states])
-    return EvolutionResult(times=times, states=tuple(states), observables=obs)
+    return EvolutionResult(times=times, states=tuple(states), observables=obs,
+                           path=path, schedule=schedule)
 
 
 def _trace_bordered(L: sp.csr_array, n: int) -> tuple[sp.csr_array, float]:

@@ -2,10 +2,15 @@
 output artifacts, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cryomech
 from cryomech.cli import main, parse_config
 from cryomech.errors import ConfigError
 
@@ -228,8 +233,9 @@ class TestOutputs:
         assert doc["seed"] == 3
 
     def test_deterministic_given_seed(self, tmp_path):
-        # the closed transfer runs through the Lindblad engine, whose norm
-        # estimates draw from NumPy's global generator: reseed it between runs
+        # the closed transfer runs through the Lindblad engine; reseeding
+        # NumPy's global generator between runs shows that no engine path
+        # draws from it
         for scenario, text in (("teleport-motional", TELEPORT_CFG),
                                ("superpose", SUPERPOSE_CFG + "dissipation = false\n")):
             path = write_cfg(tmp_path, text, f"{scenario}.cfg")
@@ -241,6 +247,32 @@ class TestOutputs:
                              "--seed", "42"]) == 0
                 reports.append((out / f"{scenario}.json").read_bytes())
             assert reports[0] == reports[1]
+
+    def test_identical_across_blas_threads(self, tmp_path):
+        """Full and eliminated (4, 12) cooling and the dissipative transfer
+        give byte-identical reports at one and two BLAS threads: no product
+        on their path may depend on the thread count."""
+        cool = ("scenario = cool\ng = 1\nkappa = 20\ngamma_m = 0.05\nn_bar = 3\n"
+                "n_init = 3\nomega_m = 50\ndim_a = 4\ndim_m = 12\nnum_samples = 60\n")
+        configs = {"full": cool, "eliminated": cool + "eliminated = true\n",
+                   "superpose": SUPERPOSE_CFG + "dissipation = true\n"}
+        for name, text in configs.items():
+            write_cfg(tmp_path, text, f"{name}.cfg")
+        script = ("import sys\nfrom cryomech.cli import main\n"
+                  "for name in sys.argv[2:]:\n"
+                  "    assert main(['--config', f'{name}.cfg', '--out',"
+                  " f'{sys.argv[1]}/{name}', '--seed', '5']) == 0\n")
+        src = str(Path(cryomech.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, f"threads{threads}", *configs],
+                           cwd=tmp_path, env=env, check=True, capture_output=True)
+        for name in configs:
+            scenario = "superpose" if name == "superpose" else "cool"
+            one, two = (tmp_path / f"threads{t}" / name / f"{scenario}.json"
+                        for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), name
 
     def test_csv_format(self, tmp_path):
         path = write_cfg(tmp_path, """

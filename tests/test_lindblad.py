@@ -4,6 +4,7 @@ states and adiabatic elimination."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
 from cryomech import lindblad
@@ -217,34 +218,46 @@ class TestInverseNormEstimate:
 
 
 class TestTaylorSchedule:
-    """The (m, s) the stepper uses on the blocks of the benchmark's cooling
-    and transfer configs.  Only the stiff full-model cooling step is above
-    ``_TAYLOR_REFINE_NORM``, where the alpha_p refinement halves m s."""
+    """The (m, s) of the blocks the shared series core runs on in the
+    benchmark's cooling and transfer configs.  Only the stiff full-model
+    cooling step is above ``_TAYLOR_REFINE_NORM``, where the alpha_p
+    refinement halves m s."""
 
     COOLING = SystemParams(g=1.0, kappa=20.0, gamma_m=0.05, n_bar=3.0, omega_m=50.0)
 
     @staticmethod
-    def _schedules(monkeypatch, run):
-        """(refined, plain) schedule of every Taylor block that ``run`` steps."""
-        blocks = []
-        propagate = lindblad._taylor_samples
+    def _series_calls(monkeypatch, run):
+        """``run()`` and the (block, h, columns) of every series it runs."""
+        calls = []
+        series = lindblad._taylor_series
 
-        def spy(A, v0, h, steps):
-            dim = A.shape[0]
-            blocks.append((A - A.trace() / dim * sp.eye_array(dim, format="csr"), h))
-            return propagate(A, v0, h, steps)
+        def spy(block, h, m, s, X):
+            calls.append((block, h, X.shape[1:]))
+            return series(block, h, m, s, X)
 
-        monkeypatch.setattr(lindblad, "_taylor_samples", spy)
-        run()
-        refined = [lindblad._taylor_schedule(step, h) for step, h in blocks]
-        monkeypatch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
-        return refined, [lindblad._taylor_schedule(step, h) for step, h in blocks]
+        monkeypatch.setattr(lindblad, "_taylor_series", spy)
+        return run(), calls
+
+    @staticmethod
+    def _sample_step(report):
+        return report.segments[0]["duration"] / (len(report.phonon_trajectory["times"]) - 1)
+
+    @staticmethod
+    def _plain(monkeypatch, block, h):
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
+            return block.schedule(h)
 
     def test_stiff_cooling_block_halves_matvecs(self, monkeypatch):
-        (refined,), (plain,) = self._schedules(
+        report, calls = self._series_calls(
             monkeypatch, lambda: sideband_cool(self.COOLING.derived(), 3.0, dims=(4, 12)))
-        assert plain == (55, 18)
-        assert refined[0] * refined[1] == 495
+        # one series, on the identity columns of the 172-dim block: the propagator
+        [(block, _, columns)] = calls
+        assert columns == (block.dim,) == (172,)
+        h = self._sample_step(report)
+        assert self._plain(monkeypatch, block, h) == (55, 18)
+        m, s = block.schedule(h)
+        assert m * s == 495
 
     @pytest.mark.parametrize("scenario", ["superpose", "cool-eliminated"])
     def test_nonstiff_blocks_keep_plain_schedule(self, monkeypatch, scenario):
@@ -254,8 +267,26 @@ class TestTaylorSchedule:
             "cool-eliminated": lambda: sideband_cool(
                 self.COOLING.derived(), 3.0, dims=(4, 12), eliminated=True),
         }[scenario]
-        refined, plain = self._schedules(monkeypatch, run)
-        assert refined and refined == plain
+        report, calls = self._series_calls(monkeypatch, run)
+        steps = [(block, h) for block, h, _ in calls]
+        if report.scenario == "cool":
+            steps.append((calls[0][0], self._sample_step(report)))
+        assert steps
+        for block, h in steps:
+            assert block.schedule(h) == self._plain(monkeypatch, block, h)
+
+    def test_degree_floor_of_the_refinement(self):
+        """alpha_p may only pick m >= p (p - 1) - 1.  For N = 100 times the 5 x 5
+        lower shift, ||N||_1 = 100 and alpha_p = 0 for p >= 5, so without that
+        floor the schedule would be (1, 1), whose one step is I + N, wrong by
+        N^4 / 4! ~ 4e6; with it, (19, 1) gives exp(N) to rounding."""
+        N = 100.0 * np.eye(5, k=-1)
+        block = lindblad._TaylorBlock(sp.csr_array(N.astype(complex)))
+        m, s = block.schedule(1.0)
+        assert (m, s) == (19, 1)
+        P = lindblad._taylor_series(block, 1.0, m, s, np.eye(5, dtype=complex))
+        exact = expm(N)
+        assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 class TestCoolingModels:

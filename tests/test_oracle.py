@@ -3,9 +3,8 @@ batch."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from cryomech import lindblad
+from cryomech import lindblad, protocols
 from cryomech.fockspace import (
     DensityMatrix,
     FockOperator,
@@ -168,25 +167,28 @@ def _reachable_mask(model, rho0):
 
 class TestReachableBlock:
     """``evolve(method="expm")`` propagates only the block of the generator
-    reachable from the initial support.  ``verify_all`` starts from
-    full-support states, so only these starts exercise the restriction."""
+    reachable from the initial support, on the path its count rule picks:
+    the stepper, or the propagator with k = 0 or k > 0 squarings.
+    ``verify_all`` starts from full-support states, so only these starts
+    exercise the restriction; each asserts the path it covers."""
 
     @staticmethod
-    def _check_samples(model, rho0, duration=2.5, num_samples=6):
+    def _check_samples(model, rho0, path, duration=2.5, num_samples=6):
         res = evolve(model, rho0, duration, num_samples=num_samples, method="expm",
                      truncation_threshold=1.0)
+        assert res.path == path
         reach = _reachable_mask(model, rho0)
         for t, rho in zip(res.times, res.states):
             ref = exact_liouville_evolve(model, rho0, t).matrix
             assert np.abs(rho.matrix - ref).max() <= 1e-12
             assert not rho.matrix.T.reshape(-1)[~reach].any()
-        return reach
+        return reach, res.schedule
 
     def test_fock_diagonal_cooling_start(self):
         model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
         rho0 = DensityMatrix(model.layout, np.kron(np.diag([1.0, 0.0]),
                                                    thermal_state(6, 0.8, "a_m").matrix))
-        reach = self._check_samples(model, rho0)
+        reach, _ = self._check_samples(model, rho0, "propagator")
         assert reach.sum() < reach.size // 4
 
     def test_single_coherence_mode_spin_start(self):
@@ -194,26 +196,77 @@ class TestReachableBlock:
         rho = np.diag(np.linspace(1.0, 2.0, 8)).astype(complex)
         rho[2, 4] = 0.1 + 0.2j  # |1, up><2, up|: excitation difference 1
         rho[4, 2] = np.conj(rho[2, 4])
-        reach = self._check_samples(model, DensityMatrix(model.layout, rho / np.trace(rho)))
+        reach, _ = self._check_samples(model, DensityMatrix(model.layout, rho / np.trace(rho)),
+                                       "propagator")
         assert 0 < reach.sum() < reach.size
 
     def test_full_support_start(self):
+        """The whole 144-dim generator for 5 sample steps: the stepper."""
         model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
         rho0 = _random_density(np.random.default_rng(8), model.layout)
-        assert self._check_samples(model, rho0).all()
+        reach, _ = self._check_samples(model, rho0, "stepper")
+        assert reach.all()
+
+    def test_transfer_start_unsquared_propagator(self):
+        """A weakly damped transfer of (|0> + |1>)/sqrt(2) sampled 16 times: the
+        propagator with no squaring."""
+        layout = SpaceLayout.of(("a", 2), ("a_m", 3))
+        model = cooling_model(1.0, 0.01, 0.001, 0.01, layout)
+        psi = np.kron([1.0, 1.0], [1.0, 0.0, 0.0]) / np.sqrt(2)
+        rho0 = DensityMatrix(layout, np.outer(psi, psi).astype(complex))
+        _, (_, _, k) = self._check_samples(model, rho0, "propagator", np.pi, 17)
+        assert k == 0
 
     def test_stiff_cooling_start(self, monkeypatch):
-        """A sample step with ||h L_R||_1 ~ 344, where the schedule comes from
-        alpha_p rather than the 1-norm."""
+        """A sample step with ||h L_R||_1 ~ 344, where the stepper's schedule
+        would come from alpha_p rather than the 1-norm: the propagator with
+        squarings."""
         model = cooling_model(1.0, 20.0, 0.05, 3.0, SpaceLayout.of(("a", 2), ("a_m", 6)))
         rho0 = DensityMatrix(model.layout, np.kron(np.diag([1.0, 0.0]),
                                                    thermal_state(6, 3.0, "a_m").matrix))
-        block = np.flatnonzero(self._check_samples(model, rho0, duration=10.0, num_samples=3))
-        block, dim = model.generator[block[:, None], block], block.size
-        step = block - block.trace() / dim * sp.eye_array(dim, format="csr")
-        _, s = lindblad._taylor_schedule(step, 5.0)
+        reach, (_, _, k) = self._check_samples(model, rho0, "propagator", 10.0, 3)
+        assert k > 0
+        block = np.flatnonzero(reach)
+        taylor = lindblad._TaylorBlock(model.generator[block[:, None], block])
+        _, s = taylor.schedule(5.0)
         monkeypatch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
-        assert s < lindblad._taylor_schedule(step, 5.0)[1]
+        assert s < taylor.schedule(5.0)[1]
+
+    def test_block_cached_per_support(self):
+        """One model evolved from two supports gets two blocks, each the
+        reachable set of its start; a repeated support gets the cached one."""
+        model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
+        diagonal = np.kron(np.diag([1.0, 0.0]), thermal_state(6, 0.8, "a_m").matrix)
+        coherent = diagonal.astype(complex)
+        coherent[0, 1] = coherent[1, 0] = 0.1  # |0, 0><0, 1|: excitation difference 1
+        blocks = []
+        for rho in (diagonal, coherent, diagonal):
+            rho0 = DensityMatrix(model.layout, rho)
+            blocks.append(model.reachable_block(np.flatnonzero(rho.T.reshape(-1))))
+            assert np.array_equal(blocks[-1][0], np.flatnonzero(_reachable_mask(model, rho0)))
+            final = evolve(model, rho0, 2.5, num_samples=2, truncation_threshold=1.0).final()
+            ref = exact_liouville_evolve(model, rho0, 2.5).matrix
+            assert np.abs(final.matrix - ref).max() <= 1e-12
+        assert blocks[2] is blocks[0]
+        assert blocks[1][0].size != blocks[0][0].size
+
+    def test_transfer_refinement_takes_stepper(self, monkeypatch):
+        """``transfer_state``'s 33-sample sweep may build the propagator, but
+        each 2-sample call of its refinement is one step: the stepper."""
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(evolve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(protocols, "evolve", spy)
+        amps = np.zeros(4, dtype=complex)
+        amps[:2] = 1.0 / np.sqrt(2)
+        protocols.transfer_state(StateVector(SpaceLayout.single("a", 4), amps), 1.0,
+                                 kappa=0.01, gamma_m=0.001, n_bar=0.01)
+        refinement = [r for r in results if r.times.size == 2]
+        assert len(refinement) == len(results) - 1 > 1
+        assert {r.path for r in refinement} == {"stepper"}
 
 
 def _swap_reference(d, lam):
