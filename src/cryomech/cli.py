@@ -67,8 +67,12 @@ def parse_config(path: Path) -> dict:
     """Parse a key=value configuration file (# comments, blank lines allowed)."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     cfg: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -303,13 +307,18 @@ def _run_params(cfg, seed, trunc, jobs):
         "x0": x0,
         "n_bar": thermal_occupation(omega_m, T),
     }
-    p = SystemParams(
+    given = dict(
         omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa", minimum=0.0),
         gamma_m=_real(cfg, "gamma_m", minimum=0.0), Omega_d=_real(cfg, "Omega_d", minimum=0.0),
         Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull", minimum=0.0),
         g0=_real(cfg, "g0", minimum=0.0),
         x0=x0,
-    ).derived()
+    )
+    try:
+        p = SystemParams(**given).derived()
+    except ValueError as exc:
+        # inconsistent or undefined derived values come from the config
+        raise ConfigError(f"params: {exc}") from None
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
         v = getattr(p, name)
         if v is not None:

@@ -67,31 +67,24 @@ class SystemParams:
     """
 
     omega_m: Optional[float] = None            # mechanical frequency of the loaded membrane
-    Omega_m_intrinsic: Optional[float] = None  # bare membrane frequency
-    Gamma_m_intrinsic: Optional[float] = None  # bare membrane decay
     gamma_m: Optional[float] = None            # mechanical decay of the whole system
     kappa: Optional[float] = None              # microwave-mode decay
-    omega_0: Optional[float] = None            # bare microwave-mode frequency
-    omega_c: Optional[float] = None            # pulled microwave-mode frequency
     G_pull: Optional[float] = None             # frequency pull per meter
     g0: Optional[float] = None                 # single-photon coupling G_pull * x0
     x0: Optional[float] = None                 # membrane zero-point fluctuation
     Omega_d: Optional[float] = None            # drive Rabi frequency
-    omega_d: Optional[float] = None            # drive frequency
-    Delta: Optional[float] = None              # drive detuning omega_d - omega_0 (signed)
+    Delta: Optional[float] = None              # drive detuning from the bare mode (signed)
     alpha: Optional[complex] = None            # steady drive amplitude
     g: Optional[float] = None                  # linearized coupling |alpha| g0
-    m_bio: Optional[float] = None              # microorganism mass
     M_mem: Optional[float] = None              # membrane mass
     T: Optional[float] = None                  # bath temperature
     n_bar: Optional[float] = None              # thermal occupation of the mechanical bath
     kappa_prime: Optional[float] = None        # engineered damping g^2 / kappa
     gamma_prime: Optional[float] = None        # total mechanical damping
     n_bar_prime: Optional[float] = None        # steady occupation after elimination
-    delta_disp: Optional[float] = None         # dispersive detuning (signed)
 
-    _SIGNED = {"Delta", "delta_disp"}
-    _UNCHECKED = {"alpha", "m_bio", "M_mem"}
+    _SIGNED = {"Delta"}
+    _UNCHECKED = {"alpha", "M_mem"}
 
     def __post_init__(self):
         for f in fields(self):
@@ -102,8 +95,6 @@ class SystemParams:
                 continue
             if v < 0:
                 raise ValueError(f"{f.name} must be nonnegative, got {v}")
-        if self.m_bio is not None and self.m_bio < 0:
-            raise ValueError("m_bio must be nonnegative")
         if self.M_mem is not None and self.M_mem <= 0:
             raise ValueError("M_mem must be positive")
         if None not in (self.g0, self.G_pull, self.x0):
@@ -146,22 +137,14 @@ class SpinParams:
     """Electron-spin parameters for the magnetic-gradient coupling."""
 
     g_s: float = 2.0
-    B_at_spin: Optional[float] = None        # field magnitude at the addressed spin
     G_m: Optional[float] = None              # field gradient magnitude
     x0_prime: Optional[float] = None         # microorganism zero-point amplitude
     lam: Optional[float] = None              # single-phonon frequency shift
-    omega_1: Optional[float] = None          # level spacing of the addressed spin
-    omega_2: Optional[float] = None          # level spacing of the nearest other spin
     Delta_e: Optional[float] = None          # spin drive detuning (signed)
     Omega_d_prime: Optional[float] = None    # spin drive Rabi frequency (signed)
     omega_eff: Optional[float] = None        # dressed splitting
-    spin_positions: Optional[tuple] = None   # 3-vectors, meters
 
     def __post_init__(self):
-        if self.spin_positions is not None:
-            object.__setattr__(
-                self, "spin_positions", tuple(tuple(map(float, p)) for p in self.spin_positions)
-            )
         if None not in (self.lam, self.G_m, self.x0_prime):
             _check_consistent(
                 "lam", self.lam, self.g_s * mu_B * self.G_m * self.x0_prime / hbar
@@ -175,8 +158,6 @@ class SpinParams:
         p = self
         if p.lam is None and None not in (p.G_m, p.x0_prime):
             p = replace(p, lam=spin_phonon_coupling(p.g_s, p.G_m, p.x0_prime))
-        if p.omega_1 is None and p.B_at_spin is not None:
-            p = replace(p, omega_1=p.g_s * mu_B * p.B_at_spin / hbar)
         if p.omega_eff is None and None not in (p.Delta_e, p.Omega_d_prime):
             p = replace(p, omega_eff=dressed_splitting(p.Delta_e, p.Omega_d_prime))
         return p
@@ -253,16 +234,6 @@ def beamsplitter_resonant_detuning(omega_m: float) -> float:
     ``Delta = +omega_m`` (the opposite sign selects the squeezing terms).
     """
     return +omega_m
-
-
-def addressing_margin(B1: float, B2: float, Omega_d_prime: float, g_s: float = 2.0) -> float:
-    """Ratio of the spin-1/spin-2 splitting difference to the drive Rabi rate.
-
-    Selective addressing of spin 1 requires this to be much greater than 1.
-    """
-    if Omega_d_prime == 0:
-        return math.inf
-    return abs(g_s * mu_B * (B1 - B2) / hbar) / abs(Omega_d_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +313,6 @@ def build_spin_field(spin_positions: Sequence, field_map: Callable,
                 s_half = 0.5 * embed(pauli(axis, lbl), layout, lbl)
                 h = h + (g_s * mu_B * component / hbar) * s_half
     return h
-
-
-def point_dipole_field(moment: Sequence[float], tip_position: Sequence[float]) -> Callable:
-    """Field map of a point magnetic dipole at ``tip_position`` (SI units)."""
-    m = np.asarray(moment, dtype=float)
-    tip = np.asarray(tip_position, dtype=float)
-    mu0_over_4pi = 1e-7
-
-    def field(x):
-        r = np.asarray(x, dtype=float) - tip
-        rn = np.linalg.norm(r)
-        if rn == 0:
-            raise ValueError("field map evaluated at the dipole position")
-        rhat = r / rn
-        return mu0_over_4pi * (3.0 * rhat * np.dot(m, rhat) - m) / rn ** 3
-
-    return field
 
 
 def build_spin_mech(params: SystemParams, spin: SpinParams, layout: SpaceLayout,

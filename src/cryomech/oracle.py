@@ -177,11 +177,6 @@ def state_fidelity(rho, sigma) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
-def fidelity_metrics(rho, sigma) -> dict[str, float]:
-    return {"trace_distance": trace_distance(rho, sigma),
-            "state_fidelity": state_fidelity(rho, sigma)}
-
-
 # ---------------------------------------------------------------------------
 # Teleportation circuit verification
 # ---------------------------------------------------------------------------

@@ -533,7 +533,7 @@ def _esr_spectrum(sweep: str, values: Sequence[float],
     abscissa step, and peaks need a prominence of 10 % of the response span."""
     values = np.asarray(values, dtype=float)
     response = np.asarray(response)
-    resolution = float(np.max(np.diff(values))) if len(values) > 1 else 0.0
+    resolution = float(np.max(np.abs(np.diff(values)))) if len(values) > 1 else 0.0
     span = response.max() - response.min()
     if span > 0:
         idx, _ = find_peaks(response, prominence=0.1 * span)

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cryomech
-from cryomech.cli import main, parse_config
+from cryomech.cli import SCENARIOS, main, parse_config
 from cryomech.errors import ConfigError
 
 
@@ -72,12 +73,49 @@ eliminated = true
         with pytest.raises(ConfigError, match="key=value"):
             parse_config(write_cfg(tmp_path, "scenario teleport-motional\n"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(),
+        st.text().map(str.encode),
+        st.builds(lambda name, rest: f"scenario = {name}\n{rest}".encode(),
+                  st.sampled_from(SCENARIOS), st.text()),
+    ))
+    def test_arbitrary_contents(self, tmp_path_factory, contents):
+        # any file either parses or is a configuration error, never a traceback
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_bytes(contents)
+        try:
+            cfg = parse_config(path)
+        except ConfigError:
+            return
+        assert isinstance(cfg, dict)
+
+
+PARAMS_CFG = """\
+scenario = params
+omega_m = 6.2831853e7
+M_mem = 4.8e-14
+T = 0.01
+"""
+
 
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "scenario = frobnicate\n")
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contents", [
+        b"scenario=cool\n\xff\xfe=1\n",
+        (PARAMS_CFG + "Omega_d = 1e7\nDelta = 0\nkappa = 0\n").encode(),
+        (PARAMS_CFG + "G_pull = 1e16\ng0 = 1.0\n").encode(),
+    ], ids=["not-utf8", "params-undefined-alpha", "params-inconsistent-g0"])
+    def test_unusable_config_exit_2(self, tmp_path, capsys, contents):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(contents)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_truncation_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, TELEPORT_CFG)

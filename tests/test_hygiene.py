@@ -30,8 +30,8 @@ def test_module_imports_are_used():
     assert not unused, f"unused module-level imports: {unused}"
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Module-level private functions, classes and constants, by name."""
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and constants other than dunders, by name."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -41,7 +41,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        defs.update({n: node for n in names if n.startswith("_") and not n.startswith("__")})
+        defs.update({n: node for n in names if not n.startswith("__")})
     return defs
 
 
@@ -58,17 +58,41 @@ def _reads(node: ast.AST) -> set[str]:
     return out
 
 
-def test_private_definitions_are_read():
-    # a private helper is read by a top-level statement other than its own
-    # definition, so a recursive helper that lost its callers still counts
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
-    statements = [node for tree in trees.values() for node in tree.body]
+def _parse(paths) -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
+def _unread(trees: dict[Path, ast.Module], readers: dict[Path, ast.Module],
+            wanted) -> dict[str, list[str]]:
+    """Definitions in ``trees`` whose name passes ``wanted`` and that no
+    top-level statement of ``readers`` other than their own definition reads,
+    so a recursive helper that lost its callers still counts as unread."""
+    statements = [node for tree in readers.values() for node in tree.body]
     reads = {id(node): _reads(node) for node in statements}
-    unread = {str(p.relative_to(ROOT)): names for p, tree in trees.items()
-              if (names := [name for name, own in _private_definitions(tree).items()
-                            if not any(name in reads[id(node)]
-                                       for node in statements if node is not own)])}
+    return {str(p.relative_to(ROOT)): names for p, tree in trees.items()
+            if (names := [name for name, own in _definitions(tree).items()
+                          if wanted(name) and not any(name in reads[id(node)]
+                                                      for node in statements if node is not own)])}
+
+
+def test_private_definitions_are_read():
+    trees = _parse(sorted(SRC.glob("*.py")))
+    unread = _unread(trees, trees, lambda name: name.startswith("_"))
     assert not unread, f"private module-level definitions that nothing reads: {unread}"
+
+
+def test_public_definitions_are_exported_or_read():
+    # public API is what the package exports; any other public definition
+    # must serve the package, a demo or the benchmark, not only the tests
+    init = SRC / "__init__.py"
+    exported = {a.asname or a.name for node in _parse([init])[init].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    trees = _parse(p for p in sorted(SRC.glob("*.py")) if p != init)
+    readers = _parse(sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+                     + sorted((ROOT / "perfbench").rglob("*.py")))
+    unread = _unread(trees, readers,
+                     lambda name: not name.startswith("_") and name not in exported)
+    assert not unread, f"public module-level definitions that are neither exported nor read: {unread}"
 
 
 #: NumPy's explicit-generator API; everything else under ``numpy.random`` is

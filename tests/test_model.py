@@ -9,7 +9,6 @@ from cryomech.model import (
     JC_LADDER_SCALE,
     SpinParams,
     SystemParams,
-    addressing_margin,
     beamsplitter_resonant_detuning,
     build_beamsplitter,
     build_detuned,
@@ -20,7 +19,6 @@ from cryomech.model import (
     build_spin_mech,
     dressed_splitting,
     frequency_shift,
-    point_dipole_field,
     resonance_detunings,
     spin_phonon_coupling,
     steady_amplitude,
@@ -73,10 +71,6 @@ class TestScalars:
     def test_beamsplitter_resonance_sign(self):
         assert beamsplitter_resonant_detuning(2.5) == 2.5
 
-    def test_addressing_margin(self):
-        assert addressing_margin(0.02, 0.01, TWO_PI * 1e6) > 1.0
-        assert addressing_margin(1.0, 0.5, 0.0) == np.inf
-
 
 class TestSystemParams:
     def test_derived_chain(self):
@@ -99,7 +93,7 @@ class TestSystemParams:
             SystemParams(kappa=-1.0)
 
     def test_signed_detuning_allowed(self):
-        p = SystemParams(Delta=-5.0, delta_disp=-0.1)
+        p = SystemParams(Delta=-5.0)
         assert p.Delta == -5.0
 
 
@@ -209,10 +203,3 @@ class TestBuilders:
         m = h.matrix
         assert np.allclose(m, np.diag(np.diag(m)))
         assert m[0, 0].real > 0 > m[1, 1].real
-
-    def test_point_dipole_field_decay(self):
-        moment = np.array([0.0, 0.0, 1.0e-20])
-        field = point_dipole_field(moment, np.array([0.0, 0.0, 2e-6]))
-        near = field(np.array([0.0, 0.0, 1e-6]))  # 1 um below the tip
-        far = field(np.array([0.0, 0.0, 0.0]))    # 2 um below the tip
-        assert np.linalg.norm(near) == pytest.approx(8 * np.linalg.norm(far), rel=1e-9)

@@ -3,6 +3,8 @@ batch."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from cryomech import lindblad, protocols
 from cryomech.fockspace import (
@@ -33,7 +35,6 @@ from cryomech.oracle import (
     _random_density,
     exact_liouville_evolve,
     exact_unitary_evolve,
-    fidelity_metrics,
     lindblad_rhs,
     state_fidelity,
     trace_distance,
@@ -155,14 +156,30 @@ def _jc_mode_spin():
     return LindbladModel(h, diss)
 
 
-def _reachable_mask(model, rho0):
-    """Entries of vec(rho) that the oracle's dense generator can reach from the
-    support of vec(rho0), by repeated application of its nonzero pattern."""
-    pattern = (_build_liouvillian(model) != 0).astype(int)
-    reach = rho0.matrix.T.reshape(-1) != 0
+def _closure(pattern, reach):
+    """Fixed point of ``reach | (pattern @ reach > 0)`` on a dense 0/1 pattern."""
     while not np.array_equal(grown := reach | (pattern @ reach > 0), reach):
         reach = grown
     return reach
+
+
+def _reachable_mask(model, rho0):
+    """Entries of vec(rho) that the oracle's dense generator can reach from the
+    support of vec(rho0), by repeated application of its nonzero pattern."""
+    return _closure((_build_liouvillian(model) != 0).astype(int),
+                    rho0.matrix.T.reshape(-1) != 0)
+
+
+@st.composite
+def _pattern_and_support(draw):
+    """A random sparse n x n pattern (n <= 30) and a nonempty support."""
+    n = draw(st.integers(1, 30))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    rows, cols = zip(*entries) if entries else ((), ())
+    L = sp.csr_array((np.ones(len(entries)), (rows, cols)), shape=(n, n))
+    support = np.array(sorted(draw(st.sets(index, min_size=1))), dtype=np.intp)
+    return L, support
 
 
 class TestReachableBlock:
@@ -249,6 +266,24 @@ class TestReachableBlock:
             assert np.abs(final.matrix - ref).max() <= 1e-12
         assert blocks[2] is blocks[0]
         assert blocks[1][0].size != blocks[0][0].size
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pattern_and_support())
+    def test_reachable_is_the_invariant_closure(self, case):
+        """On any sparsity pattern the block is sorted, holds the support, is
+        the dense-pattern closure of it, and no stored entry L[j, i] leads
+        from i in the block to j outside it."""
+        L, support = case
+        block = lindblad._reachable(L, support)
+        assert np.array_equal(block, np.unique(block))
+        assert np.isin(support, block).all()
+        start = np.zeros(L.shape[0], dtype=bool)
+        start[support] = True
+        inside = np.zeros(L.shape[0], dtype=bool)
+        inside[block] = True
+        assert np.array_equal(inside, _closure((L.toarray() != 0).astype(int), start))
+        coo = L.tocoo()
+        assert not (inside[coo.col] & ~inside[coo.row]).any()
 
     def test_transfer_refinement_takes_stepper(self, monkeypatch):
         """``transfer_state``'s 33-sample sweep may build the propagator, but
@@ -353,8 +388,7 @@ class TestMetrics:
                 return m / np.trace(m)
 
             r, s = rnd(), rnd()
-            m = fidelity_metrics(r, s)
-            t, f = m["trace_distance"], m["state_fidelity"]
+            t, f = trace_distance(r, s), state_fidelity(r, s)
             assert 1.0 - np.sqrt(f) <= t + 1e-9
             assert t <= np.sqrt(1.0 - f) + 1e-9
 

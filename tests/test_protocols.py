@@ -307,6 +307,17 @@ class TestEsrScan:
         assert len(spec.peaks) == 1
         assert spec.peaks[0] == pytest.approx(1.0, abs=spec.resolution)
 
+    def test_descending_sweep_matches_ascending(self):
+        spin = SpinParams(lam=0.05, Omega_d_prime=0.6)
+        vals = np.linspace(-1.5, 1.5, 21)
+        up, down = (P.esr_scan(spin, self.PARAMS, "Delta_e", v, mech_dim=6,
+                               spin_decay=0.005, spin_dephasing=0.002)
+                    for v in (vals, vals[::-1]))
+        assert up.resolution > 0
+        assert down.resolution == up.resolution
+        assert len(up.peaks) == 2
+        assert sorted(down.peaks) == sorted(up.peaks)
+
     def test_strong_lambda_rejected(self):
         spin = SpinParams(lam=0.3, Omega_d_prime=0.6)
         with pytest.raises(PreconditionError):
