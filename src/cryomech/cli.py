@@ -186,6 +186,16 @@ def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
     return v
 
 
+def _derived(scenario: str, **given) -> SystemParams:
+    """``SystemParams(**given).derived()``; a derived value that the config
+    makes inconsistent, undefined or too large for a float is a configuration
+    error."""
+    try:
+        return SystemParams(**given).derived()
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{scenario}: {exc}") from None
+
+
 def _dim(cfg: dict, overrides: dict, key: str, name: str, default: int) -> int:
     """A truncation from the config (at least 2), unless --truncation overrides it."""
     return int(overrides.get(name, _integer(cfg, key, default, minimum=2)))
@@ -196,11 +206,11 @@ def _dim(cfg: dict, overrides: dict, key: str, name: str, default: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_cool(cfg, seed, trunc, jobs):
-    params = SystemParams(
-        g=_real(cfg, "g", minimum=0.0), kappa=_real(cfg, "kappa", minimum=0.0),
+    params = _derived(
+        "cool", g=_real(cfg, "g", minimum=0.0), kappa=_real(cfg, "kappa", minimum=0.0),
         gamma_m=_real(cfg, "gamma_m", minimum=0.0), n_bar=_real(cfg, "n_bar", minimum=0.0),
         omega_m=_real(cfg, "omega_m", minimum=0.0),
-    ).derived()
+    )
     report = protocols.sideband_cool(
         params, n_init=_real(cfg, "n_init", minimum=0.0),
         duration=_real(cfg, "duration", minimum=0.0, strict=True),
@@ -213,10 +223,11 @@ def _run_cool(cfg, seed, trunc, jobs):
 
 
 def _run_superpose(cfg, seed, trunc, jobs):
-    params = SystemParams(
-        g=_real(cfg, "g", minimum=0.0, strict=True), kappa=_real(cfg, "kappa", minimum=0.0),
+    params = _derived(
+        "superpose", g=_real(cfg, "g", minimum=0.0, strict=True),
+        kappa=_real(cfg, "kappa", minimum=0.0),
         gamma_m=_real(cfg, "gamma_m", minimum=0.0), n_bar=_real(cfg, "n_bar", minimum=0.0),
-    ).derived()
+    )
     report = protocols.prepare_motional_superposition(
         params,
         dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 4)),
@@ -307,18 +318,13 @@ def _run_params(cfg, seed, trunc, jobs):
         "x0": x0,
         "n_bar": thermal_occupation(omega_m, T),
     }
-    given = dict(
-        omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa", minimum=0.0),
+    p = _derived(
+        "params", omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa", minimum=0.0),
         gamma_m=_real(cfg, "gamma_m", minimum=0.0), Omega_d=_real(cfg, "Omega_d", minimum=0.0),
         Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull", minimum=0.0),
         g0=_real(cfg, "g0", minimum=0.0),
         x0=x0,
     )
-    try:
-        p = SystemParams(**given).derived()
-    except ValueError as exc:
-        # inconsistent or undefined derived values come from the config
-        raise ConfigError(f"params: {exc}") from None
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
         v = getattr(p, name)
         if v is not None:
@@ -380,13 +386,16 @@ def _parse_truncations(items) -> dict:
         if "=" not in item:
             raise ConfigError(f"--truncation expects NAME=DIM, got {item!r}")
         name, _, dim = item.partition("=")
+        name = name.strip()
+        if name not in ("a", "a_m"):
+            raise ConfigError(f"--truncation NAME must be a or a_m, got {name!r}")
         try:
             value = int(dim)
         except ValueError:
             raise ConfigError(f"--truncation dimension must be an integer, got {dim!r}")
         if value < 2:
             raise ConfigError(f"--truncation {name} must be >= 2, got {value}")
-        out[name.strip()] = value
+        out[name] = value
     return out
 
 

@@ -390,14 +390,14 @@ def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
     return float(np.real(np.vdot(v, rho.matrix @ v)))
 
 
-def top_level_population(rho: DensityMatrix, levels: int = 2) -> dict[str, float]:
-    """Population of the highest ``levels`` Fock levels of each bosonic
-    subsystem, summed from the diagonal of ``rho`` (the diagonal of each
-    reduced state is a marginal of it)."""
+def top_level_population(rho: DensityMatrix) -> dict[str, float]:
+    """Population of the two highest Fock levels of each bosonic subsystem of
+    more than two levels, summed from the diagonal of ``rho`` (the diagonal of
+    each reduced state is a marginal of it)."""
     pops = np.real(np.diag(rho.matrix)).reshape(rho.layout.dims)
     out = {}
     for i, sub in enumerate(rho.layout.subsystems):
-        if sub.kind != BOSONIC or sub.dim <= levels:
+        if sub.kind != BOSONIC or sub.dim <= 2:
             continue
-        out[sub.label] = float(np.moveaxis(pops, i, 0)[-levels:].sum())
+        out[sub.label] = float(np.moveaxis(pops, i, 0)[-2:].sum())
     return out

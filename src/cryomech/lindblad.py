@@ -32,8 +32,11 @@ by the trace functional; its uniqueness test uses Hager's 1-norm estimate of
 the inverse.  Neither draws random numbers.  The dense reference for both
 lives in :mod:`cryomech.oracle`.
 
-Trace is never renormalized during integration; trace drift is a measured
-error signal checked against the trajectory invariants.
+Trace is never renormalized during integration.  Each sample is validated
+once, as it came out of the propagator: a :class:`DensityMatrix` with
+``SAMPLE_TOLS`` checks its trace, hermiticity and positivity, then the
+truncation headroom is checked.  A violation raises instead of being
+repaired.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -158,7 +161,6 @@ class LindbladModel:
 class EvolutionResult:
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    observables: Mapping[str, np.ndarray]
     #: ``"stepper"``, ``"propagator"`` or ``"adaptive"``: the path that ran
     path: str
     #: Taylor degree m, substeps s and squarings k of that path; None for adaptive
@@ -393,7 +395,6 @@ def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float,
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
            num_samples: int = 51, method: str = "auto",
-           observables: Optional[Mapping[str, FockOperator]] = None,
            truncation_threshold: float = 1e-6) -> EvolutionResult:
     """Integrate the master equation and sample the trajectory at
     ``num_samples`` (at least 2) evenly spaced times from 0 to ``duration``.
@@ -410,10 +411,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     the series on the identity columns at h / 2^k and k squarings, and
     multiplies each sample by it.  The result records the path and its
     (m, s, k).  ``"adaptive"`` is RK45 on the full vectorized state with right-hand
-    side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.  State
-    invariants (trace, hermiticity, positivity within ``SAMPLE_TOLS``,
-    truncation headroom) are enforced on every full sample; violations raise
-    instead of being repaired.
+    side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.
+
+    Every sample is validated once, unrepaired: it becomes a
+    :class:`DensityMatrix` with ``SAMPLE_TOLS``, whose trace, hermiticity or
+    positivity violation raises ``ValueError``, and a top-level population
+    above ``truncation_threshold`` raises :class:`TruncationError`.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -440,26 +443,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
         samples = np.zeros((num_samples, n * n), dtype=complex)
         samples[:, block], path, schedule = _taylor_samples(
             A, v0[block], duration / (num_samples - 1), num_samples - 1)
-    raw_states = [_unvec(v, n) for v in samples]
-
     states = []
-    for m in raw_states:
-        rho = DensityMatrix(model.layout, 0.5 * (m + m.conj().T), **SAMPLE_TOLS)
-        # hermitization above is cosmetic only; verify the raw drift first
-        tr = np.trace(m)
-        if abs(tr - 1.0) > rho.trace_tol:
-            raise RuntimeError(f"trace drifted to {tr} during integration")
-        scale = max(np.linalg.norm(m), 1e-300)
-        if np.linalg.norm(m - m.conj().T) > rho.herm_tol * scale:
-            raise RuntimeError("hermiticity lost during integration")
+    for v in samples:
+        rho = DensityMatrix(model.layout, _unvec(v, n), **SAMPLE_TOLS)
         _check_truncation(rho, truncation_threshold)
         states.append(rho)
-
-    obs = {}
-    for name, op in (observables or {}).items():
-        obs[name] = np.array([np.real(np.trace(op.matrix @ s.matrix)) for s in states])
-    return EvolutionResult(times=times, states=tuple(states), observables=obs,
-                           path=path, schedule=schedule)
+    return EvolutionResult(times=times, states=tuple(states), path=path, schedule=schedule)
 
 
 def _trace_bordered(L: sp.csr_array, n: int) -> tuple[sp.csr_array, float]:
@@ -569,49 +558,49 @@ def thermal_dissipators(mode: FockOperator, gamma: float, n_bar: float) -> tuple
 
 
 def cooling_model(g: float, kappa: float, gamma_m: float, n_bar: float,
-                  layout: SpaceLayout, cavity: str = "a", mech: str = "a_m") -> LindbladModel:
+                  layout: SpaceLayout) -> LindbladModel:
     """Two-mode sideband-cooling master equation: beamsplitter coupling,
-    microwave loss on the cavity mode, thermal bath on the mechanical mode."""
-    h = build_beamsplitter(g, layout, cavity, mech)
-    a = embed(annihilation(layout.subsystem(cavity).dim, cavity), layout, cavity)
-    b = embed(annihilation(layout.subsystem(mech).dim, mech), layout, mech)
+    microwave loss on the cavity mode ``a``, thermal bath on the mechanical
+    mode ``a_m``."""
+    h = build_beamsplitter(g, layout)
+    a = embed(annihilation(layout.subsystem("a").dim, "a"), layout, "a")
+    b = embed(annihilation(layout.subsystem("a_m").dim, "a_m"), layout, "a_m")
     diss = (Dissipator(a, kappa),) + thermal_dissipators(b, gamma_m, n_bar)
     return LindbladModel(h, diss)
 
 
-def eliminated_model(gamma_prime: float, n_bar_prime: float, dim: int,
-                     mech: str = "a_m") -> LindbladModel:
-    """Single-mode effective cooling model with total damping gamma_prime."""
-    b = annihilation(dim, mech)
+def eliminated_model(gamma_prime: float, n_bar_prime: float, dim: int) -> LindbladModel:
+    """Single-mode effective cooling model of the mechanical mode ``a_m``
+    with total damping gamma_prime."""
+    b = annihilation(dim, "a_m")
     h = FockOperator(b.layout, np.zeros((dim, dim), dtype=complex))
     return LindbladModel(h, thermal_dissipators(b, gamma_prime, n_bar_prime))
 
 
-def adiabatic_eliminate(model: LindbladModel, params: SystemParams,
-                        cavity: str = "a", mech: str = "a_m",
-                        ratio_error: float = 5.0, ratio_warn: float = 10.0
+def adiabatic_eliminate(model: LindbladModel, params: SystemParams
                         ) -> tuple[LindbladModel, SystemParams]:
-    """Remove the fast-decaying microwave mode from a two-mode cooling model.
+    """Remove the fast-decaying microwave mode ``a`` from a two-mode cooling
+    model.
 
-    Produces the single-mechanical-mode model with engineered damping
-    kappa' = g^2 / kappa folded into gamma' = gamma_m + kappa' and
-    n_bar' = n_bar gamma_m / gamma'.  Requires kappa / g >= ``ratio_error``
-    (warns below ``ratio_warn``).  With g = 0 the mechanical model is
-    unchanged and kappa' = 0.
+    Produces the model of the mechanical mode ``a_m`` alone, with engineered
+    damping kappa' = g^2 / kappa folded into gamma' = gamma_m + kappa' and
+    n_bar' = n_bar gamma_m / gamma'.  Requires kappa / g >= 5, and warns
+    below 10, where the (g / kappa)^2 elimination error exceeds 1 %.  With
+    g = 0 the mechanical model is unchanged and kappa' = 0.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
             raise ValueError(f"adiabatic elimination needs params.{name}")
     g, kappa = params.g, params.kappa
     if g > 0:
-        if kappa <= 0 or kappa / g < ratio_error:
+        if kappa <= 0 or kappa / g < 5.0:
             raise PreconditionError(
-                f"adiabatic elimination needs kappa/g >= {ratio_error}, got "
+                f"adiabatic elimination needs kappa/g >= 5.0, got "
                 f"{kappa / g if g else 'inf'}"
             )
-        if kappa / g < ratio_warn:
+        if kappa / g < 10.0:
             warnings.warn(
-                f"kappa/g = {kappa / g:.2f} below {ratio_warn}; elimination error ~ (g/kappa)^2",
+                f"kappa/g = {kappa / g:.2f} below 10.0; elimination error ~ (g/kappa)^2",
                 stacklevel=2,
             )
     kappa_prime = (g ** 2 / kappa) if g > 0 else 0.0
@@ -619,5 +608,5 @@ def adiabatic_eliminate(model: LindbladModel, params: SystemParams,
     n_bar_prime = params.n_bar * params.gamma_m / gamma_prime if gamma_prime > 0 else 0.0
     new_params = replace(params, kappa_prime=kappa_prime, gamma_prime=gamma_prime,
                          n_bar_prime=n_bar_prime)
-    dim = model.layout.subsystem(mech).dim
-    return eliminated_model(gamma_prime, n_bar_prime, dim, mech), new_params
+    dim = model.layout.subsystem("a_m").dim
+    return eliminated_model(gamma_prime, n_bar_prime, dim), new_params

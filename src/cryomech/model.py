@@ -248,33 +248,30 @@ def _mode_ops(layout: SpaceLayout, label: str):
     return a, a.dagger()
 
 
-def build_linearized(params: SystemParams, layout: SpaceLayout,
-                     cavity: str = "a", mech: str = "a_m") -> FockOperator:
+def build_linearized(params: SystemParams, layout: SpaceLayout) -> FockOperator:
     """Linearized electromechanical Hamiltonian
     Delta a^dag a + omega_m am^dag am + g (a^dag + a)(am^dag + am)."""
     for name in ("Delta", "omega_m", "g"):
         if getattr(params, name) is None:
             raise ValueError(f"build_linearized needs params.{name}")
-    a, ad = _mode_ops(layout, cavity)
-    b, bd = _mode_ops(layout, mech)
+    a, ad = _mode_ops(layout, "a")
+    b, bd = _mode_ops(layout, "a_m")
     h = params.Delta * (ad @ a) + params.omega_m * (bd @ b) \
         + params.g * ((ad + a) @ (bd + b))
     return h
 
 
-def build_beamsplitter(g: float, layout: SpaceLayout,
-                       cavity: str = "a", mech: str = "a_m") -> FockOperator:
+def build_beamsplitter(g: float, layout: SpaceLayout) -> FockOperator:
     """Excitation-exchange coupling g (a^dag am + a am^dag)."""
-    a, ad = _mode_ops(layout, cavity)
-    b, bd = _mode_ops(layout, mech)
+    a, ad = _mode_ops(layout, "a")
+    b, bd = _mode_ops(layout, "a_m")
     return g * (ad @ b + a @ bd)
 
 
-def build_detuned(delta_disp: float, g: float, layout: SpaceLayout,
-                  cavity: str = "a", mech: str = "a_m") -> FockOperator:
+def build_detuned(delta_disp: float, g: float, layout: SpaceLayout) -> FockOperator:
     """Detuned exchange coupling delta a^dag a + g (a^dag am + a am^dag)."""
-    a, ad = _mode_ops(layout, cavity)
-    return delta_disp * (ad @ a) + build_beamsplitter(g, layout, cavity, mech)
+    a, ad = _mode_ops(layout, "a")
+    return delta_disp * (ad @ a) + build_beamsplitter(g, layout)
 
 
 def build_dispersive(g: float, delta_disp: float, layout: SpaceLayout,
@@ -287,9 +284,9 @@ def build_dispersive(g: float, delta_disp: float, layout: SpaceLayout,
     return (g ** 2 / delta_disp) * ((ad @ a) @ (bd @ b))
 
 
-def build_spin_field(spin_positions: Sequence, field_map: Callable,
-                     g_s: float = 2.0, labels: Optional[Sequence[str]] = None) -> FockOperator:
-    """Zeeman Hamiltonian sum_i g_s mu_B S_i . B(x_i) / hbar for N spins.
+def build_spin_field(spin_positions: Sequence, field_map: Callable) -> FockOperator:
+    """Zeeman Hamiltonian sum_i g_s mu_B S_i . B(x_i) / hbar for N free-electron
+    spins (g_s = 2) labelled ``spin0``, ``spin1``, ...
 
     ``field_map`` maps a position 3-vector to the field 3-vector in tesla.
     Spin operators are S = (sigma_x, sigma_y, sigma_z) / 2.
@@ -297,8 +294,7 @@ def build_spin_field(spin_positions: Sequence, field_map: Callable,
     positions = [np.asarray(p, dtype=float) for p in spin_positions]
     if not positions:
         raise ValueError("need at least one spin position")
-    if labels is None:
-        labels = [f"spin{i}" for i in range(len(positions))]
+    labels = [f"spin{i}" for i in range(len(positions))]
     layout = SpaceLayout.of(*[(lbl, 2, SPIN_HALF) for lbl in labels])
     h = FockOperator(layout, np.zeros((layout.dim, layout.dim), dtype=complex))
     for lbl, pos in zip(labels, positions):
@@ -311,12 +307,11 @@ def build_spin_field(spin_positions: Sequence, field_map: Callable,
         for axis, component in zip("xyz", field):
             if component != 0.0:
                 s_half = 0.5 * embed(pauli(axis, lbl), layout, lbl)
-                h = h + (g_s * mu_B * component / hbar) * s_half
+                h = h + (2.0 * mu_B * component / hbar) * s_half
     return h
 
 
-def build_spin_mech(params: SystemParams, spin: SpinParams, layout: SpaceLayout,
-                    mech: str = "a_m", spin_label: str = "spin") -> FockOperator:
+def build_spin_mech(params: SystemParams, spin: SpinParams, layout: SpaceLayout) -> FockOperator:
     """Spin-mechanics Hamiltonian
     omega_m am^dag am + (Delta_e/2) sz + (Omega_d'/2) sx + (lam/2)(am + am^dag) sz."""
     if params.omega_m is None:
@@ -324,15 +319,14 @@ def build_spin_mech(params: SystemParams, spin: SpinParams, layout: SpaceLayout,
     for name in ("Delta_e", "Omega_d_prime", "lam"):
         if getattr(spin, name) is None:
             raise ValueError(f"build_spin_mech needs spin.{name}")
-    b, bd = _mode_ops(layout, mech)
-    sz = embed(pauli("z", spin_label), layout, spin_label)
-    sx = embed(pauli("x", spin_label), layout, spin_label)
+    b, bd = _mode_ops(layout, "a_m")
+    sz = embed(pauli("z", "spin"), layout, "spin")
+    sx = embed(pauli("x", "spin"), layout, "spin")
     return params.omega_m * (bd @ b) + 0.5 * spin.Delta_e * sz \
         + 0.5 * spin.Omega_d_prime * sx + 0.5 * spin.lam * ((b + bd) @ sz)
 
 
-def build_jc(lambda_rate: float, layout: SpaceLayout, sign: str = "+",
-             mech: str = "a_m", spin_label: str = "spin") -> FockOperator:
+def build_jc(lambda_rate: float, layout: SpaceLayout, sign: str = "+") -> FockOperator:
     """Spin-phonon exchange lam (s+ am + h.c.) or squeezing form lam (s+ am^dag + h.c.).
 
     The ladder operators are sigma_z +/- i sigma_y, so the effective exchange
@@ -340,8 +334,8 @@ def build_jc(lambda_rate: float, layout: SpaceLayout, sign: str = "+",
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' (exchange) or '-' (squeezing form)")
-    b, bd = _mode_ops(layout, mech)
-    sp = embed(sigma_pm("+", spin_label), layout, spin_label)
+    b, bd = _mode_ops(layout, "a_m")
+    sp = embed(sigma_pm("+", "spin"), layout, "spin")
     partner = b if sign == "+" else bd
     h = lambda_rate * (sp @ partner)
     return h + h.dagger()

@@ -254,7 +254,7 @@ def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
 # ---------------------------------------------------------------------------
 
 def _random_model(rng: np.random.Generator, layout: SpaceLayout,
-                  n_diss: int = 2, rate_scale: float = 0.5) -> LindbladModel:
+                  n_diss: int = 2) -> LindbladModel:
     n = layout.dim
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = FockOperator(layout, 0.5 * (m + m.conj().T))
@@ -262,7 +262,7 @@ def _random_model(rng: np.random.Generator, layout: SpaceLayout,
     for _ in range(n_diss):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         x /= np.linalg.norm(x)
-        diss.append(Dissipator(FockOperator(layout, x), float(rng.uniform(0.05, rate_scale))))
+        diss.append(Dissipator(FockOperator(layout, x), float(rng.uniform(0.05, 0.5))))
     return LindbladModel(h, tuple(diss))
 
 

@@ -132,8 +132,7 @@ def correction_table() -> CorrectionTable:
 
 def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float] = None,
                   dims: tuple[int, int] = (4, 12), eliminated: bool = False,
-                  num_samples: int = 60, truncation_threshold: float = 1e-6,
-                  method: str = "auto") -> ProtocolReport:
+                  num_samples: int = 60, method: str = "auto") -> ProtocolReport:
     """Cool the mechanical mode from a thermal state with mean ``n_init``.
 
     Runs either the full two-mode master equation (microwave loss + thermal
@@ -170,26 +169,24 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
         rho0 = DensityMatrix(two_mode_layout, np.kron(vac, mech_thermal.matrix))
 
     # cooling only moves population down the ladder, so the leak detector is
-    # calibrated against the initial thermal tail rather than the bare default
+    # calibrated against the initial thermal tail rather than evolve's default
     tail = max(top_level_population(rho0).values())
-    threshold = max(truncation_threshold, 2.0 * tail)
-    n_mech = embed(number(nm, "a_m"), model.layout, "a_m")
     result = evolve(model, rho0, duration, num_samples=num_samples, method=method,
-                    observables={"n_m": n_mech},
-                    truncation_threshold=threshold)
+                    truncation_threshold=max(1e-6, 2.0 * tail))
+    n_mech = embed(number(nm, "a_m"), model.layout, "a_m").matrix
+    n_m = [float(np.real(np.trace(n_mech @ s.matrix))) for s in result.states]
 
     mech_final = result.final() if eliminated else partial_trace(result.final(), {"a_m"})
     ground = fock_state(SpaceLayout.single("a_m", nm), {})
-    n_final = float(result.observables["n_m"][-1])
     return ProtocolReport(
         scenario="cool",
         segments=({"label": "eliminated-model relaxation" if eliminated
                    else "two-mode cooling", "duration": float(duration)},),
         final_fidelity=fidelity(mech_final, ground),
         phonon_trajectory={"times": [float(t) for t in result.times],
-                           "values": [float(v) for v in result.observables["n_m"]]},
+                           "values": n_m},
         details={
-            "n_final": n_final,
+            "n_final": n_m[-1],
             "n_target": p.n_bar_prime,
             "kappa_prime": p.kappa_prime,
             "gamma_prime": p.gamma_prime,
@@ -205,7 +202,6 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
 
 @dataclass(frozen=True)
 class TransferResult:
-    state: DensityMatrix          # reduced state of the mechanical mode
     fidelity: float               # vs the source state, up to a phase on |1>
     time: float
     candidates: dict              # fidelity at the two closed-form candidate times
@@ -276,10 +272,8 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
                               method="bounded", options={"xatol": period * 1e-8})
         t_opt = float(res.x)
     rho_m = mech_state(run(t_opt).final())
-    return TransferResult(
-        state=DensityMatrix(SpaceLayout.single("a_m", nm), rho_m, pos_tol=1e-7),
-        fidelity=_qubit_fidelity_up_to_phase(rho_m, alpha, beta), time=t_opt,
-        candidates=candidates)
+    return TransferResult(fidelity=_qubit_fidelity_up_to_phase(rho_m, alpha, beta),
+                          time=t_opt, candidates=candidates)
 
 
 def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] = (4, 4),
@@ -334,9 +328,9 @@ def prepare_entangled_lc(labels: tuple[str, str] = ("a1", "m2")) -> StateVector:
 # Gates
 # ---------------------------------------------------------------------------
 
-def cphase(g: float, delta_disp: float, dims: tuple[int, int] = (2, 2),
-           labels: tuple[str, str] = ("a1", "a_m1")) -> FockOperator:
-    """Conditional-phase unitary between a microwave mode and a mechanical mode.
+def cphase(g: float, delta_disp: float) -> FockOperator:
+    """Conditional-phase unitary between the qubit microwave mode ``a1`` and
+    the qubit mechanical mode ``a_m1``.
 
     Evolves the number-number coupling (g^2/delta) n1 nm, the dispersive limit
     of the detuned exchange, for t = pi delta / g^2, which imparts exactly -1
@@ -347,9 +341,9 @@ def cphase(g: float, delta_disp: float, dims: tuple[int, int] = (2, 2),
     """
     if delta_disp == 0:
         raise ValueError("cphase undefined at delta = 0")
-    layout = SpaceLayout.of((labels[0], dims[0]), (labels[1], dims[1]))
+    layout = SpaceLayout.of(("a1", 2), ("a_m1", 2))
     t = np.pi * delta_disp / g ** 2
-    h = build_dispersive(g, delta_disp, layout, cavity=labels[0], mech=labels[1])
+    h = build_dispersive(g, delta_disp, layout, cavity="a1", mech="a_m1")
     return FockOperator(layout, expm(-1j * h.matrix * t))
 
 
@@ -642,13 +636,14 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
     return model, t_swap, {"spin->mech": c_fwd, "mech->spin": c_bwd}
 
 
-def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
+def spin_mech_swap(direction: str, lambda_rate: float,
                    input_amplitudes: tuple[complex, complex] = None,
                    n_bar_gamma: Optional[float] = None,
                    Omega_d_prime: Optional[float] = None,
                    omega_m: Optional[float] = None,
                    Delta_e: float = 0.0) -> SwapResult:
-    """Swap a qubit between the dressed electron spin and the mechanical mode.
+    """Swap a qubit between the dressed electron spin and the mechanical mode,
+    truncated at 3 phonon levels.
 
     The input runs through the undamped :func:`_swap_channel`.  Preconditions
     follow the dispersive derivation: the spin drive detuning must be zero
@@ -657,6 +652,7 @@ def spin_mech_swap(direction: str, lambda_rate: float, phonon_dim: int = 3,
     """
     if direction not in ("spin->mech", "mech->spin"):
         raise ValueError("direction must be 'spin->mech' or 'mech->spin'")
+    phonon_dim = 3
     swap = _swap_pieces(lambda_rate, phonon_dim)
     if Delta_e != 0.0:
         raise PreconditionError("swap requires the spin drive tuned to resonance (Delta_e = 0)")

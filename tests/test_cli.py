@@ -109,7 +109,11 @@ class TestExitCodes:
         b"scenario=cool\n\xff\xfe=1\n",
         (PARAMS_CFG + "Omega_d = 1e7\nDelta = 0\nkappa = 0\n").encode(),
         (PARAMS_CFG + "G_pull = 1e16\ng0 = 1.0\n").encode(),
-    ], ids=["not-utf8", "params-undefined-alpha", "params-inconsistent-g0"])
+        b"scenario = cool\ng = 1e300\nkappa = 1e-300\ngamma_m = 0.05\nn_bar = 1\nn_init = 1\n",
+        b"scenario = cool\ng = 1e200\nkappa = 1e199\ngamma_m = 0.05\nn_bar = 1\nn_init = 1\n",
+        b"scenario = superpose\ng = 1e300\nkappa = 1e-300\ngamma_m = 0.001\nn_bar = 0.01\n",
+    ], ids=["not-utf8", "params-undefined-alpha", "params-inconsistent-g0",
+            "cool-overflow-kappa-prime", "cool-overflow-g-squared", "superpose-overflow"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, contents):
         path = tmp_path / "run.cfg"
         path.write_bytes(contents)
@@ -123,6 +127,9 @@ class TestExitCodes:
                      "--truncation", "a_m"]) == 2
         assert main(["--config", str(path), "--out", str(tmp_path),
                      "--truncation", "a_m=1"]) == 2
+        # only the two mode labels exist; a typo must not run the default size
+        assert main(["--config", str(path), "--out", str(tmp_path),
+                     "--truncation", "bogus=7"]) == 2
 
     def test_bad_jobs_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, TELEPORT_CFG)

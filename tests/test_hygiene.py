@@ -121,3 +121,56 @@ def test_no_legacy_global_generator():
     uses = {str(p.relative_to(ROOT)): names for p in sorted(SRC.glob("*.py"))
             if (names := _legacy_random_uses(ast.parse(p.read_text(), filename=str(p))))}
     assert not uses, f"calls into NumPy's legacy global generator: {uses}"
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None]]:
+    """(function, names a call to it uses, parameter, positional index in such
+    a call or None) for every parameter with a default.  A method's call
+    skips ``self`` or ``cls``; ``__init__`` is called by its class name."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                names = {child.name} | ({cls} if child.name == "__init__" else set())
+                first = len(positional) - len(a.defaults)
+                out.extend((child.name, names, arg.arg, i - (cls is not None))
+                           for i, arg in enumerate(positional[first:], first))
+                out.extend((child.name, names, arg.arg, None)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree, None)
+    return out
+
+
+def _passes(trees) -> dict[str, list[tuple[float, set]]]:
+    """By callee name, the positional count and keyword names of every call;
+    a ``*`` splat counts as every position and a ``**`` splat as keyword None."""
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                count = (float("inf") if any(isinstance(x, ast.Starred) for x in n.args)
+                         else len(n.args))
+                calls.setdefault(name, []).append((count, {k.arg for k in n.keywords}))
+    return calls
+
+
+def test_optional_parameters_are_passed():
+    # a default that no caller overrides is a constant, not an option
+    trees = _parse(sorted(SRC.glob("*.py")))
+    calls = _passes(_parse(sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+                           + sorted((ROOT / "perfbench").rglob("*.py"))
+                           + sorted(TESTS.glob("*.py"))))
+    unset = {str(p.relative_to(ROOT)): names for p, tree in trees.items()
+             if (names := [f"{func}({param})"
+                           for func, callees, param, index in _defaulted_parameters(tree)
+                           if not any(None in keywords or param in keywords
+                                      or (index is not None and index < count)
+                                      for callee in callees
+                                      for count, keywords in calls.get(callee, []))])}
+    assert not unset, f"parameters whose default no call overrides: {unset}"

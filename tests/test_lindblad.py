@@ -37,7 +37,7 @@ from cryomech.lindblad import (
     thermal_dissipators,
 )
 from cryomech.model import SystemParams
-from cryomech.oracle import _random_model
+from cryomech.oracle import _random_density, _random_model
 from cryomech.protocols import prepare_motional_superposition, sideband_cool
 
 
@@ -45,6 +45,11 @@ def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
     a = annihilation(dim, "m")
     h = FockOperator(a.layout, np.zeros((dim, dim), dtype=complex))
     return LindbladModel(h, thermal_dissipators(a, kappa, n_bar))
+
+
+def _mean(op, res):
+    """<op> in every sample of an evolution."""
+    return np.array([np.real(np.trace(op.matrix @ s.matrix)) for s in res.states])
 
 
 def _random_hermitian(rng, n):
@@ -110,10 +115,9 @@ class TestGenerator:
         model = damped_mode(kappa=kappa)
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 1}))
         n = number(6, "m")
-        res = evolve(model, rho0, 1.0, num_samples=11,
-                     observables={"n": n}, truncation_threshold=1.0)
+        res = evolve(model, rho0, 1.0, num_samples=11, truncation_threshold=1.0)
         expected = np.exp(-2.0 * kappa * res.times)
-        assert np.allclose(res.observables["n"], expected, atol=1e-8)
+        assert np.allclose(_mean(n, res), expected, atol=1e-8)
 
     def test_trace_annihilated(self):
         # columns of the generator conserve trace: Tr(L rho) = 0 for any rho
@@ -158,11 +162,43 @@ class TestEvolve:
     def test_observable_sampling(self):
         model = damped_mode(dim=4, kappa=0.5)
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 1}))
-        res = evolve(model, rho0, 1.0, num_samples=7,
-                     observables={"n": number(4, "m")}, truncation_threshold=1.0)
+        res = evolve(model, rho0, 1.0, num_samples=7, truncation_threshold=1.0)
+        n = _mean(number(4, "m"), res)
         assert len(res.times) == 7
-        assert res.observables["n"].shape == (7,)
-        assert res.observables["n"][0] == pytest.approx(1.0)
+        assert n.shape == (7,)
+        assert n[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("defect", ["trace", "hermiticity", "positivity"])
+    def test_every_sample_is_validated(self, monkeypatch, defect):
+        # one drifted sample mid-run raises, unrepaired; each defect breaks
+        # only its own invariant, so every check must stay in place
+        model = damped_mode(dim=4, kappa=0.5, n_bar=0.2)
+        rho0 = _random_density(np.random.default_rng(2), model.layout)
+        taylor_samples = lindblad._taylor_samples
+
+        def drifted(A, v0, h, steps):
+            out, path, schedule = taylor_samples(A, v0, h, steps)
+            # rho0 has full support, so the rows are whole vec(rho)
+            rho = lindblad._unvec(out[2], 4)
+            if defect == "trace":
+                rho = rho * (1.0 + 1e-7)
+            elif defect == "hermiticity":
+                swap = np.zeros((4, 4), dtype=complex)
+                swap[0, 1] = swap[1, 0] = 1.0
+                rho = rho + 10.0 * lindblad.SAMPLE_TOLS["herm_tol"] * 1j * swap
+            else:
+                # lowest eigenvalue to -1e-6, its weight moved to the highest
+                w, v = np.linalg.eigh(rho)
+                shift = w[0] + 1e-6
+                rho = (rho - shift * np.outer(v[:, 0], v[:, 0].conj())
+                       + shift * np.outer(v[:, -1], v[:, -1].conj()))
+            out[2] = lindblad._vec(rho)
+            return out, path, schedule
+
+        evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=1.0)
+        monkeypatch.setattr(lindblad, "_taylor_samples", drifted)
+        with pytest.raises(ValueError):
+            evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=1.0)
 
 
 class TestSteadyState:
