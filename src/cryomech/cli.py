@@ -27,8 +27,6 @@ from .model import (
     dressed_splitting,
     frequency_shift,
     spin_phonon_coupling,
-    thermal_occupation,
-    zero_point_fluctuation,
 )
 
 SCENARIOS = ("cool", "superpose", "teleport-motional", "esr-scan",
@@ -187,18 +185,23 @@ def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
 
 
 def _derived(scenario: str, **given) -> SystemParams:
-    """``SystemParams(**given).derived()``; a derived value that the config
-    makes inconsistent, undefined or too large for a float is a configuration
+    """``SystemParams(**given)``; a derived value that the config makes
+    inconsistent, undefined or too large for a float is a configuration
     error."""
     try:
-        return SystemParams(**given).derived()
+        return SystemParams(**given)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{scenario}: {exc}") from None
 
 
-def _dim(cfg: dict, overrides: dict, key: str, name: str, default: int) -> int:
+#: The truncation config keys and the mode label ``--truncation`` names each
+#: by; a scenario accepts the labels of the keys it reads.
+_TRUNCATION_LABELS = {"dim_a": "a", "dim_m": "a_m", "mech_dim": "a_m", "phonon_dim": "a_m"}
+
+
+def _dim(cfg: dict, overrides: dict, key: str, default: int) -> int:
     """A truncation from the config (at least 2), unless --truncation overrides it."""
-    return int(overrides.get(name, _integer(cfg, key, default, minimum=2)))
+    return int(overrides.get(_TRUNCATION_LABELS[key], _integer(cfg, key, default, minimum=2)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,7 @@ def _run_cool(cfg, seed, trunc, jobs):
     report = protocols.sideband_cool(
         params, n_init=_real(cfg, "n_init", minimum=0.0),
         duration=_real(cfg, "duration", minimum=0.0, strict=True),
-        dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 12)),
+        dims=(_dim(cfg, trunc, "dim_a", 4), _dim(cfg, trunc, "dim_m", 12)),
         eliminated=_flag(cfg, "eliminated", False),
         num_samples=_integer(cfg, "num_samples", 60, minimum=2),
         method=_choice(cfg, "method", _METHODS, "auto"),
@@ -230,7 +233,7 @@ def _run_superpose(cfg, seed, trunc, jobs):
     )
     report = protocols.prepare_motional_superposition(
         params,
-        dims=(_dim(cfg, trunc, "dim_a", "a", 4), _dim(cfg, trunc, "dim_m", "a_m", 4)),
+        dims=(_dim(cfg, trunc, "dim_a", 4), _dim(cfg, trunc, "dim_m", 4)),
         dissipation=_flag(cfg, "dissipation", True),
     )
     return report.to_json_dict()
@@ -255,7 +258,7 @@ def _run_esr(cfg, seed, trunc, jobs):
                          _integer(cfg, "points", None, minimum=1))
     kwargs = dict(
         sweep=_choice(cfg, "sweep", ("Delta_e", "Omega_d_prime")),
-        mech_dim=_dim(cfg, trunc, "mech_dim", "a_m", 8),
+        mech_dim=_dim(cfg, trunc, "mech_dim", 8),
         spin_decay=_real(cfg, "spin_decay", minimum=0.0),
         spin_dephasing=_real(cfg, "spin_dephasing", minimum=0.0),
     )
@@ -286,7 +289,7 @@ def _esr_chunk(spin, params, chunk, kwargs):
 def _run_teleport_spin(cfg, seed, trunc, jobs):
     report = protocols.teleport_spin(
         **_teleport_input(cfg), seed=seed,
-        phonon_dim=_dim(cfg, trunc, "phonon_dim", "a_m", 3),
+        phonon_dim=_dim(cfg, trunc, "phonon_dim", 3),
         lambda_rate=_real(cfg, "lambda_rate", minimum=0.0, strict=True),
         gamma_prime=_bounded(cfg, "gamma_prime"),
         n_bar_prime=_real(cfg, "n_bar_prime", 0.0, minimum=0.0),
@@ -311,20 +314,14 @@ def _run_params(cfg, seed, trunc, jobs):
     omega_m = _real(cfg, "omega_m", minimum=0.0, strict=True)
     M = _real(cfg, "M_mem", minimum=0.0, strict=True)
     T = _real(cfg, "T", minimum=0.0)
-    x0 = zero_point_fluctuation(M, omega_m)
-    out = {
-        "scenario": "params",
-        "omega_m": omega_m, "M_mem": M, "T": T,
-        "x0": x0,
-        "n_bar": thermal_occupation(omega_m, T),
-    }
     p = _derived(
         "params", omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa", minimum=0.0),
         gamma_m=_real(cfg, "gamma_m", minimum=0.0), Omega_d=_real(cfg, "Omega_d", minimum=0.0),
         Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull", minimum=0.0),
         g0=_real(cfg, "g0", minimum=0.0),
-        x0=x0,
     )
+    out = {"scenario": "params", "omega_m": omega_m, "M_mem": M, "T": T,
+           "x0": p.x0, "n_bar": p.n_bar}
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
         v = getattr(p, name)
         if v is not None:
@@ -335,7 +332,7 @@ def _run_params(cfg, seed, trunc, jobs):
         out["frequency_shift"] = frequency_shift(omega_m, m_bio, M)
         # a particle riding the membrane antinode moves with twice the
         # membrane's zero-point amplitude
-        out["x0_prime"] = 2.0 * x0
+        out["x0_prime"] = 2.0 * p.x0
         if "G_m" in cfg:
             lam = spin_phonon_coupling(2.0, _real(cfg, "G_m", minimum=0.0), out["x0_prime"])
             out["lam_rad_per_s"] = lam
@@ -380,15 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_truncations(items) -> dict:
+def _parse_truncations(items, scenario: str) -> dict:
+    labels = sorted({label for key, label in _TRUNCATION_LABELS.items()
+                     if key in _CONFIG_KEYS[scenario]})
     out = {}
     for item in items:
         if "=" not in item:
             raise ConfigError(f"--truncation expects NAME=DIM, got {item!r}")
         name, _, dim = item.partition("=")
         name = name.strip()
-        if name not in ("a", "a_m"):
-            raise ConfigError(f"--truncation NAME must be a or a_m, got {name!r}")
+        if name not in labels:
+            raise ConfigError(f"scenario {scenario!r} has no truncation {name!r} "
+                              f"(it has: {', '.join(labels) or 'none'})")
         try:
             value = int(dim)
         except ValueError:
@@ -402,8 +402,8 @@ def _parse_truncations(items) -> dict:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        trunc = _parse_truncations(args.truncation)
         cfg = parse_config(args.config)
+        trunc = _parse_truncations(args.truncation, cfg["scenario"])
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     except ConfigError as exc:

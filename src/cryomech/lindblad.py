@@ -42,7 +42,7 @@ repaired.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -577,16 +577,15 @@ def eliminated_model(gamma_prime: float, n_bar_prime: float, dim: int) -> Lindbl
     return LindbladModel(h, thermal_dissipators(b, gamma_prime, n_bar_prime))
 
 
-def adiabatic_eliminate(model: LindbladModel, params: SystemParams
-                        ) -> tuple[LindbladModel, SystemParams]:
-    """Remove the fast-decaying microwave mode ``a`` from a two-mode cooling
-    model.
+def adiabatic_eliminate(params: SystemParams, dim: int) -> LindbladModel:
+    """The sideband-cooling model with the fast-decaying microwave mode ``a``
+    removed: the mechanical mode ``a_m`` (``dim`` levels) alone, damped at
+    gamma' = gamma_m + kappa' to the occupation n_bar' of ``params``.
 
-    Produces the model of the mechanical mode ``a_m`` alone, with engineered
-    damping kappa' = g^2 / kappa folded into gamma' = gamma_m + kappa' and
-    n_bar' = n_bar gamma_m / gamma'.  Requires kappa / g >= 5, and warns
-    below 10, where the (g / kappa)^2 elimination error exceeds 1 %.  With
-    g = 0 the mechanical model is unchanged and kappa' = 0.
+    Requires kappa / g >= 5, and warns below 10, where the (g / kappa)^2
+    elimination error exceeds 1 %.  Where kappa' = g^2 / kappa is zero or
+    undefined (g = 0) the cavity takes nothing out, and the model is the
+    bare mechanical one at gamma_m and n_bar.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
@@ -595,18 +594,12 @@ def adiabatic_eliminate(model: LindbladModel, params: SystemParams
     if g > 0:
         if kappa <= 0 or kappa / g < 5.0:
             raise PreconditionError(
-                f"adiabatic elimination needs kappa/g >= 5.0, got "
-                f"{kappa / g if g else 'inf'}"
-            )
+                f"adiabatic elimination needs kappa/g >= 5.0, got {kappa / g}")
         if kappa / g < 10.0:
             warnings.warn(
                 f"kappa/g = {kappa / g:.2f} below 10.0; elimination error ~ (g/kappa)^2",
                 stacklevel=2,
             )
-    kappa_prime = (g ** 2 / kappa) if g > 0 else 0.0
-    gamma_prime = params.gamma_m + kappa_prime
-    n_bar_prime = params.n_bar * params.gamma_m / gamma_prime if gamma_prime > 0 else 0.0
-    new_params = replace(params, kappa_prime=kappa_prime, gamma_prime=gamma_prime,
-                         n_bar_prime=n_bar_prime)
-    dim = model.layout.subsystem("a_m").dim
-    return eliminated_model(gamma_prime, n_bar_prime, dim), new_params
+    if not params.kappa_prime:
+        return eliminated_model(params.gamma_m, params.n_bar, dim)
+    return eliminated_model(params.gamma_prime, params.n_bar_prime, dim)

@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,21 +49,13 @@ JC_LADDER_SCALE = 2.0
 _REL_TOL = 1e-9
 
 
-def _check_consistent(name: str, actual: float, expected: float):
-    scale = max(abs(actual), abs(expected), 1e-300)
-    if abs(actual - expected) > _REL_TOL * scale:
-        raise ValueError(
-            f"inconsistent {name}: field holds {actual!r} but derived value is {expected!r}"
-        )
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Electromechanical parameters.  Unset fields default to None.
 
-    Cross-field identities (g0 = G_pull * x0, kappa_prime = g^2/kappa,
-    gamma_prime = gamma_m + kappa_prime, n_bar_prime = n_bar gamma_m / gamma_prime)
-    are validated whenever every participating field is set.
+    Construction walks :data:`_IDENTITIES` in order: a field whose inputs are
+    all known is filled when the caller left it unset and checked (to 1e-9
+    relative) when the caller set it.
     """
 
     omega_m: Optional[float] = None            # mechanical frequency of the loaded membrane
@@ -71,96 +63,46 @@ class SystemParams:
     kappa: Optional[float] = None              # microwave-mode decay
     G_pull: Optional[float] = None             # frequency pull per meter
     g0: Optional[float] = None                 # single-photon coupling G_pull * x0
-    x0: Optional[float] = None                 # membrane zero-point fluctuation
     Omega_d: Optional[float] = None            # drive Rabi frequency
     Delta: Optional[float] = None              # drive detuning from the bare mode (signed)
-    alpha: Optional[complex] = None            # steady drive amplitude
     g: Optional[float] = None                  # linearized coupling |alpha| g0
     M_mem: Optional[float] = None              # membrane mass
     T: Optional[float] = None                  # bath temperature
     n_bar: Optional[float] = None              # thermal occupation of the mechanical bath
-    kappa_prime: Optional[float] = None        # engineered damping g^2 / kappa
-    gamma_prime: Optional[float] = None        # total mechanical damping
-    n_bar_prime: Optional[float] = None        # steady occupation after elimination
-
-    _SIGNED = {"Delta"}
-    _UNCHECKED = {"alpha", "M_mem"}
+    # derived only
+    x0: Optional[float] = field(default=None, init=False)        # membrane zero-point motion
+    alpha: Optional[complex] = field(default=None, init=False)   # steady drive amplitude
+    kappa_prime: Optional[float] = field(default=None, init=False)  # engineered damping
+    gamma_prime: Optional[float] = field(default=None, init=False)  # total mechanical damping
+    n_bar_prime: Optional[float] = field(default=None, init=False)  # cooled occupation
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             v = getattr(self, f.name)
-            if v is None or f.name in self._SIGNED or f.name in self._UNCHECKED:
-                continue
-            if v < 0:
+            if f.init and f.name != "Delta" and v is not None and v < 0:
                 raise ValueError(f"{f.name} must be nonnegative, got {v}")
         if self.M_mem is not None and self.M_mem <= 0:
             raise ValueError("M_mem must be positive")
-        if None not in (self.g0, self.G_pull, self.x0):
-            _check_consistent("g0", self.g0, self.G_pull * self.x0)
-        if None not in (self.kappa_prime, self.g, self.kappa) and self.kappa > 0:
-            _check_consistent("kappa_prime", self.kappa_prime, self.g ** 2 / self.kappa)
-        if None not in (self.gamma_prime, self.gamma_m, self.kappa_prime):
-            _check_consistent("gamma_prime", self.gamma_prime, self.gamma_m + self.kappa_prime)
-        if None not in (self.n_bar_prime, self.n_bar, self.gamma_m, self.gamma_prime):
-            if self.gamma_prime > 0:
-                _check_consistent(
-                    "n_bar_prime", self.n_bar_prime, self.n_bar * self.gamma_m / self.gamma_prime
-                )
-
-    def derived(self) -> "SystemParams":
-        """Fill every derivable field from the primitives that are set."""
-        p = self
-        if p.x0 is None and None not in (p.M_mem, p.omega_m):
-            p = replace(p, x0=zero_point_fluctuation(p.M_mem, p.omega_m))
-        if p.g0 is None and None not in (p.G_pull, p.x0):
-            p = replace(p, g0=p.G_pull * p.x0)
-        if p.alpha is None and None not in (p.Omega_d, p.Delta, p.kappa):
-            p = replace(p, alpha=steady_amplitude(p.Omega_d, p.Delta, p.kappa))
-        if p.g is None and None not in (p.alpha, p.g0):
-            p = replace(p, g=abs(p.alpha) * p.g0)
-        if p.n_bar is None and None not in (p.omega_m, p.T):
-            p = replace(p, n_bar=thermal_occupation(p.omega_m, p.T))
-        if p.kappa_prime is None and None not in (p.g, p.kappa) and p.kappa > 0:
-            p = replace(p, kappa_prime=p.g ** 2 / p.kappa)
-        if p.gamma_prime is None and None not in (p.gamma_m, p.kappa_prime):
-            p = replace(p, gamma_prime=p.gamma_m + p.kappa_prime)
-        if p.n_bar_prime is None and None not in (p.n_bar, p.gamma_m, p.gamma_prime):
-            if p.gamma_prime > 0:
-                p = replace(p, n_bar_prime=p.n_bar * p.gamma_m / p.gamma_prime)
-        return p
+        for name, inputs, formula in _IDENTITIES:
+            args = [getattr(self, n) for n in inputs]
+            value = None if None in args else formula(*args)
+            if value is None:
+                continue
+            given = getattr(self, name)
+            if given is None:
+                object.__setattr__(self, name, value)
+            elif abs(given - value) > _REL_TOL * max(abs(given), abs(value), 1e-300):
+                raise ValueError(
+                    f"inconsistent {name}: field holds {given!r} but derived value is {value!r}")
 
 
 @dataclass(frozen=True)
 class SpinParams:
     """Electron-spin parameters for the magnetic-gradient coupling."""
 
-    g_s: float = 2.0
-    G_m: Optional[float] = None              # field gradient magnitude
-    x0_prime: Optional[float] = None         # microorganism zero-point amplitude
     lam: Optional[float] = None              # single-phonon frequency shift
     Delta_e: Optional[float] = None          # spin drive detuning (signed)
     Omega_d_prime: Optional[float] = None    # spin drive Rabi frequency (signed)
-    omega_eff: Optional[float] = None        # dressed splitting
-
-    def __post_init__(self):
-        if None not in (self.lam, self.G_m, self.x0_prime):
-            _check_consistent(
-                "lam", self.lam, self.g_s * mu_B * self.G_m * self.x0_prime / hbar
-            )
-        if None not in (self.omega_eff, self.Delta_e, self.Omega_d_prime):
-            _check_consistent(
-                "omega_eff", self.omega_eff, math.hypot(self.Delta_e, self.Omega_d_prime)
-            )
-
-    def derived(self) -> "SpinParams":
-        p = self
-        if p.lam is None and None not in (p.G_m, p.x0_prime):
-            p = replace(p, lam=spin_phonon_coupling(p.g_s, p.G_m, p.x0_prime))
-        if p.omega_eff is None and None not in (p.Delta_e, p.Omega_d_prime):
-            p = replace(p, omega_eff=dressed_splitting(p.Delta_e, p.Omega_d_prime))
-        return p
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +176,22 @@ def beamsplitter_resonant_detuning(omega_m: float) -> float:
     ``Delta = +omega_m`` (the opposite sign selects the squeezing terms).
     """
     return +omega_m
+
+
+#: The parameter chain, in derivation order: (field, inputs, formula).  A
+#: formula that returns None leaves its field undefined: kappa' needs
+#: kappa > 0, and n_bar' needs gamma' > 0.
+_IDENTITIES = (
+    ("x0", ("M_mem", "omega_m"), zero_point_fluctuation),
+    ("g0", ("G_pull", "x0"), lambda G_pull, x0: G_pull * x0),
+    ("alpha", ("Omega_d", "Delta", "kappa"), steady_amplitude),
+    ("g", ("alpha", "g0"), lambda alpha, g0: abs(alpha) * g0),
+    ("n_bar", ("omega_m", "T"), thermal_occupation),
+    ("kappa_prime", ("g", "kappa"), lambda g, kappa: g ** 2 / kappa if kappa > 0 else None),
+    ("gamma_prime", ("gamma_m", "kappa_prime"), lambda gamma_m, kp: gamma_m + kp),
+    ("n_bar_prime", ("n_bar", "gamma_m", "gamma_prime"),
+     lambda n_bar, gamma_m, gp: n_bar * gamma_m / gp if gp > 0 else None),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .lindblad import (
     LindbladModel,
     adiabatic_eliminate,
     cooling_model,
-    eliminated_model,
     evolve,
     steady_state,
     thermal_dissipators,
@@ -139,22 +138,21 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     mechanical bath) or the adiabatically eliminated single-mode model.
     Without ``duration`` it runs for 5 / gamma', so the model must be damped.
     """
-    p = params.derived()
     for name in ("g", "kappa", "gamma_m", "n_bar"):
-        if getattr(p, name) is None:
+        if getattr(params, name) is None:
             raise ValueError(f"sideband_cool needs params.{name}")
-    if p.omega_m is not None and not (p.omega_m > p.kappa and p.omega_m > p.gamma_m):
+    omega_m = params.omega_m
+    if omega_m is not None and not (omega_m > params.kappa and omega_m > params.gamma_m):
         warnings.warn("outside the resolved-sideband regime (omega_m should exceed "
                       "kappa and gamma_m); cooling limit formulas degrade", stacklevel=2)
 
     na, nm = dims
     two_mode_layout = SpaceLayout.of(("a", na), ("a_m", nm))
-    full = cooling_model(p.g, p.kappa, p.gamma_m, p.n_bar, two_mode_layout)
-    single, p = adiabatic_eliminate(full, p) if p.g > 0 else (
-        eliminated_model(p.gamma_m, p.n_bar, nm), p)
+    full = cooling_model(params.g, params.kappa, params.gamma_m, params.n_bar, two_mode_layout)
+    single = adiabatic_eliminate(params, nm)
 
     if duration is None:
-        slow = p.gamma_prime if p.gamma_prime else p.gamma_m
+        slow = params.gamma_prime if params.gamma_prime else params.gamma_m
         if slow <= 0:
             raise PreconditionError("cannot choose a duration for an undamped model")
         duration = 5.0 / slow
@@ -187,10 +185,10 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
                            "values": n_m},
         details={
             "n_final": n_m[-1],
-            "n_target": p.n_bar_prime,
-            "kappa_prime": p.kappa_prime,
-            "gamma_prime": p.gamma_prime,
-            "sideband_resolved": bool(p.omega_m is not None and p.omega_m > p.kappa),
+            "n_target": params.n_bar_prime,
+            "kappa_prime": params.kappa_prime,
+            "gamma_prime": params.gamma_prime,
+            "sideband_resolved": bool(omega_m is not None and omega_m > params.kappa),
             "dims": {"a": na, "a_m": nm},
         },
     )
@@ -268,7 +266,8 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
         coarse = sweep.times[1 + int(np.argmax(fids[1:]))]
         span = period / 64.0
         res = minimize_scalar(lambda t: -fid(run(t).final()),
-                              bounds=(max(coarse - span, 1e-12), coarse + span),
+                              bounds=(max(coarse - span, 1e-12 * min(period, 1.0)),
+                                      coarse + span),
                               method="bounded", options={"xatol": period * 1e-8})
         t_opt = float(res.x)
     rho_m = mech_state(run(t_opt).final())
@@ -280,10 +279,10 @@ def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] =
                                    dissipation: bool = True) -> ProtocolReport:
     """Transfer an ideally prepared (|0> + |1>)/sqrt(2) microwave state onto the
     cooled mechanical mode and report the fidelity to the same superposition."""
-    p = params.derived()
-    if p.g is None:
+    if params.g is None:
         raise ValueError("prepare_motional_superposition needs params.g")
-    n_start = p.n_bar_prime if p.n_bar_prime is not None else 0.0
+    # without a cooling drive (no kappa') the mode sits at the bath occupation
+    n_start = params.n_bar_prime if params.n_bar_prime is not None else (params.n_bar or 0.0)
     if n_start >= 0.1:
         raise PreconditionError(
             f"mechanical mode not cooled: steady occupation {n_start:.3g} >= 0.1")
@@ -294,17 +293,17 @@ def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] =
     phi0 = StateVector(SpaceLayout.single("a", na), amps)
     # during the transfer the cooling drive is off: the mechanical mode sees
     # only its intrinsic damping and the ambient bath, not the engineered gamma'
-    kappa = p.kappa if (dissipation and p.kappa) else 0.0
-    gamma = p.gamma_m if (dissipation and p.gamma_m) else 0.0
-    result = transfer_state(phi0, p.g, mech_dim=nm, kappa=kappa,
-                            gamma_m=gamma, n_bar=p.n_bar if dissipation and p.n_bar else 0.0)
+    kappa = params.kappa if (dissipation and params.kappa) else 0.0
+    gamma = params.gamma_m if (dissipation and params.gamma_m) else 0.0
+    n_bar = params.n_bar if (dissipation and params.n_bar) else 0.0
+    result = transfer_state(phi0, params.g, mech_dim=nm, kappa=kappa, gamma_m=gamma, n_bar=n_bar)
     strong = {
-        "g": p.g,
-        "n_bar_gamma": (p.n_bar or 0.0) * (p.gamma_m or 0.0),
-        "kappa": p.kappa,
+        "g": params.g,
+        "n_bar_gamma": (params.n_bar or 0.0) * (params.gamma_m or 0.0),
+        "kappa": params.kappa,
         "strong_coupling": bool(
-            p.n_bar is not None and p.gamma_m is not None and p.kappa is not None
-            and p.g > p.n_bar * p.gamma_m and p.g > p.kappa),
+            params.n_bar is not None and params.gamma_m is not None and params.kappa is not None
+            and params.g > params.n_bar * params.gamma_m and params.g > params.kappa),
     }
     return ProtocolReport(
         scenario="superpose",
@@ -550,18 +549,16 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     """
     if sweep not in ("Delta_e", "Omega_d_prime"):
         raise ValueError("sweep must be 'Delta_e' or 'Omega_d_prime'")
-    p = params.derived()
-    s = spin.derived()
-    if p.omega_m is None or s.lam is None:
+    if params.omega_m is None or spin.lam is None:
         raise ValueError("esr_scan needs params.omega_m and spin.lam")
-    if not s.lam < p.omega_m / 10.0:
+    if not spin.lam < params.omega_m / 10.0:
         raise PreconditionError(
             f"dispersive treatment needs lam < omega_m/10; got lam/omega_m = "
-            f"{s.lam / p.omega_m:.3g}")
-    gamma_p = p.gamma_prime if p.gamma_prime is not None else p.gamma_m
+            f"{spin.lam / params.omega_m:.3g}")
+    gamma_p = params.gamma_prime if params.gamma_prime is not None else params.gamma_m
     if gamma_p is None or gamma_p <= 0:
         raise ValueError("esr_scan needs a positive mechanical damping rate")
-    n_th = p.n_bar_prime or 0.0
+    n_th = params.n_bar_prime if params.n_bar_prime is not None else (params.n_bar or 0.0)
     decay = DEFAULT_SPIN_RATE if spin_decay is None else spin_decay
     dephase = DEFAULT_SPIN_RATE if spin_dephasing is None else spin_dephasing
 
@@ -582,12 +579,10 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     response = []
     for v in values:
         if sweep == "Delta_e":
-            sv = SpinParams(g_s=s.g_s, lam=s.lam, Delta_e=float(v),
-                            Omega_d_prime=s.Omega_d_prime)
+            sv = SpinParams(lam=spin.lam, Delta_e=float(v), Omega_d_prime=spin.Omega_d_prime)
         else:
-            sv = SpinParams(g_s=s.g_s, lam=s.lam, Delta_e=s.Delta_e or 0.0,
-                            Omega_d_prime=float(v))
-        ss = steady_state(LindbladModel(build_spin_mech(p, sv, layout), diss))
+            sv = SpinParams(lam=spin.lam, Delta_e=spin.Delta_e or 0.0, Omega_d_prime=float(v))
+        ss = steady_state(LindbladModel(build_spin_mech(params, sv, layout), diss))
         response.append(gamma_p * float(np.real(np.trace(n_op.matrix @ ss.matrix))))
     return _esr_spectrum(sweep, values, response)
 

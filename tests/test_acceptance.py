@@ -93,7 +93,7 @@ def test_criterion_2_cooling_formula():
     n_full = float(np.real(np.trace(
         embed(number(14, "a_m"), lay, "a_m").matrix @ ss.matrix)))
 
-    p = SystemParams(g=g, kappa=kappa, gamma_m=gamma, n_bar=n_bar).derived()
+    p = SystemParams(g=g, kappa=kappa, gamma_m=gamma, n_bar=n_bar)
     single = eliminated_model(p.gamma_prime, p.n_bar_prime, 15)
     n_single = float(np.real(np.trace(
         number(15, "a_m").matrix @ steady_state(single).matrix)))

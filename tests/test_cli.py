@@ -130,6 +130,15 @@ class TestExitCodes:
         # only the two mode labels exist; a typo must not run the default size
         assert main(["--config", str(path), "--out", str(tmp_path),
                      "--truncation", "bogus=7"]) == 2
+        # nor may a label the scenario does not read
+        for text, label in ((TELEPORT_SPIN_CFG, "a"),
+                            (ESR_SCAN_CFG + "sweep = Delta_e\npoints = 3\n", "a"),
+                            (TELEPORT_CFG, "a_m"),
+                            ("scenario = verify-all\ninstances = 1\n", "a_m"),
+                            (PARAMS_CFG, "a")):
+            path = write_cfg(tmp_path, text)
+            assert main(["--config", str(path), "--out", str(tmp_path),
+                         "--truncation", f"{label}=7"]) == 2, text
 
     def test_bad_jobs_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, TELEPORT_CFG)
@@ -157,6 +166,13 @@ points = 3
                          .replace("gamma_m = 0.05", "gamma_m = 0"))
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         assert "undamped" in capsys.readouterr().err
+
+    def test_uncooled_superpose_exit_3(self, tmp_path, capsys):
+        # without kappa there is no cooling, so the mode sits at the bath's n_bar
+        path = write_cfg(tmp_path, SUPERPOSE_CFG.replace("kappa = 0.01", "kappa = 0")
+                         .replace("n_bar = 0.01", "n_bar = 5"))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "not cooled" in capsys.readouterr().err
 
     def test_success_exit_0(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TELEPORT_CFG)
@@ -414,6 +430,17 @@ mech_dim = 6
         doc = json.loads((out_dir / "esr-scan.json").read_text())
         assert len(doc["values"]) == 25
         assert len(doc["response"]) == 25
+
+    def test_bath_occupation_raises_response(self, tmp_path):
+        # with no cooling to define n_bar', the mechanical bath sits at n_bar
+        response = {}
+        for n_bar in (0, 1):
+            path = write_cfg(tmp_path, self.ESR_CFG.replace("points = 25", "points = 3")
+                             + f"n_bar = {n_bar}\n")
+            out_dir = tmp_path / f"n_bar{n_bar}"
+            assert main(["--config", str(path), "--out", str(out_dir)]) == 0
+            response[n_bar] = json.loads((out_dir / "esr-scan.json").read_text())["response"]
+        assert all(hot > cold for hot, cold in zip(response[1], response[0]))
 
     def test_parallel_matches_serial(self, tmp_path):
         path = write_cfg(tmp_path, self.ESR_CFG)

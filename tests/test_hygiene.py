@@ -123,10 +123,30 @@ def test_no_legacy_global_generator():
     assert not uses, f"calls into NumPy's legacy global generator: {uses}"
 
 
+def _constructor_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) of each field the constructor of a ``@dataclass``
+    takes, in order; nothing for another class.  ``field(init=False)`` fields
+    are not taken."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return []
+    out = []
+    for n in cls.body:
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name):
+            v = n.value
+            if not (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                    and v.func.id == "field"
+                    and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                            and k.value.value is False for k in v.keywords)):
+                out.append((n.target.id, v is not None))
+    return out
+
+
 def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None]]:
     """(function, names a call to it uses, parameter, positional index in such
     a call or None) for every parameter with a default.  A method's call
-    skips ``self`` or ``cls``; ``__init__`` is called by its class name."""
+    skips ``self`` or ``cls``; ``__init__`` is called by its class name, and so
+    is a dataclass, whose defaulted fields count as its parameters."""
     out = []
 
     def visit(node, cls):
@@ -140,6 +160,10 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, set[str], str, in
                            for i, arg in enumerate(positional[first:], first))
                 out.extend((child.name, names, arg.arg, None)
                            for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            elif isinstance(child, ast.ClassDef):
+                out.extend((child.name, {child.name}, name, i)
+                           for i, (name, defaulted) in enumerate(_constructor_fields(child))
+                           if defaulted)
             visit(child, child.name if isinstance(child, ast.ClassDef) else None)
 
     visit(tree, None)

@@ -286,7 +286,7 @@ class TestTaylorSchedule:
 
     def test_stiff_cooling_block_halves_matvecs(self, monkeypatch):
         report, calls = self._series_calls(
-            monkeypatch, lambda: sideband_cool(self.COOLING.derived(), 3.0, dims=(4, 12)))
+            monkeypatch, lambda: sideband_cool(self.COOLING, 3.0, dims=(4, 12)))
         # one series, on the identity columns of the 172-dim block: the propagator
         [(block, _, columns)] = calls
         assert columns == (block.dim,) == (172,)
@@ -299,9 +299,9 @@ class TestTaylorSchedule:
     def test_nonstiff_blocks_keep_plain_schedule(self, monkeypatch, scenario):
         run = {
             "superpose": lambda: prepare_motional_superposition(SystemParams(
-                g=1.0, kappa=0.01, gamma_m=0.001, n_bar=0.01).derived()),
+                g=1.0, kappa=0.01, gamma_m=0.001, n_bar=0.01)),
             "cool-eliminated": lambda: sideband_cool(
-                self.COOLING.derived(), 3.0, dims=(4, 12), eliminated=True),
+                self.COOLING, 3.0, dims=(4, 12), eliminated=True),
         }[scenario]
         report, calls = self._series_calls(monkeypatch, run)
         steps = [(block, h) for block, h, _ in calls]
@@ -332,36 +332,32 @@ class TestCoolingModels:
         assert len(model.dissipators) == 3  # cavity loss + thermal pair
 
     def test_adiabatic_elimination_rates(self):
-        lay = SpaceLayout.of(("a", 3), ("a_m", 4))
         p = SystemParams(g=1.0, kappa=20.0, gamma_m=0.05, n_bar=2.0)
-        full = cooling_model(p.g, p.kappa, p.gamma_m, p.n_bar, lay)
-        single, p2 = adiabatic_eliminate(full, p)
-        assert p2.kappa_prime == pytest.approx(0.05)
-        assert p2.gamma_prime == pytest.approx(0.1)
-        assert p2.n_bar_prime == pytest.approx(1.0)
+        assert p.kappa_prime == pytest.approx(0.05)
+        assert p.gamma_prime == pytest.approx(0.1)
+        assert p.n_bar_prime == pytest.approx(1.0)
+        single = adiabatic_eliminate(p, 4)
         assert single.layout.dim == 4
+        assert [d.rate for d in single.dissipators] == [(1.0 + p.n_bar_prime) * p.gamma_prime,
+                                                        p.n_bar_prime * p.gamma_prime]
 
     def test_elimination_requires_fast_cavity(self):
-        lay = SpaceLayout.of(("a", 3), ("a_m", 4))
         p = SystemParams(g=1.0, kappa=2.0, gamma_m=0.05, n_bar=2.0)
-        full = cooling_model(p.g, p.kappa, p.gamma_m, p.n_bar, lay)
         with pytest.raises(PreconditionError):
-            adiabatic_eliminate(full, p)
+            adiabatic_eliminate(p, 4)
 
     def test_elimination_warns_in_marginal_regime(self):
-        lay = SpaceLayout.of(("a", 3), ("a_m", 4))
         p = SystemParams(g=1.0, kappa=7.0, gamma_m=0.05, n_bar=2.0)
-        full = cooling_model(p.g, p.kappa, p.gamma_m, p.n_bar, lay)
         with pytest.warns(UserWarning):
-            adiabatic_eliminate(full, p)
+            adiabatic_eliminate(p, 4)
 
     def test_zero_coupling_leaves_mech_unchanged(self):
-        lay = SpaceLayout.of(("a", 3), ("a_m", 4))
         p = SystemParams(g=0.0, kappa=20.0, gamma_m=0.05, n_bar=2.0)
-        full = cooling_model(p.g, p.kappa, p.gamma_m, p.n_bar, lay)
-        single, p2 = adiabatic_eliminate(full, p)
-        assert p2.kappa_prime == 0.0
-        assert p2.gamma_prime == pytest.approx(p.gamma_m)
+        assert p.kappa_prime == 0.0
+        assert p.gamma_prime == pytest.approx(p.gamma_m)
+        single = adiabatic_eliminate(p, 4)
+        assert [d.rate for d in single.dissipators] == [(1.0 + p.n_bar) * p.gamma_m,
+                                                        p.n_bar * p.gamma_m]
 
     def test_eliminated_model_steady_occupation(self):
         model = eliminated_model(0.1, 0.5, 15)

@@ -76,7 +76,7 @@ class TestSystemParams:
     def test_derived_chain(self):
         p = SystemParams(omega_m=TWO_PI * 10e6, M_mem=4.8e-14, T=0.010,
                          kappa=TWO_PI * 2e5, gamma_m=TWO_PI * 32.0,
-                         G_pull=1e16, Omega_d=1e7, Delta=TWO_PI * 10e6).derived()
+                         G_pull=1e16, Omega_d=1e7, Delta=TWO_PI * 10e6)
         assert p.x0 == pytest.approx(4.2e-15, rel=0.01)
         assert p.g0 == pytest.approx(p.G_pull * p.x0)
         assert p.g == pytest.approx(abs(p.alpha) * p.g0)
@@ -85,8 +85,14 @@ class TestSystemParams:
         assert p.n_bar_prime == pytest.approx(p.n_bar * p.gamma_m / p.gamma_prime)
 
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            SystemParams(g=1.0, kappa=10.0, kappa_prime=0.5)
+        with pytest.raises(ValueError, match="inconsistent g0"):
+            SystemParams(omega_m=TWO_PI * 10e6, M_mem=4.8e-14, G_pull=1e16, g0=1.0)
+
+    @pytest.mark.parametrize("name", ["x0", "alpha", "kappa_prime", "gamma_prime",
+                                      "n_bar_prime"])
+    def test_derived_fields_are_not_settable(self, name):
+        with pytest.raises(TypeError):
+            SystemParams(**{name: 0.5})
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -95,19 +101,6 @@ class TestSystemParams:
     def test_signed_detuning_allowed(self):
         p = SystemParams(Delta=-5.0)
         assert p.Delta == -5.0
-
-
-class TestSpinParams:
-    def test_lambda_identity_checked(self):
-        x0p = 8.4e-15
-        good = spin_phonon_coupling(2.0, 1e7, x0p)
-        SpinParams(G_m=1e7, x0_prime=x0p, lam=good)  # consistent: no raise
-        with pytest.raises(ValueError):
-            SpinParams(G_m=1e7, x0_prime=x0p, lam=2 * good)
-
-    def test_derived_omega_eff(self):
-        s = SpinParams(lam=1.0, Delta_e=3.0, Omega_d_prime=4.0).derived()
-        assert s.omega_eff == pytest.approx(5.0)
 
 
 class TestBuilders:

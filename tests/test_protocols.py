@@ -117,6 +117,15 @@ class TestSuperposition:
         # earlier one is reported
         assert rep.details["transfer_time"] == pytest.approx(np.pi / 2.0, rel=1e-6)
 
+    def test_fast_exchange(self):
+        # the refinement window lies below t = 1e-12 here; its lower bound must
+        # still stay under its upper one
+        g = 1e13
+        rep = P.prepare_motional_superposition(
+            SystemParams(g=g, kappa=0.01, gamma_m=0.001, n_bar=0.01))
+        assert rep.final_fidelity == pytest.approx(1.0, abs=1e-9)
+        assert rep.details["transfer_time"] == pytest.approx(np.pi / (2.0 * g), rel=1e-6)
+
     def test_dissipative_preparation_close(self):
         rep = P.prepare_motional_superposition(COLD, dims=(4, 4))
         assert 0.9 < rep.final_fidelity < 1.0
