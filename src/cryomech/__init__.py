@@ -39,6 +39,7 @@ from .lindblad import (
     EvolutionResult,
     LindbladModel,
     adiabatic_eliminate,
+    affine_sweep,
     cooling_model,
     eliminated_model,
     evolve,

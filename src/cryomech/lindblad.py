@@ -30,7 +30,10 @@ the step, which halves m s on the stiff full-model cooling step.  The
 steady state is one sparse LU solve of the generator with one row replaced
 by the trace functional; its uniqueness test uses Hager's 1-norm estimate of
 the inverse.  Neither draws random numbers.  The dense reference for both
-lives in :mod:`cryomech.oracle`.
+lives in :mod:`cryomech.oracle`.  Along a sweep of a Hamiltonian affine in
+one value, H + v T, :func:`affine_sweep` builds L(H) and L_T once on one
+sparsity pattern, so each point's generator is L(H) + v L_T, one sum of
+two data arrays, and each steady state along an ESR scan costs one LU.
 
 Trace is never renormalized during integration.  Each sample is validated
 once, as it came out of the propagator: a :class:`DensityMatrix` with
@@ -44,7 +47,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,6 +205,51 @@ def liouvillian_matrix(model: LindbladModel) -> sp.csr_array:
             terms.append(_kron_nonzeros(2.0 * d.rate * x.conj(), x))
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
     return sp.csr_array((vals, (rows, cols)), shape=(n * n, n * n), dtype=complex)
+
+
+def _union_aligned(A: sp.csr_array, B: sp.csr_array) -> tuple[np.ndarray, ...]:
+    """CSR ``indices`` and ``indptr`` of the union of the sparsity patterns of
+    A and B, and the data of A and of B on that pattern (0 where one of them
+    stores nothing)."""
+    def ones(M):
+        return sp.csr_array((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+
+    # structural ones add to 1 or 2, so no entry of the union cancels
+    union = ones(A) + ones(B)
+    union.sum_duplicates()
+
+    def keys(M):
+        return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] + M.indices
+
+    positions = keys(union)
+    data = []
+    for M in (A, B):
+        d = np.zeros(union.nnz, dtype=complex)
+        np.add.at(d, np.searchsorted(positions, keys(M)), M.data)
+        data.append(d)
+    return union.indices, union.indptr, data[0], data[1]
+
+
+def affine_sweep(model: LindbladModel, term: FockOperator,
+                 values: Iterable[float]) -> Iterator[LindbladModel]:
+    """``LindbladModel(H + v term, dissipators)`` of ``model`` for each real v
+    in ``values``, each with its generator already cached.
+
+    The generator is affine in the Hamiltonian: L(H + v T) = L(H) + v L_T,
+    with L_T the generator of the Hamiltonian-only ``LindbladModel(term)``.
+    Both are built once and aligned once on the union of their sparsity
+    patterns, so each point's generator is one sum of two data arrays over
+    shared index arrays.  Each yielded model holds its true Hamiltonian, and
+    constructing it still checks that the Hamiltonian is hermitian.
+    """
+    L0 = model.generator
+    indices, indptr, d0, d1 = _union_aligned(L0, LindbladModel(term).generator)
+    for v in values:
+        point = LindbladModel(model.hamiltonian + term * v, model.dissipators)
+        # the value functools.cached_property would store on first access
+        vars(point)["generator"] = sp.csr_array((d0 + v * d1, indices, indptr),
+                                                shape=L0.shape)
+        yield point
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .lindblad import (
     Dissipator,
     LindbladModel,
     adiabatic_eliminate,
+    affine_sweep,
     cooling_model,
     evolve,
     steady_state,
@@ -135,8 +136,10 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     """Cool the mechanical mode from a thermal state with mean ``n_init``.
 
     Runs either the full two-mode master equation (microwave loss + thermal
-    mechanical bath) or the adiabatically eliminated single-mode model.
-    Without ``duration`` it runs for 5 / gamma', so the model must be damped.
+    mechanical bath) or the adiabatically eliminated single-mode model, and
+    builds only the one that runs, so only an eliminated run needs
+    kappa / g >= 5.  Without ``duration`` it runs for 5 / gamma', so the
+    model must be damped.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
@@ -147,24 +150,22 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
                       "kappa and gamma_m); cooling limit formulas degrade", stacklevel=2)
 
     na, nm = dims
-    two_mode_layout = SpaceLayout.of(("a", na), ("a_m", nm))
-    full = cooling_model(params.g, params.kappa, params.gamma_m, params.n_bar, two_mode_layout)
-    single = adiabatic_eliminate(params, nm)
+    rho0 = thermal_state(nm, n_init, "a_m")
+    if eliminated:
+        model = adiabatic_eliminate(params, nm)
+    else:
+        two_mode_layout = SpaceLayout.of(("a", na), ("a_m", nm))
+        model = cooling_model(params.g, params.kappa, params.gamma_m, params.n_bar,
+                              two_mode_layout)
+        vac = np.zeros((na, na), dtype=complex)
+        vac[0, 0] = 1.0
+        rho0 = DensityMatrix(two_mode_layout, np.kron(vac, rho0.matrix))
 
     if duration is None:
         slow = params.gamma_prime if params.gamma_prime else params.gamma_m
         if slow <= 0:
             raise PreconditionError("cannot choose a duration for an undamped model")
         duration = 5.0 / slow
-
-    mech_thermal = thermal_state(nm, n_init, "a_m")
-    if eliminated:
-        model, rho0 = single, mech_thermal
-    else:
-        model = full
-        vac = np.zeros((na, na), dtype=complex)
-        vac[0, 0] = 1.0
-        rho0 = DensityMatrix(two_mode_layout, np.kron(vac, mech_thermal.matrix))
 
     # cooling only moves population down the ladder, so the leak detector is
     # calibrated against the initial thermal tail rather than evolve's default
@@ -546,6 +547,12 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
 
     The ordinate is the phonon emission proxy gamma' <a_m^dag a_m>; peaks mark
     the dressed-splitting resonance with the mechanical frequency.
+
+    The Hamiltonian is affine in the swept value, H = H_0 + (v/2) sigma with
+    sigma = sigma_z for ``Delta_e`` and sigma_x for ``Omega_d_prime``, so the
+    model is built once at v = 0 and :func:`~cryomech.lindblad.affine_sweep`
+    gives each point's generator as L_0 + v L_sigma; every point is one
+    :func:`~cryomech.lindblad.steady_state` solve with all its checks.
     """
     if sweep not in ("Delta_e", "Omega_d_prime"):
         raise ValueError("sweep must be 'Delta_e' or 'Omega_d_prime'")
@@ -576,13 +583,17 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     if dephase > 0:
         diss = diss + (Dissipator(sz, dephase),)
 
+    # H = H_0 + (v/2) sigma with H_0 at the swept value 0
+    if sweep == "Delta_e":
+        base = SpinParams(lam=spin.lam, Delta_e=0.0, Omega_d_prime=spin.Omega_d_prime)
+        sigma = sz
+    else:
+        base = SpinParams(lam=spin.lam, Delta_e=spin.Delta_e or 0.0, Omega_d_prime=0.0)
+        sigma = embed(pauli("x"), layout, "spin")
+    model = LindbladModel(build_spin_mech(params, base, layout), diss)
     response = []
-    for v in values:
-        if sweep == "Delta_e":
-            sv = SpinParams(lam=spin.lam, Delta_e=float(v), Omega_d_prime=spin.Omega_d_prime)
-        else:
-            sv = SpinParams(lam=spin.lam, Delta_e=spin.Delta_e or 0.0, Omega_d_prime=float(v))
-        ss = steady_state(LindbladModel(build_spin_mech(params, sv, layout), diss))
+    for point in affine_sweep(model, 0.5 * sigma, values):
+        ss = steady_state(point)
         response.append(gamma_p * float(np.real(np.trace(n_op.matrix @ ss.matrix))))
     return _esr_spectrum(sweep, values, response)
 

@@ -4,6 +4,7 @@ states and adiabatic elimination."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
@@ -21,6 +22,7 @@ from cryomech.fockspace import (
     embed,
     fock_state,
     number,
+    pauli,
     thermal_state,
 )
 from cryomech.lindblad import (
@@ -29,6 +31,7 @@ from cryomech.lindblad import (
     _inverse_norm1,
     _trace_bordered,
     adiabatic_eliminate,
+    affine_sweep,
     cooling_model,
     eliminated_model,
     evolve,
@@ -36,7 +39,7 @@ from cryomech.lindblad import (
     steady_state,
     thermal_dissipators,
 )
-from cryomech.model import SystemParams
+from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech.oracle import _random_density, _random_model
 from cryomech.protocols import prepare_motional_superposition, sideband_cool
 
@@ -199,6 +202,74 @@ class TestEvolve:
         monkeypatch.setattr(lindblad, "_taylor_samples", drifted)
         with pytest.raises(ValueError):
             evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=1.0)
+
+
+def _assert_sweep_matches_rebuild(model, term, values):
+    """Every model affine_sweep yields holds H + v term and the dissipators,
+    arrives with its generator cached, and that generator is the rebuilt
+    one to 1e-14 of its 1-norm."""
+    points = list(affine_sweep(model, term, values))
+    assert len(points) == len(values)
+    for v, point in zip(values, points):
+        assert np.array_equal(point.hamiltonian.matrix, (model.hamiltonian + v * term).matrix)
+        assert point.dissipators == model.dissipators
+        assert "generator" in vars(point)
+        rebuilt = liouvillian_matrix(point)
+        assert point.generator.shape == rebuilt.shape
+        assert (lindblad._norm1(point.generator - rebuilt)
+                <= 1e-14 * lindblad._norm1(rebuilt)), v
+
+
+class TestAffineSweep:
+    @staticmethod
+    def _spin_mech(axis):
+        """The ESR model at the swept value 0, and the term (1/2) sigma_axis."""
+        layout = SpaceLayout.of(("a_m", 5), ("spin", 2, "spin-half"))
+        spin = (SpinParams(lam=0.05, Delta_e=0.0, Omega_d_prime=0.6) if axis == "z"
+                else SpinParams(lam=0.05, Delta_e=0.3, Omega_d_prime=0.0))
+        b = embed(annihilation(5, "a_m"), layout, "a_m")
+        diss = thermal_dissipators(b, 0.01, 0.3) + (
+            Dissipator(embed(pauli("z"), layout, "spin"), 0.002),)
+        model = LindbladModel(build_spin_mech(SystemParams(omega_m=1.0), spin, layout), diss)
+        return model, 0.5 * embed(pauli(axis), layout, "spin")
+
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    def test_spin_terms_match_rebuild(self, axis):
+        model, term = self._spin_mech(axis)
+        base = set(zip(*model.generator.nonzero()))
+        extra = set(zip(*LindbladModel(term).generator.nonzero())) - base
+        # sigma_z only moves diagonal entries; sigma_x, absent from the base
+        # at Omega_d' = 0, adds entries the base does not store
+        assert bool(extra) == (axis == "x")
+        _assert_sweep_matches_rebuild(model, term, [0.0, 0.37, -1.2])
+
+    def test_each_point_checks_hermiticity(self):
+        # a hermitian term at a complex value gives a non-hermitian H + v term
+        model, term = self._spin_mech("z")
+        points = affine_sweep(model, term, [0.5, 0.5j])
+        next(points)
+        with pytest.raises(ValueError, match="hermitian"):
+            next(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1),
+           density=st.floats(0.1, 1.0),
+           values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    def test_matches_rebuild_on_random_models(self, dims, seed, density, values):
+        layout = SpaceLayout.of(*((f"m{k}", d) for k, d in enumerate(dims)))
+        n = layout.dim
+        rng = np.random.default_rng(seed)
+
+        def sparse(hermitian):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m *= rng.random((n, n)) < density
+            return FockOperator(layout, 0.5 * (m + m.conj().T) if hermitian else m)
+
+        diss = tuple(Dissipator(sparse(False), float(rng.uniform(0.0, 0.5)))
+                     for _ in range(rng.integers(0, 3)))
+        model = LindbladModel(sparse(True), diss)
+        _assert_sweep_matches_rebuild(model, sparse(True), [0.0] + values)
 
 
 class TestSteadyState:

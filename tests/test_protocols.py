@@ -4,9 +4,20 @@ Bell measurement, teleportation (motional and spin), ESR scanning."""
 import numpy as np
 import pytest
 
+from cryomech import lindblad
 from cryomech.errors import PreconditionError
-from cryomech.fockspace import SpaceLayout, StateVector, kron_states
-from cryomech.model import SpinParams, SystemParams
+from cryomech.fockspace import (
+    FockOperator,
+    SpaceLayout,
+    StateVector,
+    annihilation,
+    embed,
+    kron_states,
+    number,
+    pauli,
+)
+from cryomech.lindblad import Dissipator, LindbladModel, steady_state, thermal_dissipators
+from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech import protocols as P
 
 
@@ -326,6 +337,50 @@ class TestEsrScan:
         assert down.resolution == up.resolution
         assert len(up.peaks) == 2
         assert sorted(down.peaks) == sorted(up.peaks)
+
+    @staticmethod
+    def _rebuilt_response(spin, params, sweep, values, mech_dim, decay, dephase):
+        """gamma_m <n_m> from a model and generator built anew at every point,
+        as the scan did before it swept L_0 + v L_sigma."""
+        layout = SpaceLayout.of(("a_m", mech_dim), ("spin", 2, "spin-half"))
+        b = embed(annihilation(mech_dim, "a_m"), layout, "a_m")
+        sminus = embed(FockOperator(SpaceLayout.single("spin", 2, "spin-half"),
+                                    np.array([[0, 0], [1, 0]], dtype=complex)), layout, "spin")
+        diss = thermal_dissipators(b, params.gamma_m, params.n_bar) + (
+            Dissipator(sminus, decay), Dissipator(embed(pauli("z"), layout, "spin"), dephase))
+        n_op = embed(number(mech_dim, "a_m"), layout, "a_m").matrix
+        response = []
+        for v in values:
+            sv = (SpinParams(lam=spin.lam, Delta_e=v, Omega_d_prime=spin.Omega_d_prime)
+                  if sweep == "Delta_e"
+                  else SpinParams(lam=spin.lam, Delta_e=spin.Delta_e, Omega_d_prime=v))
+            ss = steady_state(LindbladModel(build_spin_mech(params, sv, layout), diss))
+            response.append(params.gamma_m * np.real(np.trace(n_op @ ss.matrix)))
+        return np.array(response)
+
+    @pytest.mark.parametrize("sweep, spin, values", [
+        ("Delta_e", SpinParams(lam=0.05, Omega_d_prime=0.6), np.linspace(-1.5, 1.5, 13)),
+        ("Omega_d_prime", SpinParams(lam=0.05, Delta_e=0.2), np.linspace(0.2, 1.8, 13)),
+    ])
+    def test_builds_once_per_sweep(self, monkeypatch, sweep, spin, values):
+        params = SystemParams(omega_m=1.0, gamma_m=0.01, n_bar=0.3)
+        calls = {"build": 0, "generator": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(P, "build_spin_mech", counted("build", build_spin_mech))
+        monkeypatch.setattr(lindblad, "liouvillian_matrix",
+                            counted("generator", lindblad.liouvillian_matrix))
+        spec = P.esr_scan(spin, params, sweep, values, mech_dim=6,
+                          spin_decay=0.005, spin_dephasing=0.002)
+        assert calls["build"] == 1 and calls["generator"] <= 2
+        monkeypatch.undo()
+        rebuilt = self._rebuilt_response(spin, params, sweep, values, 6, 0.005, 0.002)
+        assert np.max(np.abs(spec.response - rebuilt)) <= 1e-12
 
     def test_strong_lambda_rejected(self):
         spin = SpinParams(lam=0.3, Omega_d_prime=0.6)
