@@ -33,7 +33,7 @@ from .fockspace import (
     superposition,
     thermal_state,
 )
-from .gates import CorrectionTable, CPHASE, HADAMARD, PAULI_GATES
+from .gates import CORRECTION_TABLE, CorrectionTable, CPHASE, HADAMARD, PAULI_GATES
 from .lindblad import (
     Dissipator,
     EvolutionResult,
@@ -81,7 +81,6 @@ from .protocols import (
     SwapResult,
     TransferResult,
     bell_measure,
-    correction_table,
     cphase,
     esr_scan,
     prepare_entangled_lc,

@@ -14,12 +14,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import oracle, protocols
-from .errors import ConfigError, PreconditionError, VerificationError
+from .errors import (
+    ConfigError,
+    DegenerateSteadyStateError,
+    PreconditionError,
+    VerificationError,
+)
 from .lindblad import _METHODS
 from .model import (
     SpinParams,
@@ -29,239 +34,135 @@ from .model import (
     spin_phonon_coupling,
 )
 
-SCENARIOS = ("cool", "superpose", "teleport-motional", "esr-scan",
-             "teleport-spin", "verify-all", "params")
+# ---------------------------------------------------------------------------
+# Value readers: each parses the text of one key into its type, or raises
+# ConfigError naming the key
+# ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "cool": {"scenario", "g", "kappa", "gamma_m", "n_bar", "n_init", "omega_m",
-             "duration", "dim_a", "dim_m", "eliminated", "num_samples", "method"},
-    "superpose": {"scenario", "g", "kappa", "gamma_m", "n_bar", "dim_a", "dim_m",
-                  "dissipation"},
-    "teleport-motional": {"scenario", "alpha", "beta", "force_branch",
-                          "resource_damping"},
-    "esr-scan": {"scenario", "omega_m", "lam", "gamma_m", "n_bar", "sweep",
-                 "start", "stop", "points", "Delta_e", "Omega_d_prime",
-                 "mech_dim", "spin_decay", "spin_dephasing"},
-    "teleport-spin": {"scenario", "alpha", "beta", "lambda_rate", "gamma_prime",
-                      "n_bar_prime", "phonon_dim", "force_branch", "n_bar_gamma"},
-    "verify-all": {"scenario", "instances"},
-    "params": {"scenario", "omega_m", "M_mem", "T", "gamma_m", "kappa",
-               "Omega_d", "Delta", "G_pull", "g0", "m_bio", "G_m", "Delta_e",
-               "Omega_d_prime"},
-}
-
-_REQUIRED_KEYS = {
-    "cool": {"g", "kappa", "gamma_m", "n_bar", "n_init"},
-    "superpose": {"g", "kappa", "gamma_m", "n_bar"},
-    "teleport-motional": {"alpha", "beta"},
-    "esr-scan": {"omega_m", "lam", "gamma_m", "sweep", "start", "stop", "points"},
-    "teleport-spin": {"alpha", "beta", "lambda_rate"},
-    "verify-all": set(),
-    "params": {"omega_m", "M_mem", "T"},
-}
-
-
-def parse_config(path: Path) -> dict:
-    """Parse a key=value configuration file (# comments, blank lines allowed)."""
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    cfg: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: empty key or value")
-        if key in cfg:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        # a branch such as 00 is a bit string, not the integer 0
-        cfg[key] = value if key == "force_branch" else _coerce(value)
-    if "scenario" not in cfg:
-        raise ConfigError("config must set scenario=<name>")
-    scenario = cfg["scenario"]
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
-    unknown = set(cfg) - _CONFIG_KEYS[scenario]
-    if unknown:
-        raise ConfigError(f"unknown keys for scenario {scenario!r}: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS[scenario] - set(cfg)
-    if missing:
-        raise ConfigError(f"scenario {scenario!r} missing required keys: {sorted(missing)}")
-    return cfg
-
-
-def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
+def _real(minimum: float = -np.inf, strict: bool = False, maximum: float = np.inf):
+    """A finite real number of at least ``minimum`` (above it when
+    ``strict``) and at most ``maximum``."""
+    def read(key: str, text: str) -> float:
         try:
-            return cast(value)
+            v = float(text)
         except ValueError:
-            pass
-    try:
-        return complex(value)
-    except ValueError:
-        return value
+            v = np.nan
+        if not np.isfinite(v):
+            raise ConfigError(f"{key} must be a finite real number, got {text!r}")
+        if v < minimum or (strict and v == minimum):
+            raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum:g}, got {v!r}")
+        if v > maximum:
+            raise ConfigError(f"{key} must lie in [{minimum:g}, {maximum:g}], got {v!r}")
+        return v
+    return read
 
 
-def _as_complex(cfg: dict, key: str) -> complex:
-    v = cfg[key]
-    if isinstance(v, (int, float, complex)):
-        return complex(v)
+def _integer(minimum: int):
+    """An integer of at least ``minimum``."""
+    def read(key: str, text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+        if v < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {v}")
+        return v
+    return read
+
+
+def _choice(*choices: str):
+    """One of ``choices``, kept as its literal text."""
+    def read(key: str, text: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return read
+
+
+def _flag(key: str, text: str) -> bool:
+    """A boolean written ``true`` or ``false`` (any case)."""
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"{key} must be true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _amplitude(key: str, text: str) -> complex:
+    """A finite complex number such as ``0.6+0.8j`` (spaces allowed)."""
     try:
-        return complex(str(v).replace(" ", ""))
+        v = complex(text.replace(" ", ""))
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {v!r}")
+        v = complex(np.nan)
+    if not np.isfinite(v):
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    return v
+
+
+_SIGNED = _real()
+_NONNEG = _real(minimum=0.0)
+_POSITIVE = _real(minimum=0.0, strict=True)
+_DIM = _integer(2)
+_BRANCH = _choice("00", "01", "10", "11")
+
+#: Marks a key of ``_SCENARIOS`` that every config of its scenario must set.
+REQUIRED = object()
+
+#: The truncation keys and the mode label ``--truncation`` names each by.
+_TRUNCATION_LABELS = {"dim_a": "a", "dim_m": "a_m", "mech_dim": "a_m", "phonon_dim": "a_m"}
+
+
+def _params(cfg: dict, *keys: str) -> SystemParams:
+    """``SystemParams`` of the given config keys; a derived value that the
+    config makes inconsistent, undefined or too large for a float is a
+    configuration error."""
+    try:
+        return SystemParams(**{k: cfg[k] for k in keys})
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{cfg['scenario']}: {exc}") from None
 
 
 def _teleport_input(cfg: dict) -> dict:
-    """The validated input qubit and forced branch of a teleport scenario."""
-    alpha, beta = _as_complex(cfg, "alpha"), _as_complex(cfg, "beta")
+    """The normalized input qubit and forced branch of a teleport scenario."""
+    alpha, beta = cfg["alpha"], cfg["beta"]
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ConfigError(f"alpha and beta must be normalized, got "
                           f"|alpha|^2 + |beta|^2 = {norm:.12g}")
-    branch = cfg.get("force_branch")
-    if branch is not None and branch not in ("00", "01", "10", "11"):
-        raise ConfigError(f"force_branch must be one of 00, 01, 10, 11, got {branch!r}")
-    return {"alpha": alpha, "beta": beta, "force_branch": branch}
-
-
-def _real(cfg: dict, key: str, default: Optional[float] = None,
-          minimum: float = -np.inf, strict: bool = False) -> Optional[float]:
-    """A finite real value of at least ``minimum`` (above it when ``strict``),
-    ``default`` when the key is absent."""
-    if key not in cfg:
-        return default
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-        raise ConfigError(f"{key} must be a finite real number, got {v!r}")
-    if v < minimum or (strict and v == minimum):
-        raise ConfigError(f"{key} must be {'>' if strict else '>='} {minimum:g}, got {v!r}")
-    return float(v)
-
-
-def _integer(cfg: dict, key: str, default: int, minimum: int) -> int:
-    """An integer value of at least ``minimum``, ``default`` when absent."""
-    v = cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    if v < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _choice(cfg: dict, key: str, choices: tuple, default: Optional[str] = None) -> str:
-    """One of ``choices``, ``default`` when the key is absent."""
-    v = cfg.get(key, default)
-    if v not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {v!r}")
-    return v
-
-
-def _flag(cfg: dict, key: str, default: bool) -> bool:
-    """A boolean written ``true`` or ``false``, ``default`` when absent."""
-    v = cfg.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{key} must be true or false, got {v!r}")
-    return v
-
-
-def _bounded(cfg: dict, key: str, upper: float = np.inf) -> float:
-    """An optional rate or probability, 0 when absent, rejected outside [0, upper]."""
-    v = _real(cfg, key, 0.0, minimum=0.0)
-    if v > upper:
-        raise ConfigError(f"{key} must lie in [0, {upper:g}], got {v!r}")
-    return v
-
-
-def _derived(scenario: str, **given) -> SystemParams:
-    """``SystemParams(**given)``; a derived value that the config makes
-    inconsistent, undefined or too large for a float is a configuration
-    error."""
-    try:
-        return SystemParams(**given)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{scenario}: {exc}") from None
-
-
-#: The truncation config keys and the mode label ``--truncation`` names each
-#: by; a scenario accepts the labels of the keys it reads.
-_TRUNCATION_LABELS = {"dim_a": "a", "dim_m": "a_m", "mech_dim": "a_m", "phonon_dim": "a_m"}
-
-
-def _dim(cfg: dict, overrides: dict, key: str, default: int) -> int:
-    """A truncation from the config (at least 2), unless --truncation overrides it."""
-    return int(overrides.get(_TRUNCATION_LABELS[key], _integer(cfg, key, default, minimum=2)))
+    return {"alpha": alpha, "beta": beta, "force_branch": cfg["force_branch"]}
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners (each returns a JSON-ready dict)
+# Scenario runners (each takes the typed config and returns a JSON-ready dict)
 # ---------------------------------------------------------------------------
 
-def _run_cool(cfg, seed, trunc, jobs):
-    params = _derived(
-        "cool", g=_real(cfg, "g", minimum=0.0), kappa=_real(cfg, "kappa", minimum=0.0),
-        gamma_m=_real(cfg, "gamma_m", minimum=0.0), n_bar=_real(cfg, "n_bar", minimum=0.0),
-        omega_m=_real(cfg, "omega_m", minimum=0.0),
-    )
+def _run_cool(cfg, seed, jobs):
     report = protocols.sideband_cool(
-        params, n_init=_real(cfg, "n_init", minimum=0.0),
-        duration=_real(cfg, "duration", minimum=0.0, strict=True),
-        dims=(_dim(cfg, trunc, "dim_a", 4), _dim(cfg, trunc, "dim_m", 12)),
-        eliminated=_flag(cfg, "eliminated", False),
-        num_samples=_integer(cfg, "num_samples", 60, minimum=2),
-        method=_choice(cfg, "method", _METHODS, "auto"),
+        _params(cfg, "g", "kappa", "gamma_m", "n_bar", "omega_m"),
+        n_init=cfg["n_init"], duration=cfg["duration"], dims=(cfg["dim_a"], cfg["dim_m"]),
+        eliminated=cfg["eliminated"], num_samples=cfg["num_samples"], method=cfg["method"],
     )
     return report.to_json_dict()
 
 
-def _run_superpose(cfg, seed, trunc, jobs):
-    params = _derived(
-        "superpose", g=_real(cfg, "g", minimum=0.0, strict=True),
-        kappa=_real(cfg, "kappa", minimum=0.0),
-        gamma_m=_real(cfg, "gamma_m", minimum=0.0), n_bar=_real(cfg, "n_bar", minimum=0.0),
-    )
+def _run_superpose(cfg, seed, jobs):
     report = protocols.prepare_motional_superposition(
-        params,
-        dims=(_dim(cfg, trunc, "dim_a", 4), _dim(cfg, trunc, "dim_m", 4)),
-        dissipation=_flag(cfg, "dissipation", True),
+        _params(cfg, "g", "kappa", "gamma_m", "n_bar"),
+        dims=(cfg["dim_a"], cfg["dim_m"]), dissipation=cfg["dissipation"],
     )
     return report.to_json_dict()
 
 
-def _run_teleport_motional(cfg, seed, trunc, jobs):
+def _run_teleport_motional(cfg, seed, jobs):
     report = protocols.teleport_motional(
-        **_teleport_input(cfg), seed=seed,
-        resource_damping=_bounded(cfg, "resource_damping", 1.0),
-    )
+        **_teleport_input(cfg), seed=seed, resource_damping=cfg["resource_damping"])
     return report.to_json_dict()
 
 
-def _run_esr(cfg, seed, trunc, jobs):
-    params = SystemParams(omega_m=_real(cfg, "omega_m", minimum=0.0),
-                          gamma_m=_real(cfg, "gamma_m", minimum=0.0, strict=True),
-                          n_bar=_real(cfg, "n_bar", 0.0, minimum=0.0))
-    spin = SpinParams(lam=_real(cfg, "lam", minimum=0.0),
-                      Delta_e=_real(cfg, "Delta_e", 0.0),
-                      Omega_d_prime=_real(cfg, "Omega_d_prime", 0.0))
-    values = np.linspace(_real(cfg, "start"), _real(cfg, "stop"),
-                         _integer(cfg, "points", None, minimum=1))
-    kwargs = dict(
-        sweep=_choice(cfg, "sweep", ("Delta_e", "Omega_d_prime")),
-        mech_dim=_dim(cfg, trunc, "mech_dim", 8),
-        spin_decay=_real(cfg, "spin_decay", minimum=0.0),
-        spin_dephasing=_real(cfg, "spin_dephasing", minimum=0.0),
-    )
+def _run_esr(cfg, seed, jobs):
+    params = _params(cfg, "omega_m", "gamma_m", "n_bar")
+    spin = SpinParams(lam=cfg["lam"], Delta_e=cfg["Delta_e"],
+                      Omega_d_prime=cfg["Omega_d_prime"])
+    values = np.linspace(cfg["start"], cfg["stop"], cfg["points"])
+    kwargs = {k: cfg[k] for k in ("sweep", "mech_dim", "spin_decay", "spin_dephasing")}
     if jobs > 1 and len(values) > 1:
         spectrum = _parallel_esr(spin, params, values, kwargs, jobs)
     else:
@@ -286,21 +187,18 @@ def _esr_chunk(spin, params, chunk, kwargs):
     return list(spectrum.response)
 
 
-def _run_teleport_spin(cfg, seed, trunc, jobs):
+def _run_teleport_spin(cfg, seed, jobs):
     report = protocols.teleport_spin(
         **_teleport_input(cfg), seed=seed,
-        phonon_dim=_dim(cfg, trunc, "phonon_dim", 3),
-        lambda_rate=_real(cfg, "lambda_rate", minimum=0.0, strict=True),
-        gamma_prime=_bounded(cfg, "gamma_prime"),
-        n_bar_prime=_real(cfg, "n_bar_prime", 0.0, minimum=0.0),
-        n_bar_gamma=_real(cfg, "n_bar_gamma", minimum=0.0),
+        **{k: cfg[k] for k in ("phonon_dim", "lambda_rate", "gamma_prime",
+                               "n_bar_prime", "n_bar_gamma")},
     )
     return report.to_json_dict()
 
 
-def _run_verify_all(cfg, seed, trunc, jobs):
+def _run_verify_all(cfg, seed, jobs):
     reports = oracle.verify_all(seed=seed if seed is not None else 0,
-                                instances=_integer(cfg, "instances", 20, minimum=0))
+                                instances=cfg["instances"])
     doc = {"scenario": "verify-all",
            "reports": [r.to_json_dict() for r in reports],
            "all_passed": all(r.passed for r in reports)}
@@ -310,48 +208,132 @@ def _run_verify_all(cfg, seed, trunc, jobs):
     return doc
 
 
-def _run_params(cfg, seed, trunc, jobs):
-    omega_m = _real(cfg, "omega_m", minimum=0.0, strict=True)
-    M = _real(cfg, "M_mem", minimum=0.0, strict=True)
-    T = _real(cfg, "T", minimum=0.0)
-    p = _derived(
-        "params", omega_m=omega_m, M_mem=M, T=T, kappa=_real(cfg, "kappa", minimum=0.0),
-        gamma_m=_real(cfg, "gamma_m", minimum=0.0), Omega_d=_real(cfg, "Omega_d", minimum=0.0),
-        Delta=_real(cfg, "Delta"), G_pull=_real(cfg, "G_pull", minimum=0.0),
-        g0=_real(cfg, "g0", minimum=0.0),
-    )
-    out = {"scenario": "params", "omega_m": omega_m, "M_mem": M, "T": T,
-           "x0": p.x0, "n_bar": p.n_bar}
+def _run_params(cfg, seed, jobs):
+    p = _params(cfg, "omega_m", "M_mem", "T", "kappa", "gamma_m", "Omega_d", "Delta",
+                "G_pull", "g0")
+    out = {"scenario": "params", "omega_m": cfg["omega_m"], "M_mem": cfg["M_mem"],
+           "T": cfg["T"], "x0": p.x0, "n_bar": p.n_bar}
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
         v = getattr(p, name)
         if v is not None:
             out[name] = [v.real, v.imag] if isinstance(v, complex) else v
-    if "m_bio" in cfg:
-        m_bio = _real(cfg, "m_bio", minimum=0.0)
-        out["mass_ratio"] = m_bio / M
-        out["frequency_shift"] = frequency_shift(omega_m, m_bio, M)
+    if cfg["m_bio"] is not None:
+        out["mass_ratio"] = cfg["m_bio"] / cfg["M_mem"]
+        out["frequency_shift"] = frequency_shift(cfg["omega_m"], cfg["m_bio"], cfg["M_mem"])
         # a particle riding the membrane antinode moves with twice the
         # membrane's zero-point amplitude
         out["x0_prime"] = 2.0 * p.x0
-        if "G_m" in cfg:
-            lam = spin_phonon_coupling(2.0, _real(cfg, "G_m", minimum=0.0), out["x0_prime"])
+        if cfg["G_m"] is not None:
+            lam = spin_phonon_coupling(2.0, cfg["G_m"], out["x0_prime"])
             out["lam_rad_per_s"] = lam
             out["lam_hz_equivalent"] = lam / (2.0 * np.pi)
-    if "Delta_e" in cfg and "Omega_d_prime" in cfg:
-        out["omega_eff"] = dressed_splitting(_real(cfg, "Delta_e"),
-                                             _real(cfg, "Omega_d_prime"))
+    if cfg["Delta_e"] is not None and cfg["Omega_d_prime"] is not None:
+        out["omega_eff"] = dressed_splitting(cfg["Delta_e"], cfg["Omega_d_prime"])
     return out
 
 
-_RUNNERS = {
-    "cool": _run_cool,
-    "superpose": _run_superpose,
-    "teleport-motional": _run_teleport_motional,
-    "esr-scan": _run_esr,
-    "teleport-spin": _run_teleport_spin,
-    "verify-all": _run_verify_all,
-    "params": _run_params,
+#: Each scenario's runner and its keys, each with its reader and its default
+#: (``REQUIRED`` for a key the config must set).
+_SCENARIOS = {
+    "cool": (_run_cool, {
+        "g": (_NONNEG, REQUIRED), "kappa": (_NONNEG, REQUIRED),
+        "gamma_m": (_NONNEG, REQUIRED), "n_bar": (_NONNEG, REQUIRED),
+        "n_init": (_NONNEG, REQUIRED), "omega_m": (_NONNEG, None),
+        "duration": (_POSITIVE, None), "dim_a": (_DIM, 4), "dim_m": (_DIM, 12),
+        "eliminated": (_flag, False), "num_samples": (_integer(2), 60),
+        "method": (_choice(*_METHODS), "auto"),
+    }),
+    "superpose": (_run_superpose, {
+        "g": (_POSITIVE, REQUIRED), "kappa": (_NONNEG, REQUIRED),
+        "gamma_m": (_NONNEG, REQUIRED), "n_bar": (_NONNEG, REQUIRED),
+        "dim_a": (_DIM, 4), "dim_m": (_DIM, 4), "dissipation": (_flag, True),
+    }),
+    "teleport-motional": (_run_teleport_motional, {
+        "alpha": (_amplitude, REQUIRED), "beta": (_amplitude, REQUIRED),
+        "force_branch": (_BRANCH, None), "resource_damping": (_real(0.0, maximum=1.0), 0.0),
+    }),
+    "esr-scan": (_run_esr, {
+        "omega_m": (_NONNEG, REQUIRED), "lam": (_NONNEG, REQUIRED),
+        "gamma_m": (_POSITIVE, REQUIRED),
+        "sweep": (_choice("Delta_e", "Omega_d_prime"), REQUIRED),
+        "start": (_SIGNED, REQUIRED), "stop": (_SIGNED, REQUIRED),
+        "points": (_integer(1), REQUIRED), "n_bar": (_NONNEG, 0.0),
+        "Delta_e": (_SIGNED, 0.0), "Omega_d_prime": (_SIGNED, 0.0), "mech_dim": (_DIM, 8),
+        "spin_decay": (_NONNEG, None), "spin_dephasing": (_NONNEG, None),
+    }),
+    "teleport-spin": (_run_teleport_spin, {
+        "alpha": (_amplitude, REQUIRED), "beta": (_amplitude, REQUIRED),
+        "lambda_rate": (_POSITIVE, REQUIRED), "gamma_prime": (_NONNEG, 0.0),
+        "n_bar_prime": (_NONNEG, 0.0), "phonon_dim": (_DIM, 3),
+        "force_branch": (_BRANCH, None), "n_bar_gamma": (_NONNEG, None),
+    }),
+    "verify-all": (_run_verify_all, {"instances": (_integer(0), 20)}),
+    "params": (_run_params, {
+        "omega_m": (_POSITIVE, REQUIRED), "M_mem": (_POSITIVE, REQUIRED),
+        "T": (_NONNEG, REQUIRED), "gamma_m": (_NONNEG, None), "kappa": (_NONNEG, None),
+        "Omega_d": (_NONNEG, None), "Delta": (_SIGNED, None), "G_pull": (_NONNEG, None),
+        "g0": (_NONNEG, None), "m_bio": (_NONNEG, None), "G_m": (_NONNEG, None),
+        "Delta_e": (_SIGNED, None), "Omega_d_prime": (_SIGNED, None),
+    }),
 }
+
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def parse_config(path: Path, truncations: Sequence[str] = ()) -> dict:
+    """Read a key=value configuration file (# comments, blank lines allowed)
+    into the typed value of every key of its scenario.
+
+    Each ``NAME=DIM`` of ``truncations`` (the ``--truncation`` flag) replaces
+    the text of the truncation key that the mode label NAME names.  Every
+    key is then parsed once by its reader in ``_SCENARIOS``; an optional key
+    the config leaves out takes its default.
+    """
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        contents = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    texts: dict[str, str] = {}
+    for lineno, raw in enumerate(contents.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        if key in texts:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        texts[key] = value
+    scenario = texts.pop("scenario", None)
+    if scenario is None:
+        raise ConfigError("config must set scenario=<name>")
+    if scenario not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+    keys = _SCENARIOS[scenario][1]
+    unknown = set(texts) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys for scenario {scenario!r}: {sorted(unknown)}")
+    missing = {k for k, (_, default) in keys.items() if default is REQUIRED} - set(texts)
+    if missing:
+        raise ConfigError(f"scenario {scenario!r} missing required keys: {sorted(missing)}")
+    labels = {label: key for key, label in _TRUNCATION_LABELS.items() if key in keys}
+    for item in truncations:
+        label, eq, dim = item.partition("=")
+        if not eq:
+            raise ConfigError(f"--truncation expects NAME=DIM, got {item!r}")
+        if label.strip() not in labels:
+            raise ConfigError(f"scenario {scenario!r} has no truncation {label.strip()!r} "
+                              f"(it has: {', '.join(sorted(labels)) or 'none'})")
+        texts[labels[label.strip()]] = dim.strip()
+    cfg = {"scenario": scenario}
+    for key, (read, default) in keys.items():
+        cfg[key] = read(key, texts[key]) if key in texts else default
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -377,51 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_truncations(items, scenario: str) -> dict:
-    labels = sorted({label for key, label in _TRUNCATION_LABELS.items()
-                     if key in _CONFIG_KEYS[scenario]})
-    out = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--truncation expects NAME=DIM, got {item!r}")
-        name, _, dim = item.partition("=")
-        name = name.strip()
-        if name not in labels:
-            raise ConfigError(f"scenario {scenario!r} has no truncation {name!r} "
-                              f"(it has: {', '.join(labels) or 'none'})")
-        try:
-            value = int(dim)
-        except ValueError:
-            raise ConfigError(f"--truncation dimension must be an integer, got {dim!r}")
-        if value < 2:
-            raise ConfigError(f"--truncation {name} must be >= 2, got {value}")
-        out[name] = value
-    return out
+#: The exit code and the message prefix of each error a run reports without
+#: a traceback.
+_EXITS = {
+    ConfigError: (2, "error"),
+    PreconditionError: (3, "precondition not met"),
+    DegenerateSteadyStateError: (3, "precondition not met"),
+    VerificationError: (4, "verification failure"),
+}
 
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        trunc = _parse_truncations(args.truncation, cfg["scenario"])
+        cfg = parse_config(args.config, args.truncation)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    scenario = cfg["scenario"]
-    try:
-        doc = _RUNNERS[scenario](cfg, args.seed, trunc, args.jobs)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition not met: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 4
+        scenario = cfg["scenario"]
+        doc = _SCENARIOS[scenario][0](cfg, args.seed, args.jobs)
+    except tuple(_EXITS) as exc:
+        code, prefix = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
     args.out.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -378,7 +378,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     k = len(kept_subs)
     perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
     reduced = reduced.transpose(perm).reshape(d, d)
-    reduced = 0.5 * (reduced + reduced.conj().T)
     return DensityMatrix(SpaceLayout(kept_subs), reduced,
                          trace_tol=rho.trace_tol, herm_tol=rho.herm_tol, pos_tol=rho.pos_tol)
 

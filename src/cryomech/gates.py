@@ -4,7 +4,9 @@ Bell-outcome correction table.
 These are the abstract circuit primitives used by the teleportation
 protocols: :data:`BELL_CIRCUIT` is the one definition of the measurement
 circuit, applied by :func:`cryomech.protocols.bell_measure` and enumerated by
-:func:`cryomech.oracle.verify_teleportation`.  The physical realizations
+:func:`cryomech.oracle.verify_teleportation`, and :data:`CORRECTION_TABLE` is
+the one correction table, applied by the teleportation protocols and
+checked against the oracle's exhaustive derivation.  The physical realizations
 (number-number phase gate, spin-phonon swaps) live in
 :mod:`cryomech.protocols`.
 """
@@ -65,6 +67,12 @@ class CorrectionTable:
 
     def to_json_dict(self) -> dict:
         return dict(self.mapping)
+
+
+#: The correction of each Bell outcome for :data:`BELL_CIRCUIT` with the
+#: (|01> + |10>)/sqrt(2) resource; :func:`cryomech.oracle.verify_teleportation`
+#: checks it against the unique table its exhaustive search derives.
+CORRECTION_TABLE = CorrectionTable({"00": "ZH", "01": "XZH", "10": "H", "11": "XH"})
 
 
 def phases_equal(psi: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> bool:

@@ -144,19 +144,21 @@ class LindbladModel:
         return liouvillian_matrix(self)
 
     @cached_property
-    def _blocks(self) -> dict[bytes, tuple[np.ndarray, sp.csr_array]]:
+    def _blocks(self) -> dict[bytes, tuple[np.ndarray, _TaylorBlock]]:
         return {}
 
-    def reachable_block(self, support: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
+    def reachable_block(self, support: np.ndarray) -> tuple[np.ndarray, _TaylorBlock]:
         """The sorted indices of vec(rho) reachable from ``support`` along the
         generator's sparsity graph (:func:`_reachable`), and the generator
-        restricted to them; computed once per support."""
+        restricted to them as a :class:`_TaylorBlock`; computed once per
+        support, so every evolution from it shares the block's shift, 1-norm
+        and roots."""
         key = support.tobytes()
         if key not in self._blocks:
             L = self.generator
             block = _reachable(L, support)
-            self._blocks[key] = (block, L if block.size == L.shape[0]
-                                 else L[block[:, None], block])
+            self._blocks[key] = (block, _TaylorBlock(L if block.size == L.shape[0]
+                                                     else L[block[:, None], block]))
         return self._blocks[key]
 
 
@@ -410,9 +412,9 @@ def _dense_csr(P: np.ndarray) -> sp.csr_array:
                         shape=P.shape)
 
 
-def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float,
+def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
                     steps: int) -> tuple[np.ndarray, str, tuple[int, int, int]]:
-    """Rows exp(j h A) v0 for j = 0 .. steps, with the path of
+    """Rows exp(j h A) v0 for j = 0 .. steps for the block's A, with the path of
     :func:`_taylor_path` that made them and its (m, s, k).
 
     The propagator is P = exp(h A) from the series at h / 2^k and k squarings
@@ -421,7 +423,6 @@ def _taylor_samples(A: sp.csr_array, v0: np.ndarray, h: float,
     involved, so its bits, like the stepper's, do not depend on the BLAS
     thread count.
     """
-    block = _TaylorBlock(A)
     path, (m, s, k) = _taylor_path(block, h, steps)
     if path == "stepper":
         def advance(f):
@@ -487,10 +488,10 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
         samples, path, schedule = sol.y.T, method, None
     else:
-        block, A = model.reachable_block(np.flatnonzero(v0))
+        block, taylor = model.reachable_block(np.flatnonzero(v0))
         samples = np.zeros((num_samples, n * n), dtype=complex)
         samples[:, block], path, schedule = _taylor_samples(
-            A, v0[block], duration / (num_samples - 1), num_samples - 1)
+            taylor, v0[block], duration / (num_samples - 1), num_samples - 1)
     states = []
     for v in samples:
         rho = DensityMatrix(model.layout, _unvec(v, n), **SAMPLE_TOLS)
@@ -586,7 +587,6 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     rhs[0] = scale
     rho = _unvec(lu.solve(rhs), n)
     rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
     residual = np.linalg.norm(L @ _vec(rho))
     if residual > 1e-10 * max(scale, 1.0):
         raise DegenerateSteadyStateError(f"null-space residual {residual:.3g} too large")

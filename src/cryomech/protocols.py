@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +23,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from . import oracle
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError
 from .fockspace import (
     DensityMatrix,
     FockOperator,
@@ -42,7 +40,7 @@ from .fockspace import (
     thermal_state,
     top_level_population,
 )
-from .gates import BELL_CIRCUIT, CPHASE, I2, CorrectionTable, phases_equal
+from .gates import BELL_CIRCUIT, CORRECTION_TABLE, CPHASE, I2, phases_equal
 from .lindblad import (
     Dissipator,
     LindbladModel,
@@ -115,15 +113,6 @@ def _jsonable(v):
     if isinstance(v, np.ndarray):
         return _jsonable(v.tolist())
     return v
-
-
-@lru_cache(maxsize=1)
-def correction_table() -> CorrectionTable:
-    """The Bell-outcome correction table, derived once by exhaustive search."""
-    report, table = oracle.verify_teleportation()
-    if table is None:
-        raise VerificationError("no consistent correction table exists for the circuit")
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +199,7 @@ def _qubit_fidelity_up_to_phase(rho: np.ndarray, alpha: complex, beta: complex) 
     """max_theta <psi_theta| rho |psi_theta> for psi_theta = alpha|0> + e^{i theta} beta|1>."""
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     f = a2 * rho[0, 0].real + b2 * rho[1, 1].real + 2.0 * abs(alpha * np.conj(beta) * rho[0, 1])
-    return float(min(max(f, 0.0), 1.0))
+    return float(f)
 
 
 def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = None,
@@ -450,7 +439,6 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
     if not 0.0 <= resource_damping <= 1.0:
         raise ValueError(f"resource_damping must lie in [0, 1], got {resource_damping}")
     rng = np.random.default_rng(seed)
-    table = correction_table()
 
     layout = SpaceLayout.of(("a_m1", 2), ("a1", 2), ("a_m2", 2))
     pair = ("a_m1", "a1")
@@ -461,7 +449,7 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
                      np.column_stack([np.kron(k1, k2) @ resource for k1 in kraus for k2 in kraus]))
 
     bits, _, collapsed = _bell_measure(layout, factor, pair, rng, force_branch)
-    out = table.gate(bits) @ collapsed
+    out = CORRECTION_TABLE.gate(bits) @ collapsed
     if resource_damping > 0.0:
         details = {"resource_damping": resource_damping}
     else:
@@ -479,7 +467,7 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
         segments=_teleport_segments(),
         final_fidelity=float(np.linalg.norm(target.conj() @ out) ** 2),
         measurement_record=tuple(int(b) for b in bits),
-        correction_applied=table.name(bits),
+        correction_applied=CORRECTION_TABLE.name(bits),
         seed=seed,
         details=details,
     )
@@ -765,7 +753,7 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
         scenario="teleport-spin",
         segments=({"label": "jc-swap[spin->mech]", "duration": t_swap}, *middle,
                   {"label": "jc-swap[mech->spin]", "duration": t_swap}),
-        final_fidelity=min(max(fid, 0.0), 1.0),
+        final_fidelity=fid,
         measurement_record=record,
         correction_applied=correction,
         seed=seed,

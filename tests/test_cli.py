@@ -3,6 +3,7 @@ output artifacts, and determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cryomech
-from cryomech.cli import SCENARIOS, main, parse_config
+from cryomech.cli import _SCENARIOS, REQUIRED, SCENARIOS, main, parse_config
 from cryomech.errors import ConfigError
 
 
@@ -41,9 +42,14 @@ n_bar = 3
 n_init = 3
 eliminated = true
 """))
+        # each value is read by its key's type, and absent keys take defaults
         assert cfg["scenario"] == "cool"
-        assert cfg["kappa"] == 20 and isinstance(cfg["kappa"], int)
+        assert cfg["kappa"] == 20.0 and isinstance(cfg["kappa"], float)
         assert cfg["eliminated"] is True
+        assert cfg["dim_m"] == 12 and cfg["duration"] is None
+        branch = parse_config(write_cfg(tmp_path, TELEPORT_CFG + "force_branch = 00\n"))
+        assert branch["force_branch"] == "00"
+        assert branch["alpha"] == 0.6 + 0j and isinstance(branch["alpha"], complex)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -159,6 +165,16 @@ points = 3
 """)
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         assert "precondition" in capsys.readouterr().err
+
+    def test_degenerate_steady_state_exit_3(self, tmp_path, capsys):
+        # with no spin rates and a vanishing mechanical rate the steady state
+        # is not unique (condition estimate ~1e19)
+        path = write_cfg(tmp_path, ESR_SCAN_CFG.replace("gamma_m = 0.01", "gamma_m = 1e-300")
+                         + "sweep = Delta_e\npoints = 5\nOmega_d_prime = 0.6\nmech_dim = 4\n"
+                         "spin_decay = 0\nspin_dephasing = 0\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "steady state is not unique" in err and "Traceback" not in err
 
     def test_undamped_cool_exit_3(self, tmp_path, capsys):
         # no damping to set a default duration from
@@ -286,11 +302,12 @@ class TestMalformedValues:
         TELEPORT_SPIN_CFG + "n_bar_prime = -0.1\n",
         COOL_CFG.replace("eliminated = true", "eliminated = no"),
         SUPERPOSE_CFG + "dissipation = off\n",
+        "scenario = teleport-motional\nalpha = nan\nbeta = 1\n",
     ], ids=["real", "dim-minimum", "integer", "sweep", "method", "num-samples",
             "superpose-g-negative", "superpose-g-zero", "cool-gamma_m", "cool-n_init",
             "cool-duration", "esr-gamma_m", "esr-n_bar", "spin-lambda-negative",
             "spin-lambda-zero", "spin-n_bar_prime", "cool-eliminated-no",
-            "superpose-dissipation-off"])
+            "superpose-dissipation-off", "amplitude-nan"])
     def test_exit_2(self, tmp_path, capsys, text):
         path = write_cfg(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
@@ -388,6 +405,25 @@ eliminated = true
                      "--truncation", "a_m=6"]) == 0
         doc = json.loads((out_dir / "cool.json").read_text())
         assert doc["details"]["dims"]["a_m"] == 6
+
+
+class TestDocs:
+    def test_schema_table_lists_each_scenarios_keys(self):
+        # docs/schemas.md's "Scenarios and keys" table is the user's copy of
+        # _SCENARIOS; a key added to one must be added to the other
+        text = (Path(__file__).resolve().parents[1] / "docs" / "schemas.md").read_text()
+        documented = {}
+        for line in text.split("### Scenarios and keys", 1)[1].splitlines():
+            if line.startswith("| `"):
+                name, required, optional = (re.findall(r"`([^`]+)`", cell)
+                                            for cell in line.strip().strip("|").split("|"))
+                documented[name[0]] = (sorted(required), sorted(optional))
+            elif documented:
+                break
+        assert documented == {
+            name: (sorted(k for k, (_, default) in keys.items() if default is REQUIRED),
+                   sorted(k for k, (_, default) in keys.items() if default is not REQUIRED))
+            for name, (_, keys) in _SCENARIOS.items()}
 
 
 class TestVerifyAllScenario:

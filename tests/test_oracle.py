@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from cryomech import lindblad, protocols
+from cryomech import lindblad, oracle, protocols
 from cryomech.fockspace import (
     DensityMatrix,
     FockOperator,
@@ -19,7 +19,7 @@ from cryomech.fockspace import (
     pauli,
     thermal_state,
 )
-from cryomech.gates import HADAMARD
+from cryomech.gates import CORRECTION_TABLE, HADAMARD, CorrectionTable
 from cryomech.lindblad import (
     Dissipator,
     LindbladModel,
@@ -401,6 +401,20 @@ class TestTeleportationVerification:
         assert set(table.mapping) == {"00", "01", "10", "11"}
         # every branch needs the Hadamard-composed family, never a bare Pauli
         assert all(name.endswith("H") for name in table.mapping.values())
+        # the engine's fixed table is the one the search derives
+        assert table.mapping == CORRECTION_TABLE.mapping
+
+    def test_swapped_table_fails_verify_all(self, monkeypatch):
+        # two swapped corrections leave the search's table unchanged, but the
+        # engine's no longer matches it, so verify-all's table report fails
+        mapping = dict(CORRECTION_TABLE.mapping)
+        mapping["00"], mapping["01"] = mapping["01"], mapping["00"]
+        monkeypatch.setattr(oracle, "CORRECTION_TABLE", CorrectionTable(mapping))
+        report, table = verify_teleportation()
+        assert not report.passed and table.mapping != mapping
+        (report,) = [r for r in verify_all(seed=0, instances=0)
+                     if r.quantity == "teleportation correction table"]
+        assert not report.passed and report.engine_value == mapping
 
     def test_corrupted_cphase_fails(self):
         bad = np.kron(HADAMARD, HADAMARD) @ np.diag([1.0, 1.0, 1.0, 1.0])

@@ -97,6 +97,28 @@ class TestTransfer:
             near = P.transfer_state(phi, 1.0, t_opt=res.time + dt, **rates)
             assert near.fidelity <= res.fidelity + 1e-12
 
+    def test_taylor_block_built_once_per_support(self, monkeypatch):
+        # every evolve of one transfer starts from the same support of the
+        # same model, so the block's shift, 1-norm and roots are built once
+        builds, starts = [], []
+
+        class CountedBlock(lindblad._TaylorBlock):
+            def __init__(self, A):
+                builds.append(A.shape)
+                super().__init__(A)
+
+        def recorded_evolve(model, rho0, *args, **kwargs):
+            starts.append((id(model), np.flatnonzero(rho0.matrix.T).tobytes()))
+            return lindblad.evolve(model, rho0, *args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "_TaylorBlock", CountedBlock)
+        monkeypatch.setattr(P, "evolve", recorded_evolve)
+        phi = StateVector(SpaceLayout.single("a", 4),
+                          np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2))
+        P.transfer_state(phi, 1.0, mech_dim=4, kappa=0.05, gamma_m=0.01, n_bar=0.1)
+        assert len(starts) == 10 and len(set(starts)) == 1
+        assert len(builds) == 1
+
     def test_vanishing_rates_match_closed_transfer(self):
         # one path for every rate: rates of 1e-12 perturb the closed result
         # only at their own order
