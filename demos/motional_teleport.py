@@ -13,7 +13,7 @@ import numpy as np
 from cryomech import CORRECTION_TABLE, teleport_motional, verify_teleportation
 
 report, _ = verify_teleportation()
-print("correction table (outcome -> gate):", dict(CORRECTION_TABLE.mapping))
+print("correction table (outcome -> gate):", dict(CORRECTION_TABLE))
 print("matches the oracle's exhaustive derivation:", report.passed)
 
 alpha, beta = 0.6, 0.8j

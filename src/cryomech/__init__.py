@@ -33,7 +33,7 @@ from .fockspace import (
     superposition,
     thermal_state,
 )
-from .gates import CORRECTION_TABLE, CorrectionTable, CPHASE, HADAMARD, PAULI_GATES
+from .gates import CORRECTION_TABLE, CPHASE, HADAMARD, PAULI_GATES
 from .lindblad import (
     Dissipator,
     EvolutionResult,

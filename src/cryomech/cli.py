@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 physics precondition not met,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -131,43 +132,42 @@ def _teleport_input(cfg: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners (each takes the typed config and returns a JSON-ready dict)
+# Scenario runners (each takes the typed config and returns its report, which
+# main encodes with _jsonable)
 # ---------------------------------------------------------------------------
 
 def _run_cool(cfg, seed, jobs):
-    report = protocols.sideband_cool(
+    return protocols.sideband_cool(
         _params(cfg, "g", "kappa", "gamma_m", "n_bar", "omega_m"),
         n_init=cfg["n_init"], duration=cfg["duration"], dims=(cfg["dim_a"], cfg["dim_m"]),
         eliminated=cfg["eliminated"], num_samples=cfg["num_samples"], method=cfg["method"],
     )
-    return report.to_json_dict()
 
 
 def _run_superpose(cfg, seed, jobs):
-    report = protocols.prepare_motional_superposition(
+    return protocols.prepare_motional_superposition(
         _params(cfg, "g", "kappa", "gamma_m", "n_bar"),
         dims=(cfg["dim_a"], cfg["dim_m"]), dissipation=cfg["dissipation"],
     )
-    return report.to_json_dict()
 
 
 def _run_teleport_motional(cfg, seed, jobs):
-    report = protocols.teleport_motional(
+    return protocols.teleport_motional(
         **_teleport_input(cfg), seed=seed, resource_damping=cfg["resource_damping"])
-    return report.to_json_dict()
 
 
 def _run_esr(cfg, seed, jobs):
+    if cfg[cfg["sweep"]] is not None:
+        raise ConfigError(f"esr-scan sweeps {cfg['sweep']} from start to stop; "
+                          f"remove the {cfg['sweep']} key")
     params = _params(cfg, "omega_m", "gamma_m", "n_bar")
-    spin = SpinParams(lam=cfg["lam"], Delta_e=cfg["Delta_e"],
-                      Omega_d_prime=cfg["Omega_d_prime"])
+    spin = SpinParams(lam=cfg["lam"], Delta_e=cfg["Delta_e"] or 0.0,
+                      Omega_d_prime=cfg["Omega_d_prime"] or 0.0)
     values = np.linspace(cfg["start"], cfg["stop"], cfg["points"])
     kwargs = {k: cfg[k] for k in ("sweep", "mech_dim", "spin_decay", "spin_dephasing")}
     if jobs > 1 and len(values) > 1:
-        spectrum = _parallel_esr(spin, params, values, kwargs, jobs)
-    else:
-        spectrum = protocols.esr_scan(spin, params, values=values, **kwargs)
-    return spectrum.to_json_dict()
+        return _parallel_esr(spin, params, values, kwargs, jobs)
+    return protocols.esr_scan(spin, params, values=values, **kwargs)
 
 
 def _parallel_esr(spin, params, values, kwargs, jobs):
@@ -188,19 +188,22 @@ def _esr_chunk(spin, params, chunk, kwargs):
 
 
 def _run_teleport_spin(cfg, seed, jobs):
-    report = protocols.teleport_spin(
+    if cfg["gamma_prime"] > 0 and cfg["force_branch"] is not None:
+        raise ConfigError("teleport-spin with gamma_prime > 0 runs the motional hop as "
+                          "the ideal identity channel, which measures no branch; "
+                          "remove force_branch or set gamma_prime = 0")
+    return protocols.teleport_spin(
         **_teleport_input(cfg), seed=seed,
         **{k: cfg[k] for k in ("phonon_dim", "lambda_rate", "gamma_prime",
                                "n_bar_prime", "n_bar_gamma")},
     )
-    return report.to_json_dict()
 
 
 def _run_verify_all(cfg, seed, jobs):
     reports = oracle.verify_all(seed=seed if seed is not None else 0,
                                 instances=cfg["instances"])
     doc = {"scenario": "verify-all",
-           "reports": [r.to_json_dict() for r in reports],
+           "reports": [{**vars(r), "pass": r.passed} for r in reports],
            "all_passed": all(r.passed for r in reports)}
     if not doc["all_passed"]:
         failing = [r.quantity for r in reports if not r.passed]
@@ -214,9 +217,8 @@ def _run_params(cfg, seed, jobs):
     out = {"scenario": "params", "omega_m": cfg["omega_m"], "M_mem": cfg["M_mem"],
            "T": cfg["T"], "x0": p.x0, "n_bar": p.n_bar}
     for name in ("g0", "alpha", "g", "kappa_prime", "gamma_prime", "n_bar_prime"):
-        v = getattr(p, name)
-        if v is not None:
-            out[name] = [v.real, v.imag] if isinstance(v, complex) else v
+        if (v := getattr(p, name)) is not None:
+            out[name] = v
     if cfg["m_bio"] is not None:
         out["mass_ratio"] = cfg["m_bio"] / cfg["M_mem"]
         out["frequency_shift"] = frequency_shift(cfg["omega_m"], cfg["m_bio"], cfg["M_mem"])
@@ -258,7 +260,7 @@ _SCENARIOS = {
         "sweep": (_choice("Delta_e", "Omega_d_prime"), REQUIRED),
         "start": (_SIGNED, REQUIRED), "stop": (_SIGNED, REQUIRED),
         "points": (_integer(1), REQUIRED), "n_bar": (_NONNEG, 0.0),
-        "Delta_e": (_SIGNED, 0.0), "Omega_d_prime": (_SIGNED, 0.0), "mech_dim": (_DIM, 8),
+        "Delta_e": (_SIGNED, None), "Omega_d_prime": (_SIGNED, None), "mech_dim": (_DIM, 8),
         "spin_decay": (_NONNEG, None), "spin_dephasing": (_NONNEG, None),
     }),
     "teleport-spin": (_run_teleport_spin, {
@@ -376,7 +378,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         scenario = cfg["scenario"]
-        doc = _SCENARIOS[scenario][0](cfg, args.seed, args.jobs)
+        doc = _jsonable(_SCENARIOS[scenario][0](cfg, args.seed, args.jobs))
     except tuple(_EXITS) as exc:
         code, prefix = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)
@@ -390,6 +392,23 @@ def main(argv: Optional[list] = None) -> int:
         _write_csv(args.out / f"{scenario}.csv", doc)
     print(_headline(scenario, doc))
     return 0
+
+
+def _jsonable(v):
+    """The JSON value of a report: a dataclass by its fields, a dict by its
+    items, a list, tuple or array as a list, a numpy scalar as its Python
+    value and a complex number as ``[re, im]``; booleans stay booleans."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in dataclasses.fields(v)}
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    return v
 
 
 def _write_csv(path: Path, doc: dict) -> None:

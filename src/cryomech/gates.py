@@ -13,7 +13,7 @@ checked against the oracle's exhaustive derivation.  The physical realizations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -41,38 +41,12 @@ CORRECTION_GATES: Mapping[str, np.ndarray] = {
     "H": HADAMARD, "XH": X @ HADAMARD, "ZH": Z @ HADAMARD, "XZH": XZ @ HADAMARD,
 }
 
-OUTCOMES = ("00", "01", "10", "11")
-
-
-@dataclass(frozen=True)
-class CorrectionTable:
-    """Total map from 2-bit Bell outcome to the recovering single-qubit gate."""
-
-    mapping: Mapping[str, str]
-
-    def __post_init__(self):
-        missing = set(OUTCOMES) - set(self.mapping)
-        if missing:
-            raise ValueError(f"correction table must cover all outcomes; missing {sorted(missing)}")
-        bad = [g for g in self.mapping.values() if g not in CORRECTION_GATES]
-        if bad:
-            raise ValueError(f"unknown correction gates {bad}")
-        object.__setattr__(self, "mapping", dict(self.mapping))
-
-    def gate(self, outcome: str) -> np.ndarray:
-        return CORRECTION_GATES[self.mapping[outcome]]
-
-    def name(self, outcome: str) -> str:
-        return self.mapping[outcome]
-
-    def to_json_dict(self) -> dict:
-        return dict(self.mapping)
-
-
 #: The correction of each Bell outcome for :data:`BELL_CIRCUIT` with the
-#: (|01> + |10>)/sqrt(2) resource; :func:`cryomech.oracle.verify_teleportation`
+#: (|01> + |10>)/sqrt(2) resource, as the name of its gate in
+#: :data:`CORRECTION_GATES`; :func:`cryomech.oracle.verify_teleportation`
 #: checks it against the unique table its exhaustive search derives.
-CORRECTION_TABLE = CorrectionTable({"00": "ZH", "01": "XZH", "10": "H", "11": "XH"})
+CORRECTION_TABLE: Mapping[str, str] = MappingProxyType(
+    {"00": "ZH", "01": "XZH", "10": "H", "11": "XH"})
 
 
 def phases_equal(psi: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> bool:

@@ -35,11 +35,12 @@ one value, H + v T, :func:`affine_sweep` builds L(H) and L_T once on one
 sparsity pattern, so each point's generator is L(H) + v L_T, one sum of
 two data arrays, and each steady state along an ESR scan costs one LU.
 
-Trace is never renormalized during integration.  Each sample is validated
-once, as it came out of the propagator: a :class:`DensityMatrix` with
-``SAMPLE_TOLS`` checks its trace, hermiticity and positivity, then the
-truncation headroom is checked.  A violation raises instead of being
-repaired.
+Trace is never renormalized during integration.  A stiff sample step, whose
+rounding loss ||h (L_R - mu)||_1 2^-53 exceeds ``ROUNDOFF_BUDGET``, is
+refused before it runs.  Each sample is validated once, as it came out of
+the propagator: a :class:`DensityMatrix` with ``SAMPLE_TOLS`` checks its
+trace, hermiticity and positivity, then the truncation headroom is checked.
+A violation raises instead of being repaired.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ ADAPTIVE_ATOL = 1e-11
 SAMPLE_TOLS = {"trace_tol": 1e-8, "herm_tol": 1e-9, "pos_tol": 1e-7}
 
 _METHODS = ("auto", "expm", "adaptive")
+
+#: Largest rounding error ||h (L_R - mu I)||_1 2^-53 that :func:`evolve`
+#: accepts on its sample step h (so ||h (L_R - mu I)||_1 up to about 9e4),
+#: well inside ``SAMPLE_TOLS``.  Composing short steps at the fast time scale
+#: into one sample step, by substeps or by squarings, loses about that much.
+ROUNDOFF_BUDGET = 1e-11
 
 #: Largest ||A||_1 for which the degree-m Taylor polynomial of exp(A) meets
 #: double-precision backward error, theta_m of Al-Mohy & Higham, SIAM J. Sci.
@@ -462,6 +469,11 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     (m, s, k).  ``"adaptive"`` is RK45 on the full vectorized state with right-hand
     side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.
 
+    Before any series runs, ``"expm"`` raises :class:`PreconditionError`
+    when the rounding error ||h (L_R - mu I)||_1 2^-53 of the sample step h
+    exceeds ``ROUNDOFF_BUDGET``: such a stiff run would lose the trace, or
+    worse, keep it and lose the slow dynamics.
+
     Every sample is validated once, unrepaired: it becomes a
     :class:`DensityMatrix` with ``SAMPLE_TOLS``, whose trace, hermiticity or
     positivity violation raises ``ValueError``, and a top-level population
@@ -489,9 +501,14 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
         samples, path, schedule = sol.y.T, method, None
     else:
         block, taylor = model.reachable_block(np.flatnonzero(v0))
+        h = duration / (num_samples - 1)
+        if h * taylor.norm1 * 2.0 ** -53 > ROUNDOFF_BUDGET:
+            raise PreconditionError(
+                f"stiff run: ||h (L - mu)||_1 = {h * taylor.norm1:.3g} on the sample step "
+                f"h = {h:.3g}, so its rounding error exceeds {ROUNDOFF_BUDGET:g}; "
+                f"shorten the duration, or eliminate a fast cavity (eliminated = true)")
         samples = np.zeros((num_samples, n * n), dtype=complex)
-        samples[:, block], path, schedule = _taylor_samples(
-            taylor, v0[block], duration / (num_samples - 1), num_samples - 1)
+        samples[:, block], path, schedule = _taylor_samples(taylor, v0[block], h, num_samples - 1)
     states = []
     for v in samples:
         rho = DensityMatrix(model.layout, _unvec(v, n), **SAMPLE_TOLS)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .fockspace import DensityMatrix, FockOperator, SpaceLayout, StateVector, annihilation
-from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, CorrectionTable, phases_equal
+from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, phases_equal
 from .lindblad import Dissipator, LindbladModel, evolve, steady_state, thermal_dissipators
 
 UNITARY_DIM_CAP = 4096
@@ -45,25 +45,6 @@ class OracleReport:
     @property
     def passed(self) -> bool:
         return self.distance <= self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "engine_value": _jsonable(self.engine_value),
-            "oracle_value": _jsonable(self.oracle_value),
-            "metric": self.metric,
-            "distance": float(self.distance),
-            "tolerance": float(self.tolerance),
-            "pass": self.passed,
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, (int, float, str, bool)) or v is None:
-        return v
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +172,7 @@ DEFAULT_RESOURCE = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
 
 def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
                          resource: Optional[np.ndarray] = None
-                         ) -> tuple[OracleReport, Optional[CorrectionTable]]:
+                         ) -> tuple[OracleReport, Optional[dict[str, str]]]:
     """Exhaustively check the qubit-level teleportation circuit and the
     engine's correction table, :data:`cryomech.gates.CORRECTION_TABLE`.
 
@@ -201,8 +182,9 @@ def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
     measurement branches for the inputs |0>, |1>, |+>, |+i> and searches for
     the unique local correction (a Pauli, possibly composed with a Hadamard)
     that restores the input on every branch.  The report passes when that
-    search derives a total table equal to the engine's.  Returns the report
-    and the derived table (None when no consistent table exists).
+    search derives a total table equal to the engine's; its ``engine_value``
+    is the engine's table as text.  Returns the report and the derived
+    table, outcome to gate name (None when no consistent table exists).
     """
     circuit = BELL_CIRCUIT if bell_circuit is None else np.asarray(bell_circuit, complex)
     res = DEFAULT_RESOURCE if resource is None else np.asarray(resource, complex)
@@ -237,14 +219,13 @@ def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
             break
         mapping[outcome] = candidates[0]
 
-    derived = CorrectionTable(mapping) if consistent and len(mapping) == 4 else None
-    engine = CORRECTION_TABLE.to_json_dict()
+    derived = mapping if consistent and len(mapping) == 4 else None
     report = OracleReport(
         quantity="teleportation correction table",
-        engine_value=engine,
+        engine_value=str(dict(CORRECTION_TABLE)),
         oracle_value="unique total table",
         metric="branch consistency",
-        distance=0.0 if derived is not None and derived.mapping == engine else 1.0,
+        distance=0.0 if derived == CORRECTION_TABLE else 1.0,
         tolerance=0.0,
     )
     return report, derived

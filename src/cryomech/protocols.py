@@ -40,7 +40,7 @@ from .fockspace import (
     thermal_state,
     top_level_population,
 )
-from .gates import BELL_CIRCUIT, CORRECTION_TABLE, CPHASE, I2, phases_equal
+from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, CPHASE, I2, phases_equal
 from .lindblad import (
     Dissipator,
     LindbladModel,
@@ -85,34 +85,6 @@ class ProtocolReport:
     def __post_init__(self):
         if self.final_fidelity is not None and not -1e-9 <= self.final_fidelity <= 1.0 + 1e-9:
             raise ValueError(f"fidelity {self.final_fidelity} outside [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "segments": list(self.segments),
-            "final_fidelity": self.final_fidelity,
-            "phonon_trajectory": self.phonon_trajectory,
-            "measurement_record": list(self.measurement_record),
-            "correction_applied": self.correction_applied,
-            "seed": self.seed,
-            "details": _jsonable(self.details),
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, np.ndarray):
-        return _jsonable(v.tolist())
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +421,7 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
                      np.column_stack([np.kron(k1, k2) @ resource for k1 in kraus for k2 in kraus]))
 
     bits, _, collapsed = _bell_measure(layout, factor, pair, rng, force_branch)
-    out = CORRECTION_TABLE.gate(bits) @ collapsed
+    out = CORRECTION_GATES[CORRECTION_TABLE[bits]] @ collapsed
     if resource_damping > 0.0:
         details = {"resource_damping": resource_damping}
     else:
@@ -467,7 +439,7 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
         segments=_teleport_segments(),
         final_fidelity=float(np.linalg.norm(target.conj() @ out) ** 2),
         measurement_record=tuple(int(b) for b in bits),
-        correction_applied=CORRECTION_TABLE.name(bits),
+        correction_applied=CORRECTION_TABLE[bits],
         seed=seed,
         details=details,
     )
@@ -501,12 +473,6 @@ class EsrSpectrum:
     response: np.ndarray          # steady phonon emission proxy gamma' <n_m>
     peaks: tuple[float, ...]
     resolution: float
-
-    def to_json_dict(self) -> dict:
-        return {"sweep": self.sweep, "values": [float(v) for v in self.values],
-                "response": [float(v) for v in self.response],
-                "peaks": [float(p) for p in self.peaks],
-                "resolution": float(self.resolution)}
 
 
 def _esr_spectrum(sweep: str, values: Sequence[float],
@@ -710,13 +676,16 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
     A density matrix runs through both swap legs as Lindblad evolutions under
     mechanical damping ``gamma_prime`` (:func:`_swap_channel`), and the ideal
     motional teleportation between them is the identity channel.  With
-    ``gamma_prime > 0`` the reported fidelity degrades accordingly; at
+    ``gamma_prime > 0`` the reported fidelity degrades accordingly, and no
+    branch is measured, so ``force_branch`` raises ``ValueError``; at
     ``gamma_prime = 0`` the legs are exact swaps, and the motional hop is run
     through :func:`teleport_motional` for its measurement record.
     """
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("input amplitudes must be normalized")
+    if gamma_prime > 0.0 and force_branch is not None:
+        raise ValueError("force_branch needs gamma_prime = 0: a damped run measures no branch")
     if n_bar_prime < 0:
         raise ValueError(f"n_bar_prime must be nonnegative, got {n_bar_prime}")
     swap = _swap_pieces(lambda_rate, phonon_dim, gamma_prime, n_bar_prime)

@@ -272,7 +272,7 @@ def test_criterion_5_teleportation():
     }
     ok = all(checks.values()) and elapsed < 60.0
     _emit(5, "motional-state teleportation", ok, elapsed,
-          f"table={dict(table.mapping) if table else None}, "
+          f"table={table}, "
           f"min fidelity={min_fid:.12f} over 200 inputs")
     assert ok, checks
 

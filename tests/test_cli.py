@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cryomech
-from cryomech.cli import _SCENARIOS, REQUIRED, SCENARIOS, main, parse_config
+from cryomech.cli import _SCENARIOS, REQUIRED, SCENARIOS, _jsonable, main, parse_config
 from cryomech.errors import ConfigError
 
 
@@ -205,6 +205,41 @@ points = 3
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         assert "not cooled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "scenario = cool\ng = 1e-3\nkappa = 1e6\ngamma_m = 1e-9\nn_bar = 1\nn_init = 1\n"
+        "omega_m = 2e6\n",
+        "scenario = cool\ng = 1\nkappa = 20\ngamma_m = 0.05\nn_bar = 3\nn_init = 3\n"
+        "omega_m = 50\ndim_a = 4\ndim_m = 12\nmethod = auto\nnum_samples = 60\n"
+        "duration = 1e12\n",
+        "scenario = superpose\ng = 1\nkappa = 1e9\ngamma_m = 1e-3\nn_bar = 0.01\n",
+        "scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\nlambda_rate = 1e-9\n"
+        "gamma_prime = 0.01\nn_bar_prime = 0.1\n",
+    ], ids=["cool-fast-cavity", "cool-long-duration", "superpose-fast-cavity",
+            "teleport-spin-slow-swap"])
+    def test_stiff_run_exit_3(self, tmp_path, capsys, text):
+        # each lost the trace (up to 6.5e-3) and ended in a traceback
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "stiff run" in err and "duration" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep", ["Delta_e", "Omega_d_prime"])
+    def test_swept_esr_key_exit_2(self, tmp_path, capsys, sweep):
+        # the scan sets the swept value itself, so a config value for it
+        # would be ignored
+        path = write_cfg(tmp_path, ESR_SCAN_CFG + f"sweep = {sweep}\npoints = 3\n"
+                         f"{sweep} = 0.4\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"remove the {sweep} key" in err
+
+    def test_damped_teleport_spin_forced_branch_exit_2(self, tmp_path, capsys):
+        # with gamma_prime > 0 the hop measures no branch to force
+        path = write_cfg(tmp_path, TELEPORT_SPIN_CFG + "gamma_prime = 0.01\nforce_branch = 00\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "force_branch" in err
+
     def test_success_exit_0(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TELEPORT_CFG)
         assert main(["--config", str(path), "--out", str(tmp_path),
@@ -366,6 +401,23 @@ class TestOutputs:
             one, two = (tmp_path / f"threads{t}" / name / f"{scenario}.json"
                         for t in ("1", "2"))
             assert one.read_bytes() == two.read_bytes(), name
+
+    def test_booleans_stay_booleans(self, tmp_path):
+        path = write_cfg(tmp_path, COOL_CFG + "omega_m = 50\ndim_m = 6\nnum_samples = 3\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "cool.json").read_text()
+        assert '"sideband_resolved": true' in text
+
+    def test_jsonable_encodes_numpy_complex_and_nesting(self):
+        doc = _jsonable({"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True),
+                         "c": 1 - 2j, "nc": np.complex128(0.5j),
+                         "t": (1, (2.0, [np.int64(4)])), "a": np.array([[1.5, 2.5]]),
+                         "flag": False, "none": None})
+        assert doc == {"f": 0.1, "i": 3, "b": True, "c": [1.0, -2.0], "nc": [0.0, 0.5],
+                       "t": [1, [2.0, [4]]], "a": [[1.5, 2.5]], "flag": False, "none": None}
+        assert [type(doc[k]) for k in ("f", "i", "b")] == [float, int, bool]
+        assert type(doc["t"][1][1][0]) is int and type(doc["a"][0][0]) is float
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_csv_format(self, tmp_path):
         path = write_cfg(tmp_path, """

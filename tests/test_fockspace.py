@@ -1,10 +1,14 @@
 """Tests for the labelled tensor-space layer: operators, states and
 reductions."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryomech.fockspace import (
+    BOSONIC,
     DensityMatrix,
     FockOperator,
     SpaceLayout,
@@ -234,3 +238,66 @@ class TestTopLevelPopulation:
         for label, pop in pops.items():
             diag = np.real(np.diag(partial_trace(rho, {label}).matrix))
             assert abs(pop - diag[-2:].sum()) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Properties on random layouts of 1-3 subsystems, dims 2-4, spin-half allowed
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+@st.composite
+def layouts(draw):
+    specs = []
+    for k in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            specs.append((f"s{k}", 2, "spin-half"))
+        else:
+            specs.append((f"s{k}", draw(st.integers(2, 4))))
+    return SpaceLayout.of(*specs)
+
+
+def _random_matrix(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _random_density(rng, n):
+    g = _random_matrix(rng, n)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestLayoutProperties:
+    @PROPERTY
+    @given(layout=layouts(), data=st.data())
+    def test_embed_is_kron_in_declaration_order(self, layout, data):
+        target = data.draw(st.sampled_from(layout.subsystems))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        op = _random_matrix(rng, target.dim)
+        single = FockOperator(SpaceLayout((target,)), op)
+        factors = [op if sub is target else np.eye(sub.dim) for sub in layout.subsystems]
+        assert np.array_equal(embed(single, layout, target.label).matrix,
+                              reduce(np.kron, factors))
+
+    @PROPERTY
+    @given(layout=layouts(), data=st.data())
+    def test_partial_trace_of_product_keeps_its_factors(self, layout, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        factors = [_random_density(rng, sub.dim) for sub in layout.subsystems]
+        keep = data.draw(st.sets(st.sampled_from(layout.labels), min_size=1))
+        red = partial_trace(DensityMatrix(layout, reduce(np.kron, factors)), keep)
+        kept = [f for f, label in zip(factors, layout.labels) if label in keep]
+        assert red.layout.labels == tuple(label for label in layout.labels if label in keep)
+        assert np.abs(red.matrix - reduce(np.kron, kept)).max() <= 1e-14
+
+    @PROPERTY
+    @given(layout=layouts(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_top_level_population_of_each_reduced_mode(self, layout, seed):
+        rho = DensityMatrix(layout, _random_density(np.random.default_rng(seed), layout.dim))
+        pops = top_level_population(rho)
+        assert set(pops) == {sub.label for sub in layout.subsystems
+                             if sub.kind == BOSONIC and sub.dim > 2}
+        for label, pop in pops.items():
+            diag = np.real(np.diag(partial_trace(rho, {label}).matrix))
+            assert abs(pop - diag[-2:].sum()) <= 1e-14

@@ -1,14 +1,13 @@
-"""Tests for the qubit-level gate primitives and the correction table type."""
+"""Tests for the qubit-level gate primitives and the correction table."""
 
 import numpy as np
 import pytest
 
 from cryomech.gates import (
     CORRECTION_GATES,
+    CORRECTION_TABLE,
     CPHASE,
-    CorrectionTable,
     HADAMARD,
-    OUTCOMES,
     PAULI_GATES,
     phases_equal,
 )
@@ -40,18 +39,20 @@ class TestGateAlgebra:
 
 class TestCorrectionTable:
     def test_total_map_required(self):
-        with pytest.raises(ValueError):
-            CorrectionTable({"00": "I", "01": "X"})
+        assert set(CORRECTION_TABLE) == {"00", "01", "10", "11"}
 
     def test_unknown_gate_rejected(self):
-        with pytest.raises(ValueError):
-            CorrectionTable({o: "Q" for o in OUTCOMES})
+        # the table names only known gates, and it is read-only, so no
+        # caller can put an unknown one in
+        assert set(CORRECTION_TABLE.values()) <= set(CORRECTION_GATES)
+        with pytest.raises(TypeError):
+            CORRECTION_TABLE["00"] = "Q"
+        assert CORRECTION_TABLE["00"] == "ZH"
 
     def test_lookup(self):
-        t = CorrectionTable({"00": "ZH", "01": "XZH", "10": "H", "11": "XH"})
-        assert t.name("10") == "H"
-        assert np.allclose(t.gate("10"), HADAMARD)
-        assert t.to_json_dict() == {"00": "ZH", "01": "XZH", "10": "H", "11": "XH"}
+        assert CORRECTION_TABLE["10"] == "H"
+        assert np.allclose(CORRECTION_GATES[CORRECTION_TABLE["10"]], HADAMARD)
+        assert dict(CORRECTION_TABLE) == {"00": "ZH", "01": "XZH", "10": "H", "11": "XH"}
 
 
 class TestPhasesEqual:

@@ -45,6 +45,18 @@ def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     return defs
 
 
+def test_one_definition_per_name():
+    # two modules defining one name drift apart: keep one and import it
+    # (the package's __init__.py only re-exports)
+    trees = _parse(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
+    owners = {}
+    for path, tree in trees.items():
+        for name in _definitions(tree):
+            owners.setdefault(name, []).append(path.name)
+    twice = {name: paths for name, paths in owners.items() if len(paths) > 1}
+    assert not twice, f"names defined in more than one module: {twice}"
+
+
 def _reads(node: ast.AST) -> set[str]:
     """Names a node reads: bare names, attributes and import-from names."""
     out = set()

@@ -1,6 +1,7 @@
 """Tests for the master-equation engine: generators, evolution, steady
 states and adiabatic elimination."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -40,7 +41,7 @@ from cryomech.lindblad import (
     thermal_dissipators,
 )
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
-from cryomech.oracle import _random_density, _random_model
+from cryomech.oracle import _build_liouvillian, _random_density, _random_model
 from cryomech.protocols import prepare_motional_superposition, sideband_cool
 
 
@@ -394,6 +395,44 @@ class TestTaylorSchedule:
         P = lindblad._taylor_series(block, 1.0, m, s, np.eye(5, dtype=complex))
         exact = expm(N)
         assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+class TestStiffRuns:
+    """Composing short steps at the fast time scale loses about
+    ||h (L_R - mu)||_1 2^-53 on a sample step h, so ``evolve`` refuses a step
+    whose loss exceeds ``ROUNDOFF_BUDGET`` instead of losing the trace."""
+
+    LAYOUT = SpaceLayout.of(("a", 2), ("a_m", 3))
+
+    def _block(self):
+        # a 1e15 time-scale separation: kappa = 1e6 against gamma_m = 1e-9
+        model = cooling_model(1e-3, 1e6, 1e-9, 1.0, self.LAYOUT)
+        rho = np.zeros((6, 6), dtype=complex)
+        rho[0, 0] = rho[1, 1] = 0.5
+        rho0 = DensityMatrix(self.LAYOUT, rho)
+        R, block = model.reachable_block(np.flatnonzero(lindblad._vec(rho)))
+        return model, rho0, R, block
+
+    def test_over_budget_step_raises(self):
+        # one step of h = 8.47e7 on the 10-index block: ||h (L_R - mu)||_1 is
+        # 2.5e14, and without the check the engine was off by 1.3e-2
+        model, rho0, _, block = self._block()
+        assert block.dim == 10 and 8.47e7 * block.norm1 > 1e14
+        with pytest.raises(PreconditionError, match="stiff run"):
+            evolve(model, rho0, 8.47e7, num_samples=2, truncation_threshold=1.0)
+
+    def test_under_budget_step_matches_mpmath(self):
+        # at 0.99 of the budget the step meets the exact exponential of the
+        # oracle's dense generator (60 digits) to 4 budgets per entry
+        model, rho0, R, block = self._block()
+        h = 0.99 * lindblad.ROUNDOFF_BUDGET * 2.0 ** 53 / block.norm1
+        final = evolve(model, rho0, h, num_samples=2, truncation_threshold=1.0).final()
+        L = _build_liouvillian(model)[np.ix_(R, R)]
+        with mpmath.workdps(60):
+            v = mpmath.expm(mpmath.matrix(L.tolist()) * h) * mpmath.matrix(
+                lindblad._vec(rho0.matrix)[R].tolist())
+            exact = np.array([complex(x) for x in v])
+        assert np.abs(lindblad._vec(final.matrix)[R] - exact).max() <= 4 * lindblad.ROUNDOFF_BUDGET
 
 
 class TestCoolingModels:

@@ -4,7 +4,7 @@ Bell measurement, teleportation (motional and spin), ESR scanning."""
 import numpy as np
 import pytest
 
-from cryomech import lindblad
+from cryomech import cli, lindblad
 from cryomech.errors import PreconditionError
 from cryomech.fockspace import (
     FockOperator,
@@ -465,11 +465,16 @@ class TestTeleportSpin:
         assert fids[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_vanishing_damping_matches_ideal(self):
+        # a damped run measures no branch, so it matches the ideal run of each
+        tiny = P.teleport_spin(0.6, 0.8j, gamma_prime=1e-12, n_bar_prime=0.1)
         for branch in ("00", "11"):
             ideal = P.teleport_spin(0.6, 0.8j, force_branch=branch)
-            tiny = P.teleport_spin(0.6, 0.8j, force_branch=branch, gamma_prime=1e-12,
-                                   n_bar_prime=0.1)
             assert tiny.final_fidelity == pytest.approx(ideal.final_fidelity, abs=1e-9)
+
+    def test_forced_branch_rejected_when_damped(self):
+        # the damped hop is the identity channel: a forced branch would be ignored
+        with pytest.raises(ValueError, match="force_branch"):
+            P.teleport_spin(0.6, 0.8, force_branch="00", gamma_prime=0.01, n_bar_prime=0.1)
 
     def test_nonpositive_rate_rejected(self):
         for rate in (0.0, -1.0):
@@ -492,7 +497,8 @@ class TestReports:
 
     def test_json_dict_shape(self):
         rep = P.teleport_motional(0.6, 0.8, seed=4)
-        doc = rep.to_json_dict()
+        doc = cli._jsonable(rep)
         assert doc["scenario"] == "teleport-motional"
         assert len(doc["measurement_record"]) == 2
         assert isinstance(doc["details"]["output_amplitudes"][0], list)
+        assert doc["details"]["amplitude_exact"] is True
