@@ -20,17 +20,14 @@ from .fockspace import (
     SpaceLayout,
     StateVector,
     annihilation,
-    creation,
     embed,
     fidelity,
     fock_state,
-    identity,
     kron_states,
     number,
     partial_trace,
     pauli,
     sigma_pm,
-    superposition,
     thermal_state,
 )
 from .gates import CORRECTION_TABLE, CPHASE, HADAMARD, PAULI_GATES

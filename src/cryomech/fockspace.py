@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -17,7 +17,7 @@ BOSONIC = "bosonic"
 SPIN_HALF = "spin-half"
 
 # Default numerical tolerances for the value invariants.
-HERMITIAN_OP_TOL = 1e-12
+HERMITIAN_OP_TOL = 1e-10
 STATE_NORM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-9
 DENSITY_HERM_TOL = 1e-10
@@ -129,17 +129,12 @@ class FockOperator:
     def dagger(self) -> "FockOperator":
         return FockOperator(self.layout, self.matrix.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITIAN_OP_TOL) -> bool:
+    def is_hermitian(self) -> bool:
+        """Hermitian within ``HERMITIAN_OP_TOL`` relative to the Frobenius norm."""
         scale = np.linalg.norm(self.matrix)
         if scale == 0.0:
             return True
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol * scale
-
-    def expectation(self, state) -> complex:
-        _require_same_layout(self, state)
-        if isinstance(state, DensityMatrix):
-            return complex(np.trace(self.matrix @ state.matrix))
-        return complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
+        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERMITIAN_OP_TOL * scale
 
     # -- arithmetic -------------------------------------------------------
 
@@ -186,10 +181,6 @@ class StateVector:
             raise ValueError(f"state norm {np.linalg.norm(v)} deviates from 1")
         object.__setattr__(self, "amplitudes", v)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -219,15 +210,9 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_state(cls, psi: StateVector, **tols) -> "DensityMatrix":
+    def from_state(cls, psi: StateVector) -> "DensityMatrix":
         v = psi.amplitudes
-        return cls(psi.layout, np.outer(v, v.conj()), **tols)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def expectation(self, op: FockOperator) -> complex:
-        return op.expectation(self)
+        return cls(psi.layout, np.outer(v, v.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +227,6 @@ def annihilation(dim: int, label: str = "mode") -> FockOperator:
     for n in range(1, dim):
         m[n - 1, n] = np.sqrt(n)
     return FockOperator(SpaceLayout.single(label, dim), m)
-
-
-def creation(dim: int, label: str = "mode") -> FockOperator:
-    return annihilation(dim, label).dagger()
 
 
 def number(dim: int, label: str = "mode") -> FockOperator:
@@ -278,10 +259,6 @@ def sigma_pm(sign: str, label: str = "spin") -> FockOperator:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     s = 1.0 if sign == "+" else -1.0
     return FockOperator(SpaceLayout.single(label, 2, SPIN_HALF), _PAULI["z"] + s * 1j * _PAULI["y"])
-
-
-def identity(layout: SpaceLayout) -> FockOperator:
-    return FockOperator(layout, np.eye(layout.dim, dtype=complex))
 
 
 def embed(op: FockOperator, layout: SpaceLayout, target: str) -> FockOperator:
@@ -317,11 +294,6 @@ def fock_state(layout: SpaceLayout, occupations: Mapping[str, int]) -> StateVect
     v = np.zeros(layout.dim, dtype=complex)
     v[index] = 1.0
     return StateVector(layout, v)
-
-
-def superposition(states: Sequence[StateVector], amplitudes: Sequence[complex]) -> StateVector:
-    v = sum(a * s.amplitudes for a, s in zip(amplitudes, states))
-    return StateVector(states[0].layout, v / np.linalg.norm(v))
 
 
 def kron_states(*states: StateVector) -> StateVector:

@@ -49,8 +49,10 @@ CORRECTION_TABLE: Mapping[str, str] = MappingProxyType(
     {"00": "ZH", "01": "XZH", "10": "H", "11": "XH"})
 
 
-def phases_equal(psi: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> bool:
-    """Amplitude-level equality of two state vectors up to a global phase."""
+def phases_equal(psi: np.ndarray, phi: np.ndarray) -> bool:
+    """Amplitude-level equality of two state vectors up to a global phase,
+    within 1e-9."""
+    tol = 1e-9
     k = int(np.argmax(np.abs(phi)))
     if abs(psi[k]) < tol:
         return False

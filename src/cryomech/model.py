@@ -95,6 +95,15 @@ class SystemParams:
                 raise ValueError(
                     f"inconsistent {name}: field holds {given!r} but derived value is {value!r}")
 
+    def mechanical_bath(self) -> tuple[Optional[float], Optional[float]]:
+        """(rate, occupation) of the bath the mechanical mode relaxes to:
+        (gamma', n_bar') when the cooling drive takes something out (kappa'
+        nonzero) and gamma' is defined, else the intrinsic (gamma_m, n_bar).
+        Either may be None where ``params`` leaves it undefined."""
+        if self.kappa_prime and self.gamma_prime is not None:
+            return self.gamma_prime, self.n_bar_prime
+        return self.gamma_m, self.n_bar
+
 
 @dataclass(frozen=True)
 class SpinParams:
@@ -284,16 +293,12 @@ def build_spin_mech(params: SystemParams, spin: SpinParams, layout: SpaceLayout)
         + 0.5 * spin.Omega_d_prime * sx + 0.5 * spin.lam * ((b + bd) @ sz)
 
 
-def build_jc(lambda_rate: float, layout: SpaceLayout, sign: str = "+") -> FockOperator:
-    """Spin-phonon exchange lam (s+ am + h.c.) or squeezing form lam (s+ am^dag + h.c.).
+def build_jc(lambda_rate: float, layout: SpaceLayout) -> FockOperator:
+    """Spin-phonon exchange lam (s+ am + h.c.).
 
     The ladder operators are sigma_z +/- i sigma_y, so the effective exchange
     rate is ``JC_LADDER_SCALE * lambda_rate`` between sigma_x eigenstates.
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' (exchange) or '-' (squeezing form)")
-    b, bd = _mode_ops(layout, "a_m")
-    sp = embed(sigma_pm("+", "spin"), layout, "spin")
-    partner = b if sign == "+" else bd
-    h = lambda_rate * (sp @ partner)
+    b, _ = _mode_ops(layout, "a_m")
+    h = lambda_rate * (embed(sigma_pm("+", "spin"), layout, "spin") @ b)
     return h + h.dagger()

@@ -57,7 +57,7 @@ def exact_unitary_evolve(h: FockOperator, psi0: StateVector, t: float) -> StateV
         raise ValueError(f"dimension {h.dim} exceeds the oracle cap {UNITARY_DIM_CAP}")
     if h.layout != psi0.layout:
         raise ValueError("Hamiltonian and state layouts differ")
-    if not h.is_hermitian(tol=1e-10):
+    if not h.is_hermitian():
         raise ValueError("generator is not hermitian")
     w, v = np.linalg.eigh(h.matrix)
     amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
@@ -209,7 +209,7 @@ def verify_teleportation(bell_circuit: Optional[np.ndarray] = None,
                     ok = False
                     break
                 out_state = gate @ (out_state / np.linalg.norm(out_state))
-                if not phases_equal(psi_in, out_state, tol=1e-9):
+                if not phases_equal(psi_in, out_state):
                     ok = False
                     break
             if ok:

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from .errors import PreconditionError
+from .errors import PreconditionError, TruncationError
 from .fockspace import (
     DensityMatrix,
     FockOperator,
@@ -99,8 +99,10 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     Runs either the full two-mode master equation (microwave loss + thermal
     mechanical bath) or the adiabatically eliminated single-mode model, and
     builds only the one that runs, so only an eliminated run needs
-    kappa / g >= 5.  Without ``duration`` it runs for 5 / gamma', so the
-    model must be damped.
+    kappa / g >= 5.  Without ``duration`` it runs for 5 over the rate of
+    :meth:`SystemParams.mechanical_bath`, so the model must be damped.  A
+    stiff run's :class:`PreconditionError` names its remedies: a shorter
+    ``duration``, or ``eliminated`` for a full run.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
@@ -123,7 +125,7 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
         rho0 = DensityMatrix(two_mode_layout, np.kron(vac, rho0.matrix))
 
     if duration is None:
-        slow = params.gamma_prime if params.gamma_prime else params.gamma_m
+        slow, _ = params.mechanical_bath()
         if slow <= 0:
             raise PreconditionError("cannot choose a duration for an undamped model")
         duration = 5.0 / slow
@@ -131,8 +133,14 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     # cooling only moves population down the ladder, so the leak detector is
     # calibrated against the initial thermal tail rather than evolve's default
     tail = max(top_level_population(rho0).values())
-    result = evolve(model, rho0, duration, num_samples=num_samples, method=method,
-                    truncation_threshold=max(1e-6, 2.0 * tail))
+    try:
+        result = evolve(model, rho0, duration, num_samples=num_samples, method=method,
+                        truncation_threshold=max(1e-6, 2.0 * tail))
+    except TruncationError:
+        raise
+    except PreconditionError as exc:  # the stiff-run refusal
+        remedy = "" if eliminated else ", or eliminate a fast cavity (eliminated = true)"
+        raise PreconditionError(f"{exc}; shorten the duration{remedy}") from exc
     n_mech = embed(number(nm, "a_m"), model.layout, "a_m").matrix
     n_m = [float(np.real(np.trace(n_mech @ s.matrix))) for s in result.states]
 
@@ -174,9 +182,8 @@ def _qubit_fidelity_up_to_phase(rho: np.ndarray, alpha: complex, beta: complex) 
     return float(f)
 
 
-def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = None,
-                   mech_dim: Optional[int] = None, kappa: float = 0.0,
-                   gamma_m: float = 0.0, n_bar: float = 0.0) -> TransferResult:
+def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = None,
+                   kappa: float = 0.0, gamma_m: float = 0.0, n_bar: float = 0.0) -> TransferResult:
     """Swap a microwave-mode qubit state onto the mechanical mode.
 
     The mechanical mode starts in its ground state, and the pair evolves
@@ -187,11 +194,10 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
 
     One trajectory over half an exchange period, [0, pi/g], samples the
     transfer fidelity every pi/(32 g) and gives the closed-form candidates
-    pi/(2g) and pi/g, which are reported alongside.  Without ``t_opt`` the
-    interaction time is the argmax over that half period, refined by a
-    bounded search around the best sample.  The half period holds one
-    maximum: a closed exchange reaches an equal one again at 3 pi/(2g),
-    and damping only lowers it.
+    pi/(2g) and pi/g, which are reported alongside.  The interaction time is
+    the argmax over that half period, refined by a bounded search around the
+    best sample.  The half period holds one maximum: a closed exchange
+    reaches an equal one again at 3 pi/(2g), and damping only lowers it.
     """
     if g <= 0:
         raise ValueError("transfer needs g > 0")
@@ -224,17 +230,13 @@ def transfer_state(state_on_a: StateVector, g: float, t_opt: Optional[float] = N
     sweep = run(period / 2.0, 33)
     fids = [fid(rho) for rho in sweep.states]
     candidates = {"pi/(2g)": fids[16], "pi/g": fids[32]}
-    if t_opt is None:
-        coarse = sweep.times[1 + int(np.argmax(fids[1:]))]
-        span = period / 64.0
-        res = minimize_scalar(lambda t: -fid(run(t).final()),
-                              bounds=(max(coarse - span, 1e-12 * min(period, 1.0)),
-                                      coarse + span),
-                              method="bounded", options={"xatol": period * 1e-8})
-        t_opt = float(res.x)
-    rho_m = mech_state(run(t_opt).final())
-    return TransferResult(fidelity=_qubit_fidelity_up_to_phase(rho_m, alpha, beta),
-                          time=t_opt, candidates=candidates)
+    coarse = sweep.times[1 + int(np.argmax(fids[1:]))]
+    span = period / 64.0
+    res = minimize_scalar(lambda t: -fid(run(t).final()),
+                          bounds=(max(coarse - span, 1e-12 * min(period, 1.0)), coarse + span),
+                          method="bounded", options={"xatol": period * 1e-8})
+    t_opt = float(res.x)
+    return TransferResult(fidelity=fid(run(t_opt).final()), time=t_opt, candidates=candidates)
 
 
 def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] = (4, 4),
@@ -243,8 +245,7 @@ def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] =
     cooled mechanical mode and report the fidelity to the same superposition."""
     if params.g is None:
         raise ValueError("prepare_motional_superposition needs params.g")
-    # without a cooling drive (no kappa') the mode sits at the bath occupation
-    n_start = params.n_bar_prime if params.n_bar_prime is not None else (params.n_bar or 0.0)
+    n_start = params.mechanical_bath()[1] or 0.0
     if n_start >= 0.1:
         raise PreconditionError(
             f"mechanical mode not cooled: steady occupation {n_start:.3g} >= 0.1")
@@ -277,9 +278,10 @@ def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] =
     )
 
 
-def prepare_entangled_lc(labels: tuple[str, str] = ("a1", "m2")) -> StateVector:
-    """Ideal shared resource (|0>|1> + |1>|0>)/sqrt(2) on two qubit modes."""
-    layout = SpaceLayout.of((labels[0], 2), (labels[1], 2))
+def prepare_entangled_lc() -> StateVector:
+    """Ideal shared resource (|0>|1> + |1>|0>)/sqrt(2) on the microwave mode
+    ``a1`` and the remote mechanical mode ``a_m2``."""
+    layout = SpaceLayout.of(("a1", 2), ("a_m2", 2))
     v = np.zeros(4, dtype=complex)
     v[1] = v[2] = 1.0 / np.sqrt(2)
     return StateVector(layout, v)
@@ -312,32 +314,24 @@ def cphase(g: float, delta_disp: float) -> FockOperator:
 # Measurement
 # ---------------------------------------------------------------------------
 
-def bell_measure(state: StateVector, pair: tuple[str, str],
-                 rng: Optional[np.random.Generator] = None,
-                 force: Optional[str] = None) -> tuple[str, StateVector]:
+def bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str],
+                 rng: Optional[np.random.Generator], force: Optional[str]
+                 ) -> tuple[str, SpaceLayout, np.ndarray]:
     """:data:`~cryomech.gates.BELL_CIRCUIT` (CPHASE, then a Hadamard on each
     mode) on the qubit block of the pair, then a projective
-    computational-basis measurement of both modes.
+    computational-basis measurement of both modes, on the state
+    rho = V V^dag given as its factor V (``layout.dim`` rows, one column per
+    pure component).
 
     Both modes must hold the state in their {|0>, |1>} qubit block: more than
-    1e-9 of the population above it raises :class:`PreconditionError`.  The
-    outcome is sampled from the Born probabilities with the supplied
-    generator; ``force`` replays a chosen branch and raises on a
-    zero-probability request.  Returns (bits, collapsed state on the
-    remaining layout with the measured modes projected out).
+    1e-9 of the population above it raises :class:`PreconditionError`.  Every
+    column collapses on the same outcome, so the Born probability of a
+    branch is the squared norm of its whole block.  The outcome is sampled
+    from those probabilities with ``rng``; ``force`` replays a chosen branch
+    instead and raises on a zero-probability request.  Returns (bits, the
+    remaining layout with the measured modes projected out, the normalized
+    collapsed factor on it).
     """
-    bits, kept, collapsed = _bell_measure(state.layout, state.amplitudes[:, None],
-                                          pair, rng, force)
-    return bits, StateVector(kept, collapsed[:, 0])
-
-
-def _bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str],
-                  rng: Optional[np.random.Generator], force: Optional[str]
-                  ) -> tuple[str, SpaceLayout, np.ndarray]:
-    """:func:`bell_measure` on rho = V V^dag given as its factor V, one column
-    per pure component.  Every column collapses on the same outcome, so the
-    Born probability of a branch is the squared norm of its whole block.
-    Returns (bits, remaining layout, normalized collapsed factor)."""
     i0, i1 = layout.index(pair[0]), layout.index(pair[1])
     t = np.moveaxis(factor.reshape(layout.dims + (-1,)), (i0, i1), (0, 1))
     block = t[:2, :2]
@@ -415,24 +409,24 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
     layout = SpaceLayout.of(("a_m1", 2), ("a1", 2), ("a_m2", 2))
     pair = ("a_m1", "a1")
     target = np.array([alpha, beta], dtype=complex)
-    resource = prepare_entangled_lc(("a1", "a_m2")).amplitudes
+    resource = prepare_entangled_lc().amplitudes
     kraus = _amplitude_damping_kraus(resource_damping)
     factor = np.kron(target[:, None],
                      np.column_stack([np.kron(k1, k2) @ resource for k1 in kraus for k2 in kraus]))
 
-    bits, _, collapsed = _bell_measure(layout, factor, pair, rng, force_branch)
+    bits, _, collapsed = bell_measure(layout, factor, pair, rng, force_branch)
     out = CORRECTION_GATES[CORRECTION_TABLE[bits]] @ collapsed
     if resource_damping > 0.0:
         details = {"resource_damping": resource_damping}
     else:
         # checkpoint: state after the conditional phase, before the Hadamards
-        # (_bell_measure applies the full CPHASE + Hadamard circuit itself)
+        # (bell_measure applies the full CPHASE + Hadamard circuit itself)
         mid = np.kron(CPHASE, I2) @ factor
         ref = checkpoint_state(alpha, beta).amplitudes
         details = {
             "checkpoint_fidelity": float(np.linalg.norm(ref.conj() @ mid) ** 2),
             "output_amplitudes": [out[0, 0], out[1, 0]],
-            "amplitude_exact": bool(phases_equal(target, out[:, 0], tol=1e-9)),
+            "amplitude_exact": bool(phases_equal(target, out[:, 0])),
         }
     return ProtocolReport(
         scenario="teleport-motional",
@@ -516,10 +510,10 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
         raise PreconditionError(
             f"dispersive treatment needs lam < omega_m/10; got lam/omega_m = "
             f"{spin.lam / params.omega_m:.3g}")
-    gamma_p = params.gamma_prime if params.gamma_prime is not None else params.gamma_m
+    gamma_p, n_th = params.mechanical_bath()
     if gamma_p is None or gamma_p <= 0:
         raise ValueError("esr_scan needs a positive mechanical damping rate")
-    n_th = params.n_bar_prime if params.n_bar_prime is not None else (params.n_bar or 0.0)
+    n_th = n_th or 0.0
     decay = DEFAULT_SPIN_RATE if spin_decay is None else spin_decay
     dephase = DEFAULT_SPIN_RATE if spin_dephasing is None else spin_dephasing
 
@@ -587,7 +581,7 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
         raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
     layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
     b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
-    model = LindbladModel(build_jc(lambda_rate, layout, "+"),
+    model = LindbladModel(build_jc(lambda_rate, layout),
                           thermal_dissipators(b, gamma_prime, n_bar_prime))
     t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
     c_fwd = np.kron(np.diag(1j ** np.arange(phonon_dim)), np.eye(2, dtype=complex))
@@ -598,27 +592,19 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
 
 def spin_mech_swap(direction: str, lambda_rate: float,
                    input_amplitudes: tuple[complex, complex] = None,
-                   n_bar_gamma: Optional[float] = None,
-                   Omega_d_prime: Optional[float] = None,
-                   omega_m: Optional[float] = None,
-                   Delta_e: float = 0.0) -> SwapResult:
+                   n_bar_gamma: Optional[float] = None) -> SwapResult:
     """Swap a qubit between the dressed electron spin and the mechanical mode,
     truncated at 3 phonon levels.
 
-    The input runs through the undamped :func:`_swap_channel`.  Preconditions
-    follow the dispersive derivation: the spin drive detuning must be zero
-    and, when given, |Omega_d'| must equal omega_m.  The strong coupling
-    predicate lambda > n_bar gamma' is logged when the rate is given.
+    The input runs through the undamped :func:`_swap_channel`, the exchange
+    of the resonantly dressed spin (Delta_e = 0, |Omega_d'| = omega_m) that
+    :func:`~cryomech.model.build_jc` writes.  The strong coupling predicate
+    lambda > n_bar gamma' is logged when the rate is given.
     """
     if direction not in ("spin->mech", "mech->spin"):
         raise ValueError("direction must be 'spin->mech' or 'mech->spin'")
     phonon_dim = 3
     swap = _swap_pieces(lambda_rate, phonon_dim)
-    if Delta_e != 0.0:
-        raise PreconditionError("swap requires the spin drive tuned to resonance (Delta_e = 0)")
-    if Omega_d_prime is not None and omega_m is not None:
-        if not np.isclose(abs(Omega_d_prime), omega_m):
-            raise PreconditionError("swap requires |Omega_d'| = omega_m")
     strong = None if n_bar_gamma is None else bool(lambda_rate > n_bar_gamma)
 
     if input_amplitudes is None:

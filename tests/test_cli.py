@@ -217,11 +217,14 @@ points = 3
     ], ids=["cool-fast-cavity", "cool-long-duration", "superpose-fast-cavity",
             "teleport-spin-slow-swap"])
     def test_stiff_run_exit_3(self, tmp_path, capsys, text):
-        # each lost the trace (up to 6.5e-3) and ended in a traceback
+        # each lost the trace (up to 6.5e-3) and ended in a traceback; only
+        # cool has the duration and eliminated keys, so only cool names them
         path = write_cfg(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "stiff run" in err and "duration" in err and "Traceback" not in err
+        assert "stiff run" in err and "Traceback" not in err
+        cool = text.startswith("scenario = cool")
+        assert ("duration" in err) == cool and ("eliminated = true" in err) == cool
 
     @pytest.mark.parametrize("sweep", ["Delta_e", "Omega_d_prime"])
     def test_swept_esr_key_exit_2(self, tmp_path, capsys, sweep):

@@ -149,7 +149,7 @@ class TestBuilders:
     def test_jc_conserves_exchange_invariant(self):
         # phonon number plus dressed-spin excitation is conserved
         lay = SpaceLayout.of(("a_m", 4), ("spin", 2, "spin-half"))
-        h = build_jc(0.9, lay, "+").matrix
+        h = build_jc(0.9, lay).matrix
         from cryomech.fockspace import embed, number, pauli
 
         n_m = embed(number(4, "a_m"), lay, "a_m").matrix
@@ -158,23 +158,13 @@ class TestBuilders:
         inv = n_m + 0.5 * (np.eye(8) - sx)
         assert np.allclose(h @ inv - inv @ h, 0.0)
 
-    def test_jc_squeezing_form_conserves_difference(self):
-        lay = SpaceLayout.of(("a_m", 4), ("spin", 2, "spin-half"))
-        h = build_jc(0.9, lay, "-").matrix
-        from cryomech.fockspace import embed, number, pauli
-
-        n_m = embed(number(4, "a_m"), lay, "a_m").matrix
-        sx = embed(pauli("x"), lay, "spin").matrix
-        inv = n_m - 0.5 * (np.eye(8) - sx)
-        assert np.allclose(h @ inv - inv @ h, 0.0)
-
     def test_jc_swap_period(self):
         # full single-quantum exchange at t = pi / (2 * scale * lam)
         from scipy.linalg import expm
 
         lam = 0.8
         lay = SpaceLayout.of(("a_m", 3), ("spin", 2, "spin-half"))
-        h = build_jc(lam, lay, "+").matrix
+        h = build_jc(lam, lay).matrix
         t = np.pi / (2.0 * JC_LADDER_SCALE * lam)
         u = expm(-1j * h * t)
         minus_x = np.array([1.0, -1.0]) / np.sqrt(2)

@@ -317,7 +317,7 @@ def _swap_reference(d, lam):
         "spin->mech": np.kron(np.diag(1j ** np.arange(d)), np.eye(2)),
         "mech->spin": np.kron(np.eye(d), np.eye(2) + (1j - 1) * np.outer(excited, excited)),
     }
-    return layout, build_jc(lam, layout, "+"), np.pi / (4.0 * lam), corrections
+    return layout, build_jc(lam, layout), np.pi / (4.0 * lam), corrections
 
 
 class TestSwapChannelAgainstOracle:
