@@ -25,7 +25,7 @@ m_bio = 9.6e-16                  # kg — a ~1 pg microorganism on the membrane
 x0 = zero_point_fluctuation(M_mem, omega_m)
 x0_prime = 2.0 * x0              # antinode particle moves with twice x0
 n_bar = thermal_occupation(omega_m, T)
-lam = spin_phonon_coupling(2.0, G_m, x0_prime)
+lam = spin_phonon_coupling(G_m, x0_prime)
 
 print(f"zero-point motion            x0  = {x0:.3e} m")
 print(f"antinode amplitude           x0' = {x0_prime:.3e} m")

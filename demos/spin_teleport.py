@@ -13,7 +13,7 @@ from cryomech.protocols import spin_mech_swap, teleport_spin
 lam = 1.48e4        # spin-phonon coupling, rad/s
 n_bar_gamma = 4.0e3  # thermal decoherence rate, 1/s
 
-swap = spin_mech_swap("spin->mech", lam, input_amplitudes=(0.6, 0.8),
+swap = spin_mech_swap(lam, input_amplitudes=(0.6, 0.8),
                       n_bar_gamma=n_bar_gamma)
 print(f"half-Rabi swap: t = {swap.time:.3e} s, fidelity {swap.fidelity:.12f}, "
       f"strong coupling: {swap.strong_coupling}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -174,8 +175,11 @@ def _parallel_esr(spin, params, values, kwargs, jobs):
     """Split the sweep across processes and stitch the chunks back together."""
     from concurrent.futures import ProcessPoolExecutor
 
-    # one process per chunk: the fork start method starts every worker at once
-    chunks = np.array_split(values, min(jobs, len(values)))
+    # one process per chunk: the fork start method starts every worker at
+    # once, so there are no more chunks than points or usable CPUs
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    chunks = np.array_split(values, min(jobs, len(values), cpus))
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_esr_chunk, spin, params, chunk, kwargs) for chunk in chunks]
         parts = [f.result() for f in futures]
@@ -226,7 +230,7 @@ def _run_params(cfg, seed, jobs):
         # membrane's zero-point amplitude
         out["x0_prime"] = 2.0 * p.x0
         if cfg["G_m"] is not None:
-            lam = spin_phonon_coupling(2.0, cfg["G_m"], out["x0_prime"])
+            lam = spin_phonon_coupling(cfg["G_m"], out["x0_prime"])
             out["lam_rad_per_s"] = lam
             out["lam_hz_equivalent"] = lam / (2.0 * np.pi)
     if cfg["Delta_e"] is not None and cfg["Omega_d_prime"] is not None:
@@ -377,6 +381,8 @@ def main(argv: Optional[list] = None) -> int:
         cfg = parse_config(args.config, args.truncation)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.out.exists() and not args.out.is_dir():
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         scenario = cfg["scenario"]
         doc = _jsonable(_SCENARIOS[scenario][0](cfg, args.seed, args.jobs))
     except tuple(_EXITS) as exc:
@@ -384,12 +390,18 @@ def main(argv: Optional[list] = None) -> int:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    files = {}
     if args.format in ("json", "both"):
-        (args.out / f"{scenario}.json").write_text(payload)
+        files[f"{scenario}.json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.format in ("csv", "both"):
-        _write_csv(args.out / f"{scenario}.csv", doc)
+        files[f"{scenario}.csv"] = _csv_text(doc)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (args.out / name).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write the report to {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(_headline(scenario, doc))
     return 0
 
@@ -411,7 +423,7 @@ def _jsonable(v):
     return v
 
 
-def _write_csv(path: Path, doc: dict) -> None:
+def _csv_text(doc: dict) -> str:
     lines = []
     traj = doc.get("phonon_trajectory")
     if traj:
@@ -428,7 +440,7 @@ def _write_csv(path: Path, doc: dict) -> None:
             v = doc[k]
             if isinstance(v, (int, float, str, bool)) or v is None:
                 lines.append(f"{k},{v!r}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _headline(scenario: str, doc: dict) -> str:

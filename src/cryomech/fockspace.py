@@ -60,13 +60,7 @@ class SpaceLayout:
     @classmethod
     def of(cls, *specs) -> "SpaceLayout":
         """Build a layout from ``(label, dim)`` or ``(label, dim, kind)`` tuples."""
-        subs = []
-        for spec in specs:
-            if isinstance(spec, Subsystem):
-                subs.append(spec)
-            else:
-                subs.append(Subsystem(*spec))
-        return cls(tuple(subs))
+        return cls(tuple(Subsystem(*spec) for spec in specs))
 
     @classmethod
     def single(cls, label: str, dim: int, kind: str = BOSONIC) -> "SpaceLayout":
@@ -142,34 +136,22 @@ class FockOperator:
         _require_same_layout(self, other)
         return FockOperator(self.layout, self.matrix + other.matrix)
 
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        _require_same_layout(self, other)
-        return FockOperator(self.layout, self.matrix - other.matrix)
-
-    def __neg__(self) -> "FockOperator":
-        return FockOperator(self.layout, -self.matrix)
-
     def __mul__(self, scalar) -> "FockOperator":
         return FockOperator(self.layout, self.matrix * scalar)
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
+    def __matmul__(self, other: "FockOperator") -> "FockOperator":
         _require_same_layout(self, other)
-        if isinstance(other, FockOperator):
-            return FockOperator(self.layout, self.matrix @ other.matrix)
-        if isinstance(other, StateVector):
-            return StateVector(self.layout, self.matrix @ other.amplitudes, normalized=False)
-        return NotImplemented
+        return FockOperator(self.layout, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state; unit norm within ``STATE_NORM_TOL`` unless ``normalized=False``."""
+    """Pure state of unit norm within ``STATE_NORM_TOL``."""
 
     layout: SpaceLayout
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         v = _frozen_array(self.amplitudes)
@@ -177,7 +159,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector shape {v.shape} does not match layout dim {self.layout.dim}"
             )
-        if self.normalized and abs(np.linalg.norm(v) - 1.0) > STATE_NORM_TOL:
+        if abs(np.linalg.norm(v) - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm {np.linalg.norm(v)} deviates from 1")
         object.__setattr__(self, "amplitudes", v)
 
@@ -249,16 +231,14 @@ def pauli(axis: str, label: str = "spin") -> FockOperator:
     return FockOperator(SpaceLayout.single(label, 2, SPIN_HALF), m)
 
 
-def sigma_pm(sign: str, label: str = "spin") -> FockOperator:
-    """Ladder combinations sigma_z +/- i sigma_y.
+def sigma_pm() -> FockOperator:
+    """The ladder combination sigma_z + i sigma_y on the spin ``"spin"``; its
+    adjoint is sigma_z - i sigma_y.
 
-    In the sigma_x eigenbasis these act as rung operators with matrix element 2:
-    the ``+`` branch maps the +x eigenstate to the -x eigenstate.
+    In the sigma_x eigenbasis it acts as a rung operator with matrix element
+    2: it maps the +x eigenstate to the -x eigenstate.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    s = 1.0 if sign == "+" else -1.0
-    return FockOperator(SpaceLayout.single(label, 2, SPIN_HALF), _PAULI["z"] + s * 1j * _PAULI["y"])
+    return FockOperator(SpaceLayout.single("spin", 2, SPIN_HALF), _PAULI["z"] + 1j * _PAULI["y"])
 
 
 def embed(op: FockOperator, layout: SpaceLayout, target: str) -> FockOperator:

@@ -23,10 +23,7 @@ products and sparse calls on (block size, nnz, steps, m s) picks the path
 and k: long runs of small blocks take the propagator, single steps of
 large blocks the stepper.  Every product is a scipy sparse kernel, never
 dense BLAS, so the bits do not depend on the BLAS thread count.  (m, s)
-minimise m s under a bound on the step's exact 1-norm; above Al-Mohy &
-Higham's eq. (3.13) threshold (about 63.4) the bound may use the smaller
-alpha_p = max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p) from exact powers of
-the step, which halves m s on the stiff full-model cooling step.  The
+minimise m s under a bound on the step's exact 1-norm.  The
 steady state is one sparse LU solve of the generator with one row replaced
 by the trace functional; its uniqueness test uses Hager's 1-norm estimate of
 the inverse.  Neither draws random numbers.  The dense reference for both
@@ -100,15 +97,6 @@ TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 
-#: Largest p in the refinement alpha_p = max(d_p, d_{p+1}), d_p = ||A^p||_1^(1/p).
-_TAYLOR_P_MAX = 8
-
-#: Largest ||A||_1 for which :func:`_taylor_schedule` keeps the plain 1-norm
-#: schedule: 2 ell theta_{m_max} p_max (p_max + 3) / m_max with ell = 2, Al-Mohy
-#: & Higham eq. (3.13) for one column (about 63.4).
-_TAYLOR_REFINE_NORM = (4.0 * TAYLOR_THETA[max(TAYLOR_THETA)] * _TAYLOR_P_MAX
-                       * (_TAYLOR_P_MAX + 3) / max(TAYLOR_THETA))
-
 #: Fixed Python cost of one sparse call (scipy's dispatch and the series
 #: bookkeeping around it) in stored-entry products, the unit in which
 #: :func:`_taylor_path` prices its two paths: about 8 us against about 1 ns
@@ -158,8 +146,8 @@ class LindbladModel:
         """The sorted indices of vec(rho) reachable from ``support`` along the
         generator's sparsity graph (:func:`_reachable`), and the generator
         restricted to them as a :class:`_TaylorBlock`; computed once per
-        support, so every evolution from it shares the block's shift, 1-norm
-        and roots."""
+        support, so every evolution from it shares the block's shift and
+        1-norm."""
         key = support.tobytes()
         if key not in self._blocks:
             L = self.generator
@@ -302,7 +290,7 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
 
 class _TaylorBlock:
     """One block A of the generator, shifted to A - mu I with mu = tr(A) / dim,
-    and the exact 1-norms from which its Taylor schedules are chosen (Al-Mohy
+    and the exact 1-norm from which its Taylor schedules are chosen (Al-Mohy
     & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
 
     def __init__(self, A: sp.csr_array):
@@ -311,40 +299,15 @@ class _TaylorBlock:
         self.step = A - self.mu * sp.eye_array(self.dim, format="csr")
         self.norm1 = _norm1(self.step)
 
-    @cached_property
-    def roots(self) -> dict[int, float]:
-        """||step^p||_1^(1/p) for p = 2 .. ``_TAYLOR_P_MAX`` + 1, exact, each
-        power one sparse-times-dense product from the last; computed once,
-        since d_p at step size h is h times it."""
-        roots, power = {}, self.step.toarray()
-        for p in range(2, _TAYLOR_P_MAX + 2):
-            power = self.step @ power
-            roots[p] = np.abs(power).sum(axis=0).max() ** (1.0 / p)
-        return roots
-
     def schedule(self, h: float) -> tuple[int, int]:
-        """Taylor degree m and substep count s for exp(h step), minimising m s
-        (Al-Mohy & Higham, Code Fragment 3.1).
-
-        The plain candidates are m ceil(||h step||_1 / theta_m) for every m in
-        ``TAYLOR_THETA``.  Above ``_TAYLOR_REFINE_NORM`` the candidates
-        m ceil(alpha_p / theta_m) join them for p = 2 .. ``_TAYLOR_P_MAX`` and
-        m >= p (p - 1) - 1, with alpha_p = max(d_p, d_{p+1}) and
-        d_p = ||(h step)^p||_1^(1/p).  alpha_p <= ||h step||_1, and it is far
-        smaller when step is stiff and non-normal, so m s never grows.  Among
-        equal products the smallest m wins.
-        """
+        """Taylor degree m and substep count s for exp(h step): the smallest
+        m ceil(||h step||_1 / theta_m) over ``TAYLOR_THETA``, the smaller m
+        on ties (Al-Mohy & Higham, Code Fragment 3.1)."""
         norm1 = h * self.norm1
         if norm1 == 0.0:
             return 0, 1
-        candidates = [(m, int(np.ceil(norm1 / theta))) for m, theta in TAYLOR_THETA.items()]
-        if norm1 > _TAYLOR_REFINE_NORM:
-            d = {p: h * root for p, root in self.roots.items()}
-            for p in range(2, _TAYLOR_P_MAX + 1):
-                alpha = max(d[p], d[p + 1])
-                candidates += [(m, max(1, int(np.ceil(alpha / theta))))
-                               for m, theta in TAYLOR_THETA.items() if m >= p * (p - 1) - 1]
-        return min(candidates, key=lambda ms: (ms[0] * ms[1], ms[0]))
+        return min(((m, int(np.ceil(norm1 / theta))) for m, theta in TAYLOR_THETA.items()),
+                   key=lambda ms: (ms[0] * ms[1], ms[0]))
 
 
 def _taylor_series(block: _TaylorBlock, h: float, m: int, s: int, X: np.ndarray) -> np.ndarray:

@@ -46,6 +46,9 @@ mu_B = physical_constants["Bohr magneton"][0]
 #: lambda / 2 this is a factor of 4, fixed numerically by the oracle tests.
 JC_LADDER_SCALE = 2.0
 
+#: Spin g-factor of the free electron, the value of every spin modelled here.
+G_S = 2.0
+
 _REL_TOL = 1e-9
 
 
@@ -151,11 +154,12 @@ def thermal_occupation(omega: float, T: float) -> float:
     return 1.0 / math.expm1(hbar * omega / (k_B * T))
 
 
-def spin_phonon_coupling(g_s: float, G_m: float, x0_prime: float) -> float:
-    """Single-phonon spin frequency shift g_s mu_B |G_m| x0' / hbar in rad/s."""
-    if g_s <= 0 or G_m < 0 or x0_prime <= 0:
-        raise ValueError("g_s and x0_prime must be positive, G_m nonnegative")
-    return g_s * mu_B * G_m * x0_prime / hbar
+def spin_phonon_coupling(G_m: float, x0_prime: float) -> float:
+    """Single-phonon spin frequency shift g_s mu_B |G_m| x0' / hbar in rad/s,
+    with g_s = ``G_S``."""
+    if G_m < 0 or x0_prime <= 0:
+        raise ValueError("x0_prime must be positive, G_m nonnegative")
+    return G_S * mu_B * G_m * x0_prime / hbar
 
 
 def dressed_splitting(Delta_e: float, Omega_d_prime: float) -> float:
@@ -253,7 +257,7 @@ def build_dispersive(g: float, delta_disp: float, layout: SpaceLayout,
 
 def build_spin_field(spin_positions: Sequence, field_map: Callable) -> FockOperator:
     """Zeeman Hamiltonian sum_i g_s mu_B S_i . B(x_i) / hbar for N free-electron
-    spins (g_s = 2) labelled ``spin0``, ``spin1``, ...
+    spins (g_s = ``G_S``) labelled ``spin0``, ``spin1``, ...
 
     ``field_map`` maps a position 3-vector to the field 3-vector in tesla.
     Spin operators are S = (sigma_x, sigma_y, sigma_z) / 2.
@@ -274,7 +278,7 @@ def build_spin_field(spin_positions: Sequence, field_map: Callable) -> FockOpera
         for axis, component in zip("xyz", field):
             if component != 0.0:
                 s_half = 0.5 * embed(pauli(axis, lbl), layout, lbl)
-                h = h + (2.0 * mu_B * component / hbar) * s_half
+                h = h + (G_S * mu_B * component / hbar) * s_half
     return h
 
 
@@ -300,5 +304,5 @@ def build_jc(lambda_rate: float, layout: SpaceLayout) -> FockOperator:
     rate is ``JC_LADDER_SCALE * lambda_rate`` between sigma_x eigenstates.
     """
     b, _ = _mode_ops(layout, "a_m")
-    h = lambda_rate * (embed(sigma_pm("+", "spin"), layout, "spin") @ b)
+    h = lambda_rate * (embed(sigma_pm(), layout, "spin") @ b)
     return h + h.dagger()

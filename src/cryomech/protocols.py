@@ -590,10 +590,10 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
     return model, t_swap, {"spin->mech": c_fwd, "mech->spin": c_bwd}
 
 
-def spin_mech_swap(direction: str, lambda_rate: float,
+def spin_mech_swap(lambda_rate: float,
                    input_amplitudes: tuple[complex, complex] = None,
                    n_bar_gamma: Optional[float] = None) -> SwapResult:
-    """Swap a qubit between the dressed electron spin and the mechanical mode,
+    """Swap a qubit from the dressed electron spin onto the mechanical mode,
     truncated at 3 phonon levels.
 
     The input runs through the undamped :func:`_swap_channel`, the exchange
@@ -601,8 +601,6 @@ def spin_mech_swap(direction: str, lambda_rate: float,
     :func:`~cryomech.model.build_jc` writes.  The strong coupling predicate
     lambda > n_bar gamma' is logged when the rate is given.
     """
-    if direction not in ("spin->mech", "mech->spin"):
-        raise ValueError("direction must be 'spin->mech' or 'mech->spin'")
     phonon_dim = 3
     swap = _swap_pieces(lambda_rate, phonon_dim)
     strong = None if n_bar_gamma is None else bool(lambda_rate > n_bar_gamma)
@@ -610,10 +608,9 @@ def spin_mech_swap(direction: str, lambda_rate: float,
     if input_amplitudes is None:
         input_amplitudes = (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))
     alpha, beta = input_amplitudes
-    prepare = _spin_qubit_state if direction == "spin->mech" else _mech_qubit_state
-    rho = DensityMatrix.from_state(prepare(alpha, beta, phonon_dim))
-    out = _swap_channel(rho, direction, swap)
-    fid = _qubit_fidelity_up_to_phase(_received_qubit(out, direction), alpha, beta)
+    rho = DensityMatrix.from_state(_spin_qubit_state(alpha, beta, phonon_dim))
+    out = _swap_channel(rho, "spin->mech", swap)
+    fid = _qubit_fidelity_up_to_phase(_received_qubit(out, "spin->mech"), alpha, beta)
     return SwapResult(fidelity=fid, time=swap[1], strong_coupling=strong)
 
 
@@ -629,14 +626,6 @@ def _spin_qubit_state(alpha, beta, phonon_dim) -> StateVector:
     spin = StateVector(SpaceLayout.single("spin", 2, "spin-half"),
                        alpha * DRESSED_GROUND + beta * DRESSED_EXCITED)
     return kron_states(fock_state(SpaceLayout.single("a_m", phonon_dim), {}), spin)
-
-
-def _mech_qubit_state(alpha, beta, phonon_dim) -> StateVector:
-    amps = np.zeros(phonon_dim, dtype=complex)
-    amps[0], amps[1] = alpha, beta
-    mech = StateVector(SpaceLayout.single("a_m", phonon_dim), amps)
-    return kron_states(mech, StateVector(SpaceLayout.single("spin", 2, "spin-half"),
-                                         DRESSED_GROUND))
 
 
 def _swap_channel(rho: DensityMatrix, direction: str,

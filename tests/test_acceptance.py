@@ -64,7 +64,7 @@ def test_criterion_1_parameter_reproduction():
     t0 = time.perf_counter()
     x0 = zero_point_fluctuation(M_MEM, OMEGA_M)
     x0_prime = 2.0 * x0
-    lam = spin_phonon_coupling(2.0, G_M_GRAD, x0_prime)
+    lam = spin_phonon_coupling(G_M_GRAD, x0_prime)
     n_bar = thermal_occupation(OMEGA_M, TEMP)
     n_bar_gamma = n_bar * GAMMA_M
     checks = {
@@ -314,8 +314,7 @@ def test_criterion_7_spin_swap_and_teleport():
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         a, b = complex(v[0]), complex(v[1])
-        res = protocols.spin_mech_swap("spin->mech", 1.48e4,
-                                       input_amplitudes=(a, b))
+        res = protocols.spin_mech_swap(1.48e4, input_amplitudes=(a, b))
         min_swap = min(min_swap, res.fidelity)
         rep = protocols.teleport_spin(a, b, seed=int(rng.integers(1 << 31)),
                                       lambda_rate=1.48e4)

@@ -106,6 +106,29 @@ T = 0.01
 
 
 class TestExitCodes:
+    def test_out_names_a_file_exit_2(self, tmp_path, capsys, monkeypatch):
+        # refused before the scenario runs, and the file is left as it was
+        monkeypatch.setattr(cryomech.protocols, "teleport_motional", None)
+        path = write_cfg(tmp_path, TELEPORT_CFG)
+        report = tmp_path / "report"
+        report.write_text("kept\n")
+        assert main(["--config", str(path), "--out", str(report)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert report.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report", "run.cfg"]
+
+    @pytest.mark.parametrize("where", ["under-a-file", "report-is-a-directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        path = write_cfg(tmp_path, TELEPORT_CFG)
+        (tmp_path / "file").write_text("")
+        out = {"under-a-file": tmp_path / "file" / "out",
+               "report-is-a-directory": tmp_path / "out"}[where]
+        if where == "report-is-a-directory":
+            (out / "teleport-motional.json").mkdir(parents=True)
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report") and "Traceback" not in err
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "scenario = frobnicate\n")
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
@@ -557,9 +580,10 @@ mech_dim = 6
         # each point's generator is L_0 + v L_sigma whatever chunk it is in
         assert (d1 / "esr-scan.json").read_bytes() == (d2 / "esr-scan.json").read_bytes()
 
-    def test_pool_bounded_by_points(self, tmp_path, monkeypatch):
-        # an in-process stand-in for the pool: it records the requested size
-        # and starts no process
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """An in-process stand-in for the pool: it records each requested
+        size, runs the tasks inline and starts no process."""
         import concurrent.futures
 
         sizes = []
@@ -580,9 +604,29 @@ mech_dim = 6
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_bounded_by_points(self, tmp_path, pool_sizes):
         path = write_cfg(tmp_path, self.ESR_CFG.replace("points = 25", "points = 3"))
         d1, d2 = tmp_path / "serial", tmp_path / "par"
         assert main(["--config", str(path), "--out", str(d1)]) == 0
         assert main(["--config", str(path), "--out", str(d2), "--jobs", "50"]) == 0
-        assert sizes and max(sizes) <= 3
+        assert pool_sizes and max(pool_sizes) <= 3
         assert (d1 / "esr-scan.json").read_text() == (d2 / "esr-scan.json").read_text()
+
+    def test_pool_bounded_by_usable_cpus(self, tmp_path, monkeypatch, pool_sizes):
+        path = write_cfg(tmp_path, self.ESR_CFG)
+        serial = tmp_path / "serial"
+        assert main(["--config", str(path), "--out", str(serial)]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["--config", str(path), "--out", str(tmp_path / "two"),
+                     "--jobs", "1000"]) == 0
+        # without an affinity mask the CPU count bounds the pool
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert main(["--config", str(path), "--out", str(tmp_path / "three"),
+                     "--jobs", "1000"]) == 0
+        assert pool_sizes == [2, 3]
+        for d in ("two", "three"):
+            assert ((tmp_path / d / "esr-scan.json").read_bytes()
+                    == (serial / "esr-scan.json").read_bytes())

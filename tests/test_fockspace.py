@@ -82,15 +82,16 @@ class TestPauli:
         assert np.allclose(sx @ sy - sy @ sx, 2j * sz)
 
     def test_ladder_anticommutator_scale(self):
-        # sigma_pm = sigma_z +/- i sigma_y, so s+s- + s-s+ = 4 I
-        sp = sigma_pm("+").matrix
-        sm = sigma_pm("-").matrix
+        # sigma_pm = sigma_z + i sigma_y and its adjoint sigma_z - i sigma_y,
+        # so s+s- + s-s+ = 4 I
+        sp = sigma_pm().matrix
+        sm = sigma_pm().dagger().matrix
         assert np.allclose(sp @ sm + sm @ sp, 4.0 * np.eye(2))
 
     def test_ladder_is_x_basis_rung(self):
         # sigma_+ maps the +x eigenstate to 2 x the -x eigenstate (the -x
         # state plays the role of the excited dressed level) and kills -x
-        sp = sigma_pm("+").matrix
+        sp = sigma_pm().matrix
         minus_x = np.array([1.0, -1.0]) / np.sqrt(2)
         plus_x = np.array([1.0, 1.0]) / np.sqrt(2)
         assert np.allclose(sp @ plus_x, 2.0 * minus_x)

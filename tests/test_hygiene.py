@@ -154,11 +154,11 @@ def _constructor_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
     return out
 
 
-def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None]]:
+def _parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None, bool]]:
     """(function, names a call to it uses, parameter, positional index in such
-    a call or None) for every parameter with a default.  A method's call
+    a call or None, has a default) for every parameter.  A method's call
     skips ``self`` or ``cls``; ``__init__`` is called by its class name, and so
-    is a dataclass, whose defaulted fields count as its parameters."""
+    is a dataclass, whose fields count as its parameters."""
     out = []
 
     def visit(node, cls):
@@ -168,32 +168,51 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, set[str], str, in
                 positional = a.posonlyargs + a.args
                 names = {child.name} | ({cls} if child.name == "__init__" else set())
                 first = len(positional) - len(a.defaults)
-                out.extend((child.name, names, arg.arg, i - (cls is not None))
-                           for i, arg in enumerate(positional[first:], first))
-                out.extend((child.name, names, arg.arg, None)
-                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                skip = cls is not None
+                out.extend((child.name, names, arg.arg, i - skip, i >= first)
+                           for i, arg in enumerate(positional) if i >= skip)
+                out.extend((child.name, names, arg.arg, None, d is not None)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults))
             elif isinstance(child, ast.ClassDef):
-                out.extend((child.name, {child.name}, name, i)
-                           for i, (name, defaulted) in enumerate(_constructor_fields(child))
-                           if defaulted)
+                out.extend((child.name, {child.name}, name, i, defaulted)
+                           for i, (name, defaulted) in enumerate(_constructor_fields(child)))
             visit(child, child.name if isinstance(child, ast.ClassDef) else None)
 
     visit(tree, None)
     return out
 
 
-def _passes(trees) -> dict[str, list[tuple[float, set]]]:
-    """By callee name, the positional count and keyword names of every call;
-    a ``*`` splat counts as every position and a ``**`` splat as keyword None."""
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call in ``trees`` by callee name, a bare name or an attribute."""
     calls = {}
     for tree in trees.values():
         for n in ast.walk(tree):
             if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
                 name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
-                count = (float("inf") if any(isinstance(x, ast.Starred) for x in n.args)
-                         else len(n.args))
-                calls.setdefault(name, []).append((count, {k.arg for k in n.keywords}))
+                calls.setdefault(name, []).append(n)
     return calls
+
+
+def _argument(call: ast.Call, param: str, index: int | None) -> ast.expr | bool:
+    """The expression ``call`` passes to ``param`` at ``index``: True where a
+    ``*`` or ``**`` splat may pass it, False where nothing does."""
+    if any(k.arg is None for k in call.keywords):
+        return True
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if index is not None:
+        if any(isinstance(x, ast.Starred) for x in call.args[:index + 1]):
+            return True
+        if index < len(call.args):
+            return call.args[index]
+    return False
+
+
+def _package_calls() -> dict[str, list[ast.Call]]:
+    """The calls of the package, the demos and the benchmark; a test is not a caller."""
+    return _calls(_parse(sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+                         + sorted((ROOT / "perfbench").rglob("*.py"))))
 
 
 #: Parameters that only tests set, each kept so that a test can pass a fake.
@@ -210,14 +229,29 @@ def test_optional_parameters_are_passed():
     # overrides is a constant, not an option: a call from a test does not
     # count, except for the fakes of _TEST_SEAMS
     trees = _parse(sorted(SRC.glob("*.py")))
-    calls = _passes(_parse(sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-                           + sorted((ROOT / "perfbench").rglob("*.py"))))
+    calls = _package_calls()
     unset = {f"{func}({param})": str(p.relative_to(ROOT)) for p, tree in trees.items()
-             for func, callees, param, index in _defaulted_parameters(tree)
-             if not any(None in keywords or param in keywords
-                        or (index is not None and index < count)
-                        for callee in callees for count, keywords in calls.get(callee, []))}
+             for func, callees, param, index, defaulted in _parameters(tree)
+             if defaulted and not any(_argument(call, param, index) is not False
+                                      for callee in callees
+                                      for call in calls.get(callee, []))}
     orphans = {name: path for name, path in unset.items() if name not in _TEST_SEAMS}
     assert not orphans, f"parameters whose default no call overrides: {orphans}"
     # a seam that is gone, or that the package now sets, leaves the list
     assert _TEST_SEAMS <= set(unset), f"stale test seams: {_TEST_SEAMS - set(unset)}"
+
+
+def test_required_parameters_take_more_than_one_literal():
+    # a required parameter that every call of the package, a demo or the
+    # benchmark passes the same literal is a constant, not a parameter
+    trees = _parse(sorted(SRC.glob("*.py")))
+    calls = _package_calls()
+    fixed = {}
+    for p, tree in trees.items():
+        for func, callees, param, index, defaulted in _parameters(tree):
+            passed = [_argument(call, param, index) for callee in callees
+                      for call in calls.get(callee, [])]
+            if (not defaulted and passed and all(isinstance(x, ast.Constant) for x in passed)
+                    and len({repr(x.value) for x in passed}) == 1):
+                fixed[f"{func}({param})"] = f"{str(p.relative_to(ROOT))}: {passed[0].value!r}"
+    assert not fixed, f"required parameters that every call passes one literal: {fixed}"

@@ -42,7 +42,7 @@ from cryomech.lindblad import (
 )
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech.oracle import _build_liouvillian, _random_density, _random_model
-from cryomech.protocols import prepare_motional_superposition, sideband_cool
+from cryomech.protocols import sideband_cool
 
 
 def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
@@ -326,75 +326,70 @@ class TestInverseNormEstimate:
 
 
 class TestTaylorSchedule:
-    """The (m, s) of the blocks the shared series core runs on in the
-    benchmark's cooling and transfer configs.  Only the stiff full-model
-    cooling step is above ``_TAYLOR_REFINE_NORM``, where the alpha_p
-    refinement halves m s."""
+    """The one schedule rule, the smallest m ceil(||h step||_1 / theta_m),
+    on the benchmark's stiff cooling block and on blocks far above the 1-norm
+    of every benchmark step."""
 
     COOLING = SystemParams(g=1.0, kappa=20.0, gamma_m=0.05, n_bar=3.0, omega_m=50.0)
 
-    @staticmethod
-    def _series_calls(monkeypatch, run):
-        """``run()`` and the (block, h, columns) of every series it runs."""
-        calls = []
-        series = lindblad._taylor_series
+    def test_stiff_cooling_block_runs_propagator(self, monkeypatch):
+        """Full ``cool`` at (4, 12): one series, on the identity columns of
+        the 172-dim block at h / 2^5, where ||h step||_1 is 5.35."""
+        runs, calls = [], []
+        samples, series = lindblad._taylor_samples, lindblad._taylor_series
 
-        def spy(block, h, m, s, X):
+        def spy_samples(block, v0, h, steps):
+            out = samples(block, v0, h, steps)
+            runs.append(out[1:])
+            return out
+
+        def spy_series(block, h, m, s, X):
             calls.append((block, h, X.shape[1:]))
             return series(block, h, m, s, X)
 
-        monkeypatch.setattr(lindblad, "_taylor_series", spy)
-        return run(), calls
-
-    @staticmethod
-    def _sample_step(report):
-        return report.segments[0]["duration"] / (len(report.phonon_trajectory["times"]) - 1)
-
-    @staticmethod
-    def _plain(monkeypatch, block, h):
-        with monkeypatch.context() as patch:
-            patch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
-            return block.schedule(h)
-
-    def test_stiff_cooling_block_halves_matvecs(self, monkeypatch):
-        report, calls = self._series_calls(
-            monkeypatch, lambda: sideband_cool(self.COOLING, 3.0, dims=(4, 12)))
-        # one series, on the identity columns of the 172-dim block: the propagator
-        [(block, _, columns)] = calls
+        monkeypatch.setattr(lindblad, "_taylor_samples", spy_samples)
+        monkeypatch.setattr(lindblad, "_taylor_series", spy_series)
+        sideband_cool(self.COOLING, 3.0, dims=(4, 12))
+        assert runs == [("propagator", (40, 1, 5))]
+        [(block, h, columns)] = calls
         assert columns == (block.dim,) == (172,)
-        h = self._sample_step(report)
-        assert self._plain(monkeypatch, block, h) == (55, 18)
-        m, s = block.schedule(h)
-        assert m * s == 495
+        assert h * block.norm1 == pytest.approx(5.35, abs=0.01)
+        assert block.schedule(h) == (40, 1)
 
-    @pytest.mark.parametrize("scenario", ["superpose", "cool-eliminated"])
-    def test_nonstiff_blocks_keep_plain_schedule(self, monkeypatch, scenario):
-        run = {
-            "superpose": lambda: prepare_motional_superposition(SystemParams(
-                g=1.0, kappa=0.01, gamma_m=0.001, n_bar=0.01)),
-            "cool-eliminated": lambda: sideband_cool(
-                self.COOLING, 3.0, dims=(4, 12), eliminated=True),
-        }[scenario]
-        report, calls = self._series_calls(monkeypatch, run)
-        steps = [(block, h) for block, h, _ in calls]
-        if report.scenario == "cool":
-            steps.append((calls[0][0], self._sample_step(report)))
-        assert steps
-        for block, h in steps:
-            assert block.schedule(h) == self._plain(monkeypatch, block, h)
-
-    def test_degree_floor_of_the_refinement(self):
-        """alpha_p may only pick m >= p (p - 1) - 1.  For N = 100 times the 5 x 5
-        lower shift, ||N||_1 = 100 and alpha_p = 0 for p >= 5, so without that
-        floor the schedule would be (1, 1), whose one step is I + N, wrong by
-        N^4 / 4! ~ 4e6; with it, (19, 1) gives exp(N) to rounding."""
+    def test_nilpotent_block_matches_expm(self):
+        """N = 100 times the 5 x 5 lower shift: ||N||_1 = 100 and N^5 = 0, so a
+        schedule that trusted the decay of ||N^p|| could pick a degree too low
+        for N^4 / 4! ~ 4e6; the 1-norm rule gives exp(N) to rounding."""
         N = 100.0 * np.eye(5, k=-1)
         block = lindblad._TaylorBlock(sp.csr_array(N.astype(complex)))
         m, s = block.schedule(1.0)
-        assert (m, s) == (19, 1)
+        assert (m, s) == (50, 12)
         P = lindblad._taylor_series(block, 1.0, m, s, np.eye(5, dtype=complex))
         exact = expm(N)
         assert np.abs(P - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_stiff_stepper_step_matches_mpmath(self):
+        """One stepper step, ``_taylor_series`` at the block's own schedule,
+        with ||h (A - mu)||_1 = 100 on the non-normal 26-index block of a
+        transfer at kappa = 50 g, against ``mpmath.expm`` at 30 digits within
+        the bound of :class:`TestTaylorAgainstMpmath`.  At this size the count
+        rule hands a whole run to the propagator, so the step runs directly."""
+        layout = SpaceLayout.of(("a", 2), ("a_m", 3))
+        model = cooling_model(1.0, 50.0, 0.001, 0.01, layout)
+        psi = np.kron([1.0, 1.0], [1.0, 0.0, 0.0]) / np.sqrt(2)
+        v0 = lindblad._vec(np.outer(psi, psi).astype(complex))
+        R, block = model.reachable_block(np.flatnonzero(v0))
+        A = model.generator.toarray()[np.ix_(R, R)]
+        step = block.step.toarray()
+        assert block.dim == 26 and np.abs(step @ step.conj().T - step.conj().T @ step).max() > 1e3
+        h = 100.0 / block.norm1
+        m, s = block.schedule(h)
+        assert (m, s) == (50, 12)
+        row = lindblad._taylor_series(block, h, m, s, v0[R])
+        with mpmath.workdps(30):
+            x = mpmath.expm(mpmath.matrix(A.tolist()) * h) * mpmath.matrix(v0[R].tolist())
+            exact = np.array([complex(y) for y in x])
+        assert np.abs(row - exact).max() <= 16 * max(1.0, h * block.norm1) * 2.0 ** -53
 
 
 class TestStiffRuns:

@@ -46,7 +46,7 @@ class TestScalars:
     def test_spin_phonon_coupling_value(self):
         # |G_m| = 1e7 T/m at twice the membrane zero-point amplitude
         x0p = 2.0 * zero_point_fluctuation(4.8e-14, TWO_PI * 10e6)
-        lam = spin_phonon_coupling(2.0, 1e7, x0p)
+        lam = spin_phonon_coupling(1e7, x0p)
         assert lam == pytest.approx(1.48e4, rel=0.01)
 
     def test_frequency_shift_sign_and_scale(self):

@@ -236,20 +236,20 @@ class TestReachableBlock:
         _, (_, _, k) = self._check_samples(model, rho0, "propagator", np.pi, 17)
         assert k == 0
 
-    def test_stiff_cooling_start(self, monkeypatch):
-        """A sample step with ||h L_R||_1 ~ 344, where the stepper's schedule
-        would come from alpha_p rather than the 1-norm: the propagator with
+    def test_stiff_cooling_start(self):
+        """A sample step with ||h L_R||_1 ~ 344: the propagator with
         squarings."""
         model = cooling_model(1.0, 20.0, 0.05, 3.0, SpaceLayout.of(("a", 2), ("a_m", 6)))
         rho0 = DensityMatrix(model.layout, np.kron(np.diag([1.0, 0.0]),
                                                    thermal_state(6, 3.0, "a_m").matrix))
-        reach, (_, _, k) = self._check_samples(model, rho0, "propagator", 10.0, 3)
+        reach, (m, s, k) = self._check_samples(model, rho0, "propagator", 10.0, 3)
         assert k > 0
         block = np.flatnonzero(reach)
         taylor = lindblad._TaylorBlock(model.generator[block[:, None], block])
-        _, s = taylor.schedule(5.0)
-        monkeypatch.setattr(lindblad, "_TAYLOR_REFINE_NORM", np.inf)
-        assert s < taylor.schedule(5.0)[1]
+        # the stepper would run 55 x 35 matvecs a step; the propagator's one
+        # series at h / 2^k runs the same rule at its own step
+        assert taylor.schedule(5.0) == (55, 35)
+        assert taylor.schedule(5.0 / 2 ** k) == (m, s)
 
     def test_block_cached_per_support(self):
         """One model evolved from two supports gets two blocks, each the

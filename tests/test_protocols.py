@@ -128,7 +128,7 @@ class TestTransfer:
 
     def test_taylor_block_built_once_per_support(self, monkeypatch):
         # every evolve of one transfer starts from the same support of the
-        # same model, so the block's shift, 1-norm and roots are built once
+        # same model, so the block's shift and 1-norm are built once
         builds, starts = [], []
 
         class CountedBlock(lindblad._TaylorBlock):
@@ -445,22 +445,22 @@ class TestEsrScan:
 
 class TestSpinSwap:
     def test_haar_random_round_trip(self):
+        # the spin->mech leg here; the mech->spin leg is checked against the
+        # oracle (TestSwapChannelAgainstOracle) and closes every teleport_spin
         rng = np.random.default_rng(3)
         for _ in range(10):
             a, b = haar_qubit(rng)
-            fwd = P.spin_mech_swap("spin->mech", 1.3, input_amplitudes=(a, b))
+            fwd = P.spin_mech_swap(1.3, input_amplitudes=(a, b))
             assert fwd.fidelity == pytest.approx(1.0, abs=1e-9)
-            bwd = P.spin_mech_swap("mech->spin", 1.3, input_amplitudes=(a, b))
-            assert bwd.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_swap_time_quarter_period(self):
-        res = P.spin_mech_swap("spin->mech", 1.0)
+        res = P.spin_mech_swap(1.0)
         assert res.time == pytest.approx(np.pi / 4.0, rel=1e-6)
 
     def test_strong_coupling_flag(self):
-        res = P.spin_mech_swap("spin->mech", 1.48e4, n_bar_gamma=4.0e3)
+        res = P.spin_mech_swap(1.48e4, n_bar_gamma=4.0e3)
         assert res.strong_coupling is True
-        res = P.spin_mech_swap("spin->mech", 1.0e3, n_bar_gamma=4.0e3)
+        res = P.spin_mech_swap(1.0e3, n_bar_gamma=4.0e3)
         assert res.strong_coupling is False
 
 
@@ -501,7 +501,7 @@ class TestTeleportSpin:
     def test_nonpositive_rate_rejected(self):
         for rate in (0.0, -1.0):
             with pytest.raises(ValueError, match="lambda_rate"):
-                P.spin_mech_swap("spin->mech", rate)
+                P.spin_mech_swap(rate)
             with pytest.raises(ValueError, match="lambda_rate"):
                 P.teleport_spin(0.6, 0.8, seed=0, lambda_rate=rate)
         with pytest.raises(ValueError, match="n_bar_prime"):
