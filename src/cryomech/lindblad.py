@@ -23,10 +23,12 @@ products and sparse calls on (block size, nnz, steps, m s) picks the path
 and k: long runs of small blocks take the propagator, single steps of
 large blocks the stepper.  Every product is a scipy sparse kernel, never
 dense BLAS, so the bits do not depend on the BLAS thread count.  (m, s)
-minimise m s under a bound on the step's exact 1-norm.  The
-steady state is one sparse LU solve of the generator with one row replaced
-by the trace functional; its uniqueness test uses Hager's 1-norm estimate of
-the inverse.  Neither draws random numbers.  The dense reference for both
+minimise m s under a bound on the step's exact 1-norm.  Around one sample
+of an evolution, :func:`expectation_series` gives expectations as the same
+series in time, so a maximum between samples needs no further evolution.
+The steady state is one sparse LU solve of the generator with one row
+replaced by the trace functional; its uniqueness test uses Hager's 1-norm
+estimate of the inverse.  Neither draws random numbers.  The dense reference for both
 lives in :mod:`cryomech.oracle`.  Along a sweep of a Hamiltonian affine in
 one value, H + v T, :func:`affine_sweep` builds L(H) and L_T once on one
 sparsity pattern, so each point's generator is L(H) + v L_T, one sum of
@@ -477,6 +479,72 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
         _check_truncation(rho, truncation_threshold)
         states.append(rho)
     return EvolutionResult(times=times, states=tuple(states), path=path, schedule=schedule)
+
+
+@dataclass(frozen=True)
+class ExpectationSeries:
+    """Expectations tr(O_k rho(t)) of an evolution around one of its samples
+    t_c, in pieces: for t = t_c + offsets[i] + x radius with |x| <= 1,
+    piece i is exp(rate x) sum_j coeffs[i, k, j] x^j."""
+
+    offsets: np.ndarray
+    radius: float
+    rate: complex
+    coeffs: np.ndarray
+
+    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The expectations and their first and second derivatives in x at x,
+        a scalar or an array, each of shape (pieces, operators) + x.shape.
+        Horner's rule on every coefficient row at once: elementwise
+        products only, no BLAS."""
+        x = np.asarray(x, dtype=float)
+        a = self.coeffs.reshape(self.coeffs.shape + (1,) * x.ndim)
+        p, d1, d2 = a[:, :, -1], 0.0, 0.0
+        for j in range(a.shape[2] - 2, -1, -1):
+            d2 = d2 * x + d1
+            d1 = d1 * x + p
+            p = p * x + a[:, :, j]
+        e, r = np.exp(self.rate * x), self.rate
+        return e * p, e * (r * p + d1), e * (r * r * p + 2.0 * r * d1 + 2.0 * d2)
+
+
+def expectation_series(model: LindbladModel, rho0: DensityMatrix, result: EvolutionResult,
+                       c: int, operators: Iterable[FockOperator]) -> ExpectationSeries:
+    """tr(O rho(t)) for each of ``operators`` on [t_c - h, t_c + h], around
+    the sample c >= 1 of ``result = evolve(model, rho0, ...)`` with sample
+    step h.
+
+    rho(t_c + tau) = exp(tau A) rho(t_c) on the reachable block of ``rho0``,
+    the cached block the evolution ran on.  The Taylor series of exp(tau
+    (A - mu)) takes the degree m and substep count s of the block's
+    :meth:`~_TaylorBlock.schedule` at h, so the window splits into s pieces
+    of radius h / s, each within the same backward-error bound as one
+    substep of the evolution.  A single piece is centred on the sample
+    itself; s > 1 pieces are centred at the odd multiples of h / s after
+    sample c - 1, propagated forward from it by :func:`_taylor_samples`.
+    The m matvecs of each piece give every expectation's coefficients as
+    sums of products with the entries of O: no dense BLAS product.
+    """
+    block, taylor = model.reachable_block(np.flatnonzero(_vec(rho0.matrix)))
+    h = result.times[-1] / (result.times.size - 1)
+    m, s = taylor.schedule(h)
+    r = h / s
+    if s == 1:
+        X = _vec(result.states[c].matrix)[block][:, None]
+    else:
+        rows, _, _ = _taylor_samples(taylor, _vec(result.states[c - 1].matrix)[block], r, 2 * s)
+        X = rows[1::2].T
+    # tr(O rho) = sum_ij O_ij rho_ji, and rho_ji is entry i n + j of vec(rho)
+    weights = np.array([op.matrix.reshape(-1)[block] for op in operators])
+    step = taylor.step * r
+    coeffs = np.empty((s, len(weights), m + 1), dtype=complex)
+    for j in range(m + 1):
+        if j:
+            X = step @ X
+            X *= 1.0 / j
+        coeffs[:, :, j] = (X.T[:, None, :] * weights).sum(axis=2)
+    return ExpectationSeries(offsets=(2.0 * np.arange(s) + 1.0 - s) * r, radius=r,
+                             rate=taylor.mu * r, coeffs=coeffs)
 
 
 def _trace_bordered(L: sp.csr_array, n: int) -> tuple[sp.csr_array, float]:

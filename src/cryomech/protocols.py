@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
 from .errors import PreconditionError, TruncationError
@@ -43,11 +42,13 @@ from .fockspace import (
 from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, CPHASE, I2, phases_equal
 from .lindblad import (
     Dissipator,
+    ExpectationSeries,
     LindbladModel,
     adiabatic_eliminate,
     affine_sweep,
     cooling_model,
     evolve,
+    expectation_series,
     steady_state,
     thermal_dissipators,
 )
@@ -141,8 +142,9 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     except PreconditionError as exc:  # the stiff-run refusal
         remedy = "" if eliminated else ", or eliminate a fast cavity (eliminated = true)"
         raise PreconditionError(f"{exc}; shorten the duration{remedy}") from exc
-    n_mech = embed(number(nm, "a_m"), model.layout, "a_m").matrix
-    n_m = [float(np.real(np.trace(n_mech @ s.matrix))) for s in result.states]
+    # the number operator is diagonal: <n_m> = sum_i n_ii Re(rho_ii), elementwise
+    n_mech = np.diagonal(embed(number(nm, "a_m"), model.layout, "a_m").matrix).real
+    n_m = [float((n_mech * np.diagonal(s.matrix).real).sum()) for s in result.states]
 
     mech_final = result.final() if eliminated else partial_trace(result.final(), {"a_m"})
     ground = fock_state(SpaceLayout.single("a_m", nm), {})
@@ -182,6 +184,50 @@ def _qubit_fidelity_up_to_phase(rho: np.ndarray, alpha: complex, beta: complex) 
     return float(f)
 
 
+#: Grid intervals per series piece of :func:`_series_peak`, and its most Newton steps.
+_PEAK_GRID = 32
+_PEAK_NEWTON = 16
+
+
+def _series_peak(series: ExpectationSeries, alpha: complex, beta: complex,
+                 from_zero: bool) -> float:
+    """Offset from the series' sample t_c of the maximum of F = |alpha|^2
+    rho_00 + |beta|^2 rho_11 + 2 |alpha beta* rho_01| over its window, the
+    three mechanical entries being the series' expectations in that order.
+    ``from_zero`` says the window starts at t = 0; a maximum there gives
+    0, the sample itself (see :func:`transfer_state`)."""
+    a2, b2, w = abs(alpha) ** 2, abs(beta) ** 2, 2.0 * abs(alpha * np.conj(beta))
+    grid = np.linspace(-1.0, 1.0, _PEAK_GRID + 1)
+    v = series.evaluate(grid)[0]
+    f = (a2 * v[:, 0].real + b2 * v[:, 1].real + w * np.abs(v[:, 2])).ravel()
+    best = int(np.argmax(f))
+    if best == 0 and from_zero:
+        return 0.0
+    piece, j = divmod(best, _PEAK_GRID + 1)
+    x = float(grid[j])
+    # Newton stays between the best grid point's neighbours, inside the window
+    lo = x - 2.0 / _PEAK_GRID if best > 0 else x
+    hi = x + 2.0 / _PEAK_GRID if best < f.size - 1 else x
+    for _ in range(_PEAK_NEWTON):
+        v, d1, d2 = (part[piece] for part in series.evaluate(x))
+        f1 = a2 * d1[0].real + b2 * d1[1].real
+        f2 = a2 * d2[0].real + b2 * d2[1].real
+        if w:
+            z, z1, z2 = v[2], d1[2], d2[2]
+            g1 = (np.conj(z) * z1).real / abs(z)
+            f1 += w * g1
+            f2 += w * (abs(z1) ** 2 + (np.conj(z) * z2).real - g1 ** 2) / abs(z)
+        if not f2 < 0:
+            break
+        step = f1 / f2
+        if not lo < x - step < hi:
+            break
+        x -= step
+        if abs(step) <= 1e-14:
+            break
+    return float(series.offsets[piece] + x * series.radius)
+
+
 def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = None,
                    kappa: float = 0.0, gamma_m: float = 0.0, n_bar: float = 0.0) -> TransferResult:
     """Swap a microwave-mode qubit state onto the mechanical mode.
@@ -193,11 +239,19 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     every rate.
 
     One trajectory over half an exchange period, [0, pi/g], samples the
-    transfer fidelity every pi/(32 g) and gives the closed-form candidates
-    pi/(2g) and pi/g, which are reported alongside.  The interaction time is
-    the argmax over that half period, refined by a bounded search around the
-    best sample.  The half period holds one maximum: a closed exchange
-    reaches an equal one again at 3 pi/(2g), and damping only lowers it.
+    transfer fidelity F every h = pi/(32 g) and gives the closed-form
+    candidates pi/(2g) and pi/g, which are reported alongside.  The half
+    period holds one maximum: a closed exchange reaches an equal one again
+    at 3 pi/(2g), and damping only lowers it.  The interaction time is that
+    maximum, refined within h of the best sample t_c > 0 from the series of
+    the mechanical rho_00, rho_11 and rho_01 at t_c
+    (:func:`~cryomech.lindblad.expectation_series`): F = |alpha|^2 rho_00
+    + |beta|^2 rho_11 + 2 |alpha beta* rho_01| on a fixed grid, then Newton
+    on F' from the best grid point.  With alpha beta* = 0, F and its
+    derivatives have no |rho_01| term.  t = 0 is no transfer: where F is
+    largest there (as for alpha = 1, where F = rho_00 starts at its
+    maximum), t_c itself is reported, so the time is always positive.  One
+    validated evolution to that time gives the reported fidelity.
     """
     if g <= 0:
         raise ValueError("transfer needs g > 0")
@@ -211,32 +265,27 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     nm = mech_dim or na
     layout = SpaceLayout.of(("a", na), ("a_m", nm))
     model = cooling_model(g, kappa, gamma_m, n_bar, layout)
-    vacuum = np.zeros(nm, dtype=complex)
-    vacuum[0] = 1.0
-    psi0 = np.kron(src, vacuum)
+    unit = np.eye(nm, dtype=complex)
+    psi0 = np.kron(src, unit[0])
     rho0 = DensityMatrix(layout, np.outer(psi0, psi0.conj()))
 
-    def run(t: float, num_samples: int = 2):
+    def run(t: float, num_samples: int):
         return evolve(model, rho0, t, num_samples=num_samples, truncation_threshold=1.0)
 
-    def mech_state(rho: DensityMatrix) -> np.ndarray:
-        return partial_trace(rho, {"a_m"}).matrix
-
     def fid(rho: DensityMatrix) -> float:
-        return _qubit_fidelity_up_to_phase(mech_state(rho), alpha, beta)
+        return _qubit_fidelity_up_to_phase(partial_trace(rho, {"a_m"}).matrix, alpha, beta)
 
     # 33 samples over [0, pi/g]: samples 16 and 32 are the candidate times
-    period = 2.0 * np.pi / g
-    sweep = run(period / 2.0, 33)
+    sweep = run(np.pi / g, 33)
     fids = [fid(rho) for rho in sweep.states]
     candidates = {"pi/(2g)": fids[16], "pi/g": fids[32]}
-    coarse = sweep.times[1 + int(np.argmax(fids[1:]))]
-    span = period / 64.0
-    res = minimize_scalar(lambda t: -fid(run(t).final()),
-                          bounds=(max(coarse - span, 1e-12 * min(period, 1.0)), coarse + span),
-                          method="bounded", options={"xatol": period * 1e-8})
-    t_opt = float(res.x)
-    return TransferResult(fidelity=fid(run(t_opt).final()), time=t_opt, candidates=candidates)
+    c = 1 + int(np.argmax(fids[1:]))
+    # tr(O rho) for O = 1 (x) |l><k| is the mechanical rho_kl
+    ops = [embed(FockOperator(SpaceLayout.single("a_m", nm), np.outer(unit[l], unit[k])),
+                 layout, "a_m") for k, l in ((0, 0), (1, 1), (0, 1))]
+    t_opt = float(sweep.times[c]) + _series_peak(
+        expectation_series(model, rho0, sweep, c, ops), alpha, beta, from_zero=c == 1)
+    return TransferResult(fidelity=fid(run(t_opt, 2).final()), time=t_opt, candidates=candidates)
 
 
 def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] = (4, 4),

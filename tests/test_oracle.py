@@ -18,6 +18,7 @@ from cryomech.fockspace import (
     embed,
     fock_state,
     number,
+    partial_trace,
     pauli,
     thermal_state,
 )
@@ -289,7 +290,8 @@ class TestReachableBlock:
 
     def test_transfer_refinement_takes_stepper(self, monkeypatch):
         """``transfer_state``'s 33-sample sweep may build the propagator, but
-        each 2-sample call of its refinement is one step: the stepper."""
+        its refined time is read from a series, and the one validating
+        2-sample evolve to that time is one step: the stepper."""
         results = []
 
         def spy(*args, **kwargs):
@@ -301,9 +303,62 @@ class TestReachableBlock:
         amps[:2] = 1.0 / np.sqrt(2)
         protocols.transfer_state(StateVector(SpaceLayout.single("a", 4), amps), 1.0,
                                  kappa=0.01, gamma_m=0.001, n_bar=0.01)
-        refinement = [r for r in results if r.times.size == 2]
-        assert len(refinement) == len(results) - 1 > 1
-        assert {r.path for r in refinement} == {"stepper"}
+        sweep, final = results
+        assert sweep.times.size == 33 and final.times.size == 2
+        assert final.path == "stepper"
+
+
+class TestTransferRefinement:
+    """The series refinement of ``transfer_state`` against the dense oracle."""
+
+    @staticmethod
+    def _setup(g, kappa, amps):
+        layout = SpaceLayout.of(("a", 4), ("a_m", 4))
+        model = cooling_model(g, kappa, 0.001 * g, 0.01, layout)
+        psi0 = np.kron(np.array([*amps, 0, 0], dtype=complex), np.eye(4)[0])
+        return model, DensityMatrix(layout, np.outer(psi0, psi0.conj()))
+
+    @pytest.mark.parametrize("kappa", [0.01, 3.0, 100.0])
+    def test_series_matches_oracle(self, kappa):
+        """Every piece of the series, one at kappa <= 3 g and several at
+        100 g, gives tr(O rho(t)) of the oracle's state across the window."""
+        model, rho0 = self._setup(1.0, kappa, (0.6, 0.8j))
+        sweep = evolve(model, rho0, np.pi, num_samples=33, truncation_threshold=1.0)
+        unit = np.eye(4, dtype=complex)
+        mech = SpaceLayout.single("a_m", 4)
+        ops = [embed(FockOperator(mech, np.outer(unit[l], unit[k])), model.layout, "a_m")
+               for k, l in ((0, 0), (1, 1), (0, 1), (1, 2))]
+        series = lindblad.expectation_series(model, rho0, sweep, 10, ops)
+        assert (series.offsets.size > 1) == (kappa == 100.0)
+        x = np.array([-1.0, 0.5, 1.0])
+        values = series.evaluate(x)[0]
+        for i, offset in enumerate(series.offsets):
+            for j, t in enumerate(sweep.times[10] + offset + x * series.radius):
+                rho = exact_liouville_evolve(model, rho0, t).matrix
+                exact = [np.trace(op.matrix @ rho) for op in ops]
+                assert np.abs(values[i, :, j] - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("kappa, amps", [
+        *((kappa, amps) for kappa in (0.01, 3.0, 100.0) for amps in ((0.6, 0.8j), (0.8, -0.6j))),
+        # no coherence term: F = rho_11 (at 100 g it still rises at pi/g + h)
+        (0.01, (0, 1)), (3.0, (0, 1))])
+    def test_transfer_time_is_local_maximum(self, kappa, amps):
+        """The reported time maximizes the oracle's transfer fidelity on its
+        neighbourhood: F(t) >= F(t +- 1e-4 h) - 1e-13, h = pi/(32 g)."""
+        g = 1.0
+        model, rho0 = self._setup(g, kappa * g, amps)
+        res = protocols.transfer_state(
+            StateVector(SpaceLayout.single("a", 4), np.array([*amps, 0, 0], dtype=complex)),
+            g, kappa=kappa * g, gamma_m=0.001 * g, n_bar=0.01)
+
+        def fidelity_at(t):
+            rho = partial_trace(exact_liouville_evolve(model, rho0, t), {"a_m"}).matrix
+            return protocols._qubit_fidelity_up_to_phase(rho, *amps)
+
+        peak = fidelity_at(res.time)
+        assert peak == pytest.approx(res.fidelity, abs=1e-12)
+        for dt in (-1e-4, 1e-4):
+            assert peak >= fidelity_at(res.time + dt * np.pi / (32.0 * g)) - 1e-13
 
 
 def _swap_reference(d, lam):

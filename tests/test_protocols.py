@@ -127,8 +127,9 @@ class TestTransfer:
             assert fidelity_at(res.time + dt) <= res.fidelity + 1e-12
 
     def test_taylor_block_built_once_per_support(self, monkeypatch):
-        # every evolve of one transfer starts from the same support of the
-        # same model, so the block's shift and 1-norm are built once
+        # a transfer makes two evolves, the sweep and the validated run to the
+        # refined time; the refinement's series reuses the sweep's block, so
+        # the block's shift and 1-norm are built once
         builds, starts = [], []
 
         class CountedBlock(lindblad._TaylorBlock):
@@ -145,7 +146,7 @@ class TestTransfer:
         phi = StateVector(SpaceLayout.single("a", 4),
                           np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2))
         P.transfer_state(phi, 1.0, mech_dim=4, kappa=0.05, gamma_m=0.01, n_bar=0.1)
-        assert len(starts) == 10 and len(set(starts)) == 1
+        assert len(starts) == 2 and len(set(starts)) == 1
         assert len(builds) == 1
 
     def test_vanishing_rates_match_closed_transfer(self):
@@ -157,6 +158,31 @@ class TestTransfer:
         open_ = P.transfer_state(phi, 1.0, mech_dim=4, kappa=1e-12, gamma_m=1e-12)
         assert open_.fidelity == pytest.approx(closed.fidelity, abs=1e-9)
         assert open_.time == pytest.approx(closed.time, rel=1e-6)
+
+    @pytest.mark.parametrize("amps", [(1, 0), (0, 1), (0.8, 0.6j)])
+    @pytest.mark.parametrize("kappa", [0.0, 0.01, 100.0])
+    def test_degenerate_inputs_give_positive_time(self, amps, kappa):
+        phi = StateVector(SpaceLayout.single("a", 4), np.array([*amps, 0, 0], dtype=complex))
+        res = P.transfer_state(phi, 1.0, mech_dim=4, kappa=kappa, gamma_m=0.001, n_bar=0.01)
+        # within the refinement window of the last sample, pi/g + pi/(32 g)
+        assert 0.0 < res.time <= 33.0 * np.pi / 32.0 * (1.0 + 1e-12)
+        assert 0.0 <= res.fidelity <= 1.0 + 1e-12
+
+    def test_peak_at_zero_reports_first_sample(self):
+        # |0> on the cavity: F = rho_00 of the mechanics is largest at t = 0,
+        # which is no transfer time, so the first sample pi/(32 g) is reported
+        g = 2.0
+        phi = StateVector(SpaceLayout.single("a", 4), np.array([1, 0, 0, 0], dtype=complex))
+        res = P.transfer_state(phi, g, mech_dim=4, kappa=0.01, gamma_m=0.001, n_bar=0.01)
+        assert res.time == np.linspace(0.0, np.pi / g, 33)[1]
+
+    def test_no_coherence_term_without_both_amplitudes(self):
+        # alpha = 0: F = rho_11 = sin^2(g t) in the closed exchange, refined
+        # from the populations alone to its peak pi/(2g)
+        phi = StateVector(SpaceLayout.single("a", 4), np.array([0, 1, 0, 0], dtype=complex))
+        res = P.transfer_state(phi, 2.0, mech_dim=4)
+        assert res.time == pytest.approx(np.pi / 4.0, rel=1e-12)
+        assert res.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_high_fock_support_warns(self):
         amps = np.zeros(4, dtype=complex)
@@ -180,8 +206,8 @@ class TestSuperposition:
         assert rep.details["transfer_time"] == pytest.approx(np.pi / 2.0, rel=1e-6)
 
     def test_fast_exchange(self):
-        # the refinement window lies below t = 1e-12 here; its lower bound must
-        # still stay under its upper one
+        # the whole refinement window lies below t = 1e-12 here; the series
+        # runs in units of its radius, so the time keeps its relative precision
         g = 1e13
         rep = P.prepare_motional_superposition(
             SystemParams(g=g, kappa=0.01, gamma_m=0.001, n_bar=0.01))
