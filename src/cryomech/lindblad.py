@@ -19,13 +19,16 @@ stepper applies it to the sample vector at every sample step.  The
 propagator applies it once to the identity columns at h / 2^k, squares the
 result k times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) and
 multiplies each sample by that P = exp(h L_R).  A count of stored-entry
-products and sparse calls on (block size, nnz, steps, m s) picks the path
-and k: long runs of small blocks take the propagator, single steps of
-large blocks the stepper.  Every product is a scipy sparse kernel, never
-dense BLAS, so the bits do not depend on the BLAS thread count.  (m, s)
-minimise m s under a bound on the step's exact 1-norm.  Around one sample
-of an evolution, :func:`expectation_series` gives expectations as the same
-series in time, so a maximum between samples needs no further evolution.
+products and calls on (block size, nnz, steps, m s) picks the path and k:
+long runs of small blocks take the propagator, single steps of large
+blocks the stepper.  Every product with a vector or a block of columns is
+a scipy sparse kernel.  The one dense BLAS product is the squaring, cut
+into tiles of at most 64 (:func:`_tiled_square`) so that OpenBLAS runs
+each tile product on one thread; the bits then do not depend on its
+thread count.  (m, s) minimise m s under a bound on the step's exact
+1-norm.  Around one sample of an evolution, :func:`expectation_series`
+gives expectations as the same series in time, so a maximum between
+samples needs no further evolution.
 The steady state is one sparse LU solve of the generator with one row
 replaced by the trace functional; its uniqueness test uses Hager's 1-norm
 estimate of the inverse.  Neither draws random numbers.  The dense reference for both
@@ -99,11 +102,21 @@ TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 
-#: Fixed Python cost of one sparse call (scipy's dispatch and the series
+#: Fixed Python cost of one call (scipy's or numpy's dispatch and the series
 #: bookkeeping around it) in stored-entry products, the unit in which
 #: :func:`_taylor_path` prices its two paths: about 8 us against about 1 ns
 #: per stored entry on a 2-vCPU x86 VM at one BLAS thread.
 _CALL_COST = 8000
+
+#: Price of one :func:`_tiled_square` per dim^3, in the same unit, measured
+#: once on the same VM at one BLAS thread: a squaring takes 1.4 ms at dim 172
+#: and 0.49 ms at dim 124, about a quarter of dim^3 ns (scipy's sparse
+#: kernel takes 8.5 and 3.4 ms for the same products).
+_SQUARE_RATIO = 0.25
+
+#: Largest tile edge of :func:`_tiled_square`.  OpenBLAS runs a GEMM with
+#: M N K <= 64^3 on one thread (``tests/test_lindblad.py`` holds the bits).
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -352,19 +365,25 @@ def _taylor_path(block: _TaylorBlock, h: float, steps: int) -> tuple[str, tuple[
     every step.  The ``"propagator"`` runs it once on the identity columns at
     h / 2^k, squares the result k times and applies it to each sample.  Both
     are priced from (dim, nnz, steps, m s) in stored-entry products plus
-    ``_CALL_COST`` per sparse call, a CSR conversion counting as three
-    calls.  A series term costs one call, nnz per column and four passes
-    over the columns; a squaring costs a conversion, a call and dim^3; the
-    propagator's final conversion three calls; a sample product one call
-    and dim^2.  Every k is priced until its squarings and sample products
-    alone cost more than the best price so far; the cheapest path and k win,
-    the stepper and the smaller k on ties.  The rule counts; it never times.
+    ``_CALL_COST`` per call, a CSR conversion counting as three calls.  A
+    series term costs one call, nnz per column and four passes over the
+    columns; a squaring (:func:`_tiled_square`) four calls and
+    ``_SQUARE_RATIO`` dim^3, a ratio measured once and never at run time;
+    the propagator's final conversion three calls; a sample product one
+    call and dim^2.  A squaring's own fixed cost is nearer one call, but
+    each squaring also doubles the rounding error P carries, and four calls
+    keep k low on small blocks: at one call the 12-index eliminated ``cool``
+    block would take (7, 1, 9) for (16, 1, 4), and its P would be off by
+    1.3e-13 against 4.6e-15.  Every k is priced until its squarings and
+    sample products alone cost more than the best price so far; the
+    cheapest path and k win, the stepper and the smaller k on ties.  The
+    rule counts; it never times.
     """
     dim, nnz = block.dim, block.step.nnz
     m, s = block.schedule(h)
     best = (steps * m * s * (_CALL_COST + nnz + 4 * dim), "stepper", (m, s, 0))
     k = 0
-    while (fixed := k * (4 * _CALL_COST + dim ** 3)
+    while (fixed := k * (4 * _CALL_COST + _SQUARE_RATIO * dim ** 3)
            + (steps + 3) * _CALL_COST + steps * dim ** 2) < best[0]:
         m, s = block.schedule(h / 2 ** k)
         price = fixed + m * s * (_CALL_COST + dim * (nnz + 4 * dim))
@@ -376,12 +395,38 @@ def _taylor_path(block: _TaylorBlock, h: float, steps: int) -> tuple[str, tuple[
 
 def _dense_csr(P: np.ndarray) -> sp.csr_array:
     """A square dense array as a CSR array that stores every entry, built from
-    its index arrays: ``sp.csr_array(P)`` scans P for zeros first, which
-    costs more than a squaring's product at small dim and about a fifth of
-    it at dim 172."""
+    its index arrays (``sp.csr_array(P)`` scans P for zeros first), so that
+    the propagator's sample products P f are scipy's sparse kernel."""
     n = P.shape[0]
     return sp.csr_array((P.reshape(-1), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
                         shape=P.shape)
+
+
+def _tiled_square(P: np.ndarray) -> np.ndarray:
+    """P @ P for a square dense P, with every BLAS product small enough that
+    OpenBLAS runs it on one thread, so the bits do not depend on the thread
+    count (a whole-matrix product differs at 1 and 2 threads, e.g. at n = 172;
+    Demmel & Nguyen, IEEE Trans. Comput. 64, 2060 (2015)).
+
+    P is padded with zeros to q t, q = ceil(n / ``_TILE``) tiles of edge
+    t = ceil(n / q) a side; one batched ``np.matmul`` forms all q^3 tile
+    products P_il P_lj, and numpy adds the q products of each output tile
+    in the order l = 0 .. q - 1.  With q = 1 it is one ``P @ P``.
+    """
+    n = P.shape[0]
+    q = -(-n // _TILE)
+    if q == 1:
+        return P @ P
+    t = -(-n // q)
+    padded = np.zeros((q * t, q * t), dtype=P.dtype)
+    padded[:n, :n] = P
+    tiles = padded.reshape(q, t, q, t).swapaxes(1, 2)
+    # products[i, l, j] = P_il @ P_lj
+    products = np.matmul(tiles[:, :, None], tiles[None, :, :])
+    out = products[:, 0].copy()
+    for l in range(1, q):
+        out += products[:, l]
+    return out.swapaxes(1, 2).reshape(q * t, q * t)[:n, :n]
 
 
 def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
@@ -390,10 +435,9 @@ def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
     :func:`_taylor_path` that made them and its (m, s, k).
 
     The propagator is P = exp(h A) from the series at h / 2^k and k squarings
-    P <- P P, each a sparse-times-dense product with P held as CSR (Higham,
-    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)); no dense BLAS product is
-    involved, so its bits, like the stepper's, do not depend on the BLAS
-    thread count.
+    P <- P P by :func:`_tiled_square` (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)), then held as CSR for the sample products.  Its bits, like
+    the stepper's, do not depend on the BLAS thread count.
     """
     path, (m, s, k) = _taylor_path(block, h, steps)
     if path == "stepper":
@@ -402,7 +446,7 @@ def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
     else:
         P = _taylor_series(block, h / 2 ** k, m, s, np.eye(block.dim, dtype=complex))
         for _ in range(k):
-            P = _dense_csr(P) @ P
+            P = _tiled_square(P)
         P = _dense_csr(P)
 
         def advance(f):
@@ -481,6 +525,29 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     return EvolutionResult(times=times, states=tuple(states), path=path, schedule=schedule)
 
 
+def _entry_weights(block: np.ndarray, operators: Iterable[FockOperator]) -> np.ndarray:
+    """One row per operator O, with tr(O rho) the sum of the row times the
+    entries of vec(rho) at ``block``, a reachable block outside which they
+    are exactly 0."""
+    # tr(O rho) = sum_ij O_ij rho_ji, and rho_ji is entry i n + j of vec(rho)
+    return np.array([op.matrix.reshape(-1)[block] for op in operators])
+
+
+def expectations(model: LindbladModel, rho0: DensityMatrix, result: EvolutionResult,
+                 operators: Iterable[FockOperator]) -> np.ndarray:
+    """tr(O rho_j) for every sample rho_j of ``result = evolve(model, rho0,
+    ...)`` and each of ``operators``, shape (samples, operators).
+
+    Sums of products of the operators' entries with the samples' entries on
+    the reachable block of ``rho0``, as :func:`expectation_series` forms
+    them: elementwise, no BLAS, and no second validation of samples that
+    ``evolve`` validated.
+    """
+    block, _ = model.reachable_block(np.flatnonzero(_vec(rho0.matrix)))
+    X = np.array([_vec(state.matrix)[block] for state in result.states])
+    return (X[:, None, :] * _entry_weights(block, operators)).sum(axis=2)
+
+
 @dataclass(frozen=True)
 class ExpectationSeries:
     """Expectations tr(O_k rho(t)) of an evolution around one of its samples
@@ -534,8 +601,7 @@ def expectation_series(model: LindbladModel, rho0: DensityMatrix, result: Evolut
     else:
         rows, _, _ = _taylor_samples(taylor, _vec(result.states[c - 1].matrix)[block], r, 2 * s)
         X = rows[1::2].T
-    # tr(O rho) = sum_ij O_ij rho_ji, and rho_ji is entry i n + j of vec(rho)
-    weights = np.array([op.matrix.reshape(-1)[block] for op in operators])
+    weights = _entry_weights(block, operators)
     step = taylor.step * r
     coeffs = np.empty((s, len(weights), m + 1), dtype=complex)
     for j in range(m + 1):

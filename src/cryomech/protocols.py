@@ -42,6 +42,7 @@ from .fockspace import (
 from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, CPHASE, I2, phases_equal
 from .lindblad import (
     Dissipator,
+    EvolutionResult,
     ExpectationSeries,
     LindbladModel,
     adiabatic_eliminate,
@@ -49,6 +50,7 @@ from .lindblad import (
     cooling_model,
     evolve,
     expectation_series,
+    expectations,
     steady_state,
     thermal_dissipators,
 )
@@ -177,11 +179,12 @@ class TransferResult:
     candidates: dict              # fidelity at the two closed-form candidate times
 
 
-def _qubit_fidelity_up_to_phase(rho: np.ndarray, alpha: complex, beta: complex) -> float:
-    """max_theta <psi_theta| rho |psi_theta> for psi_theta = alpha|0> + e^{i theta} beta|1>."""
-    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    f = a2 * rho[0, 0].real + b2 * rho[1, 1].real + 2.0 * abs(alpha * np.conj(beta) * rho[0, 1])
-    return float(f)
+def _qubit_fidelity_up_to_phase(r00, r11, r01, alpha: complex, beta: complex):
+    """max_theta <psi_theta| rho |psi_theta> for psi_theta = alpha|0> + e^{i
+    theta} beta|1>, that is |alpha|^2 rho_00 + |beta|^2 rho_11 + 2 |alpha
+    beta* rho_01|, elementwise over arrays of the three entries."""
+    a2, b2, w = abs(alpha) ** 2, abs(beta) ** 2, 2.0 * abs(alpha * np.conj(beta))
+    return a2 * np.real(r00) + b2 * np.real(r11) + w * np.abs(r01)
 
 
 #: Grid intervals per series piece of :func:`_series_peak`, and its most Newton steps.
@@ -199,7 +202,7 @@ def _series_peak(series: ExpectationSeries, alpha: complex, beta: complex,
     a2, b2, w = abs(alpha) ** 2, abs(beta) ** 2, 2.0 * abs(alpha * np.conj(beta))
     grid = np.linspace(-1.0, 1.0, _PEAK_GRID + 1)
     v = series.evaluate(grid)[0]
-    f = (a2 * v[:, 0].real + b2 * v[:, 1].real + w * np.abs(v[:, 2])).ravel()
+    f = _qubit_fidelity_up_to_phase(v[:, 0], v[:, 1], v[:, 2], alpha, beta).ravel()
     best = int(np.argmax(f))
     if best == 0 and from_zero:
         return 0.0
@@ -240,7 +243,10 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
 
     One trajectory over half an exchange period, [0, pi/g], samples the
     transfer fidelity F every h = pi/(32 g) and gives the closed-form
-    candidates pi/(2g) and pi/g, which are reported alongside.  The half
+    candidates pi/(2g) and pi/g, which are reported alongside.  Each
+    sample's F reads the mechanical rho_00, rho_11 and rho_01 as sums over
+    its vec entries (:func:`~cryomech.lindblad.expectations`), so a sample
+    that ``evolve`` validated is not validated again.  The half
     period holds one maximum: a closed exchange reaches an equal one again
     at 3 pi/(2g), and damping only lowers it.  The interaction time is that
     maximum, refined within h of the best sample t_c > 0 from the series of
@@ -269,23 +275,24 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     psi0 = np.kron(src, unit[0])
     rho0 = DensityMatrix(layout, np.outer(psi0, psi0.conj()))
 
-    def run(t: float, num_samples: int):
-        return evolve(model, rho0, t, num_samples=num_samples, truncation_threshold=1.0)
-
-    def fid(rho: DensityMatrix) -> float:
-        return _qubit_fidelity_up_to_phase(partial_trace(rho, {"a_m"}).matrix, alpha, beta)
-
-    # 33 samples over [0, pi/g]: samples 16 and 32 are the candidate times
-    sweep = run(np.pi / g, 33)
-    fids = [fid(rho) for rho in sweep.states]
-    candidates = {"pi/(2g)": fids[16], "pi/g": fids[32]}
-    c = 1 + int(np.argmax(fids[1:]))
     # tr(O rho) for O = 1 (x) |l><k| is the mechanical rho_kl
     ops = [embed(FockOperator(SpaceLayout.single("a_m", nm), np.outer(unit[l], unit[k])),
                  layout, "a_m") for k, l in ((0, 0), (1, 1), (0, 1))]
+
+    def run(t: float, num_samples: int) -> tuple[EvolutionResult, np.ndarray]:
+        # the evolution and F at each of its samples
+        result = evolve(model, rho0, t, num_samples=num_samples, truncation_threshold=1.0)
+        v = expectations(model, rho0, result, ops)
+        return result, _qubit_fidelity_up_to_phase(*v.T, alpha, beta)
+
+    # 33 samples over [0, pi/g]: samples 16 and 32 are the candidate times
+    sweep, f = run(np.pi / g, 33)
+    candidates = {"pi/(2g)": float(f[16]), "pi/g": float(f[32])}
+    c = 1 + int(np.argmax(f[1:]))
     t_opt = float(sweep.times[c]) + _series_peak(
         expectation_series(model, rho0, sweep, c, ops), alpha, beta, from_zero=c == 1)
-    return TransferResult(fidelity=fid(run(t_opt, 2).final()), time=t_opt, candidates=candidates)
+    return TransferResult(fidelity=float(run(t_opt, 2)[1][-1]), time=t_opt,
+                          candidates=candidates)
 
 
 def prepare_motional_superposition(params: SystemParams, dims: tuple[int, int] = (4, 4),
@@ -659,7 +666,8 @@ def spin_mech_swap(lambda_rate: float,
     alpha, beta = input_amplitudes
     rho = DensityMatrix.from_state(_spin_qubit_state(alpha, beta, phonon_dim))
     out = _swap_channel(rho, "spin->mech", swap)
-    fid = _qubit_fidelity_up_to_phase(_received_qubit(out, "spin->mech"), alpha, beta)
+    q = _received_qubit(out, "spin->mech")
+    fid = float(_qubit_fidelity_up_to_phase(q[0, 0], q[1, 1], q[0, 1], alpha, beta))
     return SwapResult(fidelity=fid, time=swap[1], strong_coupling=strong)
 
 

@@ -1,6 +1,11 @@
 """Tests for the master-equation engine: generators, evolution, steady
 states and adiabatic elimination."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
+import cryomech
 from cryomech import lindblad
 from cryomech.errors import (
     DegenerateSteadyStateError,
@@ -334,7 +340,9 @@ class TestTaylorSchedule:
 
     def test_stiff_cooling_block_runs_propagator(self, monkeypatch):
         """Full ``cool`` at (4, 12): one series, on the identity columns of
-        the 172-dim block at h / 2^5, where ||h step||_1 is 5.35."""
+        the 172-dim block at h / 2^7, where ||h step||_1 is 1.34.  A squaring
+        is priced at four calls and ``_SQUARE_RATIO`` = 1/4 of 172^3
+        stored-entry products; at the full 172^3 the plan was (40, 1, 5)."""
         runs, calls = [], []
         samples, series = lindblad._taylor_samples, lindblad._taylor_series
 
@@ -350,11 +358,11 @@ class TestTaylorSchedule:
         monkeypatch.setattr(lindblad, "_taylor_samples", spy_samples)
         monkeypatch.setattr(lindblad, "_taylor_series", spy_series)
         sideband_cool(self.COOLING, 3.0, dims=(4, 12))
-        assert runs == [("propagator", (40, 1, 5))]
+        assert runs == [("propagator", (20, 1, 7))]
         [(block, h, columns)] = calls
         assert columns == (block.dim,) == (172,)
-        assert h * block.norm1 == pytest.approx(5.35, abs=0.01)
-        assert block.schedule(h) == (40, 1)
+        assert h * block.norm1 == pytest.approx(1.34, abs=0.01)
+        assert block.schedule(h) == (20, 1)
 
     def test_nilpotent_block_matches_expm(self):
         """N = 100 times the 5 x 5 lower shift: ||N||_1 = 100 and N^5 = 0, so a
@@ -480,6 +488,45 @@ class TestTaylorAgainstMpmath:
                 x = step * x
                 exact = np.array([complex(y) for y in x])
                 assert np.abs(rows[j] - exact).max() <= 16 * j * unit
+
+
+class TestTiledSquare:
+    """The propagator's one dense BLAS product.  A whole complex ``A @ A``
+    gives different bits at one and two OpenBLAS threads at n = 140, 150, 172
+    and 460; ``_tiled_square`` cuts it into tile products of at most 64^3,
+    which OpenBLAS runs on one thread, and adds them in a fixed order."""
+
+    SIZES = (48, 124, 140, 150, 172, 200, 256, 460)
+
+    def test_matches_sparse_product(self):
+        # to rounding: n terms of at most (|A| |A|)_ij each
+        for n in self.SIZES:
+            rng = np.random.default_rng(n)
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            exact = lindblad._dense_csr(A) @ A
+            bound = 4 * n * 2.0 ** -53 * (np.abs(A) @ np.abs(A)).max()
+            assert np.abs(lindblad._tiled_square(A) - exact).max() <= bound, n
+
+    def test_identical_across_blas_threads(self):
+        # the SHA-256 of each size's tiled square, printed by a fresh process
+        script = ("import hashlib\nimport numpy as np\nfrom cryomech import lindblad\n"
+                  f"for n in {self.SIZES!r}:\n"
+                  "    rng = np.random.default_rng(n)\n"
+                  "    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
+                  "    print(hashlib.sha256(lindblad._tiled_square(A).tobytes()).hexdigest())\n")
+        src = str(Path(cryomech.__file__).resolve().parents[1])
+        hashes = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True)
+            hashes[threads] = proc.stdout.split()
+        assert len(hashes["1"]) == len(hashes["2"]) == len(self.SIZES)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        differ = [n for n, one, two in zip(self.SIZES, hashes["1"], hashes["2"]) if one != two]
+        assert not differ, (f"tiled squares differ at 1 and 2 threads for n = {differ} "
+                            f"with BLAS {blas.get('name')} {blas.get('version')}")
 
 
 class TestCoolingModels:
