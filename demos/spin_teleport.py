@@ -13,10 +13,11 @@ from cryomech.protocols import spin_mech_swap, teleport_spin
 lam = 1.48e4        # spin-phonon coupling, rad/s
 n_bar_gamma = 4.0e3  # thermal decoherence rate, 1/s
 
-swap = spin_mech_swap(lam, input_amplitudes=(0.6, 0.8),
-                      n_bar_gamma=n_bar_gamma)
-print(f"half-Rabi swap: t = {swap.time:.3e} s, fidelity {swap.fidelity:.12f}, "
-      f"strong coupling: {swap.strong_coupling}")
+# the swap is one channel for every input qubit: the two poles and a tilt
+for amplitudes in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+    swap = spin_mech_swap(lam, input_amplitudes=amplitudes, n_bar_gamma=n_bar_gamma)
+    print(f"half-Rabi swap of {amplitudes}: t = {swap.time:.3e} s, "
+          f"fidelity {swap.fidelity:.12f}, strong coupling: {swap.strong_coupling}")
 
 rep = teleport_spin(0.6, 0.8, seed=0, lambda_rate=lam)
 print(f"ideal teleport fidelity: {rep.final_fidelity:.12f} "

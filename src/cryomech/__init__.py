@@ -22,13 +22,13 @@ from .fockspace import (
     annihilation,
     embed,
     fidelity,
-    fock_state,
     kron_states,
     number,
     partial_trace,
     pauli,
     sigma_pm,
     thermal_state,
+    vacuum,
 )
 from .gates import CORRECTION_TABLE, CPHASE, HADAMARD, PAULI_GATES
 from .lindblad import (

@@ -3,15 +3,26 @@
 Every state and operator carries a :class:`SpaceLayout` describing the ordered
 tensor factors it lives on.  Subsystem ordering in tensor products is the
 declaration order of the layout.  All values are immutable after construction.
+
+The invariants of a density matrix are read in one place,
+:meth:`VecBlock.check`, from the entries of column-stacked matrices at a set
+of vec indices outside which every entry is exactly 0: all n^2 of them for a
+:class:`DensityMatrix`, the reachable block for the samples of an evolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+from .errors import TruncationError
 
 BOSONIC = "bosonic"
 SPIN_HALF = "spin-half"
@@ -180,21 +191,132 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix shape {m.shape} does not match layout dim {self.layout.dim}"
             )
-        tr = np.trace(m)
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {self.trace_tol}")
-        scale = np.linalg.norm(m)
-        if scale > 0 and np.linalg.norm(m - m.conj().T) > self.herm_tol * scale:
-            raise ValueError("density matrix is not hermitian within tolerance")
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if lo < -self.pos_tol:
-            raise ValueError(f"density matrix has negative eigenvalue {lo}")
+        full_block(self.layout).check(m.T.reshape(1, -1), self.trace_tol, self.herm_tol,
+                                      self.pos_tol)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
         v = psi.amplitudes
         return cls(psi.layout, np.outer(v, v.conj()))
+
+
+class VecBlock:
+    """Column-stacked density matrices rho on ``layout`` given by their
+    entries at ``indices``, sorted vec indices b = j n + i of rho_ij outside
+    which every entry is exactly 0, and the index maps from which
+    :meth:`check` reads the invariants of a stack of them.
+
+    Basis states i and j are joined when an index holds rho_ij or rho_ji.
+    rho is then block-diagonal on the connected components, and so are
+    rho^dag, rho - rho^dag and the hermitian part: the norms sum over the
+    components, and the spectrum is the union of theirs.  The components
+    come from the indices alone, never from the entries' values; all n^2
+    indices make one component of all n states, found without a graph.
+    """
+
+    def __init__(self, layout: SpaceLayout, indices: np.ndarray):
+        n = layout.dim
+        self.layout, self.indices = layout, indices
+        rows, cols = indices % n, indices // n
+        # per mode of :func:`top_level_population`, the positions in
+        # ``indices`` of the diagonal entries of its two top levels
+        diagonal = np.flatnonzero(rows == cols)
+        levels = np.indices(layout.dims).reshape(len(layout.dims), n)[:, rows[diagonal]]
+        self._top = {sub.label: diagonal[levels[i] >= sub.dim - 2]
+                     for i, sub in enumerate(layout.subsystems)
+                     if sub.kind == BOSONIC and sub.dim > 2}
+        # the components in runs of equal size k, each run a (components, k,
+        # k) stack of the positions in ``indices`` of their entries, and
+        # where an index holds each (None: everywhere; elsewhere it is 0);
+        # (None, None) for all n^2 indices, whose rows are the matrices
+        if indices.size == n * n:
+            self._components = [(None, None)]
+            return
+        graph = sp.csr_array((np.ones(indices.size), (rows, cols)), shape=(n, n))
+        labels = connected_components(graph, directed=True, connection="weak")[1]
+        sizes = np.bincount(labels)
+        order = np.argsort(sizes[labels] * n + labels, kind="stable")
+        self._components = []
+        for k in np.unique(sizes[labels]):
+            members = order[sizes[labels[order]] == k].reshape(-1, k)
+            wanted = members[:, None, :] * n + members[:, :, None]
+            at = np.minimum(np.searchsorted(indices, wanted), indices.size - 1)
+            present = indices[at] == wanted
+            self._components.append((at, None if present.all() else present))
+
+    def _invariants(self, entries: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The trace, ||rho||_F^2, ||rho - rho^dag||_F^2 and the smallest
+        eigenvalue of the hermitian part (rho + rho^dag) / 2 of each row's
+        matrix, summed or minimized over the components: elementwise products
+        and sums (no BLAS) and one batched ``eigvalsh`` per component size."""
+        parts = []
+        n = self.layout.dim
+        for at, present in self._components:
+            # x[s, c, a, b] is rho_ab of row s on the states a, b of component c
+            x = entries.reshape(-1, 1, n, n).swapaxes(-1, -2) if at is None else entries[:, at]
+            if present is not None:
+                x *= present
+            xc = x.conj()
+            xh = xc.swapaxes(-1, -2)
+            d = x - xh
+            w = np.linalg.eigvalsh(0.5 * (x + xh))
+            parts.append((np.add.reduce(x.diagonal(0, -2, -1), axis=(1, 2)),
+                          np.add.reduce((x * xc).real, axis=(1, 2, 3)),
+                          np.add.reduce((d * d.conj()).real, axis=(1, 2, 3)),
+                          np.minimum.reduce(w.reshape(w.shape[0], -1), axis=1)))
+        if len(parts) == 1:
+            return parts[0]
+        tr, norm2, skew2, lows = zip(*parts)
+        return sum(tr), sum(norm2), sum(skew2), np.minimum.reduce(lows)
+
+    def top_levels(self, entries: np.ndarray) -> dict[str, np.ndarray]:
+        """:func:`top_level_population` of each row's matrix, one array of
+        rows per mode."""
+        return {label: entries[:, at].real.sum(axis=1) for label, at in self._top.items()}
+
+    def check(self, entries: np.ndarray, trace_tol: float, herm_tol: float, pos_tol: float,
+              truncation_threshold: Optional[float] = None):
+        """Raise for the first row of ``entries`` (rows, indices.size) whose
+        matrix breaks an invariant, and for its first broken invariant in the
+        order trace, hermiticity, positivity, truncation; a row of a stack of
+        several is named by its index.
+
+        ``ValueError``: the trace is off 1 by more than ``trace_tol``;
+        ||rho - rho^dag||_F exceeds ``herm_tol`` ||rho||_F; the hermitian
+        part has an eigenvalue below ``-pos_tol``.  :class:`TruncationError`:
+        the two top levels of a mode (:func:`top_level_population`) hold
+        more than ``truncation_threshold``, when one is given.
+        """
+        rows = entries.shape[0]
+        traces, norm2, skew2, lows = (a.tolist() for a in self._invariants(entries))
+        tops = ({} if truncation_threshold is None else
+                {label: pop.tolist() for label, pop in self.top_levels(entries).items()})
+        for j in range(rows):
+            if abs(traces[j] - 1.0) > trace_tol:
+                fault = ValueError(f"trace {traces[j]} deviates from 1 beyond {trace_tol}")
+            elif math.sqrt(skew2[j]) > herm_tol * math.sqrt(norm2[j]):  # never where rho = 0
+                fault = ValueError("density matrix is not hermitian within tolerance")
+            elif lows[j] < -pos_tol:
+                fault = ValueError(f"density matrix has negative eigenvalue {lows[j]}")
+            else:
+                over = [(label, pop[j]) for label, pop in tops.items()
+                        if pop[j] > truncation_threshold]
+                if not over:
+                    continue
+                label, pop = over[0]
+                fault = TruncationError(
+                    f"top two Fock levels of {label!r} hold population {pop:.3g} "
+                    f"(threshold {truncation_threshold:.3g}); increase the truncation")
+            if rows > 1:
+                fault.args = (f"sample {j}: {fault.args[0]}",)
+            raise fault
+
+
+@lru_cache(maxsize=None)
+def full_block(layout: SpaceLayout) -> VecBlock:
+    """The :class:`VecBlock` of all n^2 entries on ``layout``."""
+    return VecBlock(layout, np.arange(layout.dim ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +333,10 @@ def annihilation(dim: int, label: str = "mode") -> FockOperator:
     return FockOperator(SpaceLayout.single(label, dim), m)
 
 
-def number(dim: int, label: str = "mode") -> FockOperator:
-    return FockOperator(SpaceLayout.single(label, dim), np.diag(np.arange(dim, dtype=complex)))
+def number(dim: int) -> FockOperator:
+    """Bosonic number operator a^dag a on a mode labelled ``"mode"``;
+    :func:`embed` places it on any mode of a layout."""
+    return FockOperator(SpaceLayout.single("mode", dim), np.diag(np.arange(dim, dtype=complex)))
 
 
 _PAULI = {
@@ -263,16 +387,10 @@ def embed(op: FockOperator, layout: SpaceLayout, target: str) -> FockOperator:
 # State constructors
 # ---------------------------------------------------------------------------
 
-def fock_state(layout: SpaceLayout, occupations: Mapping[str, int]) -> StateVector:
-    """Product basis state with the given occupation per subsystem (default 0)."""
-    index = 0
-    for sub in layout.subsystems:
-        n = occupations.get(sub.label, 0)
-        if not 0 <= n < sub.dim:
-            raise ValueError(f"occupation {n} out of range for {sub.label!r} (dim {sub.dim})")
-        index = index * sub.dim + n
+def vacuum(layout: SpaceLayout) -> StateVector:
+    """The product ground state |0 ... 0> of every subsystem of ``layout``."""
     v = np.zeros(layout.dim, dtype=complex)
-    v[index] = 1.0
+    v[0] = 1.0
     return StateVector(layout, v)
 
 
@@ -286,8 +404,9 @@ def kron_states(*states: StateVector) -> StateVector:
     return StateVector(SpaceLayout(tuple(subs)), v)
 
 
-def thermal_state(dim: int, n_bar: float, label: str = "mode") -> DensityMatrix:
-    """Truncated Bose-Einstein thermal state with mean occupation ``n_bar``."""
+def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
+    """Truncated Bose-Einstein thermal state with mean occupation ``n_bar``, on
+    a mode labelled ``"mode"``."""
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
     if n_bar == 0:
@@ -296,7 +415,7 @@ def thermal_state(dim: int, n_bar: float, label: str = "mode") -> DensityMatrix:
     else:
         p = (n_bar / (1.0 + n_bar)) ** np.arange(dim)
         p /= p.sum()
-    return DensityMatrix(SpaceLayout.single(label, dim), np.diag(p.astype(complex)))
+    return DensityMatrix(SpaceLayout.single("mode", dim), np.diag(p.astype(complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +464,5 @@ def top_level_population(rho: DensityMatrix) -> dict[str, float]:
     """Population of the two highest Fock levels of each bosonic subsystem of
     more than two levels, summed from the diagonal of ``rho`` (the diagonal of
     each reduced state is a marginal of it)."""
-    pops = np.real(np.diag(rho.matrix)).reshape(rho.layout.dims)
-    out = {}
-    for i, sub in enumerate(rho.layout.subsystems):
-        if sub.kind != BOSONIC or sub.dim <= 2:
-            continue
-        out[sub.label] = float(np.moveaxis(pops, i, 0)[-2:].sum())
-    return out
+    pops = full_block(rho.layout).top_levels(rho.matrix.T.reshape(1, -1))
+    return {label: float(pop[0]) for label, pop in pops.items()}

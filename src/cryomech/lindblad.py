@@ -40,9 +40,17 @@ two data arrays, and each steady state along an ESR scan costs one LU.
 Trace is never renormalized during integration.  A stiff sample step, whose
 rounding loss ||h (L_R - mu)||_1 2^-53 exceeds ``ROUNDOFF_BUDGET``, is
 refused before it runs.  Each sample is validated once, as it came out of
-the propagator: a :class:`DensityMatrix` with ``SAMPLE_TOLS`` checks its
-trace, hermiticity and positivity, then the truncation headroom is checked.
-A violation raises instead of being repaired.
+the propagator, and never as a whole matrix: one pass of
+:meth:`~cryomech.fockspace.VecBlock.check` over the samples' entries on the
+reachable block, shape (samples, block size), checks each one's trace,
+hermiticity, positivity and truncation headroom with ``SAMPLE_TOLS`` and
+the run's threshold, the formulas of :class:`DensityMatrix`.  Positivity is
+read component by component: the block joins basis states i and j wherever
+it holds rho_ij, every sample is block-diagonal on the connected components,
+and the components of one size share one batched ``eigvalsh``.  The first
+failing sample raises, with the first invariant it breaks; nothing is
+repaired.  The result keeps the validated entries, and
+:func:`expectations` reads them without forming a matrix.
 """
 
 from __future__ import annotations
@@ -58,14 +66,15 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
-from .errors import DegenerateSteadyStateError, PreconditionError, TruncationError
+from .errors import DegenerateSteadyStateError, PreconditionError
 from .fockspace import (
     DensityMatrix,
     FockOperator,
     SpaceLayout,
+    VecBlock,
     annihilation,
     embed,
-    top_level_population,
+    full_block,
 )
 from .model import SystemParams, build_beamsplitter
 
@@ -154,35 +163,49 @@ class LindbladModel:
         return liouvillian_matrix(self)
 
     @cached_property
-    def _blocks(self) -> dict[bytes, tuple[np.ndarray, _TaylorBlock]]:
+    def _blocks(self) -> dict[bytes, tuple[np.ndarray, _TaylorBlock, VecBlock]]:
         return {}
 
-    def reachable_block(self, support: np.ndarray) -> tuple[np.ndarray, _TaylorBlock]:
+    def reachable_block(self, support: np.ndarray) -> tuple[np.ndarray, _TaylorBlock, VecBlock]:
         """The sorted indices of vec(rho) reachable from ``support`` along the
-        generator's sparsity graph (:func:`_reachable`), and the generator
-        restricted to them as a :class:`_TaylorBlock`; computed once per
-        support, so every evolution from it shares the block's shift and
-        1-norm."""
+        generator's sparsity graph (:func:`_reachable`), the generator
+        restricted to them as a :class:`_TaylorBlock`, and the
+        :class:`~cryomech.fockspace.VecBlock` that validates states on them;
+        computed once per support, so every evolution from it shares the
+        block's shift, 1-norm and components.  The block is its own
+        reachable set, so it is cached under its own indices too."""
         key = support.tobytes()
         if key not in self._blocks:
             L = self.generator
             block = _reachable(L, support)
-            self._blocks[key] = (block, _TaylorBlock(L if block.size == L.shape[0]
-                                                     else L[block[:, None], block]))
+            full = block.size == L.shape[0]
+            entry = (block, _TaylorBlock(L if full else L[block[:, None], block]),
+                     full_block(self.layout) if full else VecBlock(self.layout, block))
+            self._blocks[key] = self._blocks.setdefault(block.tobytes(), entry)
         return self._blocks[key]
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    #: the entries of vec(rho) at ``block`` of each validated sample, shape
+    #: (samples, block size); every other entry of every sample is exactly 0
+    samples: np.ndarray
+    #: sorted vec indices the evolution ran on: the reachable block of
+    #: rho0's support, or all n^2 for adaptive
+    block: np.ndarray
+    layout: SpaceLayout
     #: ``"stepper"``, ``"propagator"`` or ``"adaptive"``: the path that ran
     path: str
     #: Taylor degree m, substeps s and squarings k of that path; None for adaptive
     schedule: Optional[tuple[int, int, int]]
 
     def final(self) -> DensityMatrix:
-        return self.states[-1]
+        """The last sample as a :class:`DensityMatrix` with ``SAMPLE_TOLS``."""
+        n = self.layout.dim
+        v = np.zeros(n * n, dtype=complex)
+        v[self.block] = self.samples[-1]
+        return DensityMatrix(self.layout, _unvec(v, n), **SAMPLE_TOLS)
 
 
 def _kron_nonzeros(a: np.ndarray, b: np.ndarray):
@@ -270,15 +293,6 @@ def _vec(rho: np.ndarray) -> np.ndarray:
 
 def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(n, n).T
-
-
-def _check_truncation(rho: DensityMatrix, threshold: float):
-    for label, pop in top_level_population(rho).items():
-        if pop > threshold:
-            raise TruncationError(
-                f"top two Fock levels of {label!r} hold population {pop:.3g} "
-                f"(threshold {threshold:.3g}); increase the truncation"
-            )
 
 
 def _norm1(A: sp.csr_array) -> float:
@@ -483,10 +497,16 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     exceeds ``ROUNDOFF_BUDGET``: such a stiff run would lose the trace, or
     worse, keep it and lose the slow dynamics.
 
-    Every sample is validated once, unrepaired: it becomes a
-    :class:`DensityMatrix` with ``SAMPLE_TOLS``, whose trace, hermiticity or
-    positivity violation raises ``ValueError``, and a top-level population
-    above ``truncation_threshold`` raises :class:`TruncationError`.
+    Every sample is validated once, unrepaired, in one pass over the
+    entries of all samples on the block (all n^2 for ``"adaptive"``) by
+    :meth:`~cryomech.fockspace.VecBlock.check`, the checker of
+    :class:`DensityMatrix`, with ``SAMPLE_TOLS``.  Positivity is checked per
+    connected component of the basis states that the block joins (i and j
+    where it holds rho_ij), exactly the blocks of every sample's block
+    diagonal.  The first failing sample raises, with the first invariant it
+    breaks in the order trace, hermiticity, positivity (``ValueError``),
+    then a top-level population above ``truncation_threshold``
+    (:class:`TruncationError`); the message names the sample.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -496,7 +516,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
         raise ValueError(f"unknown method {method!r}")
     if rho0.layout != model.layout:
         raise ValueError("initial state layout does not match the model")
-    n = model.layout.dim
     times = np.linspace(0.0, duration, num_samples)
     L = model.generator
     v0 = _vec(rho0.matrix).astype(complex)
@@ -508,21 +527,19 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
         samples, path, schedule = sol.y.T, method, None
+        checks = full_block(model.layout)
+        block = checks.indices
     else:
-        block, taylor = model.reachable_block(np.flatnonzero(v0))
+        block, taylor, checks = model.reachable_block(np.flatnonzero(v0))
         h = duration / (num_samples - 1)
         if h * taylor.norm1 * 2.0 ** -53 > ROUNDOFF_BUDGET:
             raise PreconditionError(
                 f"stiff run: ||h (L - mu)||_1 = {h * taylor.norm1:.3g} on the sample step "
                 f"h = {h:.3g}, so its rounding error exceeds {ROUNDOFF_BUDGET:g}")
-        samples = np.zeros((num_samples, n * n), dtype=complex)
-        samples[:, block], path, schedule = _taylor_samples(taylor, v0[block], h, num_samples - 1)
-    states = []
-    for v in samples:
-        rho = DensityMatrix(model.layout, _unvec(v, n), **SAMPLE_TOLS)
-        _check_truncation(rho, truncation_threshold)
-        states.append(rho)
-    return EvolutionResult(times=times, states=tuple(states), path=path, schedule=schedule)
+        samples, path, schedule = _taylor_samples(taylor, v0[block], h, num_samples - 1)
+    checks.check(samples, **SAMPLE_TOLS, truncation_threshold=truncation_threshold)
+    return EvolutionResult(times=times, samples=samples, block=block, layout=model.layout,
+                           path=path, schedule=schedule)
 
 
 def _entry_weights(block: np.ndarray, operators: Iterable[FockOperator]) -> np.ndarray:
@@ -533,19 +550,15 @@ def _entry_weights(block: np.ndarray, operators: Iterable[FockOperator]) -> np.n
     return np.array([op.matrix.reshape(-1)[block] for op in operators])
 
 
-def expectations(model: LindbladModel, rho0: DensityMatrix, result: EvolutionResult,
-                 operators: Iterable[FockOperator]) -> np.ndarray:
-    """tr(O rho_j) for every sample rho_j of ``result = evolve(model, rho0,
-    ...)`` and each of ``operators``, shape (samples, operators).
+def expectations(result: EvolutionResult, operators: Iterable[FockOperator]) -> np.ndarray:
+    """tr(O rho_j) for every sample rho_j of ``result`` and each of
+    ``operators``, shape (samples, operators).
 
-    Sums of products of the operators' entries with the samples' entries on
-    the reachable block of ``rho0``, as :func:`expectation_series` forms
-    them: elementwise, no BLAS, and no second validation of samples that
-    ``evolve`` validated.
+    Sums of products of the operators' entries with the samples' validated
+    entries on the result's block, as :func:`expectation_series` forms them:
+    elementwise, no BLAS, and no matrix formed.
     """
-    block, _ = model.reachable_block(np.flatnonzero(_vec(rho0.matrix)))
-    X = np.array([_vec(state.matrix)[block] for state in result.states])
-    return (X[:, None, :] * _entry_weights(block, operators)).sum(axis=2)
+    return (result.samples[:, None, :] * _entry_weights(result.block, operators)).sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -575,14 +588,13 @@ class ExpectationSeries:
         return e * p, e * (r * p + d1), e * (r * r * p + 2.0 * r * d1 + 2.0 * d2)
 
 
-def expectation_series(model: LindbladModel, rho0: DensityMatrix, result: EvolutionResult,
-                       c: int, operators: Iterable[FockOperator]) -> ExpectationSeries:
+def expectation_series(model: LindbladModel, result: EvolutionResult, c: int,
+                       operators: Iterable[FockOperator]) -> ExpectationSeries:
     """tr(O rho(t)) for each of ``operators`` on [t_c - h, t_c + h], around
-    the sample c >= 1 of ``result = evolve(model, rho0, ...)`` with sample
-    step h.
+    the sample c >= 1 of ``result = evolve(model, ...)`` with sample step h.
 
-    rho(t_c + tau) = exp(tau A) rho(t_c) on the reachable block of ``rho0``,
-    the cached block the evolution ran on.  The Taylor series of exp(tau
+    rho(t_c + tau) = exp(tau A) rho(t_c) on the result's block, the cached
+    block the evolution ran on.  The Taylor series of exp(tau
     (A - mu)) takes the degree m and substep count s of the block's
     :meth:`~_TaylorBlock.schedule` at h, so the window splits into s pieces
     of radius h / s, each within the same backward-error bound as one
@@ -592,16 +604,16 @@ def expectation_series(model: LindbladModel, rho0: DensityMatrix, result: Evolut
     The m matvecs of each piece give every expectation's coefficients as
     sums of products with the entries of O: no dense BLAS product.
     """
-    block, taylor = model.reachable_block(np.flatnonzero(_vec(rho0.matrix)))
+    _, taylor, _ = model.reachable_block(result.block)
     h = result.times[-1] / (result.times.size - 1)
     m, s = taylor.schedule(h)
     r = h / s
     if s == 1:
-        X = _vec(result.states[c].matrix)[block][:, None]
+        X = result.samples[c][:, None]
     else:
-        rows, _, _ = _taylor_samples(taylor, _vec(result.states[c - 1].matrix)[block], r, 2 * s)
+        rows, _, _ = _taylor_samples(taylor, result.samples[c - 1], r, 2 * s)
         X = rows[1::2].T
-    weights = _entry_weights(block, operators)
+    weights = _entry_weights(result.block, operators)
     step = taylor.step * r
     coeffs = np.empty((s, len(weights), m + 1), dtype=complex)
     for j in range(m + 1):

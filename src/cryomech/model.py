@@ -245,11 +245,12 @@ def build_detuned(delta_disp: float, g: float, layout: SpaceLayout) -> FockOpera
     return delta_disp * (ad @ a) + build_beamsplitter(g, layout)
 
 
-def build_dispersive(g: float, delta_disp: float, layout: SpaceLayout,
-                     cavity: str = "a", mech: str = "a_m") -> FockOperator:
-    """Number-number coupling (g^2 / delta) a^dag a am^dag am."""
+def build_dispersive(g: float, delta_disp: float, layout: SpaceLayout) -> FockOperator:
+    """Number-number coupling (g^2 / delta) a^dag a am^dag am between the two
+    modes of ``layout``, the microwave mode a first."""
     if delta_disp == 0:
         raise ValueError("dispersive coupling undefined at delta = 0")
+    cavity, mech = layout.labels
     a, ad = _mode_ops(layout, cavity)
     b, bd = _mode_ops(layout, mech)
     return (g ** 2 / delta_disp) * ((ad @ a) @ (bd @ b))

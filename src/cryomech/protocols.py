@@ -31,13 +31,13 @@ from .fockspace import (
     annihilation,
     embed,
     fidelity,
-    fock_state,
     kron_states,
     number,
     partial_trace,
     pauli,
     thermal_state,
     top_level_population,
+    vacuum,
 )
 from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, CPHASE, I2, phases_equal
 from .lindblad import (
@@ -116,16 +116,17 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
                       "kappa and gamma_m); cooling limit formulas degrade", stacklevel=2)
 
     na, nm = dims
-    rho0 = thermal_state(nm, n_init, "a_m")
+    thermal = thermal_state(nm, n_init).matrix
     if eliminated:
         model = adiabatic_eliminate(params, nm)
+        rho0 = DensityMatrix(model.layout, thermal)
     else:
         two_mode_layout = SpaceLayout.of(("a", na), ("a_m", nm))
         model = cooling_model(params.g, params.kappa, params.gamma_m, params.n_bar,
                               two_mode_layout)
         vac = np.zeros((na, na), dtype=complex)
         vac[0, 0] = 1.0
-        rho0 = DensityMatrix(two_mode_layout, np.kron(vac, rho0.matrix))
+        rho0 = DensityMatrix(two_mode_layout, np.kron(vac, thermal))
 
     if duration is None:
         slow, _ = params.mechanical_bath()
@@ -144,12 +145,11 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     except PreconditionError as exc:  # the stiff-run refusal
         remedy = "" if eliminated else ", or eliminate a fast cavity (eliminated = true)"
         raise PreconditionError(f"{exc}; shorten the duration{remedy}") from exc
-    # the number operator is diagonal: <n_m> = sum_i n_ii Re(rho_ii), elementwise
-    n_mech = np.diagonal(embed(number(nm, "a_m"), model.layout, "a_m").matrix).real
-    n_m = [float((n_mech * np.diagonal(s.matrix).real).sum()) for s in result.states]
+    n_op = embed(number(nm), model.layout, "a_m")
+    n_m = [float(n) for n in expectations(result, [n_op])[:, 0].real]
 
     mech_final = result.final() if eliminated else partial_trace(result.final(), {"a_m"})
-    ground = fock_state(SpaceLayout.single("a_m", nm), {})
+    ground = vacuum(SpaceLayout.single("a_m", nm))
     return ProtocolReport(
         scenario="cool",
         segments=({"label": "eliminated-model relaxation" if eliminated
@@ -282,7 +282,7 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     def run(t: float, num_samples: int) -> tuple[EvolutionResult, np.ndarray]:
         # the evolution and F at each of its samples
         result = evolve(model, rho0, t, num_samples=num_samples, truncation_threshold=1.0)
-        v = expectations(model, rho0, result, ops)
+        v = expectations(result, ops)
         return result, _qubit_fidelity_up_to_phase(*v.T, alpha, beta)
 
     # 33 samples over [0, pi/g]: samples 16 and 32 are the candidate times
@@ -290,7 +290,7 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     candidates = {"pi/(2g)": float(f[16]), "pi/g": float(f[32])}
     c = 1 + int(np.argmax(f[1:]))
     t_opt = float(sweep.times[c]) + _series_peak(
-        expectation_series(model, rho0, sweep, c, ops), alpha, beta, from_zero=c == 1)
+        expectation_series(model, sweep, c, ops), alpha, beta, from_zero=c == 1)
     return TransferResult(fidelity=float(run(t_opt, 2)[1][-1]), time=t_opt,
                           candidates=candidates)
 
@@ -362,7 +362,7 @@ def cphase(g: float, delta_disp: float) -> FockOperator:
         raise ValueError("cphase undefined at delta = 0")
     layout = SpaceLayout.of(("a1", 2), ("a_m1", 2))
     t = np.pi * delta_disp / g ** 2
-    h = build_dispersive(g, delta_disp, layout, cavity="a1", mech="a_m1")
+    h = build_dispersive(g, delta_disp, layout)
     return FockOperator(layout, expm(-1j * h.matrix * t))
 
 
@@ -575,7 +575,7 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
 
     layout = SpaceLayout.of(("a_m", mech_dim), ("spin", 2, "spin-half"))
     b = embed(annihilation(mech_dim, "a_m"), layout, "a_m")
-    n_op = embed(number(mech_dim, "a_m"), layout, "a_m")
+    n_op = embed(number(mech_dim), layout, "a_m")
     sminus = embed(FockOperator(SpaceLayout.single("spin", 2, "spin-half"),
                                 np.array([[0, 0], [1, 0]], dtype=complex)),
                    layout, "spin")
@@ -682,7 +682,7 @@ def _received_qubit(rho: DensityMatrix, direction: str) -> np.ndarray:
 def _spin_qubit_state(alpha, beta, phonon_dim) -> StateVector:
     spin = StateVector(SpaceLayout.single("spin", 2, "spin-half"),
                        alpha * DRESSED_GROUND + beta * DRESSED_EXCITED)
-    return kron_states(fock_state(SpaceLayout.single("a_m", phonon_dim), {}), spin)
+    return kron_states(vacuum(SpaceLayout.single("a_m", phonon_dim)), spin)
 
 
 def _swap_channel(rho: DensityMatrix, direction: str,

@@ -1,0 +1,30 @@
+"""Fock basis states and whole sample matrices for the tests; the package
+itself builds only the vacuum (:func:`cryomech.fockspace.vacuum`) and only
+the final state of an evolution."""
+
+import numpy as np
+
+from cryomech.fockspace import SpaceLayout, StateVector
+from cryomech.lindblad import EvolutionResult
+
+
+def fock_state(layout: SpaceLayout, occupations: dict[str, int]) -> StateVector:
+    """Product basis state with the given occupation per subsystem (default 0)."""
+    index = 0
+    for sub in layout.subsystems:
+        n = occupations.get(sub.label, 0)
+        if not 0 <= n < sub.dim:
+            raise ValueError(f"occupation {n} out of range for {sub.label!r} (dim {sub.dim})")
+        index = index * sub.dim + n
+    v = np.zeros(layout.dim, dtype=complex)
+    v[index] = 1.0
+    return StateVector(layout, v)
+
+
+def sample_matrices(result: EvolutionResult) -> np.ndarray:
+    """Every sample of an evolution as a whole n x n matrix, shape
+    (samples, n, n): the result's entries at its block, 0 elsewhere."""
+    n = result.layout.dim
+    v = np.zeros((result.samples.shape[0], n * n), dtype=complex)
+    v[:, result.block] = result.samples
+    return v.reshape(-1, n, n).transpose(0, 2, 1)

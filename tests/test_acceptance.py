@@ -17,7 +17,6 @@ from cryomech.fockspace import (
     DensityMatrix,
     SpaceLayout,
     embed,
-    fock_state,
     number,
     thermal_state,
 )
@@ -39,6 +38,8 @@ from cryomech.model import (
 )
 from cryomech import oracle, protocols
 from cryomech.model import SpinParams
+
+from basis import fock_state, sample_matrices
 
 HBAR = 1.054571817e-34
 
@@ -91,12 +92,12 @@ def test_criterion_2_cooling_formula():
     full = cooling_model(g, kappa, gamma, n_bar, lay)
     ss = steady_state(full)
     n_full = float(np.real(np.trace(
-        embed(number(14, "a_m"), lay, "a_m").matrix @ ss.matrix)))
+        embed(number(14), lay, "a_m").matrix @ ss.matrix)))
 
     p = SystemParams(g=g, kappa=kappa, gamma_m=gamma, n_bar=n_bar)
     single = eliminated_model(p.gamma_prime, p.n_bar_prime, 15)
     n_single = float(np.real(np.trace(
-        number(15, "a_m").matrix @ steady_state(single).matrix)))
+        number(15).matrix @ steady_state(single).matrix)))
 
     # quantum regime at the reference numbers: engineered damping above the
     # thermal decoherence rate pushes the steady occupation below one phonon
@@ -106,7 +107,7 @@ def test_criterion_2_cooling_formula():
     n_prime = n_bar_ref * GAMMA_M / gamma_prime
     quantum = eliminated_model(gamma_prime, n_prime, 10)
     n_quantum = float(np.real(np.trace(
-        number(10, "a_m").matrix @ steady_state(quantum).matrix)))
+        number(10).matrix @ steady_state(quantum).matrix)))
 
     elapsed = time.perf_counter() - t0
     checks = {
@@ -132,8 +133,8 @@ def test_criterion_3_rwa_validity():
         p = SystemParams(g=g, Delta=om, omega_m=om)
         h_full = build_linearized(p, lay).matrix
         h_rwa = build_beamsplitter(g, lay).matrix
-        n_a = embed(number(4, "a"), lay, "a").matrix
-        n_m = embed(number(4, "a_m"), lay, "a_m").matrix
+        n_a = embed(number(4), lay, "a").matrix
+        n_m = embed(number(4), lay, "a_m").matrix
         h_free = om * (n_a + n_m)
         psi0 = fock_state(lay, {"a": 1}).amplitudes
         # rotate the full-model state back into the interaction frame
@@ -336,8 +337,7 @@ def test_criterion_7_spin_swap_and_teleport():
     assert ok, checks
 
 
-def _invariants_hold(rho: DensityMatrix, tol=1e-8):
-    m = rho.matrix
+def _invariants_hold(m: np.ndarray, tol=1e-8):
     if abs(np.trace(m) - 1.0) > tol:
         return False
     if np.linalg.norm(m - m.conj().T) > tol:
@@ -353,15 +353,16 @@ def test_criterion_8_invariants_and_verification(tmp_path):
     full = cooling_model(1.0, 20.0, 0.05, 1.0, lay)
     vac = np.zeros((3, 3), dtype=complex)
     vac[0, 0] = 1.0
-    rho0 = DensityMatrix(lay, np.kron(vac, thermal_state(8, 1.0, "a_m").matrix))
+    rho0 = DensityMatrix(lay, np.kron(vac, thermal_state(8, 1.0).matrix))
     res = evolve(full, rho0, 50.0, num_samples=20, truncation_threshold=0.1)
-    sampled_ok &= all(_invariants_hold(s) for s in res.states)
+    sampled_ok &= all(_invariants_hold(m) for m in sample_matrices(res))
 
     single = eliminated_model(0.1, 0.5, 10)
-    res2 = evolve(single, thermal_state(10, 2.0, "a_m"), 60.0, num_samples=20,
+    res2 = evolve(single, DensityMatrix(single.layout, thermal_state(10, 2.0).matrix), 60.0,
+                  num_samples=20,
                   truncation_threshold=0.1)
-    sampled_ok &= all(_invariants_hold(s) for s in res2.states)
-    sampled_ok &= _invariants_hold(steady_state(single))
+    sampled_ok &= all(_invariants_hold(m) for m in sample_matrices(res2))
+    sampled_ok &= _invariants_hold(steady_state(single).matrix)
 
     # oracle-engine agreement on randomized instances
     reports = oracle.verify_all(seed=0, instances=20)

@@ -16,7 +16,6 @@ from cryomech.fockspace import (
     annihilation,
     embed,
     fidelity,
-    fock_state,
     kron_states,
     number,
     partial_trace,
@@ -25,6 +24,8 @@ from cryomech.fockspace import (
     thermal_state,
     top_level_population,
 )
+
+from basis import fock_state
 
 
 class TestSpaceLayout:
@@ -57,7 +58,7 @@ class TestLadderOperators:
         assert np.allclose(c, expected)
 
     def test_number_counts(self):
-        n = number(5, "m")
+        n = number(5)
         psi = fock_state(SpaceLayout.single("m", 5), {"m": 3})
         assert np.isclose(np.vdot(psi.amplitudes, n.matrix @ psi.amplitudes).real, 3.0)
 
@@ -101,14 +102,14 @@ class TestPauli:
 class TestEmbed:
     def test_embedding_acts_on_target_only(self):
         lay = SpaceLayout.of(("a", 3), ("b", 2))
-        na = embed(number(3, "a"), lay, "a")
+        na = embed(number(3), lay, "a")
         psi = fock_state(lay, {"a": 2, "b": 1})
         assert np.isclose(np.vdot(psi.amplitudes, na.matrix @ psi.amplitudes).real, 2.0)
 
     def test_wrong_dim_rejected(self):
         lay = SpaceLayout.of(("a", 3), ("b", 2))
         with pytest.raises(ValueError):
-            embed(number(4, "a"), lay, "a")
+            embed(number(4), lay, "a")
 
     def test_embedded_identity(self):
         lay = SpaceLayout.of(("a", 2), ("b", 2))
@@ -132,12 +133,12 @@ class TestStates:
 
     def test_thermal_state_mean(self):
         n_bar = 1.2
-        rho = thermal_state(40, n_bar, "m")
-        n = number(40, "m")
+        rho = thermal_state(40, n_bar)
+        n = number(40)
         assert np.isclose(np.trace(n.matrix @ rho.matrix).real, n_bar, rtol=1e-6)
 
     def test_thermal_zero_is_ground(self):
-        rho = thermal_state(5, 0.0, "m")
+        rho = thermal_state(5, 0.0)
         assert np.isclose(rho.matrix[0, 0].real, 1.0)
 
 

@@ -135,10 +135,10 @@ def test_no_legacy_global_generator():
     assert not uses, f"calls into NumPy's legacy global generator: {uses}"
 
 
-def _constructor_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
-    """(name, has a default) of each field the constructor of a ``@dataclass``
-    takes, in order; nothing for another class.  ``field(init=False)`` fields
-    are not taken."""
+def _constructor_fields(cls: ast.ClassDef) -> list[tuple[str, ast.expr | None]]:
+    """(name, default expression or None) of each field the constructor of a
+    ``@dataclass`` takes, in order; nothing for another class.
+    ``field(init=False)`` fields are not taken."""
     decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
     if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
         return []
@@ -150,15 +150,16 @@ def _constructor_fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
                     and v.func.id == "field"
                     and any(k.arg == "init" and isinstance(k.value, ast.Constant)
                             and k.value.value is False for k in v.keywords)):
-                out.append((n.target.id, v is not None))
+                out.append((n.target.id, v))
     return out
 
 
-def _parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None, bool]]:
+def _parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None,
+                                                 ast.expr | None]]:
     """(function, names a call to it uses, parameter, positional index in such
-    a call or None, has a default) for every parameter.  A method's call
-    skips ``self`` or ``cls``; ``__init__`` is called by its class name, and so
-    is a dataclass, whose fields count as its parameters."""
+    a call or None, default expression or None) for every parameter.  A
+    method's call skips ``self`` or ``cls``; ``__init__`` is called by its
+    class name, and so is a dataclass, whose fields count as its parameters."""
     out = []
 
     def visit(node, cls):
@@ -169,13 +170,14 @@ def _parameters(tree: ast.Module) -> list[tuple[str, set[str], str, int | None, 
                 names = {child.name} | ({cls} if child.name == "__init__" else set())
                 first = len(positional) - len(a.defaults)
                 skip = cls is not None
-                out.extend((child.name, names, arg.arg, i - skip, i >= first)
+                defaults = [None] * first + a.defaults
+                out.extend((child.name, names, arg.arg, i - skip, defaults[i])
                            for i, arg in enumerate(positional) if i >= skip)
-                out.extend((child.name, names, arg.arg, None, d is not None)
+                out.extend((child.name, names, arg.arg, None, d)
                            for arg, d in zip(a.kwonlyargs, a.kw_defaults))
             elif isinstance(child, ast.ClassDef):
-                out.extend((child.name, {child.name}, name, i, defaulted)
-                           for i, (name, defaulted) in enumerate(_constructor_fields(child)))
+                out.extend((child.name, {child.name}, name, i, default)
+                           for i, (name, default) in enumerate(_constructor_fields(child)))
             visit(child, child.name if isinstance(child, ast.ClassDef) else None)
 
     visit(tree, None)
@@ -231,8 +233,8 @@ def test_optional_parameters_are_passed():
     trees = _parse(sorted(SRC.glob("*.py")))
     calls = _package_calls()
     unset = {f"{func}({param})": str(p.relative_to(ROOT)) for p, tree in trees.items()
-             for func, callees, param, index, defaulted in _parameters(tree)
-             if defaulted and not any(_argument(call, param, index) is not False
+             for func, callees, param, index, default in _parameters(tree)
+             if default is not None and not any(_argument(call, param, index) is not False
                                       for callee in callees
                                       for call in calls.get(callee, []))}
     orphans = {name: path for name, path in unset.items() if name not in _TEST_SEAMS}
@@ -241,17 +243,49 @@ def test_optional_parameters_are_passed():
     assert _TEST_SEAMS <= set(unset), f"stale test seams: {_TEST_SEAMS - set(unset)}"
 
 
-def test_required_parameters_take_more_than_one_literal():
-    # a required parameter that every call of the package, a demo or the
-    # benchmark passes the same literal is a constant, not a parameter
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    """The value ``ast.literal_eval`` reads from ``node``, or ``_NOT_LITERAL``."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NOT_LITERAL
+
+
+def _single_values(required: bool) -> dict[str, str]:
+    """The required (or the defaulted) parameters to which some call of the
+    package, a demo or the benchmark passes a value and every such call
+    passes the same literal, a value ``ast.literal_eval`` reads; a defaulted
+    parameter's default counts as the value of a call that passes nothing."""
     trees = _parse(sorted(SRC.glob("*.py")))
     calls = _package_calls()
     fixed = {}
     for p, tree in trees.items():
-        for func, callees, param, index, defaulted in _parameters(tree):
+        for func, callees, param, index, default in _parameters(tree):
+            if (default is None) != required:
+                continue
             passed = [_argument(call, param, index) for callee in callees
                       for call in calls.get(callee, [])]
-            if (not defaulted and passed and all(isinstance(x, ast.Constant) for x in passed)
-                    and len({repr(x.value) for x in passed}) == 1):
-                fixed[f"{func}({param})"] = f"{str(p.relative_to(ROOT))}: {passed[0].value!r}"
+            if not any(isinstance(x, ast.expr) for x in passed) or any(x is True for x in passed):
+                continue
+            values = [_literal(default if x is False else x) for x in passed]
+            if (all(v is not _NOT_LITERAL for v in values)
+                    and len({repr(v) for v in values}) == 1):
+                fixed[f"{func}({param})"] = f"{str(p.relative_to(ROOT))}: {values[0]!r}"
+    return fixed
+
+
+def test_required_parameters_take_more_than_one_literal():
+    # a required parameter that every call of the package, a demo or the
+    # benchmark passes the same literal is a constant, not a parameter
+    fixed = _single_values(required=True)
     assert not fixed, f"required parameters that every call passes one literal: {fixed}"
+
+
+def test_defaulted_parameters_take_more_than_one_literal():
+    # so is a defaulted one that every call passes the same literal, or
+    # leaves at a default equal to it
+    fixed = _single_values(required=False)
+    assert not fixed, f"defaulted parameters that every call sets to one literal: {fixed}"

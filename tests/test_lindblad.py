@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 
 import cryomech
-from cryomech import lindblad
+from cryomech import lindblad, protocols
 from cryomech.errors import (
     DegenerateSteadyStateError,
     PreconditionError,
@@ -25,12 +25,13 @@ from cryomech.fockspace import (
     DensityMatrix,
     FockOperator,
     SpaceLayout,
+    VecBlock,
     annihilation,
     embed,
-    fock_state,
     number,
     pauli,
     thermal_state,
+    top_level_population,
 )
 from cryomech.lindblad import (
     Dissipator,
@@ -50,6 +51,8 @@ from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech.oracle import _build_liouvillian, _random_density, _random_model
 from cryomech.protocols import sideband_cool
 
+from basis import fock_state, sample_matrices
+
 
 def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
     a = annihilation(dim, "m")
@@ -59,7 +62,7 @@ def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
 
 def _mean(op, res):
     """<op> in every sample of an evolution."""
-    return np.array([np.real(np.trace(op.matrix @ s.matrix)) for s in res.states])
+    return np.array([np.real(np.trace(op.matrix @ m)) for m in sample_matrices(res)])
 
 
 def _random_hermitian(rng, n):
@@ -92,8 +95,8 @@ def _uniqueness_model(build):
         lay = SpaceLayout.of(("m", 3), ("u", 3))
         b = embed(annihilation(3, "m"), lay, "m")
         if build.endswith("diagonal"):
-            h = (embed(number(3, "m"), lay, "m").matrix
-                 + 1.7 * embed(number(3, "u"), lay, "u").matrix)
+            h = (embed(number(3), lay, "m").matrix
+                 + 1.7 * embed(number(3), lay, "u").matrix)
         else:
             h = np.kron(np.eye(3), _random_hermitian(rng, 3))
         return LindbladModel(FockOperator(lay, h.astype(complex)),
@@ -124,7 +127,7 @@ class TestGenerator:
         kappa = 0.3
         model = damped_mode(kappa=kappa)
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 1}))
-        n = number(6, "m")
+        n = number(6)
         res = evolve(model, rho0, 1.0, num_samples=11, truncation_threshold=1.0)
         expected = np.exp(-2.0 * kappa * res.times)
         assert np.allclose(_mean(n, res), expected, atol=1e-8)
@@ -140,7 +143,7 @@ class TestGenerator:
 class TestEvolve:
     def test_expm_and_adaptive_agree(self):
         model = damped_mode(dim=5, kappa=0.2, n_bar=0.3)
-        rho0 = thermal_state(5, 0.2, "m")
+        rho0 = DensityMatrix(model.layout, thermal_state(5, 0.2).matrix)
         out1 = evolve(model, rho0, 2.0, num_samples=5, method="expm",
                       truncation_threshold=1.0)
         out2 = evolve(model, rho0, 2.0, num_samples=5, method="adaptive",
@@ -149,13 +152,13 @@ class TestEvolve:
 
     def test_invalid_duration(self):
         model = damped_mode()
-        rho0 = thermal_state(6, 0.1, "m")
+        rho0 = DensityMatrix(model.layout, thermal_state(6, 0.1).matrix)
         with pytest.raises(ValueError):
             evolve(model, rho0, 0.0)
 
     def test_too_few_samples(self):
         model = damped_mode()
-        rho0 = thermal_state(6, 0.1, "m")
+        rho0 = DensityMatrix(model.layout, thermal_state(6, 0.1).matrix)
         with pytest.raises(ValueError, match="num_samples"):
             evolve(model, rho0, 1.0, num_samples=1)
 
@@ -173,7 +176,7 @@ class TestEvolve:
         model = damped_mode(dim=4, kappa=0.5)
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 1}))
         res = evolve(model, rho0, 1.0, num_samples=7, truncation_threshold=1.0)
-        n = _mean(number(4, "m"), res)
+        n = _mean(number(4), res)
         assert len(res.times) == 7
         assert n.shape == (7,)
         assert n[0] == pytest.approx(1.0)
@@ -209,6 +212,271 @@ class TestEvolve:
         monkeypatch.setattr(lindblad, "_taylor_samples", drifted)
         with pytest.raises(ValueError):
             evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=1.0)
+
+
+_DEFECTS = ("trace", "hermiticity", "positivity", "truncation")
+
+
+def _inject(defect, rho, states, low, amount):
+    """``rho`` with one defect confined to the basis states ``states``, one
+    connected component of the block, whose first state is a top Fock level
+    of a mode; ``low``, a state off the top levels, gives up weight where
+    the defect moves it.  Trace, hermiticity and positivity are broken 2 to
+    60 times beyond ``SAMPLE_TOLS``; truncation moves ``amount`` onto the
+    top level."""
+    rho = rho.copy()
+    top = states[0]
+    if defect == "trace":
+        rho[top, top] += 2e-8
+    elif defect == "hermiticity":
+        # an anti-hermitian pair: the hermitian part, so positivity, is unchanged
+        rho[top, states[1]] += 1e-8j
+        rho[states[1], top] += 1e-8j
+    elif defect == "positivity":
+        # the component's lowest eigenvalue to -1e-6, its weight moved to
+        # the component's highest eigenvector, or to ``low`` outside it
+        sub = np.ix_(states, states)
+        w, v = np.linalg.eigh(rho[sub])
+        shift = w[0] + 1e-6
+        rho[sub] -= shift * np.outer(v[:, 0], v[:, 0].conj())
+        if low in states:
+            rho[sub] += shift * np.outer(v[:, -1], v[:, -1].conj())
+        else:
+            rho[low, low] += shift
+    else:
+        assert rho[low, low].real > amount
+        rho[low, low] -= amount
+        rho[top, top] += amount
+    return rho
+
+
+def _drift(monkeypatch, block, n, defects):
+    """Make ``evolve``'s propagated samples carry ``defects``, a map from
+    sample index to a function of that sample's matrix, on ``block``."""
+    taylor_samples = lindblad._taylor_samples
+    off_block = np.setdiff1d(np.arange(n * n), block)
+
+    def drifted(A, v0, h, steps):
+        out, path, schedule = taylor_samples(A, v0, h, steps)
+        for j, inject in defects.items():
+            v = np.zeros(n * n, dtype=complex)
+            v[block] = out[j]
+            v = lindblad._vec(inject(lindblad._unvec(v, n)))
+            assert not v[off_block].any()
+            out[j] = v[block]
+        return out, path, schedule
+
+    monkeypatch.setattr(lindblad, "_taylor_samples", drifted)
+
+
+class TestSampleValidation:
+    """Every defect fails ``evolve`` on a full block (one component) and on a
+    block of several components, where it sits in a component that is not
+    the first of the largest ones; a run fails at its first failing sample,
+    at the first invariant that sample breaks."""
+
+    @staticmethod
+    def _start(kind):
+        """The model, rho0, and for each defect the component states it sits
+        on (a top level first) and the low state that gives up weight."""
+        if kind == "full":
+            model = damped_mode(dim=4, kappa=0.5, n_bar=0.2)
+            return (model, _random_density(np.random.default_rng(2), model.layout),
+                    dict.fromkeys(_DEFECTS, ([3, 0, 1, 2], 0)))
+        # a Fock-diagonal start of a (2, 3) cooling model: the block is every
+        # rho_ij with equal excitation numbers, so the components are
+        # {|0,0>}, {|0,1>, |1,0>}, {|0,2>, |1,1>} and {|1,2>}
+        model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 3)))
+        rho0 = DensityMatrix(model.layout,
+                             np.diag([0.4, 0.2, 0.1, 0.15, 0.1, 0.05]).astype(complex))
+        where = dict.fromkeys(_DEFECTS, ([5], 0))
+        where["hermiticity"] = ([4, 2], 0)
+        return model, rho0, where
+
+    @staticmethod
+    def _block(model, rho0):
+        return model.reachable_block(np.flatnonzero(lindblad._vec(rho0.matrix)))
+
+    def test_fock_diagonal_start_splits_into_components(self):
+        model, rho0, _ = self._start("components")
+        block, _, checks = self._block(model, rho0)
+        assert block.size == 10
+        assert sorted(at.shape for at, _ in checks._components) == [(2, 1, 1), (2, 2, 2)]
+
+    def _run(self, monkeypatch, kind, defects):
+        """evolve of ``kind``'s start over 5 samples with ``defects``, a map
+        from sample index to the defects injected there, at a truncation
+        threshold 1e-4 above the clean run's largest top-level population,
+        which a truncation defect exceeds by 1e-4."""
+        model, rho0, where = self._start(kind)
+        clean = evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=1.0)
+        tops = [max(top_level_population(DensityMatrix(model.layout, m, **lindblad.SAMPLE_TOLS))
+                    .values()) for m in sample_matrices(clean)]
+        limit = max(tops) + 1e-4
+        block, _, _ = self._block(model, rho0)
+        n = model.layout.dim
+
+        def injector(j, names):
+            def inject(rho):
+                for name in names:
+                    rho = _inject(name, rho, *where[name], amount=limit - tops[j] + 1e-4)
+                return rho
+            return inject
+
+        with monkeypatch.context() as patch:
+            _drift(patch, block, n, {j: injector(j, names) for j, names in defects.items()})
+            evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=limit)
+
+    @pytest.mark.parametrize("kind", ["full", "components"])
+    @pytest.mark.parametrize("defect", _DEFECTS)
+    def test_each_defect_fails(self, monkeypatch, defect, kind):
+        self._run(monkeypatch, kind, {})  # the clean run passes at that threshold
+        error = TruncationError if defect == "truncation" else ValueError
+        with pytest.raises(error, match="^sample 2: "):
+            self._run(monkeypatch, kind, {2: [defect]})
+
+    def test_first_failing_sample_and_first_invariant(self, monkeypatch):
+        # sample 2 breaks truncation and hermiticity, sample 3 the trace: the
+        # run fails at sample 2, on hermiticity, which is checked first
+        with pytest.raises(ValueError, match="^sample 2: density matrix is not hermitian"):
+            self._run(monkeypatch, "components", {2: ["truncation", "hermiticity"], 3: ["trace"]})
+        with pytest.raises(ValueError, match="^sample 1: trace"):
+            self._run(monkeypatch, "components", {1: ["positivity", "trace"], 3: ["hermiticity"]})
+
+
+def _first_fault(check):
+    """(sample, invariant) of the error ``check()`` raises, or None."""
+    try:
+        check()
+    except (ValueError, TruncationError) as exc:
+        message = str(exc)
+        j = 0
+        if message.startswith("sample "):
+            head, message = message.split(": ", 1)
+            j = int(head.split()[1])
+        if isinstance(exc, TruncationError):
+            return j, "truncation"
+        for prefix, name in (("trace", "trace"), ("density matrix is not hermitian", "hermiticity"),
+                             ("density matrix has negative eigenvalue", "positivity")):
+            if message.startswith(prefix):
+                return j, name
+        raise
+    return None
+
+
+@st.composite
+def _block_diagonal_stack(draw):
+    """A two-mode layout, a block joining the basis states of random
+    components (every rho_ij within one, perhaps but one), 1 to 4 states
+    block-diagonal on it, each clean or carrying one defect 10 to 100 times
+    beyond ``SAMPLE_TOLS``, and a truncation threshold."""
+    layout = SpaceLayout.of(("a", draw(st.integers(2, 4))), ("b", draw(st.integers(2, 4))))
+    n = layout.dim
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    components = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    defects = draw(st.lists(st.sampled_from([None, "trace", "hermiticity", "positivity"]),
+                            min_size=1, max_size=4))
+    # optionally one rho_ij whose partner rho_ji is on the block while it is
+    # not: rho_ij = 0, and rho_ji is kept or made too small to break hermiticity
+    pairs = [(i, j) for c in components for i in c for j in c if i != j]
+    unpaired = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else None
+    partner_scale = draw(st.sampled_from([1.0, 1e-12]))
+    states = []
+    for defect in defects:
+        rho = np.zeros((n, n), dtype=complex)
+        for c in components:
+            g = rng.normal(size=(c.size, c.size)) + 1j * rng.normal(size=(c.size, c.size))
+            rho[np.ix_(c, c)] = rng.uniform(0.1, 1.0) * (g @ g.conj().T)
+        rho /= np.trace(rho).real
+        c = components[rng.integers(len(components))]
+        if defect == "trace":
+            rho *= 1.0 + 1e-6
+        elif defect == "hermiticity" and c.size > 1:
+            rho[c[0], c[1]] += 1e-7j
+            rho[c[1], c[0]] += 1e-7j
+        elif defect == "positivity" and (c.size > 1 or len(components) > 1):
+            sub = np.ix_(c, c)
+            w, v = np.linalg.eigh(rho[sub])
+            shift = w[0] + 1e-5
+            rho[sub] -= shift * np.outer(v[:, 0], v[:, 0].conj())
+            if c.size > 1:
+                rho[sub] += shift * np.outer(v[:, -1], v[:, -1].conj())
+            else:
+                other = np.flatnonzero(labels != labels[c[0]])[0]
+                rho[other, other] += shift
+        if unpaired is not None:
+            i, j = unpaired
+            rho[i, j] = 0.0
+            rho[j, i] *= partner_scale
+        states.append(rho)
+    # the vec index j n + i of every rho_ij within one component
+    on_block = labels[:, None] == labels[None, :]
+    if unpaired is not None:
+        on_block[unpaired] = False
+    block = np.flatnonzero(on_block.T.reshape(-1))
+    return layout, block, np.array(states), draw(st.floats(0.05, 1.0))
+
+
+class TestBatchedCheckAgainstOneMatrix:
+    """The one pass of ``VecBlock.check`` over a stack on a block of several
+    components fails exactly where a ``DensityMatrix`` with ``SAMPLE_TOLS``
+    and a top-level population test, sample by sample, fail first."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_block_diagonal_stack())
+    def test_same_first_sample_and_invariant(self, case):
+        layout, block, states, threshold = case
+
+        def one_by_one():
+            for j, rho in enumerate(states):
+                try:
+                    DensityMatrix(layout, rho, **lindblad.SAMPLE_TOLS)
+                except ValueError as exc:
+                    raise ValueError(f"sample {j}: {exc}") from exc
+                for label, pop in top_level_population(DensityMatrix(layout, rho)).items():
+                    if pop > threshold:
+                        raise TruncationError(f"sample {j}: {label}")
+
+        entries = np.array([lindblad._vec(rho)[block] for rho in states])
+        batched = _first_fault(lambda: VecBlock(layout, block).check(
+            entries, **lindblad.SAMPLE_TOLS, truncation_threshold=threshold))
+        assert batched == _first_fault(one_by_one)
+
+    def test_unpaired_entry_counts_twice(self):
+        """rho_10 on the block, rho_01 off it: |rho_10| sits twice in
+        ||rho - rho^dag||_F, so 6e-10 fails the 1e-9 relative test on a
+        state of norm 0.71 (sqrt(2) 6e-10 > 7.1e-10 > 6e-10)."""
+        layout = SpaceLayout.single("m", 2)
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[1, 0] = 6e-10
+        with pytest.raises(ValueError, match="not hermitian"):
+            DensityMatrix(layout, rho, **lindblad.SAMPLE_TOLS)
+        with pytest.raises(ValueError, match="not hermitian"):
+            VecBlock(layout, np.array([0, 1, 3])).check(
+                lindblad._vec(rho)[[0, 1, 3]][None], **lindblad.SAMPLE_TOLS)
+
+    def test_cool_spectrum_by_components(self, monkeypatch):
+        """On the 60 samples of the full ``cool`` at (4, 12), whose 172-index
+        block splits into 15 components of 1 to 4 states, the components'
+        smallest eigenvalue is the whole matrix's to 1e-14."""
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(evolve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(protocols, "evolve", spy)
+        sideband_cool(SystemParams(g=1.0, kappa=20.0, gamma_m=0.05, n_bar=3.0, omega_m=50.0),
+                      3.0, dims=(4, 12))
+        [res] = results
+        checks = VecBlock(res.layout, res.block)
+        sizes = sorted(at.shape[1] for at, _ in checks._components for _ in range(at.shape[0]))
+        assert res.block.size == 172 and len(sizes) == 15 and (sizes[0], sizes[-1]) == (1, 4)
+        lo = checks._invariants(res.samples)[3]
+        m = sample_matrices(res)
+        whole = np.linalg.eigvalsh(0.5 * (m + m.conj().transpose(0, 2, 1))).min(axis=1)
+        assert np.abs(lo - whole).max() <= 1e-14
 
 
 def _assert_sweep_matches_rebuild(model, term, values):
@@ -284,7 +552,7 @@ class TestSteadyState:
         n_bar = 0.8
         model = damped_mode(dim=25, kappa=0.4, n_bar=n_bar)
         ss = steady_state(model)
-        n_mean = np.real(np.trace(number(25, "m").matrix @ ss.matrix))
+        n_mean = np.real(np.trace(number(25).matrix @ ss.matrix))
         assert n_mean == pytest.approx(n_bar, rel=1e-6)
 
     def test_closed_system_degenerate(self):
@@ -386,7 +654,7 @@ class TestTaylorSchedule:
         model = cooling_model(1.0, 50.0, 0.001, 0.01, layout)
         psi = np.kron([1.0, 1.0], [1.0, 0.0, 0.0]) / np.sqrt(2)
         v0 = lindblad._vec(np.outer(psi, psi).astype(complex))
-        R, block = model.reachable_block(np.flatnonzero(v0))
+        R, block, _ = model.reachable_block(np.flatnonzero(v0))
         A = model.generator.toarray()[np.ix_(R, R)]
         step = block.step.toarray()
         assert block.dim == 26 and np.abs(step @ step.conj().T - step.conj().T @ step).max() > 1e3
@@ -413,7 +681,7 @@ class TestStiffRuns:
         rho = np.zeros((6, 6), dtype=complex)
         rho[0, 0] = rho[1, 1] = 0.5
         rho0 = DensityMatrix(self.LAYOUT, rho)
-        R, block = model.reachable_block(np.flatnonzero(lindblad._vec(rho)))
+        R, block, _ = model.reachable_block(np.flatnonzero(lindblad._vec(rho)))
         return model, rho0, R, block
 
     def test_over_budget_step_raises(self):
@@ -446,7 +714,7 @@ def _taylor_case(seed, dim, log_norm):
     layout = SpaceLayout.single("m", dim)
     model = _random_model(rng, layout, n_diss=int(rng.integers(1, 3)))
     v0 = lindblad._vec(_random_density(rng, layout).matrix)
-    R, block = model.reachable_block(np.flatnonzero(v0))
+    R, block, _ = model.reachable_block(np.flatnonzero(v0))
     return model.generator.toarray()[np.ix_(R, R)], block, v0[R], 10.0 ** log_norm / block.norm1
 
 
@@ -566,7 +834,7 @@ class TestCoolingModels:
     def test_eliminated_model_steady_occupation(self):
         model = eliminated_model(0.1, 0.5, 15)
         ss = steady_state(model)
-        n_mean = np.real(np.trace(number(15, "a_m").matrix @ ss.matrix))
+        n_mean = np.real(np.trace(number(15).matrix @ ss.matrix))
         assert n_mean == pytest.approx(0.5, rel=1e-4)
 
     def test_two_mode_cooling_reaches_effective_limit(self):
@@ -575,7 +843,7 @@ class TestCoolingModels:
         g, kappa, gamma, n_bar = 1.0, 20.0, 0.05, 0.8
         model = cooling_model(g, kappa, gamma, n_bar, lay)
         ss = steady_state(model)
-        n_mech = embed(number(6, "a_m"), lay, "a_m")
+        n_mech = embed(number(6), lay, "a_m")
         n_mean = np.real(np.trace(n_mech.matrix @ ss.matrix))
         expected = n_bar * gamma / (gamma + g ** 2 / kappa)
         assert n_mean == pytest.approx(expected, rel=0.1)
@@ -590,7 +858,7 @@ class TestGlobalGeneratorPinning:
     @staticmethod
     def _cooling():
         lay = SpaceLayout.of(("a", 2), ("a_m", 6))
-        rho0 = np.kron(np.diag([1.0, 0.0]), thermal_state(6, 1.0, "a_m").matrix)
+        rho0 = np.kron(np.diag([1.0, 0.0]), thermal_state(6, 1.0).matrix)
         return cooling_model(1.0, 20.0, 0.05, 3.0, lay), DensityMatrix(lay, rho0)
 
     def test_evolve_independent_of_global_seed(self):

@@ -424,7 +424,7 @@ class TestEsrScan:
                                     np.array([[0, 0], [1, 0]], dtype=complex)), layout, "spin")
         diss = thermal_dissipators(b, params.gamma_m, params.n_bar) + (
             Dissipator(sminus, decay), Dissipator(embed(pauli("z"), layout, "spin"), dephase))
-        n_op = embed(number(mech_dim, "a_m"), layout, "a_m").matrix
+        n_op = embed(number(mech_dim), layout, "a_m").matrix
         response = []
         for v in values:
             sv = (SpinParams(lam=spin.lam, Delta_e=v, Omega_d_prime=spin.Omega_d_prime)
