@@ -21,7 +21,6 @@ from .fockspace import (
     StateVector,
     annihilation,
     embed,
-    fidelity,
     kron_states,
     number,
     partial_trace,

@@ -27,7 +27,6 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .lindblad import _METHODS
 from .model import (
     SpinParams,
     SystemParams,
@@ -114,11 +113,12 @@ _TRUNCATION_LABELS = {"dim_a": "a", "dim_m": "a_m", "mech_dim": "a_m", "phonon_d
 
 def _params(cfg: dict, *keys: str) -> SystemParams:
     """``SystemParams`` of the given config keys; a derived value that the
-    config makes inconsistent, undefined or too large for a float is a
-    configuration error."""
+    config makes inconsistent, undefined or too large for a float (an
+    overflow, a division by an underflowed zero, or an infinite result) is
+    a configuration error."""
     try:
         return SystemParams(**{k: cfg[k] for k in keys})
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{cfg['scenario']}: {exc}") from None
 
 
@@ -141,7 +141,7 @@ def _run_cool(cfg, seed, jobs):
     return protocols.sideband_cool(
         _params(cfg, "g", "kappa", "gamma_m", "n_bar", "omega_m"),
         n_init=cfg["n_init"], duration=cfg["duration"], dims=(cfg["dim_a"], cfg["dim_m"]),
-        eliminated=cfg["eliminated"], num_samples=cfg["num_samples"], method=cfg["method"],
+        eliminated=cfg["eliminated"], num_samples=cfg["num_samples"],
     )
 
 
@@ -235,6 +235,9 @@ def _run_params(cfg, seed, jobs):
             out["lam_hz_equivalent"] = lam / (2.0 * np.pi)
     if cfg["Delta_e"] is not None and cfg["Omega_d_prime"] is not None:
         out["omega_eff"] = dressed_splitting(cfg["Delta_e"], cfg["Omega_d_prime"])
+    infinite = sorted(k for k, v in out.items() if k != "scenario" and not np.isfinite(v))
+    if infinite:
+        raise ConfigError(f"params: derived values too large for a float: {infinite}")
     return out
 
 
@@ -247,7 +250,9 @@ _SCENARIOS = {
         "n_init": (_NONNEG, REQUIRED), "omega_m": (_NONNEG, None),
         "duration": (_POSITIVE, None), "dim_a": (_DIM, 4), "dim_m": (_DIM, 12),
         "eliminated": (_flag, False), "num_samples": (_integer(2), 60),
-        "method": (_choice(*_METHODS), "auto"),
+        # both values run the one propagator; the key stays so that
+        # existing configs parse
+        "method": (_choice("auto", "expm"), "auto"),
     }),
     "superpose": (_run_superpose, {
         "g": (_POSITIVE, REQUIRED), "kappa": (_NONNEG, REQUIRED),

@@ -453,13 +453,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
                          trace_tol=rho.trace_tol, herm_tol=rho.herm_tol, pos_tol=rho.pos_tol)
 
 
-def fidelity(rho: DensityMatrix, psi: StateVector) -> float:
-    """Overlap <psi|rho|psi> of a mixed state with a pure reference."""
-    _require_same_layout(rho, psi)
-    v = psi.amplitudes
-    return float(np.real(np.vdot(v, rho.matrix @ v)))
-
-
 def top_level_population(rho: DensityMatrix) -> dict[str, float]:
     """Population of the two highest Fock levels of each bosonic subsystem of
     more than two levels, summed from the diagonal of ``rho`` (the diagonal of

@@ -28,7 +28,10 @@ each tile product on one thread; the bits then do not depend on its
 thread count.  (m, s) minimise m s under a bound on the step's exact
 1-norm.  Around one sample of an evolution, :func:`expectation_series`
 gives expectations as the same series in time, so a maximum between
-samples needs no further evolution.
+samples needs no further evolution.  RK45 on the full generator
+(``method="adaptive"``) runs in no scenario: it is only the second engine
+path that :func:`cryomech.oracle.verify_all` checks against its exact
+exponential.
 The steady state is one sparse LU solve of the generator with one row
 replaced by the trace functional; its uniqueness test uses Hager's 1-norm
 estimate of the inverse.  Neither draws random numbers.  The dense reference for both
@@ -90,7 +93,7 @@ ADAPTIVE_ATOL = 1e-11
 #: Trace, hermiticity and positivity tolerances of every state :func:`evolve` samples.
 SAMPLE_TOLS = {"trace_tol": 1e-8, "herm_tol": 1e-9, "pos_tol": 1e-7}
 
-_METHODS = ("auto", "expm", "adaptive")
+_METHODS = ("expm", "adaptive")
 
 #: Largest rounding error ||h (L_R - mu I)||_1 2^-53 that :func:`evolve`
 #: accepts on its sample step h (so ||h (L_R - mu I)||_1 up to about 9e4),
@@ -200,12 +203,13 @@ class EvolutionResult:
     #: Taylor degree m, substeps s and squarings k of that path; None for adaptive
     schedule: Optional[tuple[int, int, int]]
 
-    def final(self) -> DensityMatrix:
-        """The last sample as a :class:`DensityMatrix` with ``SAMPLE_TOLS``."""
+    def final(self) -> np.ndarray:
+        """The last sample's matrix, built from its validated entries: the
+        check of :func:`evolve` is its one check."""
         n = self.layout.dim
         v = np.zeros(n * n, dtype=complex)
         v[self.block] = self.samples[-1]
-        return DensityMatrix(self.layout, _unvec(v, n), **SAMPLE_TOLS)
+        return _unvec(v, n)
 
 
 def _kron_nonzeros(a: np.ndarray, b: np.ndarray):
@@ -330,12 +334,14 @@ class _TaylorBlock:
 
     def schedule(self, h: float) -> tuple[int, int]:
         """Taylor degree m and substep count s for exp(h step): the smallest
-        m ceil(||h step||_1 / theta_m) over ``TAYLOR_THETA``, the smaller m
-        on ties (Al-Mohy & Higham, Code Fragment 3.1)."""
+        m s, s = ceil(||h step||_1 / theta_m) over ``TAYLOR_THETA``, the
+        smaller m on ties (Al-Mohy & Higham, Code Fragment 3.1).  s is at
+        least 1, also where the quotient underflows to 0."""
         norm1 = h * self.norm1
         if norm1 == 0.0:
             return 0, 1
-        return min(((m, int(np.ceil(norm1 / theta))) for m, theta in TAYLOR_THETA.items()),
+        return min(((m, max(1, int(np.ceil(norm1 / theta))))
+                    for m, theta in TAYLOR_THETA.items()),
                    key=lambda ms: (ms[0] * ms[1], ms[0]))
 
 
@@ -473,29 +479,31 @@ def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
-           num_samples: int = 51, method: str = "auto",
+           num_samples: int = 51, method: str = "expm",
            truncation_threshold: float = 1e-6) -> EvolutionResult:
     """Integrate the master equation and sample the trajectory at
     ``num_samples`` (at least 2) evenly spaced times from 0 to ``duration``.
 
-    ``method`` is ``"expm"``, ``"adaptive"`` or ``"auto"``, which is
-    ``"expm"`` at every size.  ``"expm"`` restricts the generator to the
-    indices reachable from the support of vec(rho0) along its sparsity graph,
-    an invariant block (:meth:`LindbladModel.reachable_block`); every other
-    entry stays exactly 0.  It propagates the block from one sample to the
-    next with a fixed-schedule truncated Taylor series, on one of two paths
-    that :func:`_taylor_path` picks by counting products on (block size,
-    nnz, sample steps, m s): the stepper runs the series on the sample
-    vector at every step; the propagator builds P = exp(h L_R) once, from
-    the series on the identity columns at h / 2^k and k squarings, and
-    multiplies each sample by it.  The result records the path and its
-    (m, s, k).  ``"adaptive"`` is RK45 on the full vectorized state with right-hand
+    ``method`` is ``"expm"`` (the default), the one propagator every
+    scenario runs, or ``"adaptive"``, which only
+    :func:`cryomech.oracle.verify_all` runs, as its second engine path.
+    ``"expm"`` restricts the generator to the indices reachable from the
+    support of vec(rho0) along its sparsity graph, an invariant block
+    (:meth:`LindbladModel.reachable_block`); every other entry stays
+    exactly 0.  It propagates the block from one sample to the next with a
+    fixed-schedule truncated Taylor series, on one of two paths that
+    :func:`_taylor_path` picks by counting products on (block size, nnz,
+    sample steps, m s): the stepper runs the series on the sample vector at
+    every step; the propagator builds P = exp(h L_R) once, from the series
+    on the identity columns at h / 2^k and k squarings, and multiplies each
+    sample by it.  The result records the path and its (m, s, k).
+    ``"adaptive"`` is RK45 on the full vectorized state with right-hand
     side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.
 
     Before any series runs, ``"expm"`` raises :class:`PreconditionError`
     when the rounding error ||h (L_R - mu I)||_1 2^-53 of the sample step h
-    exceeds ``ROUNDOFF_BUDGET``: such a stiff run would lose the trace, or
-    worse, keep it and lose the slow dynamics.
+    exceeds ``ROUNDOFF_BUDGET``, or is not a number: such a stiff run would
+    lose the trace, or worse, keep it and lose the slow dynamics.
 
     Every sample is validated once, unrepaired, in one pass over the
     entries of all samples on the block (all n^2 for ``"adaptive"``) by
@@ -508,8 +516,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     then a top-level population above ``truncation_threshold``
     (:class:`TruncationError`); the message names the sample.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if num_samples < 2:
         raise ValueError(f"num_samples must be at least 2, got {num_samples}")
     if method not in _METHODS:
@@ -532,7 +540,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     else:
         block, taylor, checks = model.reachable_block(np.flatnonzero(v0))
         h = duration / (num_samples - 1)
-        if h * taylor.norm1 * 2.0 ** -53 > ROUNDOFF_BUDGET:
+        # a generator whose rates overflow has no finite norm: refused too
+        if not h * taylor.norm1 * 2.0 ** -53 <= ROUNDOFF_BUDGET:
             raise PreconditionError(
                 f"stiff run: ||h (L - mu)||_1 = {h * taylor.norm1:.3g} on the sample step "
                 f"h = {h:.3g}, so its rounding error exceeds {ROUNDOFF_BUDGET:g}")

@@ -58,7 +58,8 @@ class SystemParams:
 
     Construction walks :data:`_IDENTITIES` in order: a field whose inputs are
     all known is filled when the caller left it unset and checked (to 1e-9
-    relative) when the caller set it.
+    relative) when the caller set it.  A derived value that is not finite
+    (g^2 / kappa at kappa = 5e-324) raises ``ValueError``.
     """
 
     omega_m: Optional[float] = None            # mechanical frequency of the loaded membrane
@@ -91,6 +92,8 @@ class SystemParams:
             value = None if None in args else formula(*args)
             if value is None:
                 continue
+            if not np.isfinite(value):
+                raise ValueError(f"derived {name} = {value!r} is not a finite number")
             given = getattr(self, name)
             if given is None:
                 object.__setattr__(self, name, value)

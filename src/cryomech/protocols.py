@@ -30,7 +30,6 @@ from .fockspace import (
     StateVector,
     annihilation,
     embed,
-    fidelity,
     kron_states,
     number,
     partial_trace,
@@ -96,16 +95,17 @@ class ProtocolReport:
 
 def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float] = None,
                   dims: tuple[int, int] = (4, 12), eliminated: bool = False,
-                  num_samples: int = 60, method: str = "auto") -> ProtocolReport:
+                  num_samples: int = 60) -> ProtocolReport:
     """Cool the mechanical mode from a thermal state with mean ``n_init``.
 
     Runs either the full two-mode master equation (microwave loss + thermal
     mechanical bath) or the adiabatically eliminated single-mode model, and
     builds only the one that runs, so only an eliminated run needs
     kappa / g >= 5.  Without ``duration`` it runs for 5 over the rate of
-    :meth:`SystemParams.mechanical_bath`, so the model must be damped.  A
-    stiff run's :class:`PreconditionError` names its remedies: a shorter
-    ``duration``, or ``eliminated`` for a full run.
+    :meth:`SystemParams.mechanical_bath`, so the model must be damped
+    enough for that time to be a float.  A stiff run's
+    :class:`PreconditionError` names its remedies: a shorter ``duration``,
+    or ``eliminated`` for a full run.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
@@ -130,31 +130,35 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
 
     if duration is None:
         slow, _ = params.mechanical_bath()
-        if slow <= 0:
-            raise PreconditionError("cannot choose a duration for an undamped model")
-        duration = 5.0 / slow
+        duration = 5.0 / slow if slow > 0 else np.inf
+        if duration == np.inf:
+            raise PreconditionError(f"cannot choose a duration for an undamped model: "
+                                    f"5 over its damping rate {slow!r} is not a float")
 
     # cooling only moves population down the ladder, so the leak detector is
-    # calibrated against the initial thermal tail rather than evolve's default
-    tail = max(top_level_population(rho0).values())
+    # calibrated against the initial thermal tail rather than evolve's
+    # default; a two-level mode has no top levels to leak into
+    tail = max(top_level_population(rho0).values(), default=0.0)
     try:
-        result = evolve(model, rho0, duration, num_samples=num_samples, method=method,
+        result = evolve(model, rho0, duration, num_samples=num_samples,
                         truncation_threshold=max(1e-6, 2.0 * tail))
     except TruncationError:
         raise
     except PreconditionError as exc:  # the stiff-run refusal
         remedy = "" if eliminated else ", or eliminate a fast cavity (eliminated = true)"
         raise PreconditionError(f"{exc}; shorten the duration{remedy}") from exc
-    n_op = embed(number(nm), model.layout, "a_m")
-    n_m = [float(n) for n in expectations(result, [n_op])[:, 0].real]
-
-    mech_final = result.final() if eliminated else partial_trace(result.final(), {"a_m"})
-    ground = vacuum(SpaceLayout.single("a_m", nm))
+    # <n_m> and the ground-state population <0|rho_m|0> of every sample
+    n_op = number(nm)
+    ground = np.zeros((nm, nm), dtype=complex)
+    ground[0, 0] = 1.0
+    ops = [embed(op, model.layout, "a_m") for op in (n_op, FockOperator(n_op.layout, ground))]
+    n_m, p_ground = expectations(result, ops).real.T
+    n_m = [float(n) for n in n_m]
     return ProtocolReport(
         scenario="cool",
         segments=({"label": "eliminated-model relaxation" if eliminated
                    else "two-mode cooling", "duration": float(duration)},),
-        final_fidelity=fidelity(mech_final, ground),
+        final_fidelity=float(p_ground[-1]),
         phonon_trajectory={"times": [float(t) for t in result.times],
                            "values": n_m},
         details={
@@ -693,7 +697,7 @@ def _swap_channel(rho: DensityMatrix, direction: str,
     model, t_swap, corrections = swap
     final = evolve(model, rho, t_swap, num_samples=2, truncation_threshold=1.0).final()
     c = corrections[direction]
-    return DensityMatrix(rho.layout, c @ final.matrix @ c.conj().T)
+    return DensityMatrix(rho.layout, c @ final @ c.conj().T)
 
 
 def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,

@@ -141,8 +141,22 @@ class TestExitCodes:
         b"scenario = cool\ng = 1e300\nkappa = 1e-300\ngamma_m = 0.05\nn_bar = 1\nn_init = 1\n",
         b"scenario = cool\ng = 1e200\nkappa = 1e199\ngamma_m = 0.05\nn_bar = 1\nn_init = 1\n",
         b"scenario = superpose\ng = 1e300\nkappa = 1e-300\ngamma_m = 0.001\nn_bar = 0.01\n",
+        # g^2 / kappa = inf by division, which raises nothing
+        b"scenario = cool\ng = 1\nkappa = 5e-324\ngamma_m = 0.05\nn_bar = 3\nn_init = 3\n",
+        b"scenario = superpose\ng = 1\nkappa = 5e-324\ngamma_m = 0.05\nn_bar = 0.01\n",
+        (PARAMS_CFG + "kappa = 5e-324\ngamma_m = 0.05\nOmega_d = 1\nDelta = 1\n"
+         "G_pull = 1e17\n").encode(),
+        # 2 M_mem omega_m and hbar omega_m / k_B T underflow to 0 and are divided by
+        b"scenario = params\nomega_m = 1e-300\nM_mem = 1e-300\nT = 1\n",
+        b"scenario = params\nomega_m = 5e-324\nM_mem = 1\nT = 1\n",
+        # m_bio / M_mem and the spin-phonon coupling overflow
+        b"scenario = params\nomega_m = 1e-10\nM_mem = 1e-300\nT = 1\nm_bio = 1e300\n"
+        b"G_m = 1e308\n",
     ], ids=["not-utf8", "params-undefined-alpha", "params-inconsistent-g0",
-            "cool-overflow-kappa-prime", "cool-overflow-g-squared", "superpose-overflow"])
+            "cool-overflow-kappa-prime", "cool-overflow-g-squared", "superpose-overflow",
+            "cool-infinite-kappa-prime", "superpose-infinite-kappa-prime",
+            "params-infinite-kappa-prime", "params-underflow-x0", "params-underflow-n-bar",
+            "params-infinite-mass-ratio"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, contents):
         path = tmp_path / "run.cfg"
         path.write_bytes(contents)
@@ -203,6 +217,16 @@ points = 3
         # no damping to set a default duration from
         path = write_cfg(tmp_path, COOL_CFG.replace("g = 1.0", "g = 0")
                          .replace("gamma_m = 0.05", "gamma_m = 0"))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "undamped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rates", ["g = 1\nkappa = 0\n", "g = 5e-324\nkappa = 20\n"],
+                             ids=["no-cavity", "kappa-prime-underflows"])
+    def test_vanishing_rate_cool_exit_3(self, tmp_path, capsys, rates):
+        # the mode relaxes at gamma_m = 5e-324, and 5 / gamma_m is inf; from
+        # the vacuum, inf times the block's zero norm was NaN
+        path = write_cfg(tmp_path, f"scenario = cool\n{rates}gamma_m = 5e-324\nn_bar = 0\n"
+                         "n_init = 0\n")
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         assert "undamped" in capsys.readouterr().err
 
@@ -373,6 +397,118 @@ class TestMalformedValues:
         path = write_cfg(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+STIFF_COOL_CFG = """\
+scenario = cool
+g = 1
+kappa = 1e4
+gamma_m = 0.05
+n_bar = 1
+n_init = 1
+omega_m = 2e4
+num_samples = 5
+"""
+
+
+class TestCoolConfigs:
+    def test_adaptive_method_exit_2_before_any_evolution(self, tmp_path, capsys, monkeypatch):
+        # RK45 did not finish this stiff run in a minute; the key is refused
+        # at parse time, so the scenario never starts
+        monkeypatch.setattr(cryomech.protocols, "sideband_cool", None)
+        path = write_cfg(tmp_path, STIFF_COOL_CFG + "method = adaptive\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: method must be one of auto, expm, got 'adaptive'")
+        assert not (tmp_path / "out").exists()
+
+    def test_auto_and_expm_identical(self, tmp_path):
+        reports = []
+        for method in ("auto", "expm"):
+            path = write_cfg(tmp_path, COOL_CFG + f"method = {method}\n", f"{method}.cfg")
+            assert main(["--config", str(path), "--out", str(tmp_path / method)]) == 0
+            reports.append((tmp_path / method / "cool.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("dims", ["dim_m = 2\n", "dim_a = 2\ndim_m = 2\n"],
+                             ids=["mech-two-level", "both-two-level"])
+    @pytest.mark.parametrize("eliminated", ["true", "false"])
+    def test_two_level_modes(self, tmp_path, dims, eliminated):
+        # no bosonic mode has top levels to check, so there is no initial tail
+        text = (COOL_CFG.replace("n_init = 1.0", "n_init = 3").replace("n_bar = 1.0", "n_bar = 3")
+                .replace("eliminated = true", f"eliminated = {eliminated}") + dims)
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "cool.json").read_text())
+        # two levels: the ground population is 1 - <n_m>
+        assert doc["final_fidelity"] == pytest.approx(1.0 - doc["details"]["n_final"], abs=1e-12)
+
+    def test_denormal_duration_runs(self, tmp_path):
+        # ||h step||_1 / theta_m underflows to 0: the schedule keeps one substep
+        path = write_cfg(tmp_path, "scenario = cool\nduration = 5e-324\ng = 0.001\nkappa = 20\n"
+                         "gamma_m = 0.05\nn_bar = 3\nn_init = 3\nomega_m = 0.001\ndim_a = 3\n"
+                         "dim_m = 4\neliminated = true\nnum_samples = 2\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        values = json.loads((tmp_path / "cool.json").read_text())["phonon_trajectory"]["values"]
+        assert values[1] == values[0]
+
+    @pytest.mark.parametrize("eliminated", ["true", "false"])
+    def test_overflowing_bath_rate_exit_3(self, tmp_path, capsys, eliminated):
+        # (1 + n_bar) gamma_m overflows, so the generator has no finite norm
+        path = write_cfg(tmp_path, "scenario = cool\ng = 0\nkappa = 0\ngamma_m = 1e300\n"
+                         f"n_bar = 1e300\nn_init = 0\neliminated = {eliminated}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "stiff run: ||h (L - mu)||_1 = nan" in err and "Traceback" not in err
+
+
+_SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas.md"
+
+
+def _documented_cool_keys() -> tuple[set, set]:
+    """The top-level keys of a protocol report and the ``details`` keys of
+    ``cool``, as docs/schemas.md lists them."""
+    text = _SCHEMAS.read_text().split("### Protocol scenarios", 1)[1]
+    block = text.split("```jsonc", 1)[1].split("```", 1)[0]
+    details = text.split("- `cool`:", 1)[1].split(".", 1)[0]
+    return (set(re.findall(r'^  "(\w+)":', block, re.MULTILINE)),
+            set(re.findall(r"`(\w+)`", details)))
+
+
+#: Edges of a rate's domain: zero, the smallest subnormal, and values near
+#: the ends of the float range.
+_EDGE_RATES = (0.0, 5e-324, 1e-300, 1e300)
+
+
+def _rate(positive: bool = False):
+    """A log-uniform rate over [1e-4, 1e4], or an edge of the reals' domain."""
+    edges = [r for r in _EDGE_RATES if r > 0 or not positive]
+    return st.one_of(st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e), st.sampled_from(edges))
+
+
+class TestCoolProperty:
+    """No ``cool`` config whose every key lies in its reader's domain ends in
+    a traceback: it runs, or exits with a typed code, and a run writes every
+    documented key."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"g": _rate(), "kappa": _rate(), "gamma_m": _rate(), "n_bar": _rate(),
+         "n_init": _rate(), "dim_a": st.integers(2, 8), "dim_m": st.integers(2, 8),
+         "eliminated": st.sampled_from(["true", "false"]),
+         "num_samples": st.integers(2, 8), "method": st.sampled_from(["auto", "expm"])},
+        optional={"omega_m": _rate(), "duration": _rate(positive=True)}))
+    def test_exits_typed(self, tmp_path_factory, keys):
+        tmp = tmp_path_factory.mktemp("cool")
+        # str of a float is its shortest repr, which reads back exactly
+        text = "scenario = cool\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        path = write_cfg(tmp, text)
+        code = main(["--config", str(path), "--out", str(tmp / "out")])
+        assert code in (0, 2, 3, 4), text
+        if code == 0:
+            doc = json.loads((tmp / "out" / "cool.json").read_text())
+            top, details = _documented_cool_keys()
+            assert top <= set(doc) and details <= set(doc["details"]), text
 
 
 class TestOutputs:

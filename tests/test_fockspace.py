@@ -15,7 +15,6 @@ from cryomech.fockspace import (
     StateVector,
     annihilation,
     embed,
-    fidelity,
     kron_states,
     number,
     partial_trace,
@@ -188,16 +187,6 @@ class TestPartialTrace:
         rho = DensityMatrix(lay, np.eye(8, dtype=complex) / 8)
         red = partial_trace(rho, {"a", "c"})
         assert red.layout.labels == ("a", "c")
-
-
-class TestFidelity:
-    def test_pure_overlap(self):
-        lay = SpaceLayout.single("m", 2)
-        psi = fock_state(lay, {"m": 0})
-        rho = DensityMatrix.from_state(psi)
-        assert np.isclose(fidelity(rho, psi), 1.0)
-        phi = fock_state(lay, {"m": 1})
-        assert np.isclose(fidelity(rho, phi), 0.0)
 
 
 class TestTopLevelPopulation:

@@ -289,3 +289,27 @@ def test_defaulted_parameters_take_more_than_one_literal():
     # leaves at a default equal to it
     fixed = _single_values(required=False)
     assert not fixed, f"defaulted parameters that every call sets to one literal: {fixed}"
+
+
+def test_no_private_names_imported_across_modules():
+    # a private name is its module's own detail: a module that imports one
+    # from another follows it silently when it changes
+    trees = _parse(sorted(SRC.glob("*.py")))
+    private = {str(p.relative_to(ROOT)): names for p, tree in trees.items()
+               if (names := [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                             for a in n.names if a.name.startswith("_")
+                             and not a.name.startswith("__")])}
+    assert not private, f"private names imported from another module: {private}"
+
+
+def test_rk45_has_one_caller():
+    # evolve's method = "adaptive" (RK45) is the oracle batch's second engine
+    # path, not a propagator that a scenario may pick: the one call of the
+    # package, a demo or the benchmark that sets the method is verify_all's
+    trees = _parse(sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+                   + sorted((ROOT / "perfbench").rglob("*.py")))
+    setters = {f"{p.name}:{func.name}" for p, tree in trees.items() for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for call in _calls({p: func}).get("evolve", [])
+               if _argument(call, "method", 4) is not False}
+    assert setters == {"oracle.py:verify_all"}

@@ -148,7 +148,7 @@ class TestEvolve:
                       truncation_threshold=1.0)
         out2 = evolve(model, rho0, 2.0, num_samples=5, method="adaptive",
                       truncation_threshold=1.0)
-        assert np.allclose(out1.final().matrix, out2.final().matrix, atol=1e-7)
+        assert np.allclose(out1.final(), out2.final(), atol=1e-7)
 
     def test_invalid_duration(self):
         model = damped_mode()
@@ -580,7 +580,7 @@ class TestSteadyState:
         rho0 = DensityMatrix.from_state(fock_state(model.layout, {"m": 2}))
         final = evolve(model, rho0, 60.0, num_samples=3,
                        truncation_threshold=1.0).final()
-        assert np.allclose(ss.matrix, final.matrix, atol=1e-8)
+        assert np.allclose(ss.matrix, final, atol=1e-8)
 
 
 class TestInverseNormEstimate:
@@ -631,6 +631,18 @@ class TestTaylorSchedule:
         assert columns == (block.dim,) == (172,)
         assert h * block.norm1 == pytest.approx(1.34, abs=0.01)
         assert block.schedule(h) == (20, 1)
+
+    def test_denormal_step_takes_one_substep(self):
+        """At h = 5e-324 the quotient ||h step||_1 / theta_m rounds to 0 for
+        the large theta_m; a zero substep count would price as free, and the
+        series divides by it.  s is at least 1, and exp(h A) is the identity."""
+        block = lindblad._TaylorBlock(sp.csr_array(np.diag([0.0, -4.0]).astype(complex)))
+        h = 5e-324
+        assert h * block.norm1 > 0.0 and h * block.norm1 / lindblad.TAYLOR_THETA[55] == 0.0
+        m, s = block.schedule(h)
+        assert (m, s) == (1, 1)
+        P = lindblad._taylor_series(block, h, m, s, np.eye(2, dtype=complex))
+        assert np.array_equal(P, np.eye(2))
 
     def test_nilpotent_block_matches_expm(self):
         """N = 100 times the 5 x 5 lower shift: ||N||_1 = 100 and N^5 = 0, so a
@@ -703,7 +715,7 @@ class TestStiffRuns:
             v = mpmath.expm(mpmath.matrix(L.tolist()) * h) * mpmath.matrix(
                 lindblad._vec(rho0.matrix)[R].tolist())
             exact = np.array([complex(x) for x in v])
-        assert np.abs(lindblad._vec(final.matrix)[R] - exact).max() <= 4 * lindblad.ROUNDOFF_BUDGET
+        assert np.abs(lindblad._vec(final)[R] - exact).max() <= 4 * lindblad.ROUNDOFF_BUDGET
 
 
 def _taylor_case(seed, dim, log_norm):
@@ -867,7 +879,7 @@ class TestGlobalGeneratorPinning:
         for seed in range(8):
             np.random.seed(seed)
             res = evolve(model, rho0, 20.0, num_samples=2, truncation_threshold=1.0)
-            finals.add(res.final().matrix.tobytes())
+            finals.add(res.final().tobytes())
         assert len(finals) == 1
 
     def test_global_generator_state_untouched(self):

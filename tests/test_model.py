@@ -100,6 +100,12 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(kappa=-1.0)
 
+    def test_infinite_derived_value_rejected(self):
+        # g^2 / kappa overflows by division, with no OverflowError, and
+        # gamma' = gamma_m + kappa' would follow it to inf
+        with pytest.raises(ValueError, match="kappa_prime = inf is not a finite number"):
+            SystemParams(g=1.0, kappa=5e-324, gamma_m=0.05, n_bar=3.0)
+
     def test_signed_detuning_allowed(self):
         p = SystemParams(Delta=-5.0)
         assert p.Delta == -5.0

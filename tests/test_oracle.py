@@ -65,7 +65,7 @@ class TestExactEvolution:
         exact = exact_liouville_evolve(model, rho0, 1.5)
         num = evolve(model, rho0, 1.5, num_samples=2, method="adaptive",
                      truncation_threshold=1.0).final()
-        assert trace_distance(exact.matrix, num.matrix) < 1e-8
+        assert trace_distance(exact.matrix, num) < 1e-8
 
     def test_closed_system_conserves_energy(self):
         lay = SpaceLayout.single("m", 4)
@@ -135,7 +135,7 @@ class TestSparseEngineAgainstOracle:
         exact = exact_liouville_evolve(model, rho0, 1.7)
         num = evolve(model, rho0, 1.7, num_samples=4, method=method,
                      truncation_threshold=1.0).final()
-        assert trace_distance(exact.matrix, num.matrix) < 1e-8
+        assert trace_distance(exact.matrix, num) < 1e-8
 
     def test_steady_state_matches_long_time_limit(self):
         model = _two_mode_cooling()
@@ -270,7 +270,7 @@ class TestReachableBlock:
             assert np.array_equal(blocks[-1][0], np.flatnonzero(_reachable_mask(model, rho0)))
             final = evolve(model, rho0, 2.5, num_samples=2, truncation_threshold=1.0).final()
             ref = exact_liouville_evolve(model, rho0, 2.5).matrix
-            assert np.abs(final.matrix - ref).max() <= 1e-12
+            assert np.abs(final - ref).max() <= 1e-12
         assert blocks[2] is blocks[0]
         assert blocks[1][0].size != blocks[0][0].size
 

@@ -50,6 +50,21 @@ class TestSidebandCool:
         full = P.sideband_cool(COOLING, n_init=3.0, dims=(4, 10), num_samples=12)
         assert rep.details["n_final"] == pytest.approx(full.details["n_final"], rel=0.05)
 
+    def test_final_fidelity_is_final_ground_population(self, monkeypatch):
+        # <0|rho_m|0> of the evolution's last sample, read with <n_m>
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(lindblad.evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(P, "evolve", spy)
+        rep = P.sideband_cool(COOLING, n_init=3.0, dims=(4, 10), num_samples=12)
+        [result] = runs
+        rho_m = np.trace(result.final().reshape(4, 10, 4, 10), axis1=0, axis2=2)
+        assert rep.final_fidelity == pytest.approx(rho_m[0, 0].real, abs=1e-14)
+        assert 0.0 < rep.final_fidelity < 1.0
+
     def test_unresolved_sideband_warns(self):
         p = SystemParams(omega_m=5.0, g=1.0, kappa=20.0, gamma_m=0.05, n_bar=1.0)
         with pytest.warns(UserWarning):
@@ -119,7 +134,8 @@ class TestTransfer:
             # max over the phase theta of <psi_theta| rho_m |psi_theta> for
             # psi_theta = (|0> + e^{i theta}|1>)/sqrt(2)
             final = lindblad.evolve(model, rho0, t, num_samples=2, truncation_threshold=1.0)
-            r = partial_trace(final.final(), {"a_m"}).matrix
+            # trace out the cavity: index (a, a_m) of a 4 x 4 layout
+            r = np.trace(final.final().reshape(4, 4, 4, 4), axis1=0, axis2=2)
             return 0.5 * (r[0, 0] + r[1, 1]).real + abs(r[0, 1])
 
         assert fidelity_at(res.time) == pytest.approx(res.fidelity, abs=1e-12)
