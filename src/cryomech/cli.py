@@ -122,19 +122,11 @@ def _params(cfg: dict, *keys: str) -> SystemParams:
         raise ConfigError(f"{cfg['scenario']}: {exc}") from None
 
 
-def _teleport_input(cfg: dict) -> dict:
-    """The normalized input qubit and forced branch of a teleport scenario."""
-    alpha, beta = cfg["alpha"], cfg["beta"]
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise ConfigError(f"alpha and beta must be normalized, got "
-                          f"|alpha|^2 + |beta|^2 = {norm:.12g}")
-    return {"alpha": alpha, "beta": beta, "force_branch": cfg["force_branch"]}
-
-
 # ---------------------------------------------------------------------------
 # Scenario runners (each takes the typed config and returns its report, which
-# main encodes with _jsonable)
+# main encodes with _jsonable).  A rule between several keys belongs to the
+# protocol that runs them, which raises ConfigError when the run cannot take
+# the values; the runners pass the values through.
 # ---------------------------------------------------------------------------
 
 def _run_cool(cfg, seed, jobs):
@@ -154,16 +146,14 @@ def _run_superpose(cfg, seed, jobs):
 
 def _run_teleport_motional(cfg, seed, jobs):
     return protocols.teleport_motional(
-        **_teleport_input(cfg), seed=seed, resource_damping=cfg["resource_damping"])
+        cfg["alpha"], cfg["beta"], seed=seed, force_branch=cfg["force_branch"],
+        resource_damping=cfg["resource_damping"])
 
 
 def _run_esr(cfg, seed, jobs):
-    if cfg[cfg["sweep"]] is not None:
-        raise ConfigError(f"esr-scan sweeps {cfg['sweep']} from start to stop; "
-                          f"remove the {cfg['sweep']} key")
     params = _params(cfg, "omega_m", "gamma_m", "n_bar")
-    spin = SpinParams(lam=cfg["lam"], Delta_e=cfg["Delta_e"] or 0.0,
-                      Omega_d_prime=cfg["Omega_d_prime"] or 0.0)
+    spin = SpinParams(lam=cfg["lam"], Delta_e=cfg["Delta_e"],
+                      Omega_d_prime=cfg["Omega_d_prime"])
     values = np.linspace(cfg["start"], cfg["stop"], cfg["points"])
     kwargs = {k: cfg[k] for k in ("sweep", "mech_dim", "spin_decay", "spin_dephasing")}
     if jobs > 1 and len(values) > 1:
@@ -183,7 +173,7 @@ def _parallel_esr(spin, params, values, kwargs, jobs):
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_esr_chunk, spin, params, chunk, kwargs) for chunk in chunks]
         parts = [f.result() for f in futures]
-    return protocols._esr_spectrum(kwargs["sweep"], values, np.concatenate(parts))
+    return protocols.esr_spectrum(kwargs["sweep"], values, np.concatenate(parts))
 
 
 def _esr_chunk(spin, params, chunk, kwargs):
@@ -192,13 +182,9 @@ def _esr_chunk(spin, params, chunk, kwargs):
 
 
 def _run_teleport_spin(cfg, seed, jobs):
-    if cfg["gamma_prime"] > 0 and cfg["force_branch"] is not None:
-        raise ConfigError("teleport-spin with gamma_prime > 0 runs the motional hop as "
-                          "the ideal identity channel, which measures no branch; "
-                          "remove force_branch or set gamma_prime = 0")
     return protocols.teleport_spin(
-        **_teleport_input(cfg), seed=seed,
-        **{k: cfg[k] for k in ("phonon_dim", "lambda_rate", "gamma_prime",
+        cfg["alpha"], cfg["beta"], seed=seed,
+        **{k: cfg[k] for k in ("force_branch", "phonon_dim", "lambda_rate", "gamma_prime",
                                "n_bar_prime", "n_bar_gamma")},
     )
 

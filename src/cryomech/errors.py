@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+:class:`ConfigError` is also a ``ValueError``: a protocol raises it for an
+argument that a run cannot take, so the CLI reports that rule's breach as a
+configuration error (exit 2) without checking the rule itself, and a
+library caller that catches ``ValueError`` still catches it.
+"""
 
 
 class CryomechError(Exception):
@@ -21,5 +27,5 @@ class VerificationError(CryomechError):
     """An oracle cross-check failed outside its declared tolerance."""
 
 
-class ConfigError(CryomechError):
-    """A scenario configuration file is malformed or incomplete."""
+class ConfigError(CryomechError, ValueError):
+    """An input, a config value or a protocol argument, that a run cannot take."""

@@ -135,11 +135,18 @@ class FockOperator:
         return FockOperator(self.layout, self.matrix.conj().T)
 
     def is_hermitian(self) -> bool:
-        """Hermitian within ``HERMITIAN_OP_TOL`` relative to the Frobenius norm."""
-        scale = np.linalg.norm(self.matrix)
-        if scale == 0.0:
+        """Hermitian within ``HERMITIAN_OP_TOL`` relative to the Frobenius norm.
+
+        The norms are taken of the matrix scaled by the power of two that
+        brings its largest entry into [1/2, 1), which is exact and keeps
+        them from overflowing (or underflowing) for any finite entries.
+        """
+        peak = np.max(np.abs(self.matrix))
+        if peak == 0.0:
             return True
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERMITIAN_OP_TOL * scale
+        e = -np.frexp(peak)[1]
+        m = np.ldexp(self.matrix.real, e) + 1j * np.ldexp(self.matrix.imag, e)
+        return np.linalg.norm(m - m.conj().T) <= HERMITIAN_OP_TOL * np.linalg.norm(m)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.signal import find_peaks
 
-from .errors import PreconditionError, TruncationError
+from .errors import ConfigError, PreconditionError, TruncationError
 from .fockspace import (
     DensityMatrix,
     FockOperator,
@@ -105,7 +105,9 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     :meth:`SystemParams.mechanical_bath`, so the model must be damped
     enough for that time to be a float.  A stiff run's
     :class:`PreconditionError` names its remedies: a shorter ``duration``,
-    or ``eliminated`` for a full run.
+    or ``eliminated`` for a full run.  Where a rate overflowed, so that the
+    generator has entries that are not finite, no remedy helps, and the
+    refusal says so instead.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
@@ -145,6 +147,9 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     except TruncationError:
         raise
     except PreconditionError as exc:  # the stiff-run refusal
+        if not np.isfinite(model.generator.data).all():
+            raise PreconditionError(f"{exc}; a rate of the model overflowed, so its "
+                                    f"generator is not finite") from exc
         remedy = "" if eliminated else ", or eliminate a fast cavity (eliminated = true)"
         raise PreconditionError(f"{exc}; shorten the duration{remedy}") from exc
     # <n_m> and the ground-state population <0|rho_m|0> of every sample
@@ -261,10 +266,14 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     derivatives have no |rho_01| term.  t = 0 is no transfer: where F is
     largest there (as for alpha = 1, where F = rho_00 starts at its
     maximum), t_c itself is reported, so the time is always positive.  One
-    validated evolution to that time gives the reported fidelity.
+    validated evolution to that time gives the reported fidelity.  A rate
+    so slow that pi/g is not a float raises :class:`PreconditionError`.
     """
     if g <= 0:
         raise ValueError("transfer needs g > 0")
+    if np.pi / g == np.inf:
+        raise PreconditionError(f"exchange rate g = {g!r} is too slow: the half period "
+                                f"pi/g is too large for a float")
     src = state_on_a.amplitudes
     if np.linalg.norm(src[2:]) > 1e-9:
         warnings.warn("source state has support above the {|0>,|1>} subspace; "
@@ -388,9 +397,9 @@ def bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str],
     column collapses on the same outcome, so the Born probability of a
     branch is the squared norm of its whole block.  The outcome is sampled
     from those probabilities with ``rng``; ``force`` replays a chosen branch
-    instead and raises on a zero-probability request.  Returns (bits, the
-    remaining layout with the measured modes projected out, the normalized
-    collapsed factor on it).
+    instead, and a branch of zero probability raises :class:`ConfigError`.
+    Returns (bits, the remaining layout with the measured modes projected
+    out, the normalized collapsed factor on it).
     """
     i0, i1 = layout.index(pair[0]), layout.index(pair[1])
     t = np.moveaxis(factor.reshape(layout.dims + (-1,)), (i0, i1), (0, 1))
@@ -410,7 +419,7 @@ def bell_measure(layout: SpaceLayout, factor: np.ndarray, pair: tuple[str, str],
         if force not in probs:
             raise ValueError(f"outcome must be one of {sorted(probs)}, got {force!r}")
         if probs[force] < 1e-12:
-            raise ValueError(f"branch {force} has probability {probs[force]:.3g}; cannot replay")
+            raise ConfigError(f"branch {force} has probability {probs[force]:.3g}; cannot replay")
         bits = force
     else:
         if rng is None:
@@ -445,6 +454,17 @@ def checkpoint_state(alpha: complex, beta: complex) -> StateVector:
     return StateVector(layout, v / np.sqrt(2))
 
 
+def _require_normalized(alpha: complex, beta: complex) -> None:
+    """Raise :class:`ConfigError` unless |alpha|^2 + |beta|^2 is 1 within 1e-9."""
+    try:
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:  # a float's square overflows with an exception
+        norm = np.inf
+    if abs(norm - 1.0) > 1e-9:
+        raise ConfigError(f"alpha and beta must be normalized, got "
+                          f"|alpha|^2 + |beta|^2 = {norm:.12g}")
+
+
 def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
                       force_branch: Optional[str] = None,
                       resource_damping: float = 0.0) -> ProtocolReport:
@@ -458,10 +478,11 @@ def teleport_motional(alpha: complex, beta: complex, seed: Optional[int] = None,
     The circuit acts on a factor V of the three-mode state, rho = V V^dag.
     Each Kraus term of the damped resource adds columns to V; the ideal
     resource keeps one, whose corrected amplitudes are reported.
+
+    Amplitudes with |alpha|^2 + |beta|^2 off 1 by more than 1e-9, and a
+    forced branch of zero probability, raise :class:`ConfigError`.
     """
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"input amplitudes must be normalized, got |a|^2+|b|^2 = {norm}")
+    _require_normalized(alpha, beta)
     if not 0.0 <= resource_damping <= 1.0:
         raise ValueError(f"resource_damping must lie in [0, 1], got {resource_damping}")
     rng = np.random.default_rng(seed)
@@ -529,8 +550,8 @@ class EsrSpectrum:
     resolution: float
 
 
-def _esr_spectrum(sweep: str, values: Sequence[float],
-                 response: Sequence[float]) -> EsrSpectrum:
+def esr_spectrum(sweep: str, values: Sequence[float],
+                response: Sequence[float]) -> EsrSpectrum:
     """Assemble a swept response into a spectrum: the resolution is the largest
     abscissa step, and peaks need a prominence of 10 % of the response span."""
     values = np.asarray(values, dtype=float)
@@ -561,15 +582,21 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     model is built once at v = 0 and :func:`~cryomech.lindblad.affine_sweep`
     gives each point's generator as L_0 + v L_sigma; every point is one
     :func:`~cryomech.lindblad.steady_state` solve with all its checks.
+    The swept field of ``spin`` must be unset (``None``), since the scan
+    sets it itself, or :class:`ConfigError` is raised; the other field
+    defaults to 0.
     """
     if sweep not in ("Delta_e", "Omega_d_prime"):
         raise ValueError("sweep must be 'Delta_e' or 'Omega_d_prime'")
+    if getattr(spin, sweep) is not None:
+        raise ConfigError(f"esr-scan sweeps {sweep} from start to stop; "
+                          f"remove the {sweep} key")
     if params.omega_m is None or spin.lam is None:
         raise ValueError("esr_scan needs params.omega_m and spin.lam")
     if not spin.lam < params.omega_m / 10.0:
         raise PreconditionError(
-            f"dispersive treatment needs lam < omega_m/10; got lam/omega_m = "
-            f"{spin.lam / params.omega_m:.3g}")
+            f"dispersive treatment needs lam < omega_m/10; got lam = {spin.lam:.3g} "
+            f"and omega_m = {params.omega_m:.3g}")
     gamma_p, n_th = params.mechanical_bath()
     if gamma_p is None or gamma_p <= 0:
         raise ValueError("esr_scan needs a positive mechanical damping rate")
@@ -593,7 +620,7 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
 
     # H = H_0 + (v/2) sigma with H_0 at the swept value 0
     if sweep == "Delta_e":
-        base = SpinParams(lam=spin.lam, Delta_e=0.0, Omega_d_prime=spin.Omega_d_prime)
+        base = SpinParams(lam=spin.lam, Delta_e=0.0, Omega_d_prime=spin.Omega_d_prime or 0.0)
         sigma = sz
     else:
         base = SpinParams(lam=spin.lam, Delta_e=spin.Delta_e or 0.0, Omega_d_prime=0.0)
@@ -603,7 +630,7 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     for point in affine_sweep(model, 0.5 * sigma, values):
         ss = steady_state(point)
         response.append(gamma_p * float(np.real(np.trace(n_op.matrix @ ss.matrix))))
-    return _esr_spectrum(sweep, values, response)
+    return esr_spectrum(sweep, values, response)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +648,8 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
                  n_bar_prime: float = 0.0
                  ) -> tuple[LindbladModel, float, dict[str, np.ndarray]]:
     """Exchange model, half-Rabi swap time and per-direction phase
-    corrections, in closed form; rejects lam <= 0.
+    corrections, in closed form; rejects lam <= 0, and raises
+    :class:`PreconditionError` for a rate so slow that t_swap is not a float.
 
     The model is the exchange Hamiltonian under a thermal mechanical bath
     (``gamma_prime``, ``n_bar_prime``).  In the dressed basis
@@ -639,11 +667,14 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
     """
     if not lambda_rate > 0:
         raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
+    t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
+    if t_swap == np.inf:
+        raise PreconditionError(f"lambda_rate = {lambda_rate!r} is too slow: its swap "
+                                f"time is too large for a float")
     layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
     b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
     model = LindbladModel(build_jc(lambda_rate, layout),
                           thermal_dissipators(b, gamma_prime, n_bar_prime))
-    t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
     c_fwd = np.kron(np.diag(1j ** np.arange(phonon_dim)), np.eye(2, dtype=complex))
     p_e = np.outer(DRESSED_EXCITED, DRESSED_EXCITED.conj())
     c_bwd = np.kron(np.eye(phonon_dim, dtype=complex), np.eye(2) + (1j - 1) * p_e)
@@ -713,15 +744,15 @@ def teleport_spin(alpha: complex, beta: complex, seed: Optional[int] = None,
     mechanical damping ``gamma_prime`` (:func:`_swap_channel`), and the ideal
     motional teleportation between them is the identity channel.  With
     ``gamma_prime > 0`` the reported fidelity degrades accordingly, and no
-    branch is measured, so ``force_branch`` raises ``ValueError``; at
+    branch is measured, so ``force_branch`` raises :class:`ConfigError`; at
     ``gamma_prime = 0`` the legs are exact swaps, and the motional hop is run
     through :func:`teleport_motional` for its measurement record.
     """
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("input amplitudes must be normalized")
+    _require_normalized(alpha, beta)
     if gamma_prime > 0.0 and force_branch is not None:
-        raise ValueError("force_branch needs gamma_prime = 0: a damped run measures no branch")
+        raise ConfigError("teleport-spin with gamma_prime > 0 runs the motional hop as "
+                          "the ideal identity channel, which measures no branch; "
+                          "remove force_branch or set gamma_prime = 0")
     if n_bar_prime < 0:
         raise ValueError(f"n_bar_prime must be nonnegative, got {n_bar_prime}")
     swap = _swap_pieces(lambda_rate, phonon_dim, gamma_prime, n_bar_prime)

@@ -1,6 +1,7 @@
-"""Fock basis states and whole sample matrices for the tests; the package
-itself builds only the vacuum (:func:`cryomech.fockspace.vacuum`) and only
-the final state of an evolution."""
+"""Fock basis states, whole sample matrices and Haar-random qubits for the
+tests; the package itself builds only the vacuum
+(:func:`cryomech.fockspace.vacuum`) and only the final state of an
+evolution."""
 
 import numpy as np
 
@@ -28,3 +29,10 @@ def sample_matrices(result: EvolutionResult) -> np.ndarray:
     v = np.zeros((result.samples.shape[0], n * n), dtype=complex)
     v[:, result.block] = result.samples
     return v.reshape(-1, n, n).transpose(0, 2, 1)
+
+
+def haar_qubit(rng: np.random.Generator) -> tuple[complex, complex]:
+    """Amplitudes (alpha, beta) of a Haar-random qubit state."""
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return complex(v[0]), complex(v[1])

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cryomech
 from cryomech.cli import _SCENARIOS, REQUIRED, SCENARIOS, _jsonable, main, parse_config
 from cryomech.errors import ConfigError
+
+from basis import haar_qubit
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -152,11 +154,13 @@ class TestExitCodes:
         # m_bio / M_mem and the spin-phonon coupling overflow
         b"scenario = params\nomega_m = 1e-10\nM_mem = 1e-300\nT = 1\nm_bio = 1e300\n"
         b"G_m = 1e308\n",
+        # |alpha|^2 overflows, which Python's float power raises on
+        b"scenario = teleport-motional\nalpha = 1e200\nbeta = 0\n",
     ], ids=["not-utf8", "params-undefined-alpha", "params-inconsistent-g0",
             "cool-overflow-kappa-prime", "cool-overflow-g-squared", "superpose-overflow",
             "cool-infinite-kappa-prime", "superpose-infinite-kappa-prime",
             "params-infinite-kappa-prime", "params-underflow-x0", "params-underflow-n-bar",
-            "params-infinite-mass-ratio"])
+            "params-infinite-mass-ratio", "teleport-overflowing-amplitude"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, contents):
         path = tmp_path / "run.cfg"
         path.write_bytes(contents)
@@ -289,6 +293,33 @@ points = 3
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "force_branch" in err
+
+    @pytest.mark.parametrize("text", [
+        "scenario = superpose\ng = 5e-324\nkappa = 0\ngamma_m = 0\nn_bar = 0\n",
+        "scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\nlambda_rate = 5e-324\n",
+    ], ids=["superpose-half-period", "teleport-spin-swap-time"])
+    def test_rate_too_slow_for_a_float_exit_3(self, tmp_path, capsys, text):
+        # pi/g and the swap time are inf, which evolve refused as a bare ValueError
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "too slow" in err and "too large for a float" in err and "Traceback" not in err
+
+    def test_esr_without_mechanical_frequency_exit_3(self, tmp_path, capsys):
+        # the refusal's message divided lam by omega_m = 0
+        path = write_cfg(tmp_path, ESR_SCAN_CFG.replace("omega_m = 1.0", "omega_m = 0")
+                         + "sweep = Delta_e\npoints = 3\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "lam < omega_m/10" in err and "Traceback" not in err
+
+    def test_zero_probability_forced_branch_exit_2(self, tmp_path, capsys):
+        # a fully damped resource leaves branch 10 with probability 0
+        path = write_cfg(tmp_path, "scenario = teleport-motional\nalpha = 0.7071067811865476\n"
+                         "beta = 0.7071067811865476\nresource_damping = 1\nforce_branch = 10\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: branch 10 has probability 0") and "Traceback" not in err
 
     def test_success_exit_0(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TELEPORT_CFG)
@@ -460,19 +491,45 @@ class TestCoolConfigs:
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "stiff run: ||h (L - mu)||_1 = nan" in err and "Traceback" not in err
+        # no duration or elimination helps a rate that overflowed
+        assert "shorten" not in err and "overflowed" in err
 
 
 _SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas.md"
 
 
-def _documented_cool_keys() -> tuple[set, set]:
-    """The top-level keys of a protocol report and the ``details`` keys of
-    ``cool``, as docs/schemas.md lists them."""
-    text = _SCHEMAS.read_text().split("### Protocol scenarios", 1)[1]
-    block = text.split("```jsonc", 1)[1].split("```", 1)[0]
-    details = text.split("- `cool`:", 1)[1].split(".", 1)[0]
-    return (set(re.findall(r'^  "(\w+)":', block, re.MULTILINE)),
-            set(re.findall(r"`(\w+)`", details)))
+def _documented_keys(scenario: str, cfg: dict) -> tuple[set, set]:
+    """The top-level report keys and the ``details`` keys that docs/schemas.md
+    lists for a run of ``scenario`` with the typed config ``cfg``: a details
+    clause "with `key = 0`" or "with `key > 0`" counts where it holds."""
+    section = _SCHEMAS.read_text().split(
+        "### `esr-scan`" if scenario == "esr-scan" else "### Protocol scenarios", 1)[1]
+    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+    top = set(re.findall(r'^  "(\w+)":', block, re.MULTILINE))
+    if scenario == "esr-scan":
+        return top, set()
+    bullet = section.split(f"- `{scenario}`:", 1)[1].split("\n- ", 1)[0].split("\n\n", 1)[0]
+    details = set()
+    for clause in bullet.split(";"):
+        condition = re.search(r"with `(\w+) ([=>]) 0`", clause)
+        if condition is None or (cfg[condition[1]] > 0) == (condition[2] == ">"):
+            details |= set(re.findall(r"`(\w+)`", clause))
+    return top, details - top
+
+
+def _exits_typed(tmp_path_factory, scenario: str, keys: dict) -> None:
+    """Run the config of ``keys``: it must run, or exit with a typed code, and
+    a run must write every documented key."""
+    tmp = tmp_path_factory.mktemp(scenario)
+    # str of a float is its shortest repr, which reads back exactly
+    text = f"scenario = {scenario}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    path = write_cfg(tmp, text)
+    code = main(["--config", str(path), "--out", str(tmp / "out")])
+    assert code in (0, 2, 3, 4), text
+    if code == 0:
+        doc = json.loads((tmp / "out" / f"{scenario}.json").read_text())
+        top, details = _documented_keys(scenario, parse_config(path))
+        assert top <= set(doc) and details <= set(doc.get("details", {})), text
 
 
 #: Edges of a rate's domain: zero, the smallest subnormal, and values near
@@ -499,16 +556,76 @@ class TestCoolProperty:
          "num_samples": st.integers(2, 8), "method": st.sampled_from(["auto", "expm"])},
         optional={"omega_m": _rate(), "duration": _rate(positive=True)}))
     def test_exits_typed(self, tmp_path_factory, keys):
-        tmp = tmp_path_factory.mktemp("cool")
-        # str of a float is its shortest repr, which reads back exactly
-        text = "scenario = cool\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-        path = write_cfg(tmp, text)
-        code = main(["--config", str(path), "--out", str(tmp / "out")])
-        assert code in (0, 2, 3, 4), text
-        if code == 0:
-            doc = json.loads((tmp / "out" / "cool.json").read_text())
-            top, details = _documented_cool_keys()
-            assert top <= set(doc) and details <= set(doc["details"]), text
+        _exits_typed(tmp_path_factory, "cool", keys)
+
+
+def _signed():
+    """A rate of either sign."""
+    return st.tuples(_rate(), st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+_HALF = 1.0 / np.sqrt(2.0)
+
+
+def _qubit():
+    """Input amplitudes (alpha, beta) as complex numbers: a basis state,
+    (1, +-1)/sqrt(2) or a Haar draw."""
+    return st.one_of(
+        st.sampled_from([(1.0, 0.0), (0.0, 1.0), (_HALF, _HALF), (_HALF, -_HALF)]),
+        st.integers(0, 2 ** 32 - 1).map(lambda s: haar_qubit(np.random.default_rng(s)))
+    ).map(lambda q: {"alpha": complex(q[0]), "beta": complex(q[1])})
+
+
+_DIMS = st.integers(2, 5)
+_BRANCHES = st.sampled_from(["00", "01", "10", "11"])
+
+
+class TestScenarioProperty:
+    """As :class:`TestCoolProperty`, for the other protocol scenarios and
+    ``esr-scan``; each ``example`` once ended in a traceback."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"g": _rate(positive=True), "kappa": _rate(), "gamma_m": _rate(), "n_bar": _rate(),
+         "dim_a": _DIMS, "dim_m": _DIMS, "dissipation": st.sampled_from(["true", "false"])}))
+    @example({"g": 5e-324, "kappa": 0.0, "gamma_m": 0.0, "n_bar": 0.0})
+    def test_superpose(self, tmp_path_factory, keys):
+        _exits_typed(tmp_path_factory, "superpose", keys)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_qubit(), st.fixed_dictionaries(
+        {"resource_damping": st.sampled_from([0.0, 1e-12, 0.5, 1.0])},
+        optional={"force_branch": _BRANCHES}))
+    @example({"alpha": complex(_HALF), "beta": complex(_HALF)},
+             {"resource_damping": 1.0, "force_branch": "10"})
+    def test_teleport_motional(self, tmp_path_factory, qubit, keys):
+        _exits_typed(tmp_path_factory, "teleport-motional", {**qubit, **keys})
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_qubit(), st.fixed_dictionaries(
+        {"lambda_rate": _rate(positive=True), "gamma_prime": _rate(),
+         "n_bar_prime": _rate(), "phonon_dim": _DIMS},
+        optional={"force_branch": _BRANCHES, "n_bar_gamma": _rate()}))
+    @example({"alpha": 0.6, "beta": 0.8}, {"lambda_rate": 5e-324})
+    def test_teleport_spin(self, tmp_path_factory, qubit, keys):
+        _exits_typed(tmp_path_factory, "teleport-spin", {**qubit, **keys})
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"omega_m": _rate(), "lam": _rate(), "gamma_m": _rate(positive=True),
+         "sweep": st.sampled_from(["Delta_e", "Omega_d_prime"]), "start": _signed(),
+         "stop": _signed(), "points": st.integers(1, 4), "n_bar": _rate(),
+         "mech_dim": _DIMS},
+        optional={"Delta_e": _signed(), "Omega_d_prime": _signed(),
+                  "spin_decay": _rate(), "spin_dephasing": _rate()}))
+    @example({"omega_m": 0.0, "lam": 0.05, "gamma_m": 0.01, "sweep": "Delta_e",
+              "start": -1.0, "stop": 1.0, "points": 3})
+    # few draws have both lam < omega_m / 10 and a unique steady state, so
+    # one run that succeeds is given
+    @example({"omega_m": 1.0, "lam": 0.05, "gamma_m": 0.01, "sweep": "Delta_e",
+              "start": -1.0, "stop": 1.0, "points": 3, "Omega_d_prime": 0.6})
+    def test_esr_scan(self, tmp_path_factory, keys):
+        _exits_typed(tmp_path_factory, "esr-scan", keys)
 
 
 class TestOutputs:

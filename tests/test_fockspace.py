@@ -117,6 +117,20 @@ class TestEmbed:
         assert np.allclose(ident.matrix, np.eye(4))
 
 
+class TestFockOperator:
+    @pytest.mark.parametrize("entries, hermitian", [
+        ([[0, 1e300], [0, 0]], False),
+        ([[1e300, 1e300j], [-1e300j, 0]], True),
+        # the norms' squares underflow to 0
+        ([[0, 1e-170], [0, 0]], False),
+        ([[1e-170, 1e-170j], [-1e-170j, 0]], True),
+    ], ids=["large-nonhermitian", "large-hermitian", "tiny-nonhermitian", "tiny-hermitian"])
+    def test_is_hermitian_at_the_ends_of_the_float_range(self, entries, hermitian):
+        # the Frobenius norms overflowed to inf, and inf <= tol * inf held
+        op = FockOperator(SpaceLayout.single("m", 2), np.array(entries, dtype=complex))
+        assert op.is_hermitian() == hermitian
+
+
 class TestStates:
     def test_norm_enforced(self):
         lay = SpaceLayout.single("m", 3)

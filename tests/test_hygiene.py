@@ -291,15 +291,30 @@ def test_defaulted_parameters_take_more_than_one_literal():
     assert not fixed, f"defaulted parameters that every call sets to one literal: {fixed}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree: ast.Module, modules: set[str]) -> list[str]:
+    """Private names a module imports from another, or reads as an attribute
+    of a package module it binds (``from . import x`` and then ``x._y``)."""
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    bound = {a.asname or a.name for n in imports if n.module in (None, "cryomech")
+             for a in n.names if a.name in modules}
+    return ([a.name for n in imports for a in n.names if _private(a.name)]
+            + [f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+               and n.value.id in bound and _private(n.attr)])
+
+
 def test_no_private_names_imported_across_modules():
     # a private name is its module's own detail: a module that imports one
-    # from another follows it silently when it changes
+    # from another, or reads one off it, follows it silently when it changes
     trees = _parse(sorted(SRC.glob("*.py")))
+    modules = {p.stem for p in trees}
     private = {str(p.relative_to(ROOT)): names for p, tree in trees.items()
-               if (names := [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                             for a in n.names if a.name.startswith("_")
-                             and not a.name.startswith("__")])}
-    assert not private, f"private names imported from another module: {private}"
+               if (names := _private_reads(tree, modules))}
+    assert not private, f"private names read from another module: {private}"
 
 
 def test_rk45_has_one_caller():

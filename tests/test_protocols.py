@@ -22,15 +22,11 @@ from cryomech.lindblad import Dissipator, LindbladModel, steady_state, thermal_d
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech import protocols as P
 
+from basis import haar_qubit
+
 
 COLD = SystemParams(g=1.0, kappa=0.02, gamma_m=0.0005, n_bar=3.0)
 COOLING = SystemParams(omega_m=50.0, g=1.0, kappa=20.0, gamma_m=0.05, n_bar=3.0)
-
-
-def haar_qubit(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return complex(v[0]), complex(v[1])
 
 
 class TestSidebandCool:
