@@ -216,6 +216,9 @@ def _run_params(cfg, seed, jobs):
         # membrane's zero-point amplitude
         out["x0_prime"] = 2.0 * p.x0
         if cfg["G_m"] is not None:
+            if not p.x0:
+                raise ConfigError("params: derived x0 underflowed to 0, so the "
+                                  "spin-phonon coupling cannot be computed")
             lam = spin_phonon_coupling(cfg["G_m"], out["x0_prime"])
             out["lam_rad_per_s"] = lam
             out["lam_hz_equivalent"] = lam / (2.0 * np.pi)

@@ -699,11 +699,19 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     when the 1-norm condition estimate of the bordered matrix (its exact
     1-norm times Hager's deterministic estimate of the inverse's) exceeds
     ``1 / NULLSPACE_UNIQUE_TOL`` (e.g. a closed system), or when the residual
-    ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).
+    ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).  Raises
+    PreconditionError when that scale is not finite: a rate overflowed, so
+    the generator is not finite, or its column 2-norm overflowed.
     """
     n = model.layout.dim
     L = model.generator
     bordered, scale = _trace_bordered(L, n)
+    if not np.isfinite(scale):
+        raise PreconditionError(
+            "cannot solve for the steady state: " + (
+                "a rate of the model overflowed, so its generator is not finite"
+                if not np.isfinite(L.data).all() else
+                f"the generator's largest column 2-norm overflowed ({scale!r})"))
     if scale == 0.0:
         raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
     try:

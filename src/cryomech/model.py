@@ -59,7 +59,8 @@ class SystemParams:
     Construction walks :data:`_IDENTITIES` in order: a field whose inputs are
     all known is filled when the caller left it unset and checked (to 1e-9
     relative) when the caller set it.  A derived value that is not finite
-    (g^2 / kappa at kappa = 5e-324) raises ``ValueError``.
+    (g^2 / kappa at kappa = 5e-324, or at g = 1e200, where Python's float
+    power overflows) raises ``ValueError`` naming it.
     """
 
     omega_m: Optional[float] = None            # mechanical frequency of the loaded membrane
@@ -89,7 +90,10 @@ class SystemParams:
             raise ValueError("M_mem must be positive")
         for name, inputs, formula in _IDENTITIES:
             args = [getattr(self, n) for n in inputs]
-            value = None if None in args else formula(*args)
+            try:
+                value = None if None in args else formula(*args)
+            except OverflowError:
+                value = math.inf
             if value is None:
                 continue
             if not np.isfinite(value):
@@ -147,14 +151,18 @@ def frequency_shift(Omega_m: float, m_bio: float, M_mem: float) -> float:
 
 
 def thermal_occupation(omega: float, T: float) -> float:
-    """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1); 0 at T = 0."""
+    """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1); 0 at T = 0.
+    Past hbar omega / kB T = 700 it is exp(-hbar omega / kB T) to double
+    precision, which underflows to 0 where exp would overflow."""
     if omega <= 0:
         raise ValueError("omega must be positive")
     if T < 0:
         raise ValueError("temperature must be nonnegative")
-    if T == 0:
+    kT = k_B * T
+    if kT == 0:
         return 0.0
-    return 1.0 / math.expm1(hbar * omega / (k_B * T))
+    x = hbar * omega / kT
+    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
 def spin_phonon_coupling(G_m: float, x0_prime: float) -> float:

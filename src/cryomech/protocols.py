@@ -41,7 +41,6 @@ from .fockspace import (
 from .gates import BELL_CIRCUIT, CORRECTION_GATES, CORRECTION_TABLE, CPHASE, I2, phases_equal
 from .lindblad import (
     Dissipator,
-    EvolutionResult,
     ExpectationSeries,
     LindbladModel,
     adiabatic_eliminate,
@@ -202,19 +201,19 @@ _PEAK_NEWTON = 16
 
 
 def _series_peak(series: ExpectationSeries, alpha: complex, beta: complex,
-                 from_zero: bool) -> float:
+                 first: Optional[float]) -> tuple[float, float]:
     """Offset from the series' sample t_c of the maximum of F = |alpha|^2
-    rho_00 + |beta|^2 rho_11 + 2 |alpha beta* rho_01| over its window, the
-    three mechanical entries being the series' expectations in that order.
-    ``from_zero`` says the window starts at t = 0; a maximum there gives
-    0, the sample itself (see :func:`transfer_state`)."""
+    rho_00 + |beta|^2 rho_11 + 2 |alpha beta* rho_01| over its window, and F
+    there, the mechanical entries being the series' expectations in order.
+    ``first`` is F at t_c if the window starts at t = 0; a maximum at t = 0
+    then gives (0, first), the sample itself (see :func:`transfer_state`)."""
     a2, b2, w = abs(alpha) ** 2, abs(beta) ** 2, 2.0 * abs(alpha * np.conj(beta))
     grid = np.linspace(-1.0, 1.0, _PEAK_GRID + 1)
     v = series.evaluate(grid)[0]
     f = _qubit_fidelity_up_to_phase(v[:, 0], v[:, 1], v[:, 2], alpha, beta).ravel()
     best = int(np.argmax(f))
-    if best == 0 and from_zero:
-        return 0.0
+    if best == 0 and first is not None:
+        return 0.0, first
     piece, j = divmod(best, _PEAK_GRID + 1)
     x = float(grid[j])
     # Newton stays between the best grid point's neighbours, inside the window
@@ -226,6 +225,8 @@ def _series_peak(series: ExpectationSeries, alpha: complex, beta: complex,
         f2 = a2 * d2[0].real + b2 * d2[1].real
         if w:
             z, z1, z2 = v[2], d1[2], d2[2]
+            if z == 0:  # |rho_01| has no derivative at 0: stop here
+                break
             g1 = (np.conj(z) * z1).real / abs(z)
             f1 += w * g1
             f2 += w * (abs(z1) ** 2 + (np.conj(z) * z2).real - g1 ** 2) / abs(z)
@@ -237,7 +238,9 @@ def _series_peak(series: ExpectationSeries, alpha: complex, beta: complex,
         x -= step
         if abs(step) <= 1e-14:
             break
-    return float(series.offsets[piece] + x * series.radius)
+    v = series.evaluate(x)[0][piece]
+    return (float(series.offsets[piece] + x * series.radius),
+            float(_qubit_fidelity_up_to_phase(*v, alpha, beta)))
 
 
 def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = None,
@@ -265,9 +268,10 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     on F' from the best grid point.  With alpha beta* = 0, F and its
     derivatives have no |rho_01| term.  t = 0 is no transfer: where F is
     largest there (as for alpha = 1, where F = rho_00 starts at its
-    maximum), t_c itself is reported, so the time is always positive.  One
-    validated evolution to that time gives the reported fidelity.  A rate
-    so slow that pi/g is not a float raises :class:`PreconditionError`.
+    maximum), t_c itself is reported, so the time is always positive.  The
+    reported fidelity is F there, read from the series or t_c's sample, so
+    the validated sweep is the transfer's one evolution.  A rate so slow
+    that pi/g is not a float raises :class:`PreconditionError`.
     """
     if g <= 0:
         raise ValueError("transfer needs g > 0")
@@ -292,19 +296,14 @@ def transfer_state(state_on_a: StateVector, g: float, mech_dim: Optional[int] = 
     ops = [embed(FockOperator(SpaceLayout.single("a_m", nm), np.outer(unit[l], unit[k])),
                  layout, "a_m") for k, l in ((0, 0), (1, 1), (0, 1))]
 
-    def run(t: float, num_samples: int) -> tuple[EvolutionResult, np.ndarray]:
-        # the evolution and F at each of its samples
-        result = evolve(model, rho0, t, num_samples=num_samples, truncation_threshold=1.0)
-        v = expectations(result, ops)
-        return result, _qubit_fidelity_up_to_phase(*v.T, alpha, beta)
-
     # 33 samples over [0, pi/g]: samples 16 and 32 are the candidate times
-    sweep, f = run(np.pi / g, 33)
+    sweep = evolve(model, rho0, np.pi / g, num_samples=33, truncation_threshold=1.0)
+    f = _qubit_fidelity_up_to_phase(*expectations(sweep, ops).T, alpha, beta)
     candidates = {"pi/(2g)": float(f[16]), "pi/g": float(f[32])}
     c = 1 + int(np.argmax(f[1:]))
-    t_opt = float(sweep.times[c]) + _series_peak(
-        expectation_series(model, sweep, c, ops), alpha, beta, from_zero=c == 1)
-    return TransferResult(fidelity=float(run(t_opt, 2)[1][-1]), time=t_opt,
+    offset, fidelity = _series_peak(expectation_series(model, sweep, c, ops), alpha, beta,
+                                    first=float(f[c]) if c == 1 else None)
+    return TransferResult(fidelity=fidelity, time=float(sweep.times[c]) + offset,
                           candidates=candidates)
 
 

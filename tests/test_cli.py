@@ -154,13 +154,16 @@ class TestExitCodes:
         # m_bio / M_mem and the spin-phonon coupling overflow
         b"scenario = params\nomega_m = 1e-10\nM_mem = 1e-300\nT = 1\nm_bio = 1e300\n"
         b"G_m = 1e308\n",
+        # x0 underflows to 0, so the spin-phonon coupling has no value
+        b"scenario = params\nomega_m = 1\nM_mem = 1e300\nT = 1\nm_bio = 1\nG_m = 1\n",
         # |alpha|^2 overflows, which Python's float power raises on
         b"scenario = teleport-motional\nalpha = 1e200\nbeta = 0\n",
     ], ids=["not-utf8", "params-undefined-alpha", "params-inconsistent-g0",
             "cool-overflow-kappa-prime", "cool-overflow-g-squared", "superpose-overflow",
             "cool-infinite-kappa-prime", "superpose-infinite-kappa-prime",
             "params-infinite-kappa-prime", "params-underflow-x0", "params-underflow-n-bar",
-            "params-infinite-mass-ratio", "teleport-overflowing-amplitude"])
+            "params-infinite-mass-ratio", "params-underflow-x0-coupling",
+            "teleport-overflowing-amplitude"])
     def test_unusable_config_exit_2(self, tmp_path, capsys, contents):
         path = tmp_path / "run.cfg"
         path.write_bytes(contents)
@@ -304,6 +307,40 @@ points = 3
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "too slow" in err and "too large for a float" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "scenario = superpose\ng = 1e200\nkappa = 1\ngamma_m = 0\nn_bar = 0\n",
+        "scenario = cool\ng = 1e200\nkappa = 1e199\ngamma_m = 0.05\nn_bar = 1\nn_init = 1\n",
+    ], ids=["superpose", "cool"])
+    def test_overflowing_derived_value_named_exit_2(self, tmp_path, capsys, text):
+        # Python's float power raised on g^2, and the message was only its errno
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "derived kappa_prime = inf is not a finite number" in err
+
+    @pytest.mark.parametrize("rates", ["gamma_m = 1e300\nn_bar = 1e300\n", "gamma_m = 1e160\n"],
+                             ids=["generator-not-finite", "column-norm-overflows"])
+    def test_overflowing_steady_state_rate_exit_3(self, tmp_path, capsys, rates):
+        # the bordered generator's scale is not finite; SuperLU then called
+        # the factor exactly singular, which read as a steady state that is
+        # not unique
+        path = write_cfg(tmp_path, ESR_SCAN_CFG.replace("gamma_m = 0.01\n", rates)
+                         + "sweep = Delta_e\npoints = 3\nOmega_d_prime = 0.6\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "overflowed" in err and "not unique" not in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_superpose_evolves_only_its_sweep(self, tmp_path, capsys):
+        # the sweep passes the stiffness budget at h = pi/(32 g); a second
+        # evolution to the refined time, one step of h = 42.7, was refused
+        # (exit 3), and the refinement divided by |rho_01| = 0
+        path = write_cfg(tmp_path, "scenario = superpose\ng = 0.0715\nkappa = 2041.7\n"
+                         "gamma_m = 2041.7\nn_bar = 0\ndim_a = 2\ndim_m = 2\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "superpose.json").read_text())
+        assert doc["final_fidelity"] == pytest.approx(0.5, abs=1e-6)
 
     def test_esr_without_mechanical_frequency_exit_3(self, tmp_path, capsys):
         # the refusal's message divided lam by omega_m = 0
@@ -501,7 +538,12 @@ _SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas.md"
 def _documented_keys(scenario: str, cfg: dict) -> tuple[set, set]:
     """The top-level report keys and the ``details`` keys that docs/schemas.md
     lists for a run of ``scenario`` with the typed config ``cfg``: a details
-    clause "with `key = 0`" or "with `key > 0`" counts where it holds."""
+    clause "with `key = 0`" or "with `key > 0`" counts where it holds.  The
+    flat ``params`` mapping has no details, and its top-level keys are those
+    it always writes."""
+    if scenario == "params":
+        always = _SCHEMAS.read_text().split("### `params`", 1)[1].split("— when", 1)[0]
+        return set(re.findall(r"`(\w+)`", always)), set()
     section = _SCHEMAS.read_text().split(
         "### `esr-scan`" if scenario == "esr-scan" else "### Protocol scenarios", 1)[1]
     block = section.split("```jsonc", 1)[1].split("```", 1)[0]
@@ -626,6 +668,17 @@ class TestScenarioProperty:
               "start": -1.0, "stop": 1.0, "points": 3, "Omega_d_prime": 0.6})
     def test_esr_scan(self, tmp_path_factory, keys):
         _exits_typed(tmp_path_factory, "esr-scan", keys)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"omega_m": _rate(positive=True), "M_mem": _rate(positive=True), "T": _rate()},
+        optional={"gamma_m": _rate(), "kappa": _rate(), "Omega_d": _rate(),
+                  "Delta": _signed(), "G_pull": _rate(), "g0": _rate(), "m_bio": _rate(),
+                  "G_m": _rate(), "Delta_e": _signed(), "Omega_d_prime": _signed()}))
+    # hbar omega_m / k_B T = 960, past where exp overflows
+    @example({"omega_m": 2e7 * np.pi, "M_mem": 4.8e-14, "T": 5e-7})
+    def test_params(self, tmp_path_factory, keys):
+        _exits_typed(tmp_path_factory, "params", keys)
 
 
 class TestOutputs:
@@ -790,6 +843,15 @@ G_m = 1.0e7
         assert doc["x0_prime"] == pytest.approx(2 * doc["x0"], rel=1e-12)
         assert doc["lam_rad_per_s"] == pytest.approx(1.48e4, rel=0.01)
         assert doc["mass_ratio"] == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("T", ["5e-7", "1e-300", "5e-324"])
+    def test_cold_bath_occupation_underflows(self, tmp_path, T):
+        # hbar omega_m / k_B T is past 709.8, where exp overflowed (exit 2),
+        # or k_B T underflows to 0
+        path = write_cfg(tmp_path, f"scenario = params\nomega_m = 6.2831853e7\n"
+                         f"M_mem = 4.8e-14\nT = {T}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "params.json").read_text())["n_bar"] == 0.0
 
 
 class TestEsrScenario:

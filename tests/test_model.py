@@ -1,8 +1,12 @@
 """Tests for parameter calculators, dataclass consistency checks, and
 Hamiltonian builders."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.constants import hbar, k as k_B
 
 from cryomech.fockspace import SpaceLayout
 from cryomech.model import (
@@ -44,6 +48,23 @@ class TestScalars:
 
     def test_thermal_occupation_zero_temperature(self):
         assert thermal_occupation(1e6, 0.0) == 0.0
+        # k_B T underflows to 0
+        assert thermal_occupation(1e6, 5e-324) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 650.0, 700.0, 700.5, 709.7, 709.8, 710.0,
+                                   745.0, 760.0, 1e5])
+    def test_thermal_occupation_past_exp_overflow(self, x):
+        # exp(x) overflows past x = 709.78; up to x = 700 the value is
+        # 1 / expm1(x) to the bit, beyond it within 1e-15 of the exact one
+        omega = TWO_PI * 10e6
+        T = hbar * omega / (k_B * x)
+        x = hbar * omega / (k_B * T)
+        n = thermal_occupation(omega, T)
+        if x <= 700.0:
+            assert n == 1.0 / math.expm1(x)
+        with mpmath.workdps(40):
+            exact = float(1 / mpmath.expm1(mpmath.mpf(x)))
+        assert abs(n - exact) <= max(1e-15 * exact, 5e-324)
 
     def test_spin_phonon_coupling_value(self):
         # |G_m| = 1e7 T/m at twice the membrane zero-point amplitude
@@ -105,6 +126,9 @@ class TestSystemParams:
         # gamma' = gamma_m + kappa' would follow it to inf
         with pytest.raises(ValueError, match="kappa_prime = inf is not a finite number"):
             SystemParams(g=1.0, kappa=5e-324, gamma_m=0.05, n_bar=3.0)
+        # Python's float power raises on g^2 instead of giving inf
+        with pytest.raises(ValueError, match="kappa_prime = inf is not a finite number"):
+            SystemParams(g=1e200, kappa=1.0)
 
     def test_signed_detuning_allowed(self):
         p = SystemParams(Delta=-5.0)

@@ -292,25 +292,6 @@ class TestReachableBlock:
         coo = L.tocoo()
         assert not (inside[coo.col] & ~inside[coo.row]).any()
 
-    def test_transfer_refinement_takes_stepper(self, monkeypatch):
-        """``transfer_state``'s 33-sample sweep may build the propagator, but
-        its refined time is read from a series, and the one validating
-        2-sample evolve to that time is one step: the stepper."""
-        results = []
-
-        def spy(*args, **kwargs):
-            results.append(evolve(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(protocols, "evolve", spy)
-        amps = np.zeros(4, dtype=complex)
-        amps[:2] = 1.0 / np.sqrt(2)
-        protocols.transfer_state(StateVector(SpaceLayout.single("a", 4), amps), 1.0,
-                                 kappa=0.01, gamma_m=0.001, n_bar=0.01)
-        sweep, final = results
-        assert sweep.times.size == 33 and final.times.size == 2
-        assert final.path == "stepper"
-
 
 class TestTransferRefinement:
     """The series refinement of ``transfer_state`` against the dense oracle."""
@@ -321,6 +302,12 @@ class TestTransferRefinement:
         model = cooling_model(g, kappa, 0.001 * g, 0.01, layout)
         psi0 = np.kron(np.array([*amps, 0, 0], dtype=complex), np.eye(4)[0])
         return model, DensityMatrix(layout, np.outer(psi0, psi0.conj()))
+
+    @staticmethod
+    def _fidelity_at(model, rho0, amps, t):
+        """The oracle's transfer fidelity at time t."""
+        rho = partial_trace(exact_liouville_evolve(model, rho0, t), {"a_m"}).matrix
+        return protocols._qubit_fidelity_up_to_phase(rho[0, 0], rho[1, 1], rho[0, 1], *amps)
 
     @pytest.mark.parametrize("kappa", [0.01, 3.0, 100.0])
     def test_series_matches_oracle(self, kappa):
@@ -348,21 +335,32 @@ class TestTransferRefinement:
         (0.01, (0, 1)), (3.0, (0, 1))])
     def test_transfer_time_is_local_maximum(self, kappa, amps):
         """The reported time maximizes the oracle's transfer fidelity on its
-        neighbourhood: F(t) >= F(t +- 1e-4 h) - 1e-13, h = pi/(32 g)."""
+        neighbourhood: F(t) >= F(t +- 1e-4 h) - 1e-13, h = pi/(32 g).  The
+        reported fidelity, read from the sweep's series, is the oracle's F
+        at that time within 1e-12."""
         g = 1.0
         model, rho0 = self._setup(g, kappa * g, amps)
         res = protocols.transfer_state(
             StateVector(SpaceLayout.single("a", 4), np.array([*amps, 0, 0], dtype=complex)),
             g, kappa=kappa * g, gamma_m=0.001 * g, n_bar=0.01)
-
-        def fidelity_at(t):
-            rho = partial_trace(exact_liouville_evolve(model, rho0, t), {"a_m"}).matrix
-            return protocols._qubit_fidelity_up_to_phase(rho[0, 0], rho[1, 1], rho[0, 1], *amps)
-
-        peak = fidelity_at(res.time)
+        peak = self._fidelity_at(model, rho0, amps, res.time)
         assert peak == pytest.approx(res.fidelity, abs=1e-12)
         for dt in (-1e-4, 1e-4):
-            assert peak >= fidelity_at(res.time + dt * np.pi / (32.0 * g)) - 1e-13
+            t = res.time + dt * np.pi / (32.0 * g)
+            assert peak >= self._fidelity_at(model, rho0, amps, t) - 1e-13
+
+    @pytest.mark.parametrize("kappa", [0.01, 100.0])
+    def test_peak_at_zero_reports_first_sample(self, kappa):
+        """|0> on the cavity: F = rho_00 is largest at t = 0, which is no
+        transfer time, so the first sample is reported, with its own F, the
+        oracle's there within 1e-12."""
+        model, rho0 = self._setup(1.0, kappa, (1, 0))
+        res = protocols.transfer_state(
+            StateVector(SpaceLayout.single("a", 4), np.array([1, 0, 0, 0], dtype=complex)),
+            1.0, kappa=kappa, gamma_m=0.001, n_bar=0.01)
+        assert res.time == np.linspace(0.0, np.pi, 33)[1]
+        assert self._fidelity_at(model, rho0, (1, 0), res.time) == pytest.approx(
+            res.fidelity, abs=1e-12)
 
 
 def _swap_reference(d, lam):
