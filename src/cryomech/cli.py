@@ -373,8 +373,9 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.truncation)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        for flag, value, least in (("--jobs", args.jobs, 1), ("--seed", args.seed, 0)):
+            if value is not None and value < least:
+                raise ConfigError(f"{flag} must be >= {least}, got {value}")
         if args.out.exists() and not args.out.is_dir():
             raise ConfigError(f"--out {args.out} exists and is not a directory")
         scenario = cfg["scenario"]

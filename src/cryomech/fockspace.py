@@ -112,7 +112,8 @@ def _require_same_layout(a, b):
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Complex square matrix acting on the Hilbert space of a layout."""
+    """Complex square matrix acting on the Hilbert space of a layout.  A sum
+    or multiple that overflows holds inf or nan, without a warning."""
 
     layout: SpaceLayout
     matrix: np.ndarray
@@ -150,10 +151,12 @@ class FockOperator:
 
     # -- arithmetic -------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __add__(self, other: "FockOperator") -> "FockOperator":
         _require_same_layout(self, other)
         return FockOperator(self.layout, self.matrix + other.matrix)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __mul__(self, scalar) -> "FockOperator":
         return FockOperator(self.layout, self.matrix * scalar)
 
@@ -416,12 +419,9 @@ def thermal_state(dim: int, n_bar: float) -> DensityMatrix:
     a mode labelled ``"mode"``."""
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
-    if n_bar == 0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-    else:
-        p = (n_bar / (1.0 + n_bar)) ** np.arange(dim)
-        p /= p.sum()
+    # at n_bar = 0 the powers are 1, 0, 0, ...: the vacuum
+    p = (n_bar / (1.0 + n_bar)) ** np.arange(dim)
+    p /= p.sum()
     return DensityMatrix(SpaceLayout.single("mode", dim), np.diag(p.astype(complex)))
 
 

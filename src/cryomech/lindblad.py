@@ -21,11 +21,12 @@ result k times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) and
 multiplies each sample by that P = exp(h L_R).  A count of stored-entry
 products and calls on (block size, nnz, steps, m s) picks the path and k:
 long runs of small blocks take the propagator, single steps of large
-blocks the stepper.  Every product with a vector or a block of columns is
-a scipy sparse kernel.  The one dense BLAS product is the squaring, cut
-into tiles of at most 64 (:func:`_tiled_square`) so that OpenBLAS runs
-each tile product on one thread; the bits then do not depend on its
-thread count.  (m, s) minimise m s under a bound on the step's exact
+blocks the stepper.  Every series product is a scipy sparse kernel.  The
+dense BLAS products are the squaring, cut into tiles of at most 64
+(:func:`_tiled_square`) that OpenBLAS runs on one thread, and each
+sample's matvec P f, whose bits OpenBLAS keeps at any thread count (a
+GEMM of P with several samples would not); ``tests/test_lindblad.py``
+holds both.  (m, s) minimise m s under a bound on the step's exact
 1-norm.  Around one sample of an evolution, :func:`expectation_series`
 gives expectations as the same series in time, so a maximum between
 samples needs no further evolution.  RK45 on the full generator
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -150,6 +151,9 @@ class LindbladModel:
 
     def __post_init__(self):
         object.__setattr__(self, "dissipators", tuple(self.dissipators))
+        if not np.isfinite(self.hamiltonian.matrix).all():
+            raise PreconditionError("model Hamiltonian has entries that are not finite: "
+                                    "a parameter of the model overflowed")
         if not self.hamiltonian.is_hermitian():
             raise ValueError("model Hamiltonian is not hermitian")
         for d in self.dissipators:
@@ -229,21 +233,28 @@ def liouvillian_matrix(model: LindbladModel) -> sp.csr_array:
     With vec(A rho B) = kron(B^T, A) vec(rho) and S = sum_k rate_k x_k^dag x_k,
     L = kron(1, -iH - S) + kron((iH - S)^T, 1) + sum_k 2 rate_k kron(conj(x_k), x_k).
     The nonzeros of every term are collected first and summed in one conversion.
+    A rate or an energy so large that an entry of L is not finite raises
+    :class:`PreconditionError`.
     """
     n = model.layout.dim
     eye = np.eye(n)
     h = model.hamiltonian.matrix
-    s = np.zeros((n, n), dtype=complex)
-    for d in model.dissipators:
-        x = d.operator.matrix
-        s += d.rate * (x.conj().T @ x)
-    terms = [_kron_nonzeros(eye, -1j * h - s), _kron_nonzeros((1j * h - s).T, eye)]
-    for d in model.dissipators:
-        if d.rate > 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        s = np.zeros((n, n), dtype=complex)
+        for d in model.dissipators:
             x = d.operator.matrix
-            terms.append(_kron_nonzeros(2.0 * d.rate * x.conj(), x))
+            s += d.rate * (x.conj().T @ x)
+        terms = [_kron_nonzeros(eye, -1j * h - s), _kron_nonzeros((1j * h - s).T, eye)]
+        for d in model.dissipators:
+            if d.rate > 0:
+                x = d.operator.matrix
+                terms.append(_kron_nonzeros(2.0 * d.rate * x.conj(), x))
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    return sp.csr_array((vals, (rows, cols)), shape=(n * n, n * n), dtype=complex)
+    L = sp.csr_array((vals, (rows, cols)), shape=(n * n, n * n), dtype=complex)
+    if not np.isfinite(L.data).all():
+        raise PreconditionError("a rate or an energy of the model overflowed, so its "
+                                "generator is not finite")
+    return L
 
 
 def _union_aligned(A: sp.csr_array, B: sp.csr_array) -> tuple[np.ndarray, ...]:
@@ -383,16 +394,16 @@ def _taylor_path(block: _TaylorBlock, h: float, steps: int) -> tuple[str, tuple[
 
     The ``"stepper"`` runs :func:`_taylor_series` on the sample vector at h,
     every step.  The ``"propagator"`` runs it once on the identity columns at
-    h / 2^k, squares the result k times and applies it to each sample.  Both
-    are priced from (dim, nnz, steps, m s) in stored-entry products plus
-    ``_CALL_COST`` per call, a CSR conversion counting as three calls.  A
-    series term costs one call, nnz per column and four passes over the
-    columns; a squaring (:func:`_tiled_square`) four calls and
-    ``_SQUARE_RATIO`` dim^3, a ratio measured once and never at run time;
-    the propagator's final conversion three calls; a sample product one
-    call and dim^2.  A squaring's own fixed cost is nearer one call, but
-    each squaring also doubles the rounding error P carries, and four calls
-    keep k low on small blocks: at one call the 12-index eliminated ``cool``
+    h / 2^k, squares the result k times and applies it to each sample as one
+    matvec, whose bits do not depend on the BLAS thread count (a test holds
+    them).  Both are priced from (dim, nnz, steps, m s) in stored-entry
+    products plus ``_CALL_COST`` per call.  A series term costs one call,
+    nnz per column and four passes over the columns; a squaring
+    (:func:`_tiled_square`) four calls and ``_SQUARE_RATIO`` dim^3, a ratio
+    measured once and never at run time; a sample product one call and
+    dim^2.  A squaring's own fixed cost is nearer one call, but each
+    squaring also doubles the rounding error P carries, and four calls keep
+    k low on small blocks: at one call the 12-index eliminated ``cool``
     block would take (7, 1, 9) for (16, 1, 4), and its P would be off by
     1.3e-13 against 4.6e-15.  Every k is priced until its squarings and
     sample products alone cost more than the best price so far; the
@@ -404,22 +415,13 @@ def _taylor_path(block: _TaylorBlock, h: float, steps: int) -> tuple[str, tuple[
     best = (steps * m * s * (_CALL_COST + nnz + 4 * dim), "stepper", (m, s, 0))
     k = 0
     while (fixed := k * (4 * _CALL_COST + _SQUARE_RATIO * dim ** 3)
-           + (steps + 3) * _CALL_COST + steps * dim ** 2) < best[0]:
+           + steps * (_CALL_COST + dim ** 2)) < best[0]:
         m, s = block.schedule(h / 2 ** k)
         price = fixed + m * s * (_CALL_COST + dim * (nnz + 4 * dim))
         if price < best[0]:
             best = (price, "propagator", (m, s, k))
         k += 1
     return best[1:]
-
-
-def _dense_csr(P: np.ndarray) -> sp.csr_array:
-    """A square dense array as a CSR array that stores every entry, built from
-    its index arrays (``sp.csr_array(P)`` scans P for zeros first), so that
-    the propagator's sample products P f are scipy's sparse kernel."""
-    n = P.shape[0]
-    return sp.csr_array((P.reshape(-1), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
-                        shape=P.shape)
 
 
 def _tiled_square(P: np.ndarray) -> np.ndarray:
@@ -456,21 +458,17 @@ def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
 
     The propagator is P = exp(h A) from the series at h / 2^k and k squarings
     P <- P P by :func:`_tiled_square` (Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005)), then held as CSR for the sample products.  Its bits, like
-    the stepper's, do not depend on the BLAS thread count.
+    1179 (2005)), and each sample is one matvec P f from the last, whose bits,
+    like the stepper's, do not depend on the BLAS thread count (a test holds them).
     """
     path, (m, s, k) = _taylor_path(block, h, steps)
     if path == "stepper":
-        def advance(f):
-            return _taylor_series(block, h, m, s, f)
+        advance = partial(_taylor_series, block, h, m, s)
     else:
         P = _taylor_series(block, h / 2 ** k, m, s, np.eye(block.dim, dtype=complex))
         for _ in range(k):
             P = _tiled_square(P)
-        P = _dense_csr(P)
-
-        def advance(f):
-            return P @ f
+        advance = partial(np.matmul, P)
     out = np.empty((steps + 1, block.dim), dtype=complex)
     out[0] = f = v0
     for j in range(1, steps + 1):
@@ -490,20 +488,16 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     ``"expm"`` restricts the generator to the indices reachable from the
     support of vec(rho0) along its sparsity graph, an invariant block
     (:meth:`LindbladModel.reachable_block`); every other entry stays
-    exactly 0.  It propagates the block from one sample to the next with a
-    fixed-schedule truncated Taylor series, on one of two paths that
-    :func:`_taylor_path` picks by counting products on (block size, nnz,
-    sample steps, m s): the stepper runs the series on the sample vector at
-    every step; the propagator builds P = exp(h L_R) once, from the series
-    on the identity columns at h / 2^k and k squarings, and multiplies each
-    sample by it.  The result records the path and its (m, s, k).
+    exactly 0.  It propagates the block from one sample to the next on the
+    stepper or the propagator of :func:`_taylor_samples`, and the result
+    records the path and its (m, s, k).
     ``"adaptive"`` is RK45 on the full vectorized state with right-hand
     side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.
 
     Before any series runs, ``"expm"`` raises :class:`PreconditionError`
     when the rounding error ||h (L_R - mu I)||_1 2^-53 of the sample step h
-    exceeds ``ROUNDOFF_BUDGET``, or is not a number: such a stiff run would
-    lose the trace, or worse, keep it and lose the slow dynamics.
+    exceeds ``ROUNDOFF_BUDGET``: such a stiff run would lose the trace, or
+    worse, keep it and lose the slow dynamics.
 
     Every sample is validated once, unrepaired, in one pass over the
     entries of all samples on the block (all n^2 for ``"adaptive"``) by
@@ -540,7 +534,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     else:
         block, taylor, checks = model.reachable_block(np.flatnonzero(v0))
         h = duration / (num_samples - 1)
-        # a generator whose rates overflow has no finite norm: refused too
         if not h * taylor.norm1 * 2.0 ** -53 <= ROUNDOFF_BUDGET:
             raise PreconditionError(
                 f"stiff run: ||h (L - mu)||_1 = {h * taylor.norm1:.3g} on the sample step "
@@ -637,9 +630,11 @@ def expectation_series(model: LindbladModel, result: EvolutionResult, c: int,
 def _trace_bordered(L: sp.csr_array, n: int) -> tuple[sp.csr_array, float]:
     """The generator of an ``n``-level model with its first row replaced by
     the trace functional, scaled by the largest column 2-norm of L (a lower
-    bound on ||L||_2), and that scale."""
-    scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
-                                      minlength=n * n).max()))
+    bound on ||L||_2), and that scale: inf, without a warning, where a square
+    overflows."""
+    with np.errstate(over="ignore"):
+        scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
+                                          minlength=n * n).max()))
     # CSR arrays of the trace row (entries at the vec positions of rho_ii)
     # followed by rows 1.. of L
     rest = L.indptr[1]
@@ -656,32 +651,40 @@ def _inverse_norm1(lu, dim: int) -> float:
 
     Each candidate is ||B^-1 x||_1 / ||x||_1 for an explicit x, so the
     estimate never exceeds the true norm; it uses solves with B and B^H only
-    and draws no random numbers.
+    and draws no random numbers.  A solve past the float range gives inf.
     """
     tiny = np.finfo(float).tiny
+
+    def solve(x, trans="N"):
+        if not np.isfinite(y := lu.solve(x, trans=trans)).all():
+            raise FloatingPointError
+        return y
 
     def sign(y):
         a = np.abs(y)
         return np.where(a > tiny, y / np.maximum(a, tiny), 1.0)
 
-    y = lu.solve(np.full(dim, 1.0 / dim, dtype=complex))
-    if dim == 1:
-        return float(abs(y[0]))
-    est = np.abs(y).sum()
-    j = int(np.argmax(np.abs(lu.solve(sign(y), trans="H"))))
-    for iteration in range(2, 6):
-        unit = np.zeros(dim, dtype=complex)
-        unit[j] = 1.0
-        y = lu.solve(unit)
-        est_old, est = est, np.abs(y).sum()
-        if est <= est_old:
-            break
-        z = np.abs(lu.solve(sign(y), trans="H"))
-        j_last, j = j, int(np.argmax(z))
-        if z[j_last] == z[j] or iteration == 5:
-            break
-    alternating = (1.0 + np.arange(dim) / (dim - 1)) * (-1.0) ** np.arange(dim)
-    probe = 2.0 * np.abs(lu.solve(alternating.astype(complex))).sum() / (3 * dim)
+    try:
+        y = solve(np.full(dim, 1.0 / dim, dtype=complex))
+        if dim == 1:
+            return float(abs(y[0]))
+        est = np.abs(y).sum()
+        j = int(np.argmax(np.abs(solve(sign(y), trans="H"))))
+        for iteration in range(2, 6):
+            unit = np.zeros(dim, dtype=complex)
+            unit[j] = 1.0
+            y = solve(unit)
+            est_old, est = est, np.abs(y).sum()
+            if est <= est_old:
+                break
+            z = np.abs(solve(sign(y), trans="H"))
+            j_last, j = j, int(np.argmax(z))
+            if z[j_last] == z[j] or iteration == 5:
+                break
+        alternating = (1.0 + np.arange(dim) / (dim - 1)) * (-1.0) ** np.arange(dim)
+        probe = 2.0 * np.abs(solve(alternating.astype(complex))).sum() / (3 * dim)
+    except FloatingPointError:
+        return np.inf
     return float(max(est, probe))
 
 
@@ -700,18 +703,15 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     1-norm times Hager's deterministic estimate of the inverse's) exceeds
     ``1 / NULLSPACE_UNIQUE_TOL`` (e.g. a closed system), or when the residual
     ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).  Raises
-    PreconditionError when that scale is not finite: a rate overflowed, so
-    the generator is not finite, or its column 2-norm overflowed.
+    PreconditionError when that scale is not finite: an entry of the
+    generator, or its column 2-norm, overflowed.
     """
     n = model.layout.dim
     L = model.generator
     bordered, scale = _trace_bordered(L, n)
     if not np.isfinite(scale):
-        raise PreconditionError(
-            "cannot solve for the steady state: " + (
-                "a rate of the model overflowed, so its generator is not finite"
-                if not np.isfinite(L.data).all() else
-                f"the generator's largest column 2-norm overflowed ({scale!r})"))
+        raise PreconditionError(f"cannot solve for the steady state: the generator's "
+                                f"largest column 2-norm overflowed ({scale!r})")
     if scale == 0.0:
         raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
     try:

@@ -248,12 +248,12 @@ def _random_model(rng: np.random.Generator, layout: SpaceLayout,
     return LindbladModel(h, tuple(diss))
 
 
-def _random_density(rng: np.random.Generator, layout: SpaceLayout) -> DensityMatrix:
-    n = layout.dim
+def _random_density(rng: np.random.Generator, n: int) -> np.ndarray:
+    """m m^dag / tr(m m^dag) for a complex Gaussian m: valid by construction."""
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    return DensityMatrix(layout, rho)
+    return rho
 
 
 def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
@@ -270,7 +270,7 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
     for k in range(instances):
         layout = SpaceLayout.single("m", int(rng.integers(2, 5)))
         model = _random_model(rng, layout)
-        rho0 = _random_density(rng, layout)
+        rho0 = DensityMatrix(layout, _random_density(rng, layout.dim))
         t = float(rng.uniform(0.2, 2.0))
         method = "adaptive" if k % 2 else "expm"
         final = evolve(model, rho0, t, num_samples=5, method=method,
@@ -291,7 +291,8 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
         h = FockOperator(a.layout, np.diag(rng.uniform(0, 1, 4)).astype(complex))
         model = LindbladModel(h, thermal_dissipators(a, gamma, nbar))
         ss = steady_state(model)
-        ref = exact_liouville_evolve(model, _random_density(rng, layout), 60.0 / gamma)
+        ref = exact_liouville_evolve(model, DensityMatrix(layout, _random_density(rng, 4)),
+                                     60.0 / gamma)
         reports.append(OracleReport(
             quantity=f"steady state vs long-time limit #{k}",
             engine_value=None, oracle_value=None,
@@ -303,7 +304,7 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
         layout = SpaceLayout.single("m", 3)
         model = _random_model(rng, layout, n_diss=0)
         # unused draw: keeps the seeded stream that the verify-all reference pins
-        _random_density(rng, layout)
+        _random_density(rng, 3)
         # use a pure state for the unitary reference
         vec = rng.normal(size=3) + 1j * rng.normal(size=3)
         psi0 = StateVector(layout, vec / np.linalg.norm(vec))
@@ -319,9 +320,8 @@ def verify_all(seed: int = 0, instances: int = 20) -> list[OracleReport]:
 
     # Fuchs-van de Graaff inequalities on random pairs
     worst = 0.0
-    layout = SpaceLayout.single("m", 4)
     for _ in range(100):
-        r, s = _random_density(rng, layout), _random_density(rng, layout)
+        r, s = _random_density(rng, 4), _random_density(rng, 4)
         d = trace_distance(r, s)
         f = state_fidelity(r, s)
         lo, hi = 1.0 - np.sqrt(f), np.sqrt(1.0 - f)

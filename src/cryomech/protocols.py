@@ -104,9 +104,8 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     :meth:`SystemParams.mechanical_bath`, so the model must be damped
     enough for that time to be a float.  A stiff run's
     :class:`PreconditionError` names its remedies: a shorter ``duration``,
-    or ``eliminated`` for a full run.  Where a rate overflowed, so that the
-    generator has entries that are not finite, no remedy helps, and the
-    refusal says so instead.
+    or ``eliminated`` for a full run.  A rate that overflowed is refused as
+    the generator is built, before that test, and no remedy is named.
     """
     for name in ("g", "kappa", "gamma_m", "n_bar"):
         if getattr(params, name) is None:
@@ -125,9 +124,7 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
         two_mode_layout = SpaceLayout.of(("a", na), ("a_m", nm))
         model = cooling_model(params.g, params.kappa, params.gamma_m, params.n_bar,
                               two_mode_layout)
-        vac = np.zeros((na, na), dtype=complex)
-        vac[0, 0] = 1.0
-        rho0 = DensityMatrix(two_mode_layout, np.kron(vac, thermal))
+        rho0 = DensityMatrix(two_mode_layout, np.kron(thermal_state(na, 0.0).matrix, thermal))
 
     if duration is None:
         slow, _ = params.mechanical_bath()
@@ -140,15 +137,13 @@ def sideband_cool(params: SystemParams, n_init: float, duration: Optional[float]
     # calibrated against the initial thermal tail rather than evolve's
     # default; a two-level mode has no top levels to leak into
     tail = max(top_level_population(rho0).values(), default=0.0)
+    model.generator  # refuses a rate that overflowed, outside the remedies below
     try:
         result = evolve(model, rho0, duration, num_samples=num_samples,
                         truncation_threshold=max(1e-6, 2.0 * tail))
-    except TruncationError:
+    except TruncationError:  # a PreconditionError that no duration mends
         raise
     except PreconditionError as exc:  # the stiff-run refusal
-        if not np.isfinite(model.generator.data).all():
-            raise PreconditionError(f"{exc}; a rate of the model overflowed, so its "
-                                    f"generator is not finite") from exc
         remedy = "" if eliminated else ", or eliminate a fast cavity (eliminated = true)"
         raise PreconditionError(f"{exc}; shorten the duration{remedy}") from exc
     # <n_m> and the ground-state population <0|rho_m|0> of every sample
@@ -648,7 +643,8 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
                  ) -> tuple[LindbladModel, float, dict[str, np.ndarray]]:
     """Exchange model, half-Rabi swap time and per-direction phase
     corrections, in closed form; rejects lam <= 0, and raises
-    :class:`PreconditionError` for a rate so slow that t_swap is not a float.
+    :class:`PreconditionError` for a rate so slow that t_swap is not a float
+    or so fast that it underflows to 0.
 
     The model is the exchange Hamiltonian under a thermal mechanical bath
     (``gamma_prime``, ``n_bar_prime``).  In the dressed basis
@@ -667,9 +663,10 @@ def _swap_pieces(lambda_rate: float, phonon_dim: int, gamma_prime: float = 0.0,
     if not lambda_rate > 0:
         raise ValueError(f"lambda_rate must be positive, got {lambda_rate}")
     t_swap = np.pi / (2.0 * JC_LADDER_SCALE * lambda_rate)
-    if t_swap == np.inf:
-        raise PreconditionError(f"lambda_rate = {lambda_rate!r} is too slow: its swap "
-                                f"time is too large for a float")
+    if not 0.0 < t_swap < np.inf:
+        pace, size = ("slow", "large") if t_swap else ("fast", "small")
+        raise PreconditionError(f"lambda_rate = {lambda_rate!r} is too {pace}: its swap "
+                                f"time is too {size} for a float")
     layout = SpaceLayout.of(("a_m", phonon_dim), ("spin", 2, "spin-half"))
     b = embed(annihilation(phonon_dim, "a_m"), layout, "a_m")
     model = LindbladModel(build_jc(lambda_rate, layout),

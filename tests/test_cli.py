@@ -107,6 +107,9 @@ T = 0.01
 """
 
 
+_INF_H = "model Hamiltonian has entries that are not finite"
+
+
 class TestExitCodes:
     def test_out_names_a_file_exit_2(self, tmp_path, capsys, monkeypatch):
         # refused before the scenario runs, and the file is left as it was
@@ -194,6 +197,19 @@ class TestExitCodes:
         path = write_cfg(tmp_path, TELEPORT_CFG)
         assert main(["--config", str(path), "--out", str(tmp_path),
                      "--seed", "1", "--jobs", "0"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        TELEPORT_CFG, "scenario = verify-all\ninstances = 1\n",
+        "scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\nlambda_rate = 1\n",
+    ], ids=["teleport-motional", "verify-all", "teleport-spin"])
+    def test_negative_seed_exit_2_before_any_scenario(self, tmp_path, capsys, monkeypatch,
+                                                      text):
+        # numpy's generator refused it with a traceback (exit 1)
+        for name in _SCENARIOS:
+            monkeypatch.setitem(_SCENARIOS, name, (None, _SCENARIOS[name][1]))
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_precondition_exit_3(self, tmp_path, capsys):
         # spin-phonon coupling too strong for the dispersive readout model
@@ -331,7 +347,21 @@ points = 3
         err = capsys.readouterr().err
         assert "overflowed" in err and "not unique" not in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = superpose\ng = 1e308\nkappa = 0\ngamma_m = 0\nn_bar = 0\n", _INF_H),
+        ("scenario = cool\ng = 1e308\nkappa = 0\ngamma_m = 1\nn_bar = 0\nn_init = 0\n", _INF_H),
+        ("scenario = esr-scan\nomega_m = 1e308\nlam = 0.05\ngamma_m = 0.01\nsweep = Delta_e\n"
+         "start = -1\nstop = 1\npoints = 3\n", _INF_H),
+        ("scenario = teleport-spin\nalpha = 0.6\nbeta = 0.8\nlambda_rate = 1e308\n",
+         "too fast: its swap time is too small for a float"),
+    ], ids=["superpose", "cool", "esr-scan", "teleport-spin"])
+    def test_overflowed_model_exit_3(self, tmp_path, capsys, text, message):
+        # a Hamiltonian entry overflowed to inf and read as not hermitian, and
+        # the swap time underflowed to a zero duration: both ValueError (exit 1)
+        path = write_cfg(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_superpose_evolves_only_its_sweep(self, tmp_path, capsys):
         # the sweep passes the stiffness budget at h = pi/(32 g); a second
         # evolution to the refined time, one step of h = 42.7, was refused
@@ -522,12 +552,13 @@ class TestCoolConfigs:
 
     @pytest.mark.parametrize("eliminated", ["true", "false"])
     def test_overflowing_bath_rate_exit_3(self, tmp_path, capsys, eliminated):
-        # (1 + n_bar) gamma_m overflows, so the generator has no finite norm
+        # (1 + n_bar) gamma_m overflows, so the generator is refused as it
+        # is built, before the stiffness test could read its norm as nan
         path = write_cfg(tmp_path, "scenario = cool\ng = 0\nkappa = 0\ngamma_m = 1e300\n"
                          f"n_bar = 1e300\nn_init = 0\neliminated = {eliminated}\n")
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "stiff run: ||h (L - mu)||_1 = nan" in err and "Traceback" not in err
+        assert "generator is not finite" in err and "Traceback" not in err
         # no duration or elimination helps a rate that overflowed
         assert "shorten" not in err and "overflowed" in err
 
@@ -544,11 +575,12 @@ def _documented_keys(scenario: str, cfg: dict) -> tuple[set, set]:
     if scenario == "params":
         always = _SCHEMAS.read_text().split("### `params`", 1)[1].split("— when", 1)[0]
         return set(re.findall(r"`(\w+)`", always)), set()
+    own = scenario in ("esr-scan", "verify-all")
     section = _SCHEMAS.read_text().split(
-        "### `esr-scan`" if scenario == "esr-scan" else "### Protocol scenarios", 1)[1]
+        f"### `{scenario}`" if own else "### Protocol scenarios", 1)[1]
     block = section.split("```jsonc", 1)[1].split("```", 1)[0]
     top = set(re.findall(r'^  "(\w+)":', block, re.MULTILINE))
-    if scenario == "esr-scan":
+    if own:
         return top, set()
     bullet = section.split(f"- `{scenario}`:", 1)[1].split("\n- ", 1)[0].split("\n\n", 1)[0]
     details = set()
@@ -559,15 +591,17 @@ def _documented_keys(scenario: str, cfg: dict) -> tuple[set, set]:
     return top, details - top
 
 
-def _exits_typed(tmp_path_factory, scenario: str, keys: dict) -> None:
-    """Run the config of ``keys``: it must run, or exit with a typed code, and
-    a run must write every documented key."""
+def _exits_typed(tmp_path_factory, scenario: str, keys: dict, flags: tuple = (),
+                 codes: tuple = (0, 2, 3, 4)) -> None:
+    """Run the config of ``keys`` with the command-line ``flags``: it must
+    run, or exit with one of the typed ``codes``, and a run must write every
+    documented key."""
     tmp = tmp_path_factory.mktemp(scenario)
     # str of a float is its shortest repr, which reads back exactly
     text = f"scenario = {scenario}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
     path = write_cfg(tmp, text)
-    code = main(["--config", str(path), "--out", str(tmp / "out")])
-    assert code in (0, 2, 3, 4), text
+    code = main(["--config", str(path), "--out", str(tmp / "out"), *flags])
+    assert code in codes, (text, flags)
     if code == 0:
         doc = json.loads((tmp / "out" / f"{scenario}.json").read_text())
         top, details = _documented_keys(scenario, parse_config(path))
@@ -575,8 +609,8 @@ def _exits_typed(tmp_path_factory, scenario: str, keys: dict) -> None:
 
 
 #: Edges of a rate's domain: zero, the smallest subnormal, and values near
-#: the ends of the float range.
-_EDGE_RATES = (0.0, 5e-324, 1e-300, 1e300)
+#: the ends of the float range, the last within a factor of 2 of its top.
+_EDGE_RATES = (0.0, 5e-324, 1e-300, 1e300, 1e308)
 
 
 def _rate(positive: bool = False):
@@ -668,6 +702,15 @@ class TestScenarioProperty:
               "start": -1.0, "stop": 1.0, "points": 3, "Omega_d_prime": 0.6})
     def test_esr_scan(self, tmp_path_factory, keys):
         _exits_typed(tmp_path_factory, "esr-scan", keys)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.integers(max_value=4), st.one_of(st.none(), st.integers()))
+    @example(2, -1)
+    def test_verify_all(self, tmp_path_factory, instances, seed):
+        # the oracle batch has no precondition to fail, so exit 3 is not typed
+        # for it; a negative --seed reached numpy's generator (exit 1)
+        _exits_typed(tmp_path_factory, "verify-all", {"instances": instances},
+                     () if seed is None else ("--seed", str(seed)), codes=(0, 2, 4))
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.fixed_dictionaries(

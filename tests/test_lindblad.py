@@ -186,7 +186,8 @@ class TestEvolve:
         # one drifted sample mid-run raises, unrepaired; each defect breaks
         # only its own invariant, so every check must stay in place
         model = damped_mode(dim=4, kappa=0.5, n_bar=0.2)
-        rho0 = _random_density(np.random.default_rng(2), model.layout)
+        rho0 = DensityMatrix(model.layout,
+                             _random_density(np.random.default_rng(2), model.layout.dim))
         taylor_samples = lindblad._taylor_samples
 
         def drifted(A, v0, h, steps):
@@ -281,7 +282,8 @@ class TestSampleValidation:
         on (a top level first) and the low state that gives up weight."""
         if kind == "full":
             model = damped_mode(dim=4, kappa=0.5, n_bar=0.2)
-            return (model, _random_density(np.random.default_rng(2), model.layout),
+            rho0 = _random_density(np.random.default_rng(2), model.layout.dim)
+            return (model, DensityMatrix(model.layout, rho0),
                     dict.fromkeys(_DEFECTS, ([3, 0, 1, 2], 0)))
         # a Fock-diagonal start of a (2, 3) cooling model: the block is every
         # rho_ij with equal excitation numbers, so the components are
@@ -598,6 +600,12 @@ class TestInverseNormEstimate:
         assert estimate <= exact * (1.0 + 1e-12)
         assert estimate >= 0.5 * exact
 
+    @pytest.mark.parametrize("pivot", [5e-324, 1e-310])
+    def test_inverse_past_the_float_range_is_inf(self, pivot):
+        # the first solve overflows to inf; its sign then divided inf by inf
+        lu = splu(sp.csc_array(np.diag([1.0, pivot, 2.0]).astype(complex)))
+        assert _inverse_norm1(lu, 3) == np.inf
+
 
 class TestTaylorSchedule:
     """The one schedule rule, the smallest m ceil(||h step||_1 / theta_m),
@@ -725,7 +733,7 @@ def _taylor_case(seed, dim, log_norm):
     rng = np.random.default_rng(seed)
     layout = SpaceLayout.single("m", dim)
     model = _random_model(rng, layout, n_diss=int(rng.integers(1, 3)))
-    v0 = lindblad._vec(_random_density(rng, layout).matrix)
+    v0 = lindblad._vec(_random_density(rng, dim))
     R, block, _ = model.reachable_block(np.flatnonzero(v0))
     return model.generator.toarray()[np.ix_(R, R)], block, v0[R], 10.0 ** log_norm / block.norm1
 
@@ -771,10 +779,12 @@ class TestTaylorAgainstMpmath:
 
 
 class TestTiledSquare:
-    """The propagator's one dense BLAS product.  A whole complex ``A @ A``
-    gives different bits at one and two OpenBLAS threads at n = 140, 150, 172
-    and 460; ``_tiled_square`` cuts it into tile products of at most 64^3,
-    which OpenBLAS runs on one thread, and adds them in a fixed order."""
+    """The propagator's dense BLAS products.  A whole complex ``A @ A`` gives
+    different bits at one and two OpenBLAS threads at n = 140, 150, 172 and
+    460; ``_tiled_square`` cuts it into tile products of at most 64^3,
+    which OpenBLAS runs on one thread, and adds them in a fixed order.  Each
+    sample step is one matvec ``P @ f``, whose bits OpenBLAS keeps at any
+    thread count (a product with several columns is a GEMM and does not)."""
 
     SIZES = (48, 124, 140, 150, 172, 200, 256, 460)
 
@@ -783,17 +793,22 @@ class TestTiledSquare:
         for n in self.SIZES:
             rng = np.random.default_rng(n)
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            exact = lindblad._dense_csr(A) @ A
+            exact = sp.csr_array(A) @ A
             bound = 4 * n * 2.0 ** -53 * (np.abs(A) @ np.abs(A)).max()
             assert np.abs(lindblad._tiled_square(A) - exact).max() <= bound, n
 
     def test_identical_across_blas_threads(self):
-        # the SHA-256 of each size's tiled square, printed by a fresh process
+        # the SHA-256 of each size's tiled square P, of A @ v and of P @ v,
+        # printed by a fresh process; P is the array the propagator holds,
+        # a row-strided view of the zero-padded square at n = 140, 172, 460
         script = ("import hashlib\nimport numpy as np\nfrom cryomech import lindblad\n"
                   f"for n in {self.SIZES!r}:\n"
                   "    rng = np.random.default_rng(n)\n"
                   "    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
-                  "    print(hashlib.sha256(lindblad._tiled_square(A).tobytes()).hexdigest())\n")
+                  "    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)\n"
+                  "    P = lindblad._tiled_square(A)\n"
+                  "    for out in (P, A @ v, P @ v):\n"
+                  "        print(hashlib.sha256(out.tobytes()).hexdigest())\n")
         src = str(Path(cryomech.__file__).resolve().parents[1])
         hashes = {}
         for threads in ("1", "2"):
@@ -802,10 +817,12 @@ class TestTiledSquare:
             proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                   capture_output=True, text=True)
             hashes[threads] = proc.stdout.split()
-        assert len(hashes["1"]) == len(hashes["2"]) == len(self.SIZES)
+        products = ("P = tiled square", "A @ v", "P @ v")
+        assert len(hashes["1"]) == len(hashes["2"]) == len(self.SIZES) * len(products)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        differ = [n for n, one, two in zip(self.SIZES, hashes["1"], hashes["2"]) if one != two]
-        assert not differ, (f"tiled squares differ at 1 and 2 threads for n = {differ} "
+        labels = [(n, p) for n in self.SIZES for p in products]
+        differ = [label for label, one, two in zip(labels, hashes["1"], hashes["2"]) if one != two]
+        assert not differ, (f"products differ at 1 and 2 threads for (n, product) = {differ} "
                             f"with BLAS {blas.get('name')} {blas.get('version')}")
 
 

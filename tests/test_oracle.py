@@ -225,7 +225,8 @@ class TestReachableBlock:
     def test_full_support_start(self):
         """The whole 144-dim generator for 5 sample steps: the stepper."""
         model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
-        rho0 = _random_density(np.random.default_rng(8), model.layout)
+        rho0 = DensityMatrix(model.layout,
+                             _random_density(np.random.default_rng(8), model.layout.dim))
         reach, _ = self._check_samples(model, rho0, "stepper")
         assert reach.all()
 

@@ -3,6 +3,7 @@ Bell measurement, teleportation (motional and spin), ESR scanning."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cryomech import cli, lindblad
 from cryomech.errors import PreconditionError, TruncationError
@@ -18,6 +19,7 @@ from cryomech.fockspace import (
     partial_trace,
     pauli,
 )
+from cryomech.gates import CPHASE
 from cryomech.lindblad import Dissipator, LindbladModel, steady_state, thermal_dissipators
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech import protocols as P
@@ -252,9 +254,14 @@ class TestResource:
 
 
 class TestCphase:
-    def test_dispersive_route_is_exact(self):
-        u = P.cphase(1.0, 15.0)
-        assert np.allclose(np.diag(u.matrix), [1, 1, 1, -1], atol=1e-12)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.sampled_from([1.0, -1.0]))
+    @example(0.0, np.log10(15.0), 1.0)
+    def test_dispersive_route_is_exact(self, log_g, log_delta, sign):
+        # the physical gate, g and delta log-uniform over [1e-3, 1e3], is the
+        # fixed gate every teleportation applies
+        u = P.cphase(10.0 ** log_g, sign * 10.0 ** log_delta)
+        assert np.abs(u.matrix - CPHASE).max() <= 1e-12
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError):
