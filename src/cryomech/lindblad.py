@@ -36,10 +36,16 @@ exponential.
 The steady state is one sparse LU solve of the generator with one row
 replaced by the trace functional; its uniqueness test uses Hager's 1-norm
 estimate of the inverse.  Neither draws random numbers.  The dense reference for both
-lives in :mod:`cryomech.oracle`.  Along a sweep of a Hamiltonian affine in
-one value, H + v T, :func:`affine_sweep` builds L(H) and L_T once on one
-sparsity pattern, so each point's generator is L(H) + v L_T, one sum of
-two data arrays, and each steady state along an ESR scan costs one LU.
+lives in :mod:`cryomech.oracle`.  The bordered matrix's CSC structure and
+its fill-reducing column order belong to the generator's sparsity pattern
+(:class:`_BorderedPattern`, cached on the model): one probe LU takes
+SuperLU's COLAMD order from the first matrix of a pattern, and every
+matrix, the first included, is factored on that order with no reordering
+of its own.  Along a sweep of a Hamiltonian affine in one value, H + v T,
+:func:`affine_sweep` builds L(H) and L_T once on one sparsity pattern and
+hands every point that one bordered pattern, so each point's generator is
+L(H) + v L_T, one sum of two data arrays, and each steady state along an
+ESR scan costs one LU on the sweep's one column order.
 
 Trace is never renormalized during integration.  A stiff sample step, whose
 rounding loss ||h (L_R - mu)||_1 2^-53 exceeds ``ROUNDOFF_BUDGET``, is
@@ -170,6 +176,13 @@ class LindbladModel:
         return liouvillian_matrix(self)
 
     @cached_property
+    def _bordered(self) -> _BorderedPattern:
+        """The :class:`_BorderedPattern` of the generator's sparsity pattern,
+        built on first use."""
+        L = self.generator
+        return _BorderedPattern(self.layout.dim, L.indptr, L.indices)
+
+    @cached_property
     def _blocks(self) -> dict[bytes, tuple[np.ndarray, _TaylorBlock, VecBlock]]:
         return {}
 
@@ -289,16 +302,21 @@ def affine_sweep(model: LindbladModel, term: FockOperator,
     with L_T the generator of the Hamiltonian-only ``LindbladModel(term)``.
     Both are built once and aligned once on the union of their sparsity
     patterns, so each point's generator is one sum of two data arrays over
-    shared index arrays.  Each yielded model holds its true Hamiltonian, and
-    constructing it still checks that the Hamiltonian is hermitian.
+    shared index arrays.  Every yielded model also shares one
+    :class:`_BorderedPattern` of that union, so :func:`steady_state` takes
+    one COLAMD order for the whole sweep and factors every point on it.
+    Each yielded model holds its true Hamiltonian, and constructing it still
+    checks that the Hamiltonian is hermitian.
     """
     L0 = model.generator
     indices, indptr, d0, d1 = _union_aligned(L0, LindbladModel(term).generator)
+    pattern = _BorderedPattern(model.layout.dim, indptr, indices)
     for v in values:
         point = LindbladModel(model.hamiltonian + term * v, model.dissipators)
-        # the value functools.cached_property would store on first access
+        # the values functools.cached_property would store on first access
         vars(point)["generator"] = sp.csr_array((d0 + v * d1, indices, indptr),
                                                 shape=L0.shape)
+        vars(point)["_bordered"] = pattern
         yield point
 
 
@@ -310,9 +328,11 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(n, n).T
 
 
-def _norm1(A: sp.csr_array) -> float:
-    """Exact 1-norm (largest absolute column sum) of a CSR matrix."""
-    return float(np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[1]).max())
+def _norm1(A: sp.csr_array | sp.csc_array) -> float:
+    """Exact 1-norm (largest absolute column sum) of a CSR or CSC matrix."""
+    columns = (A.indices if A.format == "csr"
+               else np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)))
+    return float(np.bincount(columns, weights=np.abs(A.data), minlength=A.shape[1]).max())
 
 
 def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
@@ -332,15 +352,38 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return np.sort(order[1:])
 
 
+def _shift_diagonal(A: sp.csr_array, mu: complex) -> sp.csr_array:
+    """A - mu I for a canonical CSR matrix A, with the arrays and bits of
+    scipy's ``A - mu * sp.eye_array(n)``: the stored entries and the whole
+    diagonal in row-major order, A_ii - mu on the diagonal (0 - mu where A
+    stores none), and the entries that come out exactly 0 dropped."""
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    on = A.indices == rows
+    diagonal = np.zeros(n, dtype=complex)
+    diagonal[rows[on]] = A.data[on]
+    rows = np.concatenate([rows[~on], np.arange(n)])
+    cols = np.concatenate([A.indices[~on], np.arange(n)])
+    # np.ones(n) * mu is the data of mu * eye, bit for bit, signed zeros included
+    data = np.concatenate([A.data[~on], diagonal - np.ones(n) * mu])
+    kept = np.flatnonzero(data)
+    # two runs in row-major order, which a stable sort merges in one pass
+    kept = kept[np.argsort(rows[kept] * n + cols[kept], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n))])
+    index = A.indices.dtype
+    return sp.csr_array((data[kept], cols[kept].astype(index), indptr.astype(index)),
+                        shape=A.shape)
+
+
 class _TaylorBlock:
     """One block A of the generator, shifted to A - mu I with mu = tr(A) / dim,
     and the exact 1-norm from which its Taylor schedules are chosen (Al-Mohy
     & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
 
     def __init__(self, A: sp.csr_array):
-        self.dim = A.shape[0]
-        self.mu = A.trace() / self.dim
-        self.step = A - self.mu * sp.eye_array(self.dim, format="csr")
+        self.dim = n = A.shape[0]
+        self.mu = A.trace() / n
+        self.step = _shift_diagonal(A, self.mu)
         self.norm1 = _norm1(self.step)
 
     def schedule(self, h: float) -> tuple[int, int]:
@@ -627,21 +670,60 @@ def expectation_series(model: LindbladModel, result: EvolutionResult, c: int,
                              rate=taylor.mu * r, coeffs=coeffs)
 
 
-def _trace_bordered(L: sp.csr_array, n: int) -> tuple[sp.csr_array, float]:
-    """The generator of an ``n``-level model with its first row replaced by
-    the trace functional, scaled by the largest column 2-norm of L (a lower
-    bound on ||L||_2), and that scale: inf, without a warning, where a square
-    overflows."""
-    with np.errstate(over="ignore"):
-        scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
-                                          minlength=n * n).max()))
-    # CSR arrays of the trace row (entries at the vec positions of rho_ii)
-    # followed by rows 1.. of L
-    rest = L.indptr[1]
-    indptr = np.concatenate([[0], L.indptr[1:] - rest + n])
-    indices = np.concatenate([np.arange(n) * (n + 1), L.indices[rest:]])
-    data = np.concatenate([np.full(n, scale, dtype=complex), L.data[rest:]])
-    return sp.csr_array((data, indices, indptr), shape=L.shape), scale
+class _BorderedPattern:
+    """The trace-bordered matrix B of :func:`steady_state` for every generator
+    of an ``n``-level model on one CSR sparsity pattern (``indptr``,
+    ``indices``), with its columns in one fill-reducing order.
+
+    B is the generator with its first row replaced by the trace functional,
+    whose entries sit at the vec positions of rho_ii.  The pattern holds the
+    CSC ``indices`` and ``indptr`` of B[:, order], and a gather map that takes
+    the generator's CSR data, followed by the trace row's one value, to that
+    CSC data.  ``order`` is SuperLU's own COLAMD column order (Davis,
+    Gilbert, Larimore & Ng, ACM TOMS 30, 353 (2004)), taken from one probe
+    factorization of the first matrix the pattern sees; it depends on the
+    pattern alone, so every later matrix reuses it.  The probe's factor is
+    never used: factored on the natural order, where SuperLU switches to its
+    symmetric mode, the same matrix comes out with other last bits, so every
+    matrix, the first one included, is factored on B[:, order].
+    """
+
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
+        self.dim = n * n
+        self._index_dtype = indices.dtype
+        rest = indptr[1]
+        # the entries of B in CSR order: the trace row, then rows 1.. of the
+        # generator, each with its position in (generator data, trace value)
+        self._rows = np.concatenate([np.zeros(n, dtype=int),
+                                     np.repeat(np.arange(1, self.dim), np.diff(indptr[1:]))])
+        self._cols = np.concatenate([np.arange(n) * (n + 1), indices[rest:]])
+        self._source = np.concatenate([np.full(n, indptr[-1]), np.arange(rest, indptr[-1])])
+        self.order: Optional[np.ndarray] = None
+
+    def _csc(self, rank: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Gather map, ``indices`` and ``indptr`` of the CSC matrix whose column
+        ``rank[j]`` is column j of B."""
+        col = rank[self._cols]
+        entries = np.lexsort((self._rows, col))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=self.dim))])
+        return (self._source[entries], self._rows[entries].astype(self._index_dtype),
+                indptr.astype(self._index_dtype))
+
+    def matrix(self, data: np.ndarray, trace_value: float) -> sp.csc_array:
+        """B[:, order] as a CSC matrix, for a generator's CSR ``data`` on this
+        pattern and the trace row's ``trace_value``.  The first call takes
+        ``order`` from its probe factorization, which raises SuperLU's
+        ``RuntimeError`` where B is exactly singular; the next call probes
+        again."""
+        source = np.append(data, trace_value)
+        shape = (self.dim, self.dim)
+        if self.order is None:
+            gather, indices, indptr = self._csc(np.arange(self.dim))
+            perm_c = splu(sp.csc_array((source[gather], indices, indptr), shape=shape)).perm_c
+            # column perm_c[j] of B Pc is column j of B
+            self._gather, self._indices, self._indptr = self._csc(perm_c)
+            self.order = np.argsort(perm_c)
+        return sp.csc_array((source[self._gather], self._indices, self._indptr), shape=shape)
 
 
 def _inverse_norm1(lu, dim: int) -> float:
@@ -694,9 +776,17 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     Every generator preserves trace, vec(1)^T L = 0, so the row of L that
     gives d(rho_00)/dt is a combination of the other population rows.  That
     row is replaced by the trace functional (scaled by the largest column
-    2-norm of L, a lower bound on ||L||_2) and the bordered system is solved
-    with a sparse LU factorization.  The bordered matrix is nonsingular
-    exactly when the null space of L is one-dimensional.
+    2-norm of L, a lower bound on ||L||_2) and the bordered system B x = e_0
+    is solved with a sparse LU factorization.  The bordered matrix is
+    nonsingular exactly when the null space of L is one-dimensional.
+
+    The model's :class:`_BorderedPattern`, shared by every point of an
+    :func:`affine_sweep`, gathers B[:, order] straight into CSC form, with
+    ``order`` SuperLU's COLAMD order from one probe LU of the pattern's
+    first matrix.  SuperLU factors B[:, order] on the natural order, with
+    its default partial pivoting, and x[order] = y undoes the permutation.
+    B[:, order]^-1 is B^-1 with its rows permuted, so the condition
+    estimate below is that of B.
 
     Raises DegenerateSteadyStateError when the factor is exactly singular,
     when the 1-norm condition estimate of the bordered matrix (its exact
@@ -708,14 +798,18 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     """
     n = model.layout.dim
     L = model.generator
-    bordered, scale = _trace_bordered(L, n)
+    with np.errstate(over="ignore"):  # refused below, by name
+        scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
+                                          minlength=n * n).max()))
     if not np.isfinite(scale):
         raise PreconditionError(f"cannot solve for the steady state: the generator's "
                                 f"largest column 2-norm overflowed ({scale!r})")
     if scale == 0.0:
         raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
+    pattern = model._bordered
     try:
-        lu = splu(bordered.tocsc())
+        bordered = pattern.matrix(L.data, scale)
+        lu = splu(bordered, permc_spec="NATURAL")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"steady state is not unique (trace-bordered generator is singular: {exc})"
@@ -727,7 +821,9 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
             f"condition estimate {cond:.3g})")
     rhs = np.zeros(n * n, dtype=complex)
     rhs[0] = scale
-    rho = _unvec(lu.solve(rhs), n)
+    x = np.empty(n * n, dtype=complex)
+    x[pattern.order] = lu.solve(rhs)
+    rho = _unvec(x, n)
     rho = rho / np.trace(rho)
     residual = np.linalg.norm(L @ _vec(rho))
     if residual > 1e-10 * max(scale, 1.0):

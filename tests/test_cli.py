@@ -752,17 +752,20 @@ class TestOutputs:
             assert reports[0] == reports[1]
 
     def test_identical_across_blas_threads(self, tmp_path):
-        """Full and eliminated (4, 12) cooling, the dissipative transfer and
-        the oracle batch give byte-identical reports at one and two BLAS
-        threads: no product on their path may depend on the thread count.
-        The full run and the transfer square their propagators in 3 x 3 and
-        2 x 2 tiles; the eliminated run and the oracle batch (blocks of 16
-        or less) in one ``P @ P``."""
+        """Full and eliminated (4, 12) cooling, the dissipative transfer, the
+        oracle batch and the ESR sweep give byte-identical reports at one and
+        two BLAS threads: no product on their path may depend on the thread
+        count.  The full run and the transfer square their propagators in
+        3 x 3 and 2 x 2 tiles; the eliminated run and the oracle batch
+        (blocks of 16 or less) in one ``P @ P``; the sweep factors each
+        point with SuperLU on its pattern's one column order."""
         cool = ("scenario = cool\ng = 1\nkappa = 20\ngamma_m = 0.05\nn_bar = 3\n"
                 "n_init = 3\nomega_m = 50\ndim_a = 4\ndim_m = 12\nnum_samples = 60\n")
         configs = {"full": cool, "eliminated": cool + "eliminated = true\n",
                    "superpose": SUPERPOSE_CFG + "dissipation = true\n",
-                   "verify-all": "scenario = verify-all\ninstances = 20\n"}
+                   "verify-all": "scenario = verify-all\ninstances = 20\n",
+                   # the benchmark's 256-dim bordered system
+                   "esr-scan": TestEsrScenario.ESR_CFG.replace("mech_dim = 6", "mech_dim = 8")}
         for name, text in configs.items():
             write_cfg(tmp_path, text, f"{name}.cfg")
         script = ("import sys\nfrom cryomech.cli import main\n"
@@ -776,7 +779,7 @@ class TestOutputs:
             subprocess.run([sys.executable, "-c", script, f"threads{threads}", *configs],
                            cwd=tmp_path, env=env, check=True, capture_output=True)
         for name in configs:
-            scenario = name if name in ("superpose", "verify-all") else "cool"
+            scenario = "cool" if name in ("full", "eliminated") else name
             one, two = (tmp_path / f"threads{t}" / name / f"{scenario}.json"
                         for t in ("1", "2"))
             assert one.read_bytes() == two.read_bytes(), name

@@ -37,7 +37,6 @@ from cryomech.lindblad import (
     Dissipator,
     LindbladModel,
     _inverse_norm1,
-    _trace_bordered,
     adiabatic_eliminate,
     affine_sweep,
     cooling_model,
@@ -48,7 +47,7 @@ from cryomech.lindblad import (
     thermal_dissipators,
 )
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
-from cryomech.oracle import _build_liouvillian, _random_density, _random_model
+from cryomech.oracle import _build_liouvillian, _random_density, _random_model, trace_distance
 from cryomech.protocols import sideband_cool
 
 from basis import fock_state, sample_matrices
@@ -585,6 +584,71 @@ class TestSteadyState:
         assert np.allclose(ss.matrix, final, atol=1e-8)
 
 
+class TestBorderedPattern:
+    """Every point of a sweep factors its bordered matrix on the one column
+    order of the sweep's sparsity pattern."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1),
+           density=st.floats(0.1, 1.0),
+           values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    def test_sweep_matches_standalone_on_random_models(self, dims, seed, density, values):
+        layout = SpaceLayout.of(*((f"m{k}", d) for k, d in enumerate(dims)))
+        n = layout.dim
+        rng = np.random.default_rng(seed)
+
+        def sparse(hermitian):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m *= rng.random((n, n)) < density
+            return FockOperator(layout, 0.5 * (m + m.conj().T) if hermitian else m)
+
+        # a full jump operator beside sparse ones keeps the steady state unique
+        full = FockOperator(layout, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        diss = (Dissipator(full, float(rng.uniform(0.05, 0.5))),) + tuple(
+            Dissipator(sparse(False), float(rng.uniform(0.0, 0.5)))
+            for _ in range(rng.integers(0, 2)))
+        model, term = LindbladModel(sparse(True), diss), sparse(True)
+        for v, point in zip(values, affine_sweep(model, term, values)):
+            alone = steady_state(LindbladModel(model.hamiltonian + v * term, diss))
+            assert trace_distance(steady_state(point).matrix, alone.matrix) <= 1e-12, v
+
+    def test_split_sweeps_give_identical_states(self):
+        model, term = TestAffineSweep._spin_mech("z")
+        values = list(np.linspace(-1.0, 1.0, 7))
+        whole = [steady_state(p).matrix for p in affine_sweep(model, term, values)]
+        split = [steady_state(p).matrix for part in (values[:3], values[3:])
+                 for p in affine_sweep(model, term, part)]
+        assert [m.tobytes() for m in whole] == [m.tobytes() for m in split]
+
+    def test_one_probe_per_sweep(self, monkeypatch):
+        specs = []
+
+        def spy(A, permc_spec=None, **kwargs):
+            specs.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(lindblad, "splu", spy)
+        model, term = TestAffineSweep._spin_mech("z")
+        values = [-0.4, 0.0, 0.3, 0.9]
+        for point in affine_sweep(model, term, values):
+            steady_state(point)
+        # one COLAMD probe (SuperLU's default order), then the reused order
+        assert specs == [None] + ["NATURAL"] * len(values)
+
+    def test_singular_first_point_then_next_solves(self):
+        # pure dephasing and no drive at v = 0 keep both populations: the
+        # bordered matrix has a zero row; the drive at v = 1 mixes them
+        sz = pauli("z")
+        model = LindbladModel(FockOperator(sz.layout, np.zeros((2, 2), dtype=complex)),
+                              (Dissipator(sz, 0.1),))
+        points = affine_sweep(model, 0.5 * pauli("x"), [0.0, 1.0])
+        with pytest.raises(DegenerateSteadyStateError, match="singular"):
+            steady_state(next(points))
+        ss = steady_state(next(points))
+        assert np.abs(ss.matrix - 0.5 * np.eye(2)).max() <= 1e-12
+
+
 class TestInverseNormEstimate:
     """Hager's estimate of ||B^-1||_1 on trace-bordered generators."""
 
@@ -594,8 +658,11 @@ class TestInverseNormEstimate:
         dim = int(rng.integers(2, 5))
         model = _random_model(rng, SpaceLayout.single("m", dim),
                               n_diss=int(rng.integers(1, 3)))
-        bordered, _ = _trace_bordered(liouvillian_matrix(model), dim)
-        estimate = _inverse_norm1(splu(bordered.tocsc()), dim * dim)
+        L = model.generator
+        scale = np.linalg.norm(L.toarray(), axis=0).max()
+        # B[:, order], whose inverse has the rows of B^-1 permuted: the same 1-norm
+        bordered = model._bordered.matrix(L.data, scale)
+        estimate = _inverse_norm1(splu(bordered, permc_spec="NATURAL"), dim * dim)
         exact = np.linalg.norm(np.linalg.inv(bordered.toarray()), 1)
         assert estimate <= exact * (1.0 + 1e-12)
         assert estimate >= 0.5 * exact
@@ -686,6 +753,43 @@ class TestTaylorSchedule:
             x = mpmath.expm(mpmath.matrix(A.tolist()) * h) * mpmath.matrix(v0[R].tolist())
             exact = np.array([complex(y) for y in x])
         assert np.abs(row - exact).max() <= 16 * max(1.0, h * block.norm1) * 2.0 ** -53
+
+
+class TestShiftDiagonal:
+    """The Taylor block's A - mu I keeps the arrays and bits of scipy's
+    ``A - mu * sp.eye_array(n)``, the entries that come out exactly 0
+    dropped."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           density=st.floats(0.0, 1.0), signed_zeros=st.booleans(),
+           explicit_zero=st.booleans(),
+           mu=st.sampled_from(["trace", "stored", 0j, complex(0.0, -0.0),
+                               complex(-0.0, 0.5), complex(1.5, -0.0)]))
+    def test_matches_scipy_subtraction(self, n, seed, density, signed_zeros,
+                                       explicit_zero, mu):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m *= rng.random((n, n)) < density
+        if signed_zeros:
+            m.imag[rng.random((n, n)) < 0.5] = -0.0
+        A = sp.csr_array(m)
+        if explicit_zero and A.nnz:
+            A.data[rng.integers(A.nnz)] = 0.0
+        if mu == "trace":
+            mu = A.trace() / n
+        elif mu == "stored":
+            # the first stored diagonal entry, which then cancels exactly
+            mu = A.diagonal()[np.argmax(A.diagonal() != 0)]
+        mu = np.complex128(mu)
+        want = A - mu * sp.eye_array(n, format="csr")
+        got = [lindblad._shift_diagonal(A, mu)]
+        if mu == A.trace() / n:
+            got.append(lindblad._TaylorBlock(A).step)
+        for step in got:
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(want, name), getattr(step, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestStiffRuns:
