@@ -72,7 +72,6 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import splu
 
@@ -535,7 +534,9 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     stepper or the propagator of :func:`_taylor_samples`, and the result
     records the path and its (m, s, k).
     ``"adaptive"`` is RK45 on the full vectorized state with right-hand
-    side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``.
+    side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``; its
+    ``scipy.integrate.solve_ivp`` is imported on its first call, so a run
+    that never asks for it never loads ``scipy.integrate``.
 
     Before any series runs, ``"expm"`` raises :class:`PreconditionError`
     when the rounding error ||h (L_R - mu I)||_1 2^-53 of the sample step h
@@ -566,6 +567,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     v0 = _vec(rho0.matrix).astype(complex)
 
     if method == "adaptive":
+        # imported here: scipy.integrate loads scipy.optimize, and only verify_all runs RK45
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(lambda t, y: L @ y, (0.0, duration), v0,
                         t_eval=times, method="RK45", rtol=ADAPTIVE_RTOL,
                         atol=ADAPTIVE_ATOL)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import find_peaks
 
 from .errors import ConfigError, PreconditionError, TruncationError
 from .fockspace import (
@@ -547,18 +547,50 @@ class EsrSpectrum:
 def esr_spectrum(sweep: str, values: Sequence[float],
                 response: Sequence[float]) -> EsrSpectrum:
     """Assemble a swept response into a spectrum: the resolution is the largest
-    abscissa step, and peaks need a prominence of 10 % of the response span."""
+    abscissa step, and the peaks are the values at the response's peaks whose
+    prominence is at least 10 % of the response span (none when the span is 0).
+
+    A peak is a strict local maximum that is not an endpoint; a flat top counts
+    once, at its lower middle index, and only if both of its sides fall.  Its
+    prominence is its value less the higher of two minima, each taken over the
+    samples from the peak outward up to the first strictly higher sample or the
+    end.  These are the peaks of ``scipy.signal.find_peaks(response,
+    prominence=0.1 * span)``, found by :func:`_prominent_peaks`.
+    """
     values = np.asarray(values, dtype=float)
     response = np.asarray(response)
     resolution = float(np.max(np.abs(np.diff(values)))) if len(values) > 1 else 0.0
     span = response.max() - response.min()
     if span > 0:
-        idx, _ = find_peaks(response, prominence=0.1 * span)
-        peaks = tuple(float(values[i]) for i in idx)
+        peaks = tuple(float(values[i]) for i in _prominent_peaks(response, 0.1 * span))
     else:
         peaks = ()
     return EsrSpectrum(sweep=sweep, values=values, response=response,
                        peaks=peaks, resolution=resolution)
+
+
+def _prominent_peaks(x: Sequence[float], threshold: float) -> list[int]:
+    """Indices of the peaks of ``x`` whose prominence is at least ``threshold``,
+    by the rule of :func:`esr_spectrum`; the indices of
+    ``scipy.signal.find_peaks(x, prominence=threshold)``, whose import would
+    load ``scipy.stats``, ``scipy.ndimage`` and ``scipy.interpolate``."""
+    x = np.asarray(x, dtype=float).tolist()
+    tops, i = [], 1
+    while i < len(x) - 1:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < len(x) - 1 and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                tops.append((i + ahead - 1) // 2)
+                i = ahead
+        i += 1
+
+    def base(run: list[float]) -> float:
+        # the minimum from the peak run[0] outward, up to the first higher sample
+        return min(takewhile(lambda v: v <= run[0], run))
+
+    return [p for p in tops if x[p] - max(base(x[p::-1]), base(x[p:])) >= threshold]
 
 
 def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,

@@ -1,6 +1,10 @@
 """Static checks on the package and test source."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -328,3 +332,63 @@ def test_rk45_has_one_caller():
                for call in _calls({p: func}).get("evolve", [])
                if _argument(call, "method", 4) is not False}
     assert setters == {"oracle.py:verify_all"}
+
+
+def _imported(node: ast.AST) -> list[str]:
+    """Dotted names an import statement binds: ``scipy.integrate.solve_ivp``
+    for ``from scipy.integrate import solve_ivp``."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def test_scipy_signal_and_integrate_stay_out_of_module_imports():
+    # scipy.signal loads scipy.stats, ndimage and interpolate, scipy.integrate
+    # loads scipy.optimize: only the RK45 branch of evolve may import solve_ivp
+    sites = []
+    for p, tree in _parse(sorted(SRC.glob("*.py"))).items():
+        # ast.walk meets an outer function before an inner one: innermost wins
+        owner = {id(n): f.name for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(f)}
+        sites += [(name, f"{p.name}:{owner.get(id(node), '<module>')}")
+                  for node in ast.walk(tree) for name in _imported(node)]
+    assert [site for name, site in sites if name.startswith("scipy.signal")] == []
+    assert {site for name, site in sites if name.startswith("scipy.integrate")} == {
+        "lindblad.py:evolve"}
+
+
+#: Small configs of every scenario but verify-all, whose RK45 instances
+#: import scipy.integrate.
+_LIGHT_CONFIGS = {
+    "cool": "scenario=cool\ng=1\nkappa=20\ngamma_m=0.05\nn_bar=3\nn_init=3\n"
+            "omega_m=50\ndim_a=2\ndim_m=4\nnum_samples=5\n",
+    "superpose": "scenario=superpose\ng=1\nkappa=0.01\ngamma_m=0.001\nn_bar=0.01\n"
+                 "dim_a=2\ndim_m=3\n",
+    "teleport-motional": "scenario=teleport-motional\nalpha=0.6\nbeta=0.8\n",
+    "teleport-spin": "scenario=teleport-spin\nalpha=0.6\nbeta=0.8\nlambda_rate=1\n"
+                     "gamma_prime=0.01\nphonon_dim=2\n",
+    "esr-scan": "scenario=esr-scan\nomega_m=1\nlam=0.05\ngamma_m=0.01\nsweep=Delta_e\n"
+                "start=-1.5\nstop=1.5\npoints=9\nOmega_d_prime=0.6\nmech_dim=3\n",
+    "params": "scenario=params\nomega_m=6.3e6\nM_mem=1e-12\nT=0.01\nm_bio=1e-16\n"
+              "G_m=1e5\n",
+}
+
+
+def test_scenarios_load_only_the_engines_scipy(tmp_path):
+    # the import of scipy.signal or scipy.integrate was most of a CLI run's
+    # set-up; a fresh interpreter shows what the package and its scenarios load
+    for name, text in _LIGHT_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    script = ("import json, sys\nimport cryomech, cryomech.cli\n"
+              "for name in sys.argv[1:]:\n"
+              "    assert cryomech.cli.main(['--config', f'{name}.cfg', '--out', name]) == 0, name\n"
+              "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules"
+              " if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *_LIGHT_CONFIGS], cwd=tmp_path,
+                          env=env, check=True, capture_output=True, text=True)
+    # main prints one headline per run; the module list is the last line
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert loaded <= {"constants", "linalg", "sparse", "version"}, loaded

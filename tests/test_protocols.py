@@ -4,6 +4,7 @@ Bell measurement, teleportation (motional and spin), ESR scanning."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.signal import find_peaks
 
 from cryomech import cli, lindblad
 from cryomech.errors import PreconditionError, TruncationError
@@ -486,6 +487,45 @@ class TestEsrScan:
         spin = SpinParams(lam=0.05, Omega_d_prime=0.6)
         with pytest.raises(ValueError):
             P.esr_scan(spin, self.PARAMS, "nope", [0.0])
+
+
+class TestProminentPeaks:
+    """``protocols._prominent_peaks`` against ``scipy.signal.find_peaks``,
+    which the package does not import."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 3), max_size=64).map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=64).map(np.array)),
+        st.sampled_from([0.0, 0.1, 1.0, 2.0]))
+    def test_matches_find_peaks(self, x, fraction):
+        # integer draws give plateaus, ties and plateaus that touch an end
+        p = fraction * (x.max() - x.min()) if len(x) else 0.0
+        assert P._prominent_peaks(x, p) == find_peaks(x, prominence=p)[0].tolist()
+
+    def test_even_flat_top_gives_lower_middle(self):
+        assert P._prominent_peaks(np.array([0.0, 1, 2, 2, 2, 2, 1, 0]), 0.0) == [3]
+
+    def test_flat_top_needs_both_sides_to_fall(self):
+        assert P._prominent_peaks(np.array([0.0, 1, 2, 2]), 0.0) == []
+        assert P._prominent_peaks(np.array([0.0, 2, 2, 3, 1]), 0.0) == [3]
+
+    def test_monotone_has_no_peak(self):
+        x = np.linspace(0.0, 1.0, 9)
+        assert P._prominent_peaks(x, 0.0) == [] == P._prominent_peaks(x[::-1], 0.0)
+
+    def test_prominence_is_above_the_higher_base(self):
+        # prominences 3, 2, 3: the 3 sees its minima only up to the higher 4
+        # and 5, both 1; the 5's left minimum runs to the end (0), its right is 2
+        x = np.array([0.0, 4, 1, 3, 1, 5, 2])
+        assert P._prominent_peaks(x, 0.0) == [1, 3, 5]
+        assert P._prominent_peaks(x, 2.0) == [1, 3, 5]
+        assert P._prominent_peaks(x, 3.0) == [1, 5]
+        assert P._prominent_peaks(x, 3.0 + 1e-12) == []
+
+    def test_constant_response_has_no_peaks(self):
+        spec = P.esr_spectrum("Delta_e", np.linspace(-1.0, 1.0, 5), np.full(5, 0.25))
+        assert spec.peaks == ()
 
 
 class TestSpinSwap:
