@@ -35,12 +35,12 @@ from .lindblad import (
     EvolutionResult,
     LindbladModel,
     adiabatic_eliminate,
-    affine_sweep,
     cooling_model,
     eliminated_model,
     evolve,
     liouvillian_matrix,
     steady_state,
+    steady_states,
     thermal_dissipators,
 )
 from .model import (

@@ -154,7 +154,8 @@ def _run_esr(cfg, seed, jobs):
     params = _params(cfg, "omega_m", "gamma_m", "n_bar")
     spin = SpinParams(lam=cfg["lam"], Delta_e=cfg["Delta_e"],
                       Omega_d_prime=cfg["Omega_d_prime"])
-    values = np.linspace(cfg["start"], cfg["stop"], cfg["points"])
+    with np.errstate(over="ignore", invalid="ignore"):  # esr_scan refuses the overflow
+        values = np.linspace(cfg["start"], cfg["stop"], cfg["points"])
     kwargs = {k: cfg[k] for k in ("sweep", "mech_dim", "spin_decay", "spin_dephasing")}
     if jobs > 1 and len(values) > 1:
         return _parallel_esr(spin, params, values, kwargs, jobs)

@@ -99,6 +99,21 @@ class SpaceLayout:
         return self.subsystems[self.index(label)]
 
 
+def are_hermitian(matrices: np.ndarray) -> np.ndarray:
+    """Whether each finite matrix of a stack (k, n, n) is hermitian within
+    ``HERMITIAN_OP_TOL`` relative to its Frobenius norm.
+
+    The norms are taken of each matrix scaled by the power of two that
+    brings its largest entry into [1/2, 1), which is exact and keeps them
+    from overflowing (or underflowing) for any finite entries; a zero matrix
+    stays 0 and is hermitian.
+    """
+    e = -np.frexp(np.abs(matrices).max(axis=(1, 2)))[1][:, None, None]
+    m = np.ldexp(matrices.real, e) + 1j * np.ldexp(matrices.imag, e)
+    return (np.linalg.norm(m - m.conj().swapaxes(1, 2), axis=(1, 2))
+            <= HERMITIAN_OP_TOL * np.linalg.norm(m, axis=(1, 2)))
+
+
 def _frozen_array(value) -> np.ndarray:
     arr = np.array(value, dtype=complex)
     arr.setflags(write=False)
@@ -136,18 +151,9 @@ class FockOperator:
         return FockOperator(self.layout, self.matrix.conj().T)
 
     def is_hermitian(self) -> bool:
-        """Hermitian within ``HERMITIAN_OP_TOL`` relative to the Frobenius norm.
-
-        The norms are taken of the matrix scaled by the power of two that
-        brings its largest entry into [1/2, 1), which is exact and keeps
-        them from overflowing (or underflowing) for any finite entries.
-        """
-        peak = np.max(np.abs(self.matrix))
-        if peak == 0.0:
-            return True
-        e = -np.frexp(peak)[1]
-        m = np.ldexp(self.matrix.real, e) + 1j * np.ldexp(self.matrix.imag, e)
-        return np.linalg.norm(m - m.conj().T) <= HERMITIAN_OP_TOL * np.linalg.norm(m)
+        """Hermitian within ``HERMITIAN_OP_TOL`` relative to the Frobenius
+        norm (:func:`are_hermitian`)."""
+        return bool(are_hermitian(self.matrix[None])[0])
 
     # -- arithmetic -------------------------------------------------------
 
@@ -285,12 +291,13 @@ class VecBlock:
         rows per mode."""
         return {label: entries[:, at].real.sum(axis=1) for label, at in self._top.items()}
 
-    def check(self, entries: np.ndarray, trace_tol: float, herm_tol: float, pos_tol: float,
-              truncation_threshold: Optional[float] = None):
-        """Raise for the first row of ``entries`` (rows, indices.size) whose
-        matrix breaks an invariant, and for its first broken invariant in the
-        order trace, hermiticity, positivity, truncation; a row of a stack of
-        several is named by its index.
+    def fault(self, entries: np.ndarray, trace_tol: float, herm_tol: float, pos_tol: float,
+              truncation_threshold: Optional[float] = None
+              ) -> Optional[tuple[int, Exception]]:
+        """The first row of ``entries`` (rows, indices.size) whose matrix
+        breaks an invariant, and the error for its first broken invariant in
+        the order trace, hermiticity, positivity, truncation; None where
+        every row holds.
 
         ``ValueError``: the trace is off 1 by more than ``trace_tol``;
         ||rho - rho^dag||_F exceeds ``herm_tol`` ||rho||_F; the hermitian
@@ -298,27 +305,33 @@ class VecBlock:
         the two top levels of a mode (:func:`top_level_population`) hold
         more than ``truncation_threshold``, when one is given.
         """
-        rows = entries.shape[0]
         traces, norm2, skew2, lows = (a.tolist() for a in self._invariants(entries))
         tops = ({} if truncation_threshold is None else
                 {label: pop.tolist() for label, pop in self.top_levels(entries).items()})
-        for j in range(rows):
+        for j in range(entries.shape[0]):
             if abs(traces[j] - 1.0) > trace_tol:
-                fault = ValueError(f"trace {traces[j]} deviates from 1 beyond {trace_tol}")
-            elif math.sqrt(skew2[j]) > herm_tol * math.sqrt(norm2[j]):  # never where rho = 0
-                fault = ValueError("density matrix is not hermitian within tolerance")
-            elif lows[j] < -pos_tol:
-                fault = ValueError(f"density matrix has negative eigenvalue {lows[j]}")
-            else:
-                over = [(label, pop[j]) for label, pop in tops.items()
-                        if pop[j] > truncation_threshold]
-                if not over:
-                    continue
+                return j, ValueError(f"trace {traces[j]} deviates from 1 beyond {trace_tol}")
+            if math.sqrt(skew2[j]) > herm_tol * math.sqrt(norm2[j]):  # never where rho = 0
+                return j, ValueError("density matrix is not hermitian within tolerance")
+            if lows[j] < -pos_tol:
+                return j, ValueError(f"density matrix has negative eigenvalue {lows[j]}")
+            over = [(label, pop[j]) for label, pop in tops.items()
+                    if pop[j] > truncation_threshold]
+            if over:
                 label, pop = over[0]
-                fault = TruncationError(
+                return j, TruncationError(
                     f"top two Fock levels of {label!r} hold population {pop:.3g} "
                     f"(threshold {truncation_threshold:.3g}); increase the truncation")
-            if rows > 1:
+        return None
+
+    def check(self, entries: np.ndarray, trace_tol: float, herm_tol: float, pos_tol: float,
+              truncation_threshold: Optional[float] = None):
+        """Raise the error of the :meth:`fault` of ``entries``; a row of a
+        stack of several is named by its index."""
+        found = self.fault(entries, trace_tol, herm_tol, pos_tol, truncation_threshold)
+        if found is not None:
+            j, fault = found
+            if entries.shape[0] > 1:
                 fault.args = (f"sample {j}: {fault.args[0]}",)
             raise fault
 

@@ -41,11 +41,14 @@ its fill-reducing column order belong to the generator's sparsity pattern
 (:class:`_BorderedPattern`, cached on the model): one probe LU takes
 SuperLU's COLAMD order from the first matrix of a pattern, and every
 matrix, the first included, is factored on that order with no reordering
-of its own.  Along a sweep of a Hamiltonian affine in one value, H + v T,
-:func:`affine_sweep` builds L(H) and L_T once on one sparsity pattern and
-hands every point that one bordered pattern, so each point's generator is
-L(H) + v L_T, one sum of two data arrays, and each steady state along an
-ESR scan costs one LU on the sweep's one column order.
+of its own.  One ``SuperLU.solve`` on three columns gives the steady state
+and the two fixed vectors of the estimate.  Along a sweep of a Hamiltonian
+affine in one value, H + v T, :func:`steady_states` builds L(H) and L_T
+once on one sparsity pattern and solves each point from its generator
+data d_0 + v d_1, one sum of two data arrays, on that pattern's one
+:class:`_BorderedPattern`: each steady state along an ESR scan costs one
+LU on the sweep's one column order and no model of its own, and the
+sweep's Hamiltonians and states are each checked as one stack.
 
 Trace is never renormalized during integration.  A stiff sample step, whose
 rounding loss ||h (L_R - mu)||_1 2^-53 exceeds ``ROUNDOFF_BUDGET``, is
@@ -68,7 +71,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,6 +85,7 @@ from .fockspace import (
     SpaceLayout,
     VecBlock,
     annihilation,
+    are_hermitian,
     embed,
     full_block,
 )
@@ -98,6 +102,9 @@ ADAPTIVE_ATOL = 1e-11
 
 #: Trace, hermiticity and positivity tolerances of every state :func:`evolve` samples.
 SAMPLE_TOLS = {"trace_tol": 1e-8, "herm_tol": 1e-9, "pos_tol": 1e-7}
+
+#: Trace, hermiticity and positivity tolerances of every steady state.
+STEADY_TOLS = {"trace_tol": 1e-9, "herm_tol": 1e-10, "pos_tol": 1e-7}
 
 _METHODS = ("expm", "adaptive")
 
@@ -149,6 +156,23 @@ class Dissipator:
             raise ValueError(f"dissipator rate must be nonnegative, got {self.rate}")
 
 
+def _hamiltonian_fault(matrices: np.ndarray) -> Optional[tuple[int, Exception]]:
+    """The first matrix of a stack (k, n, n) that is no model Hamiltonian,
+    and the error for it: :class:`PreconditionError` for an entry that is
+    not finite, else ``ValueError`` where :func:`are_hermitian` fails; None
+    where every matrix is one."""
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    valid = finite.copy()
+    valid[finite] = are_hermitian(matrices[finite])
+    if valid.all():
+        return None
+    j = int(np.argmin(valid))
+    if not finite[j]:
+        return j, PreconditionError("model Hamiltonian has entries that are not finite: "
+                                    "a parameter of the model overflowed")
+    return j, ValueError("model Hamiltonian is not hermitian")
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     hamiltonian: FockOperator
@@ -156,11 +180,8 @@ class LindbladModel:
 
     def __post_init__(self):
         object.__setattr__(self, "dissipators", tuple(self.dissipators))
-        if not np.isfinite(self.hamiltonian.matrix).all():
-            raise PreconditionError("model Hamiltonian has entries that are not finite: "
-                                    "a parameter of the model overflowed")
-        if not self.hamiltonian.is_hermitian():
-            raise ValueError("model Hamiltonian is not hermitian")
+        if (found := _hamiltonian_fault(self.hamiltonian.matrix[None])) is not None:
+            raise found[1]
         for d in self.dissipators:
             if d.operator.layout != self.hamiltonian.layout:
                 raise ValueError("all operators in a model must share one layout")
@@ -292,33 +313,6 @@ def _union_aligned(A: sp.csr_array, B: sp.csr_array) -> tuple[np.ndarray, ...]:
     return union.indices, union.indptr, data[0], data[1]
 
 
-def affine_sweep(model: LindbladModel, term: FockOperator,
-                 values: Iterable[float]) -> Iterator[LindbladModel]:
-    """``LindbladModel(H + v term, dissipators)`` of ``model`` for each real v
-    in ``values``, each with its generator already cached.
-
-    The generator is affine in the Hamiltonian: L(H + v T) = L(H) + v L_T,
-    with L_T the generator of the Hamiltonian-only ``LindbladModel(term)``.
-    Both are built once and aligned once on the union of their sparsity
-    patterns, so each point's generator is one sum of two data arrays over
-    shared index arrays.  Every yielded model also shares one
-    :class:`_BorderedPattern` of that union, so :func:`steady_state` takes
-    one COLAMD order for the whole sweep and factors every point on it.
-    Each yielded model holds its true Hamiltonian, and constructing it still
-    checks that the Hamiltonian is hermitian.
-    """
-    L0 = model.generator
-    indices, indptr, d0, d1 = _union_aligned(L0, LindbladModel(term).generator)
-    pattern = _BorderedPattern(model.layout.dim, indptr, indices)
-    for v in values:
-        point = LindbladModel(model.hamiltonian + term * v, model.dissipators)
-        # the values functools.cached_property would store on first access
-        vars(point)["generator"] = sp.csr_array((d0 + v * d1, indices, indptr),
-                                                shape=L0.shape)
-        vars(point)["_bordered"] = pattern
-        yield point
-
-
 def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.T.reshape(-1)
 
@@ -327,11 +321,11 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(n, n).T
 
 
-def _norm1(A: sp.csr_array | sp.csc_array) -> float:
-    """Exact 1-norm (largest absolute column sum) of a CSR or CSC matrix."""
-    columns = (A.indices if A.format == "csr"
-               else np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)))
-    return float(np.bincount(columns, weights=np.abs(A.data), minlength=A.shape[1]).max())
+def _norm1(columns: np.ndarray, data: np.ndarray, n: int) -> float:
+    """Exact 1-norm (largest absolute column sum) of an n-column sparse
+    matrix whose stored entries ``data`` sit in ``columns``: a CSR matrix's
+    ``indices``, or :attr:`_BorderedPattern.columns` of a CSC one."""
+    return float(np.bincount(columns, weights=np.abs(data), minlength=n).max())
 
 
 def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
@@ -383,7 +377,7 @@ class _TaylorBlock:
         self.dim = n = A.shape[0]
         self.mu = A.trace() / n
         self.step = _shift_diagonal(A, self.mu)
-        self.norm1 = _norm1(self.step)
+        self.norm1 = _norm1(self.step.indices, self.step.data, n)
 
     def schedule(self, h: float) -> tuple[int, int]:
         """Taylor degree m and substep count s for exp(h step): the smallest
@@ -673,6 +667,14 @@ def expectation_series(model: LindbladModel, result: EvolutionResult, c: int,
                              rate=taylor.mu * r, coeffs=coeffs)
 
 
+def _estimate_vectors(dim: int) -> np.ndarray:
+    """The two fixed vectors of Hager's estimate in :func:`_inverse_norm1`,
+    as the columns of a (dim, 2) array: its start, every entry 1/dim, and
+    Higham's alternating probe (1 + i / (dim - 1)) (-1)^i."""
+    alternating = (1.0 + np.arange(dim) / max(dim - 1, 1)) * (-1.0) ** np.arange(dim)
+    return np.stack([np.full(dim, 1.0 / dim), alternating], axis=1).astype(complex)
+
+
 class _BorderedPattern:
     """The trace-bordered matrix B of :func:`steady_state` for every generator
     of an ``n``-level model on one CSR sparsity pattern (``indptr``,
@@ -688,11 +690,14 @@ class _BorderedPattern:
     pattern alone, so every later matrix reuses it.  The probe's factor is
     never used: factored on the natural order, where SuperLU switches to its
     symmetric mode, the same matrix comes out with other last bits, so every
-    matrix, the first one included, is factored on B[:, order].
+    matrix, the first one included, is factored on B[:, order].  ``columns``
+    holds the column of each stored entry of B[:, order], from which
+    :func:`_norm1` takes its 1-norm, and ``estimate_vectors`` the
+    :func:`_estimate_vectors` of its size.
     """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
-        self.dim = n * n
+        self.n, self.dim = n, n * n
         self._index_dtype = indices.dtype
         rest = indptr[1]
         # the entries of B in CSR order: the trace row, then rows 1.. of the
@@ -701,6 +706,7 @@ class _BorderedPattern:
                                      np.repeat(np.arange(1, self.dim), np.diff(indptr[1:]))])
         self._cols = np.concatenate([np.arange(n) * (n + 1), indices[rest:]])
         self._source = np.concatenate([np.full(n, indptr[-1]), np.arange(rest, indptr[-1])])
+        self.estimate_vectors = _estimate_vectors(self.dim)
         self.order: Optional[np.ndarray] = None
 
     def _csc(self, rank: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -714,34 +720,43 @@ class _BorderedPattern:
 
     def matrix(self, data: np.ndarray, trace_value: float) -> sp.csc_array:
         """B[:, order] as a CSC matrix, for a generator's CSR ``data`` on this
-        pattern and the trace row's ``trace_value``.  The first call takes
+        pattern and the trace row's ``trace_value``: one matrix held by the
+        pattern, whose data every call overwrites.  The first call takes
         ``order`` from its probe factorization, which raises SuperLU's
         ``RuntimeError`` where B is exactly singular; the next call probes
         again."""
         source = np.append(data, trace_value)
-        shape = (self.dim, self.dim)
         if self.order is None:
+            shape = (self.dim, self.dim)
             gather, indices, indptr = self._csc(np.arange(self.dim))
             perm_c = splu(sp.csc_array((source[gather], indices, indptr), shape=shape)).perm_c
             # column perm_c[j] of B Pc is column j of B
-            self._gather, self._indices, self._indptr = self._csc(perm_c)
+            self._gather, indices, indptr = self._csc(perm_c)
+            self._matrix = sp.csc_array((source[self._gather], indices, indptr), shape=shape)
+            self.columns = np.repeat(np.arange(self.dim), np.diff(indptr))
             self.order = np.argsort(perm_c)
-        return sp.csc_array((source[self._gather], self._indices, self._indptr), shape=shape)
+        np.take(source, self._gather, out=self._matrix.data)
+        return self._matrix
 
 
-def _inverse_norm1(lu, dim: int) -> float:
+def _inverse_norm1(lu, start: np.ndarray, alternating: np.ndarray) -> float:
     """Hager's estimate of ||B^-1||_1 from a sparse LU factorization of B,
     following LAPACK's ZLACN2 (Hager, SIAM J. Sci. Stat. Comput. 5, 311
     (1984); Higham, ACM TOMS 14, 381 (1988)).
 
-    Each candidate is ||B^-1 x||_1 / ||x||_1 for an explicit x, so the
-    estimate never exceeds the true norm; it uses solves with B and B^H only
-    and draws no random numbers.  A solve past the float range gives inf.
+    ``start`` and ``alternating`` are B^-1 times the two columns of
+    :func:`_estimate_vectors`, which do not depend on the iteration, so the
+    caller solves them in one call with its own right-hand side; the
+    iteration between them solves with B and B^H.  Each candidate is
+    ||B^-1 x||_1 / ||x||_1 for an explicit x, so the estimate never exceeds
+    the true norm; it draws no random numbers.  A solve past the float
+    range gives inf.
     """
     tiny = np.finfo(float).tiny
+    dim = start.size
 
-    def solve(x, trans="N"):
-        if not np.isfinite(y := lu.solve(x, trans=trans)).all():
+    def finite(y):
+        if not np.isfinite(y).all():
             raise FloatingPointError
         return y
 
@@ -750,27 +765,71 @@ def _inverse_norm1(lu, dim: int) -> float:
         return np.where(a > tiny, y / np.maximum(a, tiny), 1.0)
 
     try:
-        y = solve(np.full(dim, 1.0 / dim, dtype=complex))
+        y = finite(start)
         if dim == 1:
             return float(abs(y[0]))
         est = np.abs(y).sum()
-        j = int(np.argmax(np.abs(solve(sign(y), trans="H"))))
+        j = int(np.argmax(np.abs(finite(lu.solve(sign(y), trans="H")))))
         for iteration in range(2, 6):
             unit = np.zeros(dim, dtype=complex)
             unit[j] = 1.0
-            y = solve(unit)
+            y = finite(lu.solve(unit))
             est_old, est = est, np.abs(y).sum()
             if est <= est_old:
                 break
-            z = np.abs(solve(sign(y), trans="H"))
+            z = np.abs(finite(lu.solve(sign(y), trans="H")))
             j_last, j = j, int(np.argmax(z))
             if z[j_last] == z[j] or iteration == 5:
                 break
-        alternating = (1.0 + np.arange(dim) / (dim - 1)) * (-1.0) ** np.arange(dim)
-        probe = 2.0 * np.abs(solve(alternating.astype(complex))).sum() / (3 * dim)
+        probe = 2.0 * np.abs(finite(alternating)).sum() / (3 * dim)
     except FloatingPointError:
         return np.inf
     return float(max(est, probe))
+
+
+def _steady_vector(L: sp.csr_array, pattern: _BorderedPattern) -> np.ndarray:
+    """vec(rho) of the unique steady state of the generator ``L``, on the
+    sparsity pattern of ``pattern``, at trace 1: the core of
+    :func:`steady_state` and :func:`steady_states`, which documents its
+    method and runs every check but the state's own, left to the caller.
+
+    One ``SuperLU.solve`` takes the right-hand side scale e_0 and the two
+    :func:`_estimate_vectors` as three columns; each column comes out with
+    the bits of its own solve (a test holds them).
+    """
+    dim = L.shape[0]
+    with np.errstate(over="ignore"):  # refused below, by name
+        scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
+                                          minlength=dim).max()))
+    if not np.isfinite(scale):
+        raise PreconditionError(f"cannot solve for the steady state: the generator's "
+                                f"largest column 2-norm overflowed ({scale!r})")
+    if scale == 0.0:
+        raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
+    try:
+        bordered = pattern.matrix(L.data, scale)
+        lu = splu(bordered, permc_spec="NATURAL")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            f"steady state is not unique (trace-bordered generator is singular: {exc})"
+        ) from exc
+    rhs = np.zeros((dim, 3), dtype=complex)
+    rhs[0, 0] = scale
+    rhs[:, 1:] = pattern.estimate_vectors
+    y = lu.solve(rhs)
+    cond = _norm1(pattern.columns, bordered.data, dim) * _inverse_norm1(lu, y[:, 1], y[:, 2])
+    if not cond * NULLSPACE_UNIQUE_TOL < 1.0:
+        raise DegenerateSteadyStateError(
+            f"steady state is not unique (trace-bordered generator has 1-norm "
+            f"condition estimate {cond:.3g})")
+    x = np.empty(dim, dtype=complex)
+    x[pattern.order] = y[:, 0]
+    rho = _unvec(x, pattern.n)
+    rho = rho / np.trace(rho)
+    residual = np.linalg.norm(L @ _vec(rho))
+    if residual > 1e-10 * max(scale, 1.0):
+        raise DegenerateSteadyStateError(f"null-space residual {residual:.3g} too large")
+    return _vec(rho)
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
@@ -783,13 +842,13 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     is solved with a sparse LU factorization.  The bordered matrix is
     nonsingular exactly when the null space of L is one-dimensional.
 
-    The model's :class:`_BorderedPattern`, shared by every point of an
-    :func:`affine_sweep`, gathers B[:, order] straight into CSC form, with
-    ``order`` SuperLU's COLAMD order from one probe LU of the pattern's
-    first matrix.  SuperLU factors B[:, order] on the natural order, with
-    its default partial pivoting, and x[order] = y undoes the permutation.
-    B[:, order]^-1 is B^-1 with its rows permuted, so the condition
-    estimate below is that of B.
+    The model's :class:`_BorderedPattern` gathers B[:, order] straight into
+    CSC form, with ``order`` SuperLU's COLAMD order from one probe LU of the
+    pattern's first matrix.  SuperLU factors B[:, order] on the natural
+    order, with its default partial pivoting, and x[order] = y undoes the
+    permutation.  B[:, order]^-1 is B^-1 with its rows permuted, so the
+    condition estimate below is that of B.  The solve for x and the two
+    fixed solves of that estimate are one call on three columns.
 
     Raises DegenerateSteadyStateError when the factor is exactly singular,
     when the 1-norm condition estimate of the bordered matrix (its exact
@@ -797,41 +856,66 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     ``1 / NULLSPACE_UNIQUE_TOL`` (e.g. a closed system), or when the residual
     ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).  Raises
     PreconditionError when that scale is not finite: an entry of the
-    generator, or its column 2-norm, overflowed.
+    generator, or its column 2-norm, overflowed.  The state is a
+    :class:`DensityMatrix` with ``STEADY_TOLS``.  :func:`steady_states` runs
+    the same core along a sweep.
     """
+    rho = _unvec(_steady_vector(model.generator, model._bordered), model.layout.dim)
+    return DensityMatrix(model.layout, rho, **STEADY_TOLS)
+
+
+def steady_states(model: LindbladModel, term: FockOperator,
+                  values: Sequence[float]) -> np.ndarray:
+    """The steady state of ``LindbladModel(H + v term, dissipators)`` of
+    ``model`` at each real, finite v of ``values``, as one stack of matrices
+    (points, n, n).
+
+    The generator is affine in the Hamiltonian: L(H + v T) = L(H) + v L_T,
+    with L_T the generator of the Hamiltonian-only ``LindbladModel(term)``.
+    Both are built once and aligned once on the union of their sparsity
+    patterns.  Every point is solved by :func:`steady_state`'s core from its
+    data d_0 + v d_1 on the union's one :class:`_BorderedPattern`: one
+    COLAMD order for the sweep, one LU per point, and no model per point.
+
+    Every point keeps every check of :func:`steady_state`.  H + v T is
+    checked for all points as one stack, as ``LindbladModel`` checks its
+    Hamiltonian (:class:`PreconditionError` where an entry is not finite,
+    ``ValueError`` where it is not hermitian), and the states as one stack
+    by :meth:`~cryomech.fockspace.VecBlock.fault` with ``STEADY_TOLS``.  The
+    first point, in the order of ``values``, that fails a check raises that
+    check's error, its message naming the point's value, so a sweep split
+    into chunks names the same point.  ``values`` that are not real or not
+    finite raise ``ValueError``.
+    """
+    values = np.asarray(values)
+    if values.ndim != 1 or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise ValueError(f"swept values must be real and finite, got {values.tolist()!r}")
+    points = values.tolist()
     n = model.layout.dim
-    L = model.generator
-    with np.errstate(over="ignore"):  # refused below, by name
-        scale = float(np.sqrt(np.bincount(L.indices, weights=np.abs(L.data) ** 2,
-                                          minlength=n * n).max()))
-    if not np.isfinite(scale):
-        raise PreconditionError(f"cannot solve for the steady state: the generator's "
-                                f"largest column 2-norm overflowed ({scale!r})")
-    if scale == 0.0:
-        raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
-    pattern = model._bordered
-    try:
-        bordered = pattern.matrix(L.data, scale)
-        lu = splu(bordered, permc_spec="NATURAL")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise DegenerateSteadyStateError(
-            f"steady state is not unique (trace-bordered generator is singular: {exc})"
-        ) from exc
-    cond = _norm1(bordered) * _inverse_norm1(lu, n * n)
-    if not cond * NULLSPACE_UNIQUE_TOL < 1.0:
-        raise DegenerateSteadyStateError(
-            f"steady state is not unique (trace-bordered generator has 1-norm "
-            f"condition estimate {cond:.3g})")
-    rhs = np.zeros(n * n, dtype=complex)
-    rhs[0] = scale
-    x = np.empty(n * n, dtype=complex)
-    x[pattern.order] = lu.solve(rhs)
-    rho = _unvec(x, n)
-    rho = rho / np.trace(rho)
-    residual = np.linalg.norm(L @ _vec(rho))
-    if residual > 1e-10 * max(scale, 1.0):
-        raise DegenerateSteadyStateError(f"null-space residual {residual:.3g} too large")
-    return DensityMatrix(model.layout, rho, pos_tol=1e-7)
+    L0 = model.generator
+    indices, indptr, d0, d1 = _union_aligned(L0, LindbladModel(term).generator)
+    pattern = _BorderedPattern(n, indptr, indices)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        hamiltonians = model.hamiltonian.matrix + values[:, None, None] * term.matrix
+    stop, fault = _hamiltonian_fault(hamiltonians) or (len(points), None)
+    stack = np.empty((stop, n * n), dtype=complex)
+    # one generator on the shared index arrays, whose data each point overwrites
+    generator = sp.csr_array((d0.copy(), indices, indptr), shape=L0.shape)
+    for j in range(stop):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the core, by name
+            np.add(d0, points[j] * d1, out=generator.data)
+        try:
+            stack[j] = _steady_vector(generator, pattern)
+        except (PreconditionError, DegenerateSteadyStateError) as exc:
+            stop, fault = j, exc
+            break
+    # a state that breaks an invariant at an earlier point comes first
+    if stop and (found := full_block(model.layout).fault(stack[:stop], **STEADY_TOLS)):
+        stop, fault = found
+    if fault is not None:
+        fault.args = (f"at swept value {points[stop]!r}: {fault.args[0]}",)
+        raise fault
+    return stack.reshape(-1, n, n).swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,11 @@ from .lindblad import (
     ExpectationSeries,
     LindbladModel,
     adiabatic_eliminate,
-    affine_sweep,
     cooling_model,
     evolve,
     expectation_series,
     expectations,
-    steady_state,
+    steady_states,
     thermal_dissipators,
 )
 from .model import (
@@ -605,11 +604,13 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
 
     The Hamiltonian is affine in the swept value, H = H_0 + (v/2) sigma with
     sigma = sigma_z for ``Delta_e`` and sigma_x for ``Omega_d_prime``, so the
-    model is built once at v = 0 and :func:`~cryomech.lindblad.affine_sweep`
-    gives each point's generator as L_0 + v L_sigma; every point is one
-    :func:`~cryomech.lindblad.steady_state` solve with all its checks.
+    model is built once at v = 0, and :func:`~cryomech.lindblad.steady_states`
+    solves every point from its generator L_0 + v L_sigma with all of
+    :func:`~cryomech.lindblad.steady_state`'s checks; a point that fails one
+    raises with its value named.  <n_m> is read from each state of the stack.
     The swept field of ``spin`` must be unset (``None``), since the scan
-    sets it itself, or :class:`ConfigError` is raised; the other field
+    sets it itself, and every value must be finite (a sweep whose grid
+    overflowed is not), or :class:`ConfigError` is raised; the other field
     defaults to 0.
     """
     if sweep not in ("Delta_e", "Omega_d_prime"):
@@ -617,6 +618,9 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
     if getattr(spin, sweep) is not None:
         raise ConfigError(f"esr-scan sweeps {sweep} from start to stop; "
                           f"remove the {sweep} key")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"esr-scan: the swept {sweep} values are not all finite (the "
+                          f"grid from start to stop overflowed): {np.asarray(values).tolist()}")
     if params.omega_m is None or spin.lam is None:
         raise ValueError("esr_scan needs params.omega_m and spin.lam")
     if not spin.lam < params.omega_m / 10.0:
@@ -652,10 +656,8 @@ def esr_scan(spin: SpinParams, params: SystemParams, sweep: str,
         base = SpinParams(lam=spin.lam, Delta_e=spin.Delta_e or 0.0, Omega_d_prime=0.0)
         sigma = embed(pauli("x"), layout, "spin")
     model = LindbladModel(build_spin_mech(params, base, layout), diss)
-    response = []
-    for point in affine_sweep(model, 0.5 * sigma, values):
-        ss = steady_state(point)
-        response.append(gamma_p * float(np.real(np.trace(n_op.matrix @ ss.matrix))))
+    response = [gamma_p * float(np.real(np.trace(n_op.matrix @ rho)))
+                for rho in steady_states(model, 0.5 * sigma, values)]
     return esr_spectrum(sweep, values, response)
 
 

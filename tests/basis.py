@@ -1,12 +1,19 @@
 """Fock basis states, whole sample matrices and Haar-random qubits for the
 tests; the package itself builds only the vacuum
 (:func:`cryomech.fockspace.vacuum`) and only the final state of an
-evolution."""
+evolution.  Also the path of the benchmark's ESR sweep config, which tests
+read and never write, and a SuperLU factor that reports its solves."""
+
+from pathlib import Path
 
 import numpy as np
 
 from cryomech.fockspace import SpaceLayout, StateVector
 from cryomech.lindblad import EvolutionResult
+
+#: The ``esr-sweep`` workload's config: the 61-point sweep of ``esr-scan``.
+ESR_SWEEP_CONF = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+                  / "esr-sweep" / "esr-scan.conf")
 
 
 def fock_state(layout: SpaceLayout, occupations: dict[str, int]) -> StateVector:
@@ -36,3 +43,16 @@ def haar_qubit(rng: np.random.Generator) -> tuple[complex, complex]:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v /= np.linalg.norm(v)
     return complex(v[0]), complex(v[1])
+
+
+class SolveSpy:
+    """A SuperLU factor ``lu`` that passes each solve's right-hand side b and
+    result y to ``seen(b, y)``, which may change y in place."""
+
+    def __init__(self, lu, seen):
+        self.lu, self.perm_c, self.seen = lu, lu.perm_c, seen
+
+    def solve(self, b, trans="N"):
+        y = self.lu.solve(b, trans=trans)
+        self.seen(b, y)
+        return y

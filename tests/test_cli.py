@@ -296,6 +296,15 @@ points = 3
         cool = text.startswith("scenario = cool")
         assert ("duration" in err) == cool and ("eliminated = true" in err) == cool
 
+    def test_overflowing_esr_grid_exit_2(self, tmp_path, capsys):
+        # the grid from -1e308 to 1e308 holds nan and inf: numpy warned, and
+        # the run exited 3 blaming the model Hamiltonian
+        path = write_cfg(tmp_path, ESR_SCAN_CFG.replace("start = -1.0", "start = -1e308")
+                         .replace("stop = 1.0", "stop = 1e308") + "sweep = Delta_e\npoints = 3\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not all finite" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("sweep", ["Delta_e", "Omega_d_prime"])
     def test_swept_esr_key_exit_2(self, tmp_path, capsys, sweep):
         # the scan sets the swept value itself, so a config value for it
@@ -700,6 +709,8 @@ class TestScenarioProperty:
     # one run that succeeds is given
     @example({"omega_m": 1.0, "lam": 0.05, "gamma_m": 0.01, "sweep": "Delta_e",
               "start": -1.0, "stop": 1.0, "points": 3, "Omega_d_prime": 0.6})
+    @example({"omega_m": 1.0, "lam": 0.05, "gamma_m": 0.01, "sweep": "Delta_e",
+              "start": -1e308, "stop": 1e308, "points": 3})
     def test_esr_scan(self, tmp_path_factory, keys):
         _exits_typed(tmp_path_factory, "esr-scan", keys)
 
@@ -944,6 +955,19 @@ mech_dim = 6
                      "--jobs", "2"]) == 0
         # each point's generator is L_0 + v L_sigma whatever chunk it is in
         assert (d1 / "esr-scan.json").read_bytes() == (d2 / "esr-scan.json").read_bytes()
+
+    def test_failing_point_named_alike_serial_and_parallel(self, tmp_path, capsys):
+        # without spin decay, sigma_z is conserved at Omega_d' = Delta_e = 0:
+        # the middle point has two steady states
+        path = write_cfg(tmp_path, ESR_SCAN_CFG + "sweep = Omega_d_prime\npoints = 5\n"
+                         "Delta_e = 0\nspin_decay = 0\nspin_dephasing = 0.002\nmech_dim = 4\n")
+        errors = []
+        for jobs in ("1", "2"):
+            assert main(["--config", str(path), "--out", str(tmp_path), "--jobs", jobs]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("precondition not met: at swept value 0.0: steady state "
+                                    "is not unique")
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):

@@ -36,21 +36,23 @@ from cryomech.fockspace import (
 from cryomech.lindblad import (
     Dissipator,
     LindbladModel,
+    _estimate_vectors,
     _inverse_norm1,
+    _union_aligned,
     adiabatic_eliminate,
-    affine_sweep,
     cooling_model,
     eliminated_model,
     evolve,
     liouvillian_matrix,
     steady_state,
+    steady_states,
     thermal_dissipators,
 )
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech.oracle import _build_liouvillian, _random_density, _random_model, trace_distance
 from cryomech.protocols import sideband_cool
 
-from basis import fock_state, sample_matrices
+from basis import ESR_SWEEP_CONF, SolveSpy, fock_state, sample_matrices
 
 
 def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
@@ -481,19 +483,19 @@ class TestBatchedCheckAgainstOneMatrix:
 
 
 def _assert_sweep_matches_rebuild(model, term, values):
-    """Every model affine_sweep yields holds H + v term and the dissipators,
-    arrives with its generator cached, and that generator is the rebuilt
-    one to 1e-14 of its 1-norm."""
-    points = list(affine_sweep(model, term, values))
-    assert len(points) == len(values)
-    for v, point in zip(values, points):
-        assert np.array_equal(point.hamiltonian.matrix, (model.hamiltonian + v * term).matrix)
-        assert point.dissipators == model.dissipators
-        assert "generator" in vars(point)
-        rebuilt = liouvillian_matrix(point)
-        assert point.generator.shape == rebuilt.shape
-        assert (lindblad._norm1(point.generator - rebuilt)
-                <= 1e-14 * lindblad._norm1(rebuilt)), v
+    """The generator data d_0 + v d_1 that ``steady_states`` solves at each
+    v, on the union of the patterns of L(H) and L_T, is the generator of
+    ``LindbladModel(H + v term, dissipators)`` rebuilt, to 1e-14 of its
+    1-norm."""
+    indices, indptr, d0, d1 = _union_aligned(model.generator, LindbladModel(term).generator)
+    for v in values:
+        point = sp.csr_array((d0 + v * d1, indices, indptr), shape=model.generator.shape)
+        rebuilt = liouvillian_matrix(LindbladModel(model.hamiltonian + v * term,
+                                                   model.dissipators))
+        assert point.shape == rebuilt.shape
+        diff = point - rebuilt
+        assert (lindblad._norm1(diff.indices, diff.data, diff.shape[1])
+                <= 1e-14 * lindblad._norm1(rebuilt.indices, rebuilt.data, rebuilt.shape[1])), v
 
 
 class TestAffineSweep:
@@ -520,12 +522,12 @@ class TestAffineSweep:
         _assert_sweep_matches_rebuild(model, term, [0.0, 0.37, -1.2])
 
     def test_each_point_checks_hermiticity(self):
-        # a hermitian term at a complex value gives a non-hermitian H + v term
+        # a hermitian term at a complex value gives a non-hermitian H + v
+        # term, so the sweep refuses every value that is not real and finite
         model, term = self._spin_mech("z")
-        points = affine_sweep(model, term, [0.5, 0.5j])
-        next(points)
-        with pytest.raises(ValueError, match="hermitian"):
-            next(points)
+        for values in ([0.5, 0.5j], [0.5, np.nan], [np.inf], 0.5):
+            with pytest.raises(ValueError, match="real and finite"):
+                steady_states(model, term, values)
 
     @settings(max_examples=100, deadline=None)
     @given(dims=st.lists(st.integers(2, 3), min_size=1, max_size=2),
@@ -584,6 +586,18 @@ class TestSteadyState:
         assert np.allclose(ss.matrix, final, atol=1e-8)
 
 
+def _decaying_qubit(h=((0.0, 0.0), (0.0, 0.0)), rate=1.0):
+    """A qubit with Hamiltonian ``h`` that decays at ``rate``."""
+    layout = SpaceLayout.single("q", 2)
+    lower = FockOperator(layout, np.array([[0, 1], [0, 0]], dtype=complex))
+    return LindbladModel(FockOperator(layout, np.array(h, dtype=complex)),
+                         (Dissipator(lower, rate),))
+
+
+def _qubit_term(*rows):
+    return FockOperator(SpaceLayout.single("q", 2), np.array(rows, dtype=complex))
+
+
 class TestBorderedPattern:
     """Every point of a sweep factors its bordered matrix on the one column
     order of the sweep's sparsity pattern."""
@@ -609,16 +623,18 @@ class TestBorderedPattern:
             Dissipator(sparse(False), float(rng.uniform(0.0, 0.5)))
             for _ in range(rng.integers(0, 2)))
         model, term = LindbladModel(sparse(True), diss), sparse(True)
-        for v, point in zip(values, affine_sweep(model, term, values)):
+        states = steady_states(model, term, values)
+        assert states.shape == (len(values), n, n)
+        for v, rho in zip(values, states):
             alone = steady_state(LindbladModel(model.hamiltonian + v * term, diss))
-            assert trace_distance(steady_state(point).matrix, alone.matrix) <= 1e-12, v
+            assert trace_distance(rho, alone.matrix) <= 1e-12, v
 
     def test_split_sweeps_give_identical_states(self):
         model, term = TestAffineSweep._spin_mech("z")
         values = list(np.linspace(-1.0, 1.0, 7))
-        whole = [steady_state(p).matrix for p in affine_sweep(model, term, values)]
-        split = [steady_state(p).matrix for part in (values[:3], values[3:])
-                 for p in affine_sweep(model, term, part)]
+        whole = steady_states(model, term, values)
+        split = np.concatenate([steady_states(model, term, part)
+                                for part in (values[:3], values[3:])])
         assert [m.tobytes() for m in whole] == [m.tobytes() for m in split]
 
     def test_one_probe_per_sweep(self, monkeypatch):
@@ -631,8 +647,7 @@ class TestBorderedPattern:
         monkeypatch.setattr(lindblad, "splu", spy)
         model, term = TestAffineSweep._spin_mech("z")
         values = [-0.4, 0.0, 0.3, 0.9]
-        for point in affine_sweep(model, term, values):
-            steady_state(point)
+        steady_states(model, term, values)
         # one COLAMD probe (SuperLU's default order), then the reused order
         assert specs == [None] + ["NATURAL"] * len(values)
 
@@ -642,11 +657,124 @@ class TestBorderedPattern:
         sz = pauli("z")
         model = LindbladModel(FockOperator(sz.layout, np.zeros((2, 2), dtype=complex)),
                               (Dissipator(sz, 0.1),))
-        points = affine_sweep(model, 0.5 * pauli("x"), [0.0, 1.0])
-        with pytest.raises(DegenerateSteadyStateError, match="singular"):
-            steady_state(next(points))
-        ss = steady_state(next(points))
-        assert np.abs(ss.matrix - 0.5 * np.eye(2)).max() <= 1e-12
+        term = 0.5 * pauli("x")
+        with pytest.raises(DegenerateSteadyStateError, match="at swept value 0.0: .*singular"):
+            steady_states(model, term, [0.0, 1.0])
+        [rho] = steady_states(model, term, [1.0])
+        assert np.abs(rho - 0.5 * np.eye(2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("model, term, values, error, match", [
+        # the decay at 1e-10 beside the splitting at v = 1: a near-degenerate null space
+        (_decaying_qubit(rate=1e-10), _qubit_term((0.5, 0), (0, -0.5)), [0.0, 1.0],
+         DegenerateSteadyStateError, "at swept value 1.0: .*condition estimate"),
+        # v L_T overflows where v T does not
+        (_decaying_qubit(), _qubit_term((0.5e308, 0), (0, -0.5e308)), [0.0, 1.9],
+         PreconditionError, "at swept value 1.9: .*overflowed"),
+        (_decaying_qubit(), _qubit_term((1e300, 0), (0, -1e300)), [0.0, 1e10],
+         PreconditionError, "at swept value 10000000000.0: .*not finite"),
+        # H_0 = sigma_x + 1e-11 (a skew part) passes; at v = -1 only the skew part is left
+        (_decaying_qubit(h=((0, 1 + 1e-11), (1 - 1e-11, 0))), _qubit_term((0, 1), (1, 0)),
+         [0.0, -1.0], ValueError, "at swept value -1.0: .*not hermitian"),
+    ], ids=["condition", "generator-not-finite", "hamiltonian-not-finite",
+            "hamiltonian-not-hermitian"])
+    def test_failing_point_names_its_value(self, model, term, values, error, match):
+        with pytest.raises(error, match=match):
+            steady_states(model, term, values)
+
+    def test_residual_names_its_value(self, monkeypatch):
+        def off_the_steady_state(b, y):
+            # the three-column solve's first column, as a wrong pivot would leave it
+            if b.ndim == 2:
+                y[:, 0] += 1e-3 * np.abs(y[:, 0]).max()
+
+        monkeypatch.setattr(lindblad, "splu", lambda *args, **kwargs: SolveSpy(
+            splu(*args, **kwargs), off_the_steady_state))
+        with pytest.raises(DegenerateSteadyStateError,
+                           match="at swept value 0.25: null-space residual"):
+            steady_states(_decaying_qubit(), _qubit_term((0, 0.5), (0.5, 0)), [0.25, 0.5])
+
+    def test_broken_state_names_its_value_before_a_later_fault(self, monkeypatch):
+        # the point v = 0.25 comes out at trace 2 and v = 0.5 fails to solve:
+        # the sweep from 0.25 names 0.25, and the chunk from 0.5 names 0.5
+        def core(L, pattern):
+            if next(outcomes) == "fails":
+                raise DegenerateSteadyStateError("steady state is not unique")
+            return 2.0 * steady_vector(L, pattern)
+
+        steady_vector = lindblad._steady_vector
+        monkeypatch.setattr(lindblad, "_steady_vector", core)
+        model, term = _decaying_qubit(), _qubit_term((0, 0.5), (0.5, 0))
+        outcomes = iter(["trace 2", "fails"])
+        with pytest.raises(ValueError, match="at swept value 0.25: trace "):
+            steady_states(model, term, [0.25, 0.5, 0.75])
+        outcomes = iter(["fails"])
+        with pytest.raises(DegenerateSteadyStateError, match="at swept value 0.5: "):
+            steady_states(model, term, [0.5, 0.75])
+
+
+def _sequential_inverse_norm1(lu, dim: int) -> float:
+    """Hager's estimate with one ``SuperLU.solve`` per vector, the start and
+    the alternating probe included: the reference for the batched solve of
+    :func:`lindblad._inverse_norm1`."""
+    tiny = np.finfo(float).tiny
+
+    def solve(x, trans="N"):
+        if not np.isfinite(y := lu.solve(x, trans=trans)).all():
+            raise FloatingPointError
+        return y
+
+    def sign(y):
+        a = np.abs(y)
+        return np.where(a > tiny, y / np.maximum(a, tiny), 1.0)
+
+    try:
+        y = solve(np.full(dim, 1.0 / dim, dtype=complex))
+        if dim == 1:
+            return float(abs(y[0]))
+        est = np.abs(y).sum()
+        j = int(np.argmax(np.abs(solve(sign(y), trans="H"))))
+        for iteration in range(2, 6):
+            unit = np.zeros(dim, dtype=complex)
+            unit[j] = 1.0
+            y = solve(unit)
+            est_old, est = est, np.abs(y).sum()
+            if est <= est_old:
+                break
+            z = np.abs(solve(sign(y), trans="H"))
+            j_last, j = j, int(np.argmax(z))
+            if z[j_last] == z[j] or iteration == 5:
+                break
+        alternating = (1.0 + np.arange(dim) / (dim - 1)) * (-1.0) ** np.arange(dim)
+        probe = 2.0 * np.abs(solve(alternating.astype(complex))).sum() / (3 * dim)
+    except FloatingPointError:
+        return np.inf
+    return float(max(est, probe))
+
+
+def _estimates(monkeypatch, run) -> list:
+    """(LU, rhs, columns, estimate) of every ``_inverse_norm1`` call made by
+    ``run()``, with the three-column right-hand side the core solved."""
+    seen, solves = [], []
+    estimate = lindblad._inverse_norm1
+
+    def record(b, y):
+        if b.ndim == 2:
+            solves.append((b.copy(), y.copy()))
+
+    def spy(lu, start, alternating):
+        seen.append((lu.lu, *solves[-1], estimate(lu, start, alternating)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(lindblad, "splu", lambda *a, **k: SolveSpy(splu(*a, **k), record))
+    monkeypatch.setattr(lindblad, "_inverse_norm1", spy)
+    run()
+    return seen
+
+
+def _model_of_seed(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    return dim, _random_model(rng, SpaceLayout.single("m", dim), n_diss=int(rng.integers(1, 3)))
 
 
 class TestInverseNormEstimate:
@@ -654,24 +782,41 @@ class TestInverseNormEstimate:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lower_bound_on_dense_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 5))
-        model = _random_model(rng, SpaceLayout.single("m", dim),
-                              n_diss=int(rng.integers(1, 3)))
+        dim, model = _model_of_seed(seed)
         L = model.generator
         scale = np.linalg.norm(L.toarray(), axis=0).max()
         # B[:, order], whose inverse has the rows of B^-1 permuted: the same 1-norm
         bordered = model._bordered.matrix(L.data, scale)
-        estimate = _inverse_norm1(splu(bordered, permc_spec="NATURAL"), dim * dim)
+        lu = splu(bordered, permc_spec="NATURAL")
+        estimate = _inverse_norm1(lu, *lu.solve(_estimate_vectors(dim * dim)).T)
         exact = np.linalg.norm(np.linalg.inv(bordered.toarray()), 1)
         assert estimate <= exact * (1.0 + 1e-12)
         assert estimate >= 0.5 * exact
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batched_estimate_equals_sequential(self, monkeypatch, seed):
+        _, model = _model_of_seed(seed)
+        [(lu, rhs, y, estimate)] = _estimates(monkeypatch, lambda: steady_state(model))
+        for k in range(3):
+            assert lu.solve(rhs[:, k]).tobytes() == y[:, k].tobytes(), k
+        assert estimate == _sequential_inverse_norm1(lu, rhs.shape[0])
+
+    def test_batched_estimate_equals_sequential_on_the_benchmark_sweep(self, monkeypatch):
+        from cryomech import cli
+
+        cfg = cli.parse_config(ESR_SWEEP_CONF)
+        seen = _estimates(monkeypatch, lambda: cli._run_esr(cfg, None, 1))
+        assert len(seen) == cfg["points"]
+        for lu, rhs, y, estimate in seen:
+            for k in range(3):
+                assert lu.solve(rhs[:, k]).tobytes() == y[:, k].tobytes(), k
+            assert estimate == _sequential_inverse_norm1(lu, rhs.shape[0])
 
     @pytest.mark.parametrize("pivot", [5e-324, 1e-310])
     def test_inverse_past_the_float_range_is_inf(self, pivot):
         # the first solve overflows to inf; its sign then divided inf by inf
         lu = splu(sp.csc_array(np.diag([1.0, pivot, 2.0]).astype(complex)))
-        assert _inverse_norm1(lu, 3) == np.inf
+        assert _inverse_norm1(lu, *lu.solve(_estimate_vectors(3)).T) == np.inf
 
 
 class TestTaylorSchedule:

@@ -1,10 +1,13 @@
 """Tests for the protocol layer: cooling runs, state transfer, the CPHASE gate,
 Bell measurement, teleportation (motional and spin), ESR scanning."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import find_peaks
+from scipy.sparse.linalg import splu
 
 from cryomech import cli, lindblad
 from cryomech.errors import PreconditionError, TruncationError
@@ -25,7 +28,7 @@ from cryomech.lindblad import Dissipator, LindbladModel, steady_state, thermal_d
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech import protocols as P
 
-from basis import haar_qubit
+from basis import ESR_SWEEP_CONF, SolveSpy, haar_qubit
 
 
 COLD = SystemParams(g=1.0, kappa=0.02, gamma_m=0.0005, n_bar=3.0)
@@ -477,6 +480,37 @@ class TestEsrScan:
         monkeypatch.undo()
         rebuilt = self._rebuilt_response(spin, params, sweep, values, 6, 0.005, 0.002)
         assert np.max(np.abs(spec.response - rebuilt)) <= 1e-12
+
+    def test_benchmark_sweep_cost_counts(self, monkeypatch):
+        """The ``esr-sweep`` workload's sweep, and the same at 3 points: one
+        COLAMD probe and one LU per point, at most 4 solve calls per point
+        (one on three columns, the rest Hager's iteration), and as many
+        models at 3 points as at 61."""
+        cfg = cli.parse_config(ESR_SWEEP_CONF)
+        counts = {}
+
+        def count(name, *args):
+            counts[name] += 1
+
+        def counted_splu(*args, **kwargs):
+            count("splu")
+            return SolveSpy(splu(*args, **kwargs), partial(count, "solve"))
+
+        def counted_post_init(model):
+            count("models")
+            post_init(model)
+
+        post_init = LindbladModel.__post_init__
+        monkeypatch.setattr(lindblad, "splu", counted_splu)
+        monkeypatch.setattr(LindbladModel, "__post_init__", counted_post_init)
+        models = []
+        for points in (cfg["points"], 3):
+            counts.update(splu=0, solve=0, models=0)
+            cli._run_esr({**cfg, "points": points}, None, 1)
+            assert counts["splu"] == points + 1
+            assert counts["solve"] <= 4 * points
+            models.append(counts["models"])
+        assert models[0] == models[1], models
 
     def test_strong_lambda_rejected(self):
         spin = SpinParams(lam=0.3, Omega_d_prime=0.6)
