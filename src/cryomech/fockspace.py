@@ -227,8 +227,9 @@ class VecBlock:
     rho is then block-diagonal on the connected components, and so are
     rho^dag, rho - rho^dag and the hermitian part: the norms sum over the
     components, and the spectrum is the union of theirs.  The components
-    come from the indices alone, never from the entries' values; all n^2
-    indices make one component of all n states, found without a graph.
+    come from the indices alone, never from the entries' values, by one
+    graph search for every index set, all n^2 indices (one component of all
+    n states) included.
     """
 
     def __init__(self, layout: SpaceLayout, indices: np.ndarray):
@@ -244,11 +245,7 @@ class VecBlock:
                      if sub.kind == BOSONIC and sub.dim > 2}
         # the components in runs of equal size k, each run a (components, k,
         # k) stack of the positions in ``indices`` of their entries, and
-        # where an index holds each (None: everywhere; elsewhere it is 0);
-        # (None, None) for all n^2 indices, whose rows are the matrices
-        if indices.size == n * n:
-            self._components = [(None, None)]
-            return
+        # where an index holds each (None: everywhere; elsewhere it is 0)
         graph = sp.csr_array((np.ones(indices.size), (rows, cols)), shape=(n, n))
         labels = connected_components(graph, directed=True, connection="weak")[1]
         sizes = np.bincount(labels)
@@ -267,10 +264,9 @@ class VecBlock:
         matrix, summed or minimized over the components: elementwise products
         and sums (no BLAS) and one batched ``eigvalsh`` per component size."""
         parts = []
-        n = self.layout.dim
         for at, present in self._components:
             # x[s, c, a, b] is rho_ab of row s on the states a, b of component c
-            x = entries.reshape(-1, 1, n, n).swapaxes(-1, -2) if at is None else entries[:, at]
+            x = entries[:, at]
             if present is not None:
                 x *= present
             xc = x.conj()
@@ -281,8 +277,6 @@ class VecBlock:
                           np.add.reduce((x * xc).real, axis=(1, 2, 3)),
                           np.add.reduce((d * d.conj()).real, axis=(1, 2, 3)),
                           np.minimum.reduce(w.reshape(w.shape[0], -1), axis=1)))
-        if len(parts) == 1:
-            return parts[0]
         tr, norm2, skew2, lows = zip(*parts)
         return sum(tr), sum(norm2), sum(skew2), np.minimum.reduce(lows)
 
@@ -309,14 +303,15 @@ class VecBlock:
         tops = ({} if truncation_threshold is None else
                 {label: pop.tolist() for label, pop in self.top_levels(entries).items()})
         for j in range(entries.shape[0]):
-            if abs(traces[j] - 1.0) > trace_tol:
+            # each test is "not within", so a nan fails it
+            if not abs(traces[j] - 1.0) <= trace_tol:
                 return j, ValueError(f"trace {traces[j]} deviates from 1 beyond {trace_tol}")
-            if math.sqrt(skew2[j]) > herm_tol * math.sqrt(norm2[j]):  # never where rho = 0
+            if not math.sqrt(skew2[j]) <= herm_tol * math.sqrt(norm2[j]):  # holds where rho = 0
                 return j, ValueError("density matrix is not hermitian within tolerance")
-            if lows[j] < -pos_tol:
+            if not lows[j] >= -pos_tol:
                 return j, ValueError(f"density matrix has negative eigenvalue {lows[j]}")
             over = [(label, pop[j]) for label, pop in tops.items()
-                    if pop[j] > truncation_threshold]
+                    if not pop[j] <= truncation_threshold]
             if over:
                 label, pop = over[0]
                 return j, TruncationError(

@@ -38,11 +38,11 @@ replaced by the trace functional; its uniqueness test uses Hager's 1-norm
 estimate of the inverse.  Neither draws random numbers.  The dense reference for both
 lives in :mod:`cryomech.oracle`.  The bordered matrix's CSC structure and
 its fill-reducing column order belong to the generator's sparsity pattern
-(:class:`_BorderedPattern`, cached on the model): one probe LU takes
-SuperLU's COLAMD order from the first matrix of a pattern, and every
-matrix, the first included, is factored on that order with no reordering
-of its own.  One ``SuperLU.solve`` on three columns gives the steady state
-and the two fixed vectors of the estimate.  Along a sweep of a Hamiltonian
+(:class:`_BorderedPattern`, one per steady state or per sweep): one probe
+LU takes SuperLU's COLAMD order from the first matrix of a pattern, and
+every matrix, the first included, is factored on that order with no
+reordering of its own.  One ``SuperLU.solve`` on three columns gives the
+steady state and the two fixed vectors of the estimate.  Along a sweep of a Hamiltonian
 affine in one value, H + v T, :func:`steady_states` builds L(H) and L_T
 once on one sparsity pattern and solves each point from its generator
 data d_0 + v d_1, one sum of two data arrays, on that pattern's one
@@ -196,13 +196,6 @@ class LindbladModel:
         return liouvillian_matrix(self)
 
     @cached_property
-    def _bordered(self) -> _BorderedPattern:
-        """The :class:`_BorderedPattern` of the generator's sparsity pattern,
-        built on first use."""
-        L = self.generator
-        return _BorderedPattern(self.layout.dim, L.indptr, L.indices)
-
-    @cached_property
     def _blocks(self) -> dict[bytes, tuple[np.ndarray, _TaylorBlock, VecBlock]]:
         return {}
 
@@ -210,17 +203,16 @@ class LindbladModel:
         """The sorted indices of vec(rho) reachable from ``support`` along the
         generator's sparsity graph (:func:`_reachable`), the generator
         restricted to them as a :class:`_TaylorBlock`, and the
-        :class:`~cryomech.fockspace.VecBlock` that validates states on them;
-        computed once per support, so every evolution from it shares the
-        block's shift, 1-norm and components.  The block is its own
-        reachable set, so it is cached under its own indices too."""
+        :class:`~cryomech.fockspace.VecBlock` that validates states on them,
+        for every block alike, all n^2 indices included; computed once per
+        support, so every evolution from it shares the block's shift, 1-norm
+        and components.  The block is its own reachable set, so it is cached
+        under its own indices too."""
         key = support.tobytes()
         if key not in self._blocks:
             L = self.generator
             block = _reachable(L, support)
-            full = block.size == L.shape[0]
-            entry = (block, _TaylorBlock(L if full else L[block[:, None], block]),
-                     full_block(self.layout) if full else VecBlock(self.layout, block))
+            entry = (block, _TaylorBlock(L[block[:, None], block]), VecBlock(self.layout, block))
             self._blocks[key] = self._blocks.setdefault(block.tobytes(), entry)
         return self._blocks[key]
 
@@ -333,8 +325,6 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
     ``L``, which has an edge i -> j wherever L[j, i] is stored.  The span of
     their unit vectors is invariant under L."""
     n = L.shape[0]
-    if support.size == n:
-        return support
     # the CSC arrays of L are the CSR arrays of its transpose; an extra node n
     # points at the whole support, so one search covers every start
     csc = L.tocsc()
@@ -345,29 +335,6 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return np.sort(order[1:])
 
 
-def _shift_diagonal(A: sp.csr_array, mu: complex) -> sp.csr_array:
-    """A - mu I for a canonical CSR matrix A, with the arrays and bits of
-    scipy's ``A - mu * sp.eye_array(n)``: the stored entries and the whole
-    diagonal in row-major order, A_ii - mu on the diagonal (0 - mu where A
-    stores none), and the entries that come out exactly 0 dropped."""
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    on = A.indices == rows
-    diagonal = np.zeros(n, dtype=complex)
-    diagonal[rows[on]] = A.data[on]
-    rows = np.concatenate([rows[~on], np.arange(n)])
-    cols = np.concatenate([A.indices[~on], np.arange(n)])
-    # np.ones(n) * mu is the data of mu * eye, bit for bit, signed zeros included
-    data = np.concatenate([A.data[~on], diagonal - np.ones(n) * mu])
-    kept = np.flatnonzero(data)
-    # two runs in row-major order, which a stable sort merges in one pass
-    kept = kept[np.argsort(rows[kept] * n + cols[kept], kind="stable")]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n))])
-    index = A.indices.dtype
-    return sp.csr_array((data[kept], cols[kept].astype(index), indptr.astype(index)),
-                        shape=A.shape)
-
-
 class _TaylorBlock:
     """One block A of the generator, shifted to A - mu I with mu = tr(A) / dim,
     and the exact 1-norm from which its Taylor schedules are chosen (Al-Mohy
@@ -376,7 +343,7 @@ class _TaylorBlock:
     def __init__(self, A: sp.csr_array):
         self.dim = n = A.shape[0]
         self.mu = A.trace() / n
-        self.step = _shift_diagonal(A, self.mu)
+        self.step = A - self.mu * sp.eye_array(n, format="csr")
         self.norm1 = _norm1(self.step.indices, self.step.data, n)
 
     def schedule(self, h: float) -> tuple[int, int]:
@@ -469,12 +436,10 @@ def _tiled_square(P: np.ndarray) -> np.ndarray:
     P is padded with zeros to q t, q = ceil(n / ``_TILE``) tiles of edge
     t = ceil(n / q) a side; one batched ``np.matmul`` forms all q^3 tile
     products P_il P_lj, and numpy adds the q products of each output tile
-    in the order l = 0 .. q - 1.  With q = 1 it is one ``P @ P``.
+    in the order l = 0 .. q - 1, n <= ``_TILE`` included (q = 1).
     """
     n = P.shape[0]
     q = -(-n // _TILE)
-    if q == 1:
-        return P @ P
     t = -(-n // q)
     padded = np.zeros((q * t, q * t), dtype=P.dtype)
     padded[:n, :n] = P
@@ -824,12 +789,13 @@ def _steady_vector(L: sp.csr_array, pattern: _BorderedPattern) -> np.ndarray:
             f"condition estimate {cond:.3g})")
     x = np.empty(dim, dtype=complex)
     x[pattern.order] = y[:, 0]
-    rho = _unvec(x, pattern.n)
-    rho = rho / np.trace(rho)
-    residual = np.linalg.norm(L @ _vec(rho))
-    if residual > 1e-10 * max(scale, 1.0):
+    # the trace is the sum of the entries at the vec positions of rho_ii
+    with np.errstate(invalid="ignore"):  # a nan is refused below, by name
+        x = x / x[::pattern.n + 1].sum()
+    residual = np.linalg.norm(L @ x)
+    if not residual <= 1e-10 * max(scale, 1.0):
         raise DegenerateSteadyStateError(f"null-space residual {residual:.3g} too large")
-    return _vec(rho)
+    return x
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
@@ -842,10 +808,11 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     is solved with a sparse LU factorization.  The bordered matrix is
     nonsingular exactly when the null space of L is one-dimensional.
 
-    The model's :class:`_BorderedPattern` gathers B[:, order] straight into
-    CSC form, with ``order`` SuperLU's COLAMD order from one probe LU of the
-    pattern's first matrix.  SuperLU factors B[:, order] on the natural
-    order, with its default partial pivoting, and x[order] = y undoes the
+    A :class:`_BorderedPattern` of the generator's sparsity pattern, built
+    as :func:`steady_states` builds its one, gathers B[:, order] straight
+    into CSC form, with ``order`` SuperLU's COLAMD order from one probe LU
+    of that generator.  SuperLU factors B[:, order] on the natural order,
+    with its default partial pivoting, and x[order] = y undoes the
     permutation.  B[:, order]^-1 is B^-1 with its rows permuted, so the
     condition estimate below is that of B.  The solve for x and the two
     fixed solves of that estimate are one call on three columns.
@@ -854,13 +821,14 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     when the 1-norm condition estimate of the bordered matrix (its exact
     1-norm times Hager's deterministic estimate of the inverse's) exceeds
     ``1 / NULLSPACE_UNIQUE_TOL`` (e.g. a closed system), or when the residual
-    ||L vec(rho)|| exceeds 1e-10 times that norm bound (or 1).  Raises
-    PreconditionError when that scale is not finite: an entry of the
-    generator, or its column 2-norm, overflowed.  The state is a
-    :class:`DensityMatrix` with ``STEADY_TOLS``.  :func:`steady_states` runs
-    the same core along a sweep.
+    ||L vec(rho)|| is not within 1e-10 times that norm bound (or 1), nan
+    included.  Raises PreconditionError when that scale is not finite: an
+    entry of the generator, or its column 2-norm, overflowed.  The state is
+    a :class:`DensityMatrix` with ``STEADY_TOLS``.  :func:`steady_states`
+    runs the same core along a sweep.
     """
-    rho = _unvec(_steady_vector(model.generator, model._bordered), model.layout.dim)
+    L, n = model.generator, model.layout.dim
+    rho = _unvec(_steady_vector(L, _BorderedPattern(n, L.indptr, L.indices)), n)
     return DensityMatrix(model.layout, rho, **STEADY_TOLS)
 
 

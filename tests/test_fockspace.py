@@ -15,6 +15,7 @@ from cryomech.fockspace import (
     StateVector,
     annihilation,
     embed,
+    full_block,
     kron_states,
     number,
     partial_trace,
@@ -162,6 +163,19 @@ class TestDensityMatrix:
             DensityMatrix(lay, np.array([[0.7, 0.0], [0.0, 0.7]], dtype=complex))
         with pytest.raises(ValueError):
             DensityMatrix(lay, np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
+
+    def test_nan_refused(self):
+        """A nan fails every comparison, so each invariant is tested as "not
+        within its bound": a nan entry breaks the first invariant it reaches
+        instead of passing them all."""
+        lay = SpaceLayout.single("m", 2)
+        found = full_block(lay).fault(np.full((1, 4), np.nan), 1e-9, 1e-10, 1e-7)
+        assert found is not None and found[0] == 0 and isinstance(found[1], ValueError)
+        with pytest.raises(ValueError, match="trace .*nan"):
+            DensityMatrix(lay, np.full((2, 2), np.nan))
+        # the trace holds, the nan sits in rho_10 alone
+        with pytest.raises(ValueError, match="not hermitian"):
+            DensityMatrix(lay, np.array([[0.5, 0.0], [np.nan, 0.5]]))
 
 
 class TestPartialTrace:

@@ -36,6 +36,7 @@ from cryomech.fockspace import (
 from cryomech.lindblad import (
     Dissipator,
     LindbladModel,
+    _BorderedPattern,
     _estimate_vectors,
     _inverse_norm1,
     _union_aligned,
@@ -446,6 +447,25 @@ class TestBatchedCheckAgainstOneMatrix:
             entries, **lindblad.SAMPLE_TOLS, truncation_threshold=threshold))
         assert batched == _first_fault(one_by_one)
 
+    def test_full_block_against_one_matrix(self):
+        """On all n^2 indices, one component of all n states, the invariants
+        are each matrix's trace, ||rho||_F^2, ||rho - rho^dag||_F^2 and
+        smallest ``eigvalsh`` of its hermitian part."""
+        layout = SpaceLayout.of(("a", 3), ("b", 3))
+        rng = np.random.default_rng(17)
+        # neither hermitian nor positive, so no invariant is trivially 0
+        states = rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))
+        checks = VecBlock(layout, np.arange(81))
+        assert [at.shape for at, _ in checks._components] == [(1, 9, 9)]
+        got = checks._invariants(np.array([lindblad._vec(rho) for rho in states]))
+        skew = states - states.conj().transpose(0, 2, 1)
+        want = (np.trace(states, axis1=1, axis2=2),
+                np.linalg.norm(states, axis=(1, 2)) ** 2,
+                np.linalg.norm(skew, axis=(1, 2)) ** 2,
+                np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1))).min(axis=1))
+        for name, g, w in zip(("trace", "norm2", "skew2", "low"), got, want):
+            assert np.abs(g - w).max() <= 1e-14 * max(1.0, np.abs(w).max()), name
+
     def test_unpaired_entry_counts_twice(self):
         """rho_10 on the block, rho_01 off it: |rho_10| sits twice in
         ||rho - rho^dag||_F, so 6e-10 fails the 1e-9 relative test on a
@@ -681,6 +701,20 @@ class TestBorderedPattern:
         with pytest.raises(error, match=match):
             steady_states(model, term, values)
 
+    def test_nan_residual_refused(self, monkeypatch):
+        # a nan fails every comparison: the residual test reads "not within"
+        def nan_state(b, y):
+            if b.ndim == 2:
+                y[:, 0] = np.nan
+
+        monkeypatch.setattr(lindblad, "splu", lambda *args, **kwargs: SolveSpy(
+            splu(*args, **kwargs), nan_state))
+        with pytest.raises(DegenerateSteadyStateError, match="null-space residual nan"):
+            steady_state(_decaying_qubit())
+        with pytest.raises(DegenerateSteadyStateError,
+                           match="at swept value 0.25: null-space residual nan"):
+            steady_states(_decaying_qubit(), _qubit_term((0, 0.5), (0.5, 0)), [0.25, 0.5])
+
     def test_residual_names_its_value(self, monkeypatch):
         def off_the_steady_state(b, y):
             # the three-column solve's first column, as a wrong pivot would leave it
@@ -786,7 +820,7 @@ class TestInverseNormEstimate:
         L = model.generator
         scale = np.linalg.norm(L.toarray(), axis=0).max()
         # B[:, order], whose inverse has the rows of B^-1 permuted: the same 1-norm
-        bordered = model._bordered.matrix(L.data, scale)
+        bordered = _BorderedPattern(dim, L.indptr, L.indices).matrix(L.data, scale)
         lu = splu(bordered, permc_spec="NATURAL")
         estimate = _inverse_norm1(lu, *lu.solve(_estimate_vectors(dim * dim)).T)
         exact = np.linalg.norm(np.linalg.inv(bordered.toarray()), 1)
@@ -900,43 +934,6 @@ class TestTaylorSchedule:
         assert np.abs(row - exact).max() <= 16 * max(1.0, h * block.norm1) * 2.0 ** -53
 
 
-class TestShiftDiagonal:
-    """The Taylor block's A - mu I keeps the arrays and bits of scipy's
-    ``A - mu * sp.eye_array(n)``, the entries that come out exactly 0
-    dropped."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
-           density=st.floats(0.0, 1.0), signed_zeros=st.booleans(),
-           explicit_zero=st.booleans(),
-           mu=st.sampled_from(["trace", "stored", 0j, complex(0.0, -0.0),
-                               complex(-0.0, 0.5), complex(1.5, -0.0)]))
-    def test_matches_scipy_subtraction(self, n, seed, density, signed_zeros,
-                                       explicit_zero, mu):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m *= rng.random((n, n)) < density
-        if signed_zeros:
-            m.imag[rng.random((n, n)) < 0.5] = -0.0
-        A = sp.csr_array(m)
-        if explicit_zero and A.nnz:
-            A.data[rng.integers(A.nnz)] = 0.0
-        if mu == "trace":
-            mu = A.trace() / n
-        elif mu == "stored":
-            # the first stored diagonal entry, which then cancels exactly
-            mu = A.diagonal()[np.argmax(A.diagonal() != 0)]
-        mu = np.complex128(mu)
-        want = A - mu * sp.eye_array(n, format="csr")
-        got = [lindblad._shift_diagonal(A, mu)]
-        if mu == A.trace() / n:
-            got.append(lindblad._TaylorBlock(A).step)
-        for step in got:
-            for name in ("indptr", "indices", "data"):
-                a, b = getattr(want, name), getattr(step, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
-
 class TestStiffRuns:
     """Composing short steps at the fast time scale loses about
     ||h (L_R - mu)||_1 2^-53 on a sample step h, so ``evolve`` refuses a step
@@ -1031,7 +1028,8 @@ class TestTiledSquare:
     """The propagator's dense BLAS products.  A whole complex ``A @ A`` gives
     different bits at one and two OpenBLAS threads at n = 140, 150, 172 and
     460; ``_tiled_square`` cuts it into tile products of at most 64^3,
-    which OpenBLAS runs on one thread, and adds them in a fixed order.  Each
+    which OpenBLAS runs on one thread, and adds them in a fixed order; at
+    n = 48 the one tile is the whole matrix, on the same path.  Each
     sample step is one matvec ``P @ f``, whose bits OpenBLAS keeps at any
     thread count (a product with several columns is a GEMM and does not)."""
 
