@@ -331,10 +331,21 @@ class VecBlock:
             raise fault
 
 
-@lru_cache(maxsize=None)
+def vec_block(layout: SpaceLayout, indices: np.ndarray) -> VecBlock:
+    """The :class:`VecBlock` of ``layout`` at ``indices``, built once per
+    layout and index set, so the models that share both share its graph
+    search and index maps.  Its ``indices`` are a read-only int64 copy."""
+    return _vec_block(layout, np.asarray(indices, dtype=np.int64).tobytes())
+
+
+@lru_cache(maxsize=256)
+def _vec_block(layout: SpaceLayout, indices: bytes) -> VecBlock:
+    return VecBlock(layout, np.frombuffer(indices, dtype=np.int64))
+
+
 def full_block(layout: SpaceLayout) -> VecBlock:
-    """The :class:`VecBlock` of all n^2 entries on ``layout``."""
-    return VecBlock(layout, np.arange(layout.dim ** 2))
+    """The :func:`vec_block` of all n^2 entries on ``layout``."""
+    return vec_block(layout, np.arange(layout.dim ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,18 @@ result k times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) and
 multiplies each sample by that P = exp(h L_R).  A count of stored-entry
 products and calls on (block size, nnz, steps, m s) picks the path and k:
 long runs of small blocks take the propagator, single steps of large
-blocks the stepper.  Every series product is a scipy sparse kernel.  The
-dense BLAS products are the squaring, cut into tiles of at most 64
-(:func:`_tiled_square`) that OpenBLAS runs on one thread, and each
-sample's matvec P f, whose bits OpenBLAS keeps at any thread count (a
-GEMM of P with several samples would not); ``tests/test_lindblad.py``
-holds both.  (m, s) minimise m s under a bound on the step's exact
+blocks the stepper.  A block that a diagonal gauge S = diag(i^p), p in
+{0, 1}, makes real (:func:`_quarter_turns`: the beamsplitter and JC swap
+models, whose jumps are real and whose Hamiltonians have no diagonal, and
+every real model) runs both paths in float64 on S^-1 (L_R - mu) S.  States
+enter that basis and leave it by exact quarter turns, so every sparse
+product and sum of the series is the complex one's, a quarter turn apart;
+a complex state meets one complex copy of the real P.  Every series
+product is a scipy sparse kernel.  The dense BLAS products are the
+squaring, cut into tiles of at most 64 (:func:`_tiled_square`) that
+OpenBLAS runs on one thread, and each sample's matvec P f, whose bits
+OpenBLAS keeps at any thread count (a GEMM of P with several samples
+would not); ``tests/test_lindblad.py`` holds both, real and complex.  (m, s) minimise m s under a bound on the step's exact
 1-norm.  Around one sample of an evolution, :func:`expectation_series`
 gives expectations as the same series in time, so a maximum between
 samples needs no further evolution.  RK45 on the full generator
@@ -75,7 +81,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import DegenerateSteadyStateError, PreconditionError
@@ -88,6 +94,7 @@ from .fockspace import (
     are_hermitian,
     embed,
     full_block,
+    vec_block,
 )
 from .model import SystemParams, build_beamsplitter
 
@@ -134,9 +141,11 @@ TAYLOR_THETA = {
 _CALL_COST = 8000
 
 #: Price of one :func:`_tiled_square` per dim^3, in the same unit, measured
-#: once on the same VM at one BLAS thread: a squaring takes 1.4 ms at dim 172
-#: and 0.49 ms at dim 124, about a quarter of dim^3 ns (scipy's sparse
-#: kernel takes 8.5 and 3.4 ms for the same products).
+#: once on the same VM at one BLAS thread: a complex squaring takes 1.4 ms at
+#: dim 172 and 0.49 ms at dim 124, about a quarter of dim^3 ns (scipy's
+#: sparse kernel takes 8.5 and 3.4 ms for the same products).  A gauged
+#: block squares in float64 for several times less, but it keeps the complex
+#: price, so that no block's (m, s, k) moves with its gauge.
 _SQUARE_RATIO = 0.25
 
 #: Largest tile edge of :func:`_tiled_square`.  OpenBLAS runs a GEMM with
@@ -152,7 +161,7 @@ class Dissipator:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:  # "not within", so a nan fails it
             raise ValueError(f"dissipator rate must be nonnegative, got {self.rate}")
 
 
@@ -205,14 +214,16 @@ class LindbladModel:
         restricted to them as a :class:`_TaylorBlock`, and the
         :class:`~cryomech.fockspace.VecBlock` that validates states on them,
         for every block alike, all n^2 indices included; computed once per
-        support, so every evolution from it shares the block's shift, 1-norm
-        and components.  The block is its own reachable set, so it is cached
-        under its own indices too."""
+        support, so every evolution from it shares the block's shift, 1-norm,
+        gauge and components.  The block is its own reachable set, so it is
+        cached under its own indices too.  The checker is
+        :func:`~cryomech.fockspace.vec_block`'s, shared by every model on the
+        same layout and block."""
         key = support.tobytes()
         if key not in self._blocks:
             L = self.generator
             block = _reachable(L, support)
-            entry = (block, _TaylorBlock(L[block[:, None], block]), VecBlock(self.layout, block))
+            entry = (block, _TaylorBlock(L[block[:, None], block]), vec_block(self.layout, block))
             self._blocks[key] = self._blocks.setdefault(block.tobytes(), entry)
         return self._blocks[key]
 
@@ -335,16 +346,75 @@ def _reachable(L: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return np.sort(order[1:])
 
 
+def _quarter_turns(A: sp.csr_array) -> Optional[np.ndarray]:
+    """Powers p in {0, 1}^n of a diagonal S = diag(i^p) for which S^-1 A S
+    is real, or None where no such S exists.
+
+    A stored entry A_jk becomes i^(p_k - p_j) A_jk, so a real one asks for
+    p_j = p_k and an imaginary one for p_j != p_k.  Node j + n q of a doubled
+    graph stands for p_j = q; a real entry joins j + n q to k + n q, an
+    imaginary one j + n q to k + n (1 - q), and an entry that is 0 joins
+    nothing (it becomes a loop on j + n q).  The graph's CSR rows are A's,
+    twice over, so it is built with no sort.  S exists exactly when no
+    connected component holds both nodes of one j.  A component and its
+    mirror image (every q flipped) are both components; of the two, the one
+    with the lower label holds the powers.  An entry with both parts
+    nonzero, or an imaginary entry on the diagonal, rules S out before any
+    graph is built."""
+    n, data = A.shape[0], A.data
+    if ((data.real != 0) & (data.imag != 0)).any() or A.diagonal().imag.any():
+        return None
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    # the neighbour of node j (q = 0) through each entry; that of j + n is n further on
+    near = np.where(data == 0, rows, A.indices + n * (data.imag != 0))
+    graph = sp.csr_array((np.ones(2 * near.size), np.concatenate([near, (near + n) % (2 * n)]),
+                          np.concatenate([A.indptr, A.indptr[1:] + A.indptr[-1]])),
+                         shape=(2 * n, 2 * n))
+    labels = connected_components(graph, directed=False)[1]
+    if (labels[:n] == labels[n:]).any():
+        return None
+    return (labels[:n] > labels[n:]).astype(int)
+
+
 class _TaylorBlock:
     """One block A of the generator, shifted to A - mu I with mu = tr(A) / dim,
-    and the exact 1-norm from which its Taylor schedules are chosen (Al-Mohy
-    & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
+    in its real gauge where it has one, and the exact 1-norm from which its
+    Taylor schedules are chosen (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)).
+
+    ``step`` is S^-1 (A - mu I) S for the diagonal S = diag(``phases``) of
+    :func:`_quarter_turns`, a real matrix with a real ``mu``, where the
+    block has such an S: the beamsplitter and JC swap models, whose jumps
+    are real and whose Hamiltonians have no diagonal, and every real model.
+    Elsewhere ``phases`` is all 1 and ``step`` is A - mu I, complex.  Each
+    phase is a power of i, so S^-1 (A - mu I) S holds the values of
+    A - mu I exactly, up to a quarter turn each, and the 1-norm, the schedule
+    and every price of :func:`_taylor_path` are the same in both bases.
+    """
 
     def __init__(self, A: sp.csr_array):
         self.dim = n = A.shape[0]
         self.mu = A.trace() / n
-        self.step = A - self.mu * sp.eye_array(n, format="csr")
-        self.norm1 = _norm1(self.step.indices, self.step.data, n)
+        step = A - self.mu * sp.eye_array(n, format="csr")
+        self.norm1 = _norm1(step.indices, step.data, n)
+        powers = _quarter_turns(A)
+        if powers is None:
+            self.phases = np.ones(n, dtype=complex)
+        else:
+            self.phases = np.where(powers == 1, 1j, 1.0)
+            self.mu = self.mu.real
+            # i^t (x + i y) is real: x where t = 0, -t y where t = +-1
+            turns = powers[step.indices] - np.repeat(powers, np.diff(step.indptr))
+            data = np.where(turns == 0, step.data.real, -turns * step.data.imag)
+            step = sp.csr_array((data, step.indices, step.indptr), shape=step.shape)
+        self.step = step
+
+    def gauge(self, v: np.ndarray) -> np.ndarray:
+        """Rows v of entries on the block in the basis of ``step``, v
+        conj(``phases``), exactly: real where ``step`` is real and v has no
+        imaginary part left there, complex elsewhere."""
+        w = v * self.phases.conj()
+        return w.real if np.isrealobj(self.step.data) and not w.imag.any() else w
 
     def schedule(self, h: float) -> tuple[int, int]:
         """Taylor degree m and substep count s for exp(h step): the smallest
@@ -360,14 +430,16 @@ class _TaylorBlock:
 
 
 def _taylor_series(block: _TaylorBlock, h: float, m: int, s: int, X: np.ndarray) -> np.ndarray:
-    """exp(h A) X for the block's A and a vector or a dense block of columns X.
+    """exp(h S^-1 A S) X for the block's A and gauge S (:class:`_TaylorBlock`)
+    and a vector or a dense block of columns X, all in the basis of
+    ``block.step``: real where the step and X are.
 
-    s substeps, each the degree-m Taylor series of (A - mu) h / s times
+    s substeps, each the degree-m Taylor series of ``step`` h / s times
     exp(mu h / s).  Each substep's series stops once its last two terms fall
     below the unit roundoff relative to the partial sum (Al-Mohy & Higham,
-    Algorithm 3.2), both measured by the largest entry.  ``step @ b`` is
-    scipy's sparse kernel for either shape, so no product here depends on
-    the BLAS thread count.
+    Algorithm 3.2), both measured by the largest entry, which the gauge
+    leaves as it is.  ``step @ b`` is scipy's sparse kernel for either shape,
+    so no product here depends on the BLAS thread count.
     """
     step = block.step * (h / s)
     eta = np.exp(block.mu * h / s)
@@ -455,26 +527,32 @@ def _tiled_square(P: np.ndarray) -> np.ndarray:
 def _taylor_samples(block: _TaylorBlock, v0: np.ndarray, h: float,
                     steps: int) -> tuple[np.ndarray, str, tuple[int, int, int]]:
     """Rows exp(j h A) v0 for j = 0 .. steps for the block's A, with the path of
-    :func:`_taylor_path` that made them and its (m, s, k).
+    :func:`_taylor_path` that made them and its (m, s, k).  v0 and the rows
+    are in the generator's basis; every step between runs in the block's
+    gauge, on v0 conj(phases), and the rows come back as rows times phases,
+    both exact.
 
-    The propagator is P = exp(h A) from the series at h / 2^k and k squarings
-    P <- P P by :func:`_tiled_square` (Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005)), and each sample is one matvec P f from the last, whose bits,
-    like the stepper's, do not depend on the BLAS thread count (a test holds them).
+    The propagator is P = exp(h S^-1 A S) from the series at h / 2^k and k
+    squarings P <- P P by :func:`_tiled_square` (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)), real where the block's step is, and each sample
+    is one matvec P f from the last.  A real P meets a complex f as one
+    complex copy, made once, so each step stays one matvec.  Its bits, like
+    the stepper's, do not depend on the BLAS thread count (a test holds them).
     """
     path, (m, s, k) = _taylor_path(block, h, steps)
+    f = block.gauge(v0)
     if path == "stepper":
         advance = partial(_taylor_series, block, h, m, s)
     else:
-        P = _taylor_series(block, h / 2 ** k, m, s, np.eye(block.dim, dtype=complex))
+        P = _taylor_series(block, h / 2 ** k, m, s, np.eye(block.dim, dtype=block.step.dtype))
         for _ in range(k):
             P = _tiled_square(P)
-        advance = partial(np.matmul, P)
-    out = np.empty((steps + 1, block.dim), dtype=complex)
-    out[0] = f = v0
+        advance = partial(np.matmul, P.astype(f.dtype, copy=False))
+    out = np.empty((steps + 1, block.dim), dtype=f.dtype)
+    out[0] = f
     for j in range(1, steps + 1):
         out[j] = f = advance(f)
-    return out, path, (m, s, k)
+    return out * block.phases, path, (m, s, k)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
@@ -608,19 +686,22 @@ def expectation_series(model: LindbladModel, result: EvolutionResult, c: int,
     substep of the evolution.  A single piece is centred on the sample
     itself; s > 1 pieces are centred at the odd multiples of h / s after
     sample c - 1, propagated forward from it by :func:`_taylor_samples`.
-    The m matvecs of each piece give every expectation's coefficients as
-    sums of products with the entries of O: no dense BLAS product.
+    The m matvecs of each piece run in the block's gauge, on the centres
+    times conj(phases), and give every expectation's coefficients as sums of
+    products with the entries of O times phases, which undo the gauge
+    exactly: no dense BLAS product.
     """
     _, taylor, _ = model.reachable_block(result.block)
     h = result.times[-1] / (result.times.size - 1)
     m, s = taylor.schedule(h)
     r = h / s
     if s == 1:
-        X = result.samples[c][:, None]
+        centres = result.samples[c][None]
     else:
         rows, _, _ = _taylor_samples(taylor, result.samples[c - 1], r, 2 * s)
-        X = rows[1::2].T
-    weights = _entry_weights(result.block, operators)
+        centres = rows[1::2]
+    X = taylor.gauge(centres).T
+    weights = _entry_weights(result.block, operators) * taylor.phases
     step = taylor.step * r
     coeffs = np.empty((s, len(weights), m + 1), dtype=complex)
     for j in range(m + 1):

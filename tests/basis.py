@@ -1,7 +1,7 @@
 """Fock basis states, whole sample matrices and Haar-random qubits for the
 tests; the package itself builds only the vacuum
 (:func:`cryomech.fockspace.vacuum`) and only the final state of an
-evolution.  Also the path of the benchmark's ESR sweep config, which tests
+evolution.  Also the paths of the benchmark's workload configs, which tests
 read and never write, and a SuperLU factor that reports its solves."""
 
 from pathlib import Path
@@ -11,9 +11,11 @@ import numpy as np
 from cryomech.fockspace import SpaceLayout, StateVector
 from cryomech.lindblad import EvolutionResult
 
+#: The benchmark's workload configs, ``<workload>/<config>.conf``.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
 #: The ``esr-sweep`` workload's config: the 61-point sweep of ``esr-scan``.
-ESR_SWEEP_CONF = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
-                  / "esr-sweep" / "esr-scan.conf")
+ESR_SWEEP_CONF = WORKLOADS / "esr-sweep" / "esr-scan.conf"
 
 
 def fock_state(layout: SpaceLayout, occupations: dict[str, int]) -> StateVector:

@@ -16,7 +16,7 @@ import cryomech
 from cryomech.cli import _SCENARIOS, REQUIRED, SCENARIOS, _jsonable, main, parse_config
 from cryomech.errors import ConfigError
 
-from basis import haar_qubit
+from basis import WORKLOADS, haar_qubit
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -764,17 +764,22 @@ class TestOutputs:
 
     def test_identical_across_blas_threads(self, tmp_path):
         """Full and eliminated (4, 12) cooling, the dissipative transfer, the
-        oracle batch and the ESR sweep give byte-identical reports at one and
-        two BLAS threads: no product on their path may depend on the thread
-        count.  The full run and the transfer square their propagators in
-        3 x 3 and 2 x 2 tiles; the eliminated run and the oracle batch
-        (blocks of 16 or less) in one ``P @ P``; the sweep factors each
-        point with SuperLU on its pattern's one column order."""
+        oracle batch, the benchmark's dissipative spin teleportation and the
+        ESR sweep give byte-identical reports at one and two BLAS threads: no
+        product on their path may depend on the thread count.  The full run
+        and the transfer square their propagators in 3 x 3 and 2 x 2 tiles;
+        the eliminated run, the oracle batch (blocks of 16 or less) and the
+        JC swaps (36 indices) in one tile, on the same padded batched path.
+        Every block but the oracle's random ones runs in its real gauge, so
+        those squares and each sample's ``P @ f`` are real products; the
+        sweep factors each point with SuperLU on its pattern's one column
+        order."""
         cool = ("scenario = cool\ng = 1\nkappa = 20\ngamma_m = 0.05\nn_bar = 3\n"
                 "n_init = 3\nomega_m = 50\ndim_a = 4\ndim_m = 12\nnum_samples = 60\n")
         configs = {"full": cool, "eliminated": cool + "eliminated = true\n",
                    "superpose": SUPERPOSE_CFG + "dissipation = true\n",
                    "verify-all": "scenario = verify-all\ninstances = 20\n",
+                   "teleport-spin": (WORKLOADS / "small-dims" / "teleport-spin.conf").read_text(),
                    # the benchmark's 256-dim bordered system
                    "esr-scan": TestEsrScenario.ESR_CFG.replace("mech_dim = 6", "mech_dim = 8")}
         for name, text in configs.items():

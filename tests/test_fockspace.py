@@ -23,6 +23,7 @@ from cryomech.fockspace import (
     sigma_pm,
     thermal_state,
     top_level_population,
+    vec_block,
 )
 
 from basis import fock_state
@@ -176,6 +177,19 @@ class TestDensityMatrix:
         # the trace holds, the nan sits in rho_10 alone
         with pytest.raises(ValueError, match="not hermitian"):
             DensityMatrix(lay, np.array([[0.5, 0.0], [np.nan, 0.5]]))
+
+
+class TestVecBlockCache:
+    def test_one_checker_per_layout_and_indices(self):
+        """Models on one layout share the checker of one index set, whatever
+        the indices' integer type; ``full_block`` is the all-n^2 set."""
+        lay = SpaceLayout.of(("a", 2), ("m", 3))
+        full = full_block(lay)
+        assert vec_block(lay, np.arange(36, dtype=np.int32)) is full
+        assert not full.indices.flags.writeable
+        pair = vec_block(lay, np.array([0, 7]))
+        assert vec_block(lay, np.array([0, 7], dtype=np.int32)) is pair
+        assert vec_block(SpaceLayout.of(("a", 3), ("m", 2)), np.array([0, 7])) is not pair
 
 
 class TestPartialTrace:

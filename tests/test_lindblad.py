@@ -1,6 +1,7 @@
 """Tests for the master-equation engine: generators, evolution, steady
 states and adiabatic elimination."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from scipy.sparse.linalg import splu
 
 import cryomech
 from cryomech import lindblad, protocols
+from cryomech.cli import main
 from cryomech.errors import (
     DegenerateSteadyStateError,
     PreconditionError,
@@ -53,7 +55,7 @@ from cryomech.model import SpinParams, SystemParams, build_spin_mech
 from cryomech.oracle import _build_liouvillian, _random_density, _random_model, trace_distance
 from cryomech.protocols import sideband_cool
 
-from basis import ESR_SWEEP_CONF, SolveSpy, fock_state, sample_matrices
+from basis import ESR_SWEEP_CONF, WORKLOADS, SolveSpy, fock_state, sample_matrices
 
 
 def damped_mode(dim=6, kappa=0.5, n_bar=0.0):
@@ -115,6 +117,12 @@ class TestModelValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             Dissipator(annihilation(3, "m"), -0.1)
+
+    def test_nan_rate_rejected(self):
+        # a nan fails "rate < 0" too; accepted, it made the generator raise
+        # an overflow that no rate or energy had
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            Dissipator(annihilation(3, "m"), float("nan"))
 
     def test_layout_mismatch_rejected(self):
         lay = SpaceLayout.single("m", 2)
@@ -915,7 +923,8 @@ class TestTaylorSchedule:
         with ||h (A - mu)||_1 = 100 on the non-normal 26-index block of a
         transfer at kappa = 50 g, against ``mpmath.expm`` at 30 digits within
         the bound of :class:`TestTaylorAgainstMpmath`.  At this size the count
-        rule hands a whole run to the propagator, so the step runs directly."""
+        rule hands a whole run to the propagator, so the step runs directly,
+        in the block's real gauge: on v0 conj(phases), back by phases."""
         layout = SpaceLayout.of(("a", 2), ("a_m", 3))
         model = cooling_model(1.0, 50.0, 0.001, 0.01, layout)
         psi = np.kron([1.0, 1.0], [1.0, 0.0, 0.0]) / np.sqrt(2)
@@ -927,7 +936,8 @@ class TestTaylorSchedule:
         h = 100.0 / block.norm1
         m, s = block.schedule(h)
         assert (m, s) == (50, 12)
-        row = lindblad._taylor_series(block, h, m, s, v0[R])
+        assert np.isrealobj(step)
+        row = block.phases * lindblad._taylor_series(block, h, m, s, block.gauge(v0[R]))
         with mpmath.workdps(30):
             x = mpmath.expm(mpmath.matrix(A.tolist()) * h) * mpmath.matrix(v0[R].tolist())
             exact = np.array([complex(y) for y in x])
@@ -1023,6 +1033,114 @@ class TestTaylorAgainstMpmath:
                 exact = np.array([complex(y) for y in x])
                 assert np.abs(rows[j] - exact).max() <= 16 * j * unit
 
+    @pytest.mark.parametrize("coherence", [0.0, 0.2])
+    def test_gauged_cooling_rows_match_mpmath(self, coherence):
+        """A cooling block in its real gauge, on the propagator with
+        squarings, held to the same bound: from a diagonal start every
+        product is real, and with a coherence |0, 0><1, 0| the gauged start
+        is complex and meets the one complex copy of the real P."""
+        layout = SpaceLayout.of(("a", 2), ("a_m", 3))
+        model = cooling_model(1.0, 2.0, 0.1, 0.5, layout)
+        rho = np.diag([0.3, 0.2, 0.1, 0.2, 0.1, 0.1]).astype(complex)
+        rho[0, 3] = rho[3, 0] = coherence
+        v0 = lindblad._vec(rho)
+        R, block, _ = model.reachable_block(np.flatnonzero(v0))
+        A = model.generator.toarray()[np.ix_(R, R)]
+        h, steps = 20.0 / block.norm1, 3
+        path, (_, _, k) = lindblad._taylor_path(block, h, steps)
+        assert path == "propagator" and k > 0
+        assert block.phases.imag.any() and np.isrealobj(block.step.data)
+        assert np.isrealobj(block.gauge(v0[R])) == (coherence == 0.0)
+        rows, _, _ = lindblad._taylor_samples(block, v0[R], h, steps)
+        unit = max(1.0, h * block.norm1) * 2.0 ** -53
+        with mpmath.workdps(30):
+            step = mpmath.expm(mpmath.matrix(A.tolist()) * h)
+            x = mpmath.matrix(v0[R].tolist())
+            for j in range(1, steps + 1):
+                x = step * x
+                exact = np.array([complex(y) for y in x])
+                assert np.abs(rows[j] - exact).max() <= 16 * j * unit
+
+
+#: The four quarter turns i^p, exact.
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _gauge_case(seed, n, flaw):
+    """A = S R S^-1 for a random real sparse R and a diagonal S of random
+    quarter turns, and R, with A broken by ``flaw``: None; ``"mixed"``, one
+    entry with both parts nonzero; ``"diagonal"``, one imaginary diagonal
+    entry; or ``"cycle"``, one more quarter turn on one entry of a cycle
+    a -> b -> c -> a, which no S can undo."""
+    rng = np.random.default_rng(seed)
+    R = np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0)
+    a, b, c = rng.choice(n, 3, replace=False)
+    R[a, b], R[b, c], R[c, a] = 1.0 + rng.random(3)
+    turns = _QUARTER_TURNS[rng.integers(0, 4, n)]
+    A = turns[:, None] * R * turns.conj()
+    if flaw == "mixed":
+        j, k = rng.integers(0, n, 2)
+        A[j, k] = (1.0 + 1j) * (1.0 + rng.random())
+    elif flaw == "diagonal":
+        A[a, a] = 1j * (1.0 + rng.random())
+    elif flaw == "cycle":
+        A[c, a] *= 1j
+    return A, R
+
+
+class TestQuarterTurnGauge:
+    """``_TaylorBlock`` finds a diagonal S of powers of i with S^-1 (A - mu) S
+    real, and runs the block's series and products in float64 there."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 12),
+           flaw=st.sampled_from([None, "mixed", "diagonal", "cycle"]))
+    def test_gauge_found_exactly_where_it_exists(self, seed, n, flaw):
+        A, R = _gauge_case(seed, n, flaw)
+        block = lindblad._TaylorBlock(sp.csr_array(A))
+        shifted = (sp.csr_array(A) - sp.csr_array(A).trace() / n
+                   * sp.eye_array(n, format="csr")).toarray()
+        step = block.step.toarray()
+        if flaw is None:
+            # R's values up to sign, and S^-1 (A - mu) S undone exactly
+            assert np.isrealobj(step) and block.mu == (sp.csr_array(A).trace() / n).real
+            assert np.array_equal(np.abs(step), np.abs(R - block.mu * np.eye(n)))
+            assert np.array_equal(block.phases[:, None] * step * block.phases.conj(), shifted)
+            assert set(block.phases.tolist()) <= {1.0, 1j}
+        else:
+            assert np.array_equal(block.phases, np.ones(n))
+            assert np.iscomplexobj(step) and np.array_equal(step, shifted)
+
+    @pytest.mark.parametrize("conf, dim", [("cooling/full.conf", 172),
+                                           ("transfer/superpose.conf", 124)])
+    def test_workload_series_bits(self, conf, dim, tmp_path, monkeypatch):
+        """On the benchmark's ``cool`` and transfer blocks, the real series of
+        the identity at the run's own (m, s, k), un-gauged, is the complex
+        series of A - mu I bit for bit: every product and sum is the same
+        one, a quarter turn apart.  Both take the same exp(mu h / s)."""
+        runs, samples = [], lindblad._taylor_samples
+
+        def spy(block, v0, h, steps):
+            out = samples(block, v0, h, steps)
+            runs.append((block, h, out[2]))
+            return out
+
+        monkeypatch.setattr(lindblad, "_taylor_samples", spy)
+        assert main(["--config", str(WORKLOADS / conf), "--out", str(tmp_path)]) == 0
+        block, h, (m, s, k) = runs[0]
+        assert block.dim == dim and block.phases.imag.any()
+        D, csr = block.phases, block.step
+        complex_block = copy.copy(block)
+        complex_block.phases = np.ones(dim, dtype=complex)
+        complex_block.step = sp.csr_array(
+            (np.repeat(D, np.diff(csr.indptr)) * csr.data * D.conj()[csr.indices],
+             csr.indices, csr.indptr), shape=csr.shape)
+        real = lindblad._taylor_series(block, h / 2 ** k, m, s, np.eye(dim))
+        reference = lindblad._taylor_series(complex_block, h / 2 ** k, m, s,
+                                            np.eye(dim, dtype=complex))
+        assert np.isrealobj(real)
+        assert np.array_equal(D[:, None] * real * D.conj(), reference)
+
 
 class TestTiledSquare:
     """The propagator's dense BLAS products.  A whole complex ``A @ A`` gives
@@ -1031,7 +1149,9 @@ class TestTiledSquare:
     which OpenBLAS runs on one thread, and adds them in a fixed order; at
     n = 48 the one tile is the whole matrix, on the same path.  Each
     sample step is one matvec ``P @ f``, whose bits OpenBLAS keeps at any
-    thread count (a product with several columns is a GEMM and does not)."""
+    thread count (a product with several columns is a GEMM and does not).
+    A gauged block's P is real: its square and ``P @ f`` are real products,
+    and a complex f meets the one complex copy of P."""
 
     SIZES = (48, 124, 140, 150, 172, 200, 256, 460)
 
@@ -1040,21 +1160,26 @@ class TestTiledSquare:
         for n in self.SIZES:
             rng = np.random.default_rng(n)
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            exact = sp.csr_array(A) @ A
-            bound = 4 * n * 2.0 ** -53 * (np.abs(A) @ np.abs(A)).max()
-            assert np.abs(lindblad._tiled_square(A) - exact).max() <= bound, n
+            for M in (A, A.real.copy()):
+                exact = sp.csr_array(M) @ M
+                bound = 4 * n * 2.0 ** -53 * (np.abs(M) @ np.abs(M)).max()
+                assert np.abs(lindblad._tiled_square(M) - exact).max() <= bound, (n, M.dtype)
 
     def test_identical_across_blas_threads(self):
         # the SHA-256 of each size's tiled square P, of A @ v and of P @ v,
-        # printed by a fresh process; P is the array the propagator holds,
-        # a row-strided view of the zero-padded square at n = 140, 172, 460
+        # for a complex A and for its real part R with a real u and with the
+        # complex v on the complex copy of P_R, printed by a fresh process; P
+        # is the array the propagator holds, a row-strided view of the
+        # zero-padded square at n = 140, 172, 460
         script = ("import hashlib\nimport numpy as np\nfrom cryomech import lindblad\n"
                   f"for n in {self.SIZES!r}:\n"
                   "    rng = np.random.default_rng(n)\n"
                   "    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
                   "    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)\n"
                   "    P = lindblad._tiled_square(A)\n"
-                  "    for out in (P, A @ v, P @ v):\n"
+                  "    R, u = A.real.copy(), v.real.copy()\n"
+                  "    PR = lindblad._tiled_square(R)\n"
+                  "    for out in (P, A @ v, P @ v, PR, R @ u, PR @ u, PR.astype(complex) @ v):\n"
                   "        print(hashlib.sha256(out.tobytes()).hexdigest())\n")
         src = str(Path(cryomech.__file__).resolve().parents[1])
         hashes = {}
@@ -1064,7 +1189,8 @@ class TestTiledSquare:
             proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                   capture_output=True, text=True)
             hashes[threads] = proc.stdout.split()
-        products = ("P = tiled square", "A @ v", "P @ v")
+        products = ("P = tiled square", "A @ v", "P @ v", "real P_R = tiled square",
+                    "R @ u", "P_R @ u", "complex(P_R) @ v")
         assert len(hashes["1"]) == len(hashes["2"]) == len(self.SIZES) * len(products)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         labels = [(n, p) for n in self.SIZES for p in products]

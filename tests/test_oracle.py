@@ -259,7 +259,8 @@ class TestReachableBlock:
 
     def test_block_cached_per_support(self):
         """One model evolved from two supports gets two blocks, each the
-        reachable set of its start; a repeated support gets the cached one."""
+        reachable set of its start; a repeated support gets the cached one,
+        and another model on the layout the same checker for the block."""
         model = cooling_model(1.0, 3.0, 0.2, 0.5, SpaceLayout.of(("a", 2), ("a_m", 6)))
         diagonal = np.kron(np.diag([1.0, 0.0]), thermal_state(6, 0.8).matrix)
         coherent = diagonal.astype(complex)
@@ -274,6 +275,9 @@ class TestReachableBlock:
             assert np.abs(final - ref).max() <= 1e-12
         assert blocks[2] is blocks[0]
         assert blocks[1][0].size != blocks[0][0].size
+        other = cooling_model(2.0, 5.0, 0.1, 0.5, model.layout)
+        shared = other.reachable_block(np.flatnonzero(diagonal.T.reshape(-1)))
+        assert np.array_equal(shared[0], blocks[0][0]) and shared[2] is blocks[0][2]
 
     @settings(max_examples=200, deadline=None)
     @given(_pattern_and_support())
