@@ -35,10 +35,10 @@ OpenBLAS keeps at any thread count (a GEMM of P with several samples
 would not); ``tests/test_lindblad.py`` holds both, real and complex.  (m, s) minimise m s under a bound on the step's exact
 1-norm.  Around one sample of an evolution, :func:`expectation_series`
 gives expectations as the same series in time, so a maximum between
-samples needs no further evolution.  RK45 on the full generator
-(``method="adaptive"``) runs in no scenario: it is only the second engine
-path that :func:`cryomech.oracle.verify_all` checks against its exact
-exponential.
+samples needs no further evolution.  The adaptive path, Dormand-Prince's
+8(5,3) pair (DOP853) on the full generator (``method="adaptive"``), runs
+in no scenario: it is only the second engine path that
+:func:`cryomech.oracle.verify_all` checks against its exact exponential.
 The steady state is one sparse LU solve of the generator with one row
 replaced by the trace functional; its uniqueness test uses Hager's 1-norm
 estimate of the inverse.  Neither draws random numbers.  The dense reference for both
@@ -103,7 +103,7 @@ from .model import SystemParams, build_beamsplitter
 #: space one-dimensional.
 NULLSPACE_UNIQUE_TOL = 1e-8
 
-#: Relative and absolute tolerances of the ``adaptive`` (RK45) method.
+#: Relative and absolute tolerances of the ``adaptive`` (DOP853) method.
 ADAPTIVE_RTOL = 1e-9
 ADAPTIVE_ATOL = 1e-11
 
@@ -416,6 +416,14 @@ class _TaylorBlock:
         w = v * self.phases.conj()
         return w.real if np.isrealobj(self.step.data) and not w.imag.any() else w
 
+    def scaled(self, factor: float, data: np.ndarray) -> sp.csr_array:
+        """``step`` times ``factor``, in the dtype of its products with
+        ``data``: a real step meets complex data as one complex copy, the
+        cast scipy would otherwise make on every product, so the products
+        keep their bits."""
+        step = self.step * factor
+        return step.astype(np.result_type(step.dtype, data.dtype), copy=False)
+
     def schedule(self, h: float) -> tuple[int, int]:
         """Taylor degree m and substep count s for exp(h step): the smallest
         m s, s = ceil(||h step||_1 / theta_m) over ``TAYLOR_THETA``, the
@@ -441,7 +449,7 @@ def _taylor_series(block: _TaylorBlock, h: float, m: int, s: int, X: np.ndarray)
     leaves as it is.  ``step @ b`` is scipy's sparse kernel for either shape,
     so no product here depends on the BLAS thread count.
     """
-    step = block.step * (h / s)
+    step = block.scaled(h / s, X)
     eta = np.exp(block.mu * h / s)
     tol = 2.0 ** -53
     f = X.copy()
@@ -570,10 +578,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     exactly 0.  It propagates the block from one sample to the next on the
     stepper or the propagator of :func:`_taylor_samples`, and the result
     records the path and its (m, s, k).
-    ``"adaptive"`` is RK45 on the full vectorized state with right-hand
-    side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/``ADAPTIVE_ATOL``; its
-    ``scipy.integrate.solve_ivp`` is imported on its first call, so a run
-    that never asks for it never loads ``scipy.integrate``.
+    ``"adaptive"`` is Dormand-Prince's 8(5,3) pair (DOP853; Hairer, Norsett
+    & Wanner, Solving ODEs I, II.5) on the full vectorized state with
+    right-hand side ``L @ y`` and tolerances ``ADAPTIVE_RTOL``/
+    ``ADAPTIVE_ATOL``; its ``scipy.integrate.solve_ivp`` is imported on its
+    first call, so a run that never asks for it never loads
+    ``scipy.integrate``.
 
     Before any series runs, ``"expm"`` raises :class:`PreconditionError`
     when the rounding error ||h (L_R - mu I)||_1 2^-53 of the sample step h
@@ -604,10 +614,11 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, duration: float,
     v0 = _vec(rho0.matrix).astype(complex)
 
     if method == "adaptive":
-        # imported here: scipy.integrate loads scipy.optimize, and only verify_all runs RK45
+        # imported here: scipy.integrate loads scipy.optimize, and only
+        # verify_all runs the adaptive path
         from scipy.integrate import solve_ivp
         sol = solve_ivp(lambda t, y: L @ y, (0.0, duration), v0,
-                        t_eval=times, method="RK45", rtol=ADAPTIVE_RTOL,
+                        t_eval=times, method="DOP853", rtol=ADAPTIVE_RTOL,
                         atol=ADAPTIVE_ATOL)
         if not sol.success:
             raise RuntimeError(f"adaptive integration failed: {sol.message}")
@@ -702,7 +713,7 @@ def expectation_series(model: LindbladModel, result: EvolutionResult, c: int,
         centres = rows[1::2]
     X = taylor.gauge(centres).T
     weights = _entry_weights(result.block, operators) * taylor.phases
-    step = taylor.step * r
+    step = taylor.scaled(r, X)
     coeffs = np.empty((s, len(weights), m + 1), dtype=complex)
     for j in range(m + 1):
         if j:
@@ -736,10 +747,13 @@ class _BorderedPattern:
     pattern alone, so every later matrix reuses it.  The probe's factor is
     never used: factored on the natural order, where SuperLU switches to its
     symmetric mode, the same matrix comes out with other last bits, so every
-    matrix, the first one included, is factored on B[:, order].  ``columns``
-    holds the column of each stored entry of B[:, order], from which
-    :func:`_norm1` takes its 1-norm, and ``estimate_vectors`` the
-    :func:`_estimate_vectors` of its size.
+    matrix, the first one included, is factored on B[:, order].  Every
+    factorization, the probe included, takes SuperLU's panels one column wide
+    (``panel_size=1``): the fill is the same as with its default panels, and
+    on these generators the LU is faster.  ``columns`` holds the column of
+    each stored entry of B[:, order], from which :func:`_norm1` takes its
+    1-norm, and ``estimate_vectors`` the :func:`_estimate_vectors` of its
+    size.
     """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
@@ -775,7 +789,8 @@ class _BorderedPattern:
         if self.order is None:
             shape = (self.dim, self.dim)
             gather, indices, indptr = self._csc(np.arange(self.dim))
-            perm_c = splu(sp.csc_array((source[gather], indices, indptr), shape=shape)).perm_c
+            perm_c = splu(sp.csc_array((source[gather], indices, indptr), shape=shape),
+                          panel_size=1).perm_c
             # column perm_c[j] of B Pc is column j of B
             self._gather, indices, indptr = self._csc(perm_c)
             self._matrix = sp.csc_array((source[self._gather], indices, indptr), shape=shape)
@@ -854,7 +869,7 @@ def _steady_vector(L: sp.csr_array, pattern: _BorderedPattern) -> np.ndarray:
         raise DegenerateSteadyStateError("generator vanishes; every state is stationary")
     try:
         bordered = pattern.matrix(L.data, scale)
-        lu = splu(bordered, permc_spec="NATURAL")
+        lu = splu(bordered, permc_spec="NATURAL", panel_size=1)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"steady state is not unique (trace-bordered generator is singular: {exc})"
@@ -893,10 +908,11 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     as :func:`steady_states` builds its one, gathers B[:, order] straight
     into CSC form, with ``order`` SuperLU's COLAMD order from one probe LU
     of that generator.  SuperLU factors B[:, order] on the natural order,
-    with its default partial pivoting, and x[order] = y undoes the
-    permutation.  B[:, order]^-1 is B^-1 with its rows permuted, so the
-    condition estimate below is that of B.  The solve for x and the two
-    fixed solves of that estimate are one call on three columns.
+    with its default partial pivoting and panels one column wide, and
+    x[order] = y undoes the permutation.  B[:, order]^-1 is B^-1 with its
+    rows permuted, so the condition estimate below is that of B.  The solve
+    for x and the two fixed solves of that estimate are one call on three
+    columns.
 
     Raises DegenerateSteadyStateError when the factor is exactly singular,
     when the 1-norm condition estimate of the bordered matrix (its exact

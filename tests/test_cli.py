@@ -520,7 +520,8 @@ num_samples = 5
 
 class TestCoolConfigs:
     def test_adaptive_method_exit_2_before_any_evolution(self, tmp_path, capsys, monkeypatch):
-        # RK45 did not finish this stiff run in a minute; the key is refused
+        # the adaptive path (DOP853, as RK45 before it) did not finish this
+        # stiff run in a minute; the key is refused
         # at parse time, so the scenario never starts
         monkeypatch.setattr(cryomech.protocols, "sideband_cool", None)
         path = write_cfg(tmp_path, STIFF_COOL_CFG + "method = adaptive\n")

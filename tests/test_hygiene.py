@@ -321,8 +321,8 @@ def test_no_private_names_imported_across_modules():
     assert not private, f"private names read from another module: {private}"
 
 
-def test_rk45_has_one_caller():
-    # evolve's method = "adaptive" (RK45) is the oracle batch's second engine
+def test_adaptive_path_has_one_caller():
+    # evolve's method = "adaptive" (DOP853) is the oracle batch's second engine
     # path, not a propagator that a scenario may pick: the one call of the
     # package, a demo or the benchmark that sets the method is verify_all's
     trees = _parse(sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -346,7 +346,7 @@ def _imported(node: ast.AST) -> list[str]:
 
 def test_scipy_signal_and_integrate_stay_out_of_module_imports():
     # scipy.signal loads scipy.stats, ndimage and interpolate, scipy.integrate
-    # loads scipy.optimize: only the RK45 branch of evolve may import solve_ivp
+    # loads scipy.optimize: only the adaptive branch of evolve may import solve_ivp
     sites = []
     for p, tree in _parse(sorted(SRC.glob("*.py"))).items():
         # ast.walk meets an outer function before an inner one: innermost wins
@@ -359,8 +359,8 @@ def test_scipy_signal_and_integrate_stay_out_of_module_imports():
         "lindblad.py:evolve"}
 
 
-#: Small configs of every scenario but verify-all, whose RK45 instances
-#: import scipy.integrate.
+#: Small configs of every scenario but verify-all, whose adaptive (DOP853)
+#: instances import scipy.integrate.
 _LIGHT_CONFIGS = {
     "cool": "scenario=cool\ng=1\nkappa=20\ngamma_m=0.05\nn_bar=3\nn_init=3\n"
             "omega_m=50\ndim_a=2\ndim_m=4\nnum_samples=5\n",

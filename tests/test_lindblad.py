@@ -52,7 +52,13 @@ from cryomech.lindblad import (
     thermal_dissipators,
 )
 from cryomech.model import SpinParams, SystemParams, build_spin_mech
-from cryomech.oracle import _build_liouvillian, _random_density, _random_model, trace_distance
+from cryomech.oracle import (
+    _build_liouvillian,
+    _random_density,
+    _random_model,
+    exact_liouville_evolve,
+    trace_distance,
+)
 from cryomech.protocols import sideband_cool
 
 from basis import ESR_SWEEP_CONF, WORKLOADS, SolveSpy, fock_state, sample_matrices
@@ -223,6 +229,43 @@ class TestEvolve:
         monkeypatch.setattr(lindblad, "_taylor_samples", drifted)
         with pytest.raises(ValueError):
             evolve(model, rho0, 1.0, num_samples=5, truncation_threshold=1.0)
+
+
+class TestAdaptivePath:
+    """``evolve(method="adaptive")``, the oracle batch's second engine path:
+    DOP853 at the fixed tolerances, against the oracle's exponential."""
+
+    def test_dop853_at_the_fixed_tolerances(self, monkeypatch):
+        import scipy.integrate
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+        model = damped_mode(dim=3, kappa=0.2, n_bar=0.3)
+        rho0 = DensityMatrix(model.layout, thermal_state(3, 0.2).matrix)
+        res = evolve(model, rho0, 1.0, num_samples=3, method="adaptive",
+                     truncation_threshold=1.0)
+        [kwargs] = calls
+        assert (kwargs["method"], kwargs["rtol"], kwargs["atol"]) == ("DOP853", 1e-9, 1e-11)
+        assert np.array_equal(kwargs["t_eval"], res.times)
+        assert (res.path, res.schedule) == ("adaptive", None)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 2),
+           st.floats(0.2, 2.0))
+    def test_matches_oracle_on_random_models(self, seed, dim, n_diss, t):
+        rng = np.random.default_rng(seed)
+        layout = SpaceLayout.single("m", dim)
+        model = _random_model(rng, layout, n_diss=n_diss)
+        rho0 = DensityMatrix(layout, _random_density(rng, dim))
+        final = evolve(model, rho0, t, num_samples=5, method="adaptive",
+                       truncation_threshold=1.1).final()
+        assert trace_distance(final, exact_liouville_evolve(model, rho0, t)) <= 1e-8
 
 
 _DEFECTS = ("trace", "hermiticity", "positivity", "truncation")
@@ -669,15 +712,16 @@ class TestBorderedPattern:
         specs = []
 
         def spy(A, permc_spec=None, **kwargs):
-            specs.append(permc_spec)
+            specs.append((permc_spec, kwargs.get("panel_size")))
             return splu(A, permc_spec=permc_spec, **kwargs)
 
         monkeypatch.setattr(lindblad, "splu", spy)
         model, term = TestAffineSweep._spin_mech("z")
         values = [-0.4, 0.0, 0.3, 0.9]
         steady_states(model, term, values)
-        # one COLAMD probe (SuperLU's default order), then the reused order
-        assert specs == [None] + ["NATURAL"] * len(values)
+        # one COLAMD probe (SuperLU's default order), then the reused order,
+        # every factorization on panels one column wide
+        assert specs == [(None, 1)] + [("NATURAL", 1)] * len(values)
 
     def test_singular_first_point_then_next_solves(self):
         # pure dephasing and no drive at v = 0 keep both populations: the
@@ -1140,6 +1184,25 @@ class TestQuarterTurnGauge:
                                             np.eye(dim, dtype=complex))
         assert np.isrealobj(real)
         assert np.array_equal(D[:, None] * real * D.conj(), reference)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("columns", [(), (3,)])
+    def test_complex_data_meets_one_complex_step(self, seed, columns, monkeypatch):
+        """A real gauged step meets complex data, a vector or a block of
+        columns, as one complex copy per series, with the bits of scipy's
+        own cast at every product."""
+        A, _ = _gauge_case(seed, 10, None)
+        block = lindblad._TaylorBlock(sp.csr_array(A))
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((10,) + columns) + 1j * rng.standard_normal((10,) + columns)
+        h = 2.0 / block.norm1
+        m, s = block.schedule(h)
+        assert np.isrealobj(block.step.data) and block.scaled(h, X).dtype == complex
+        assert block.scaled(h, X.real).dtype == float
+        once = lindblad._taylor_series(block, h, m, s, X)
+        monkeypatch.setattr(lindblad._TaylorBlock, "scaled",
+                            lambda self, factor, data: self.step * factor)
+        assert once.tobytes() == lindblad._taylor_series(block, h, m, s, X).tobytes()
 
 
 class TestTiledSquare:
